@@ -15,11 +15,17 @@ Precedence: ``!``/``F``/``D`` bind tightest, then ``U``, then ``&``, then
 ``|``.  Intervals written by the user must be nonsingular (lo < hi unless
 hi is inf); singular intervals do arise internally while a formula is
 progressed and are accepted by the constructors.
+
+Syntax nodes are interned (hash-consed): constructing a node equal to a
+live one returns that node, so equality is identity and a node's hash is
+its identity.  The intern table holds nodes weakly, and ``pretty`` caches
+each node's text on the node.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
 
 
@@ -167,64 +173,130 @@ class Interval:
         return f"[{self.lo},{hi}]"
 
 
+# (class, *fields) -> weak reference to the one live node with those fields;
+# unlocked, so formulas are built from one thread at a time
+_NODES: dict[tuple, weakref.KeyedRef] = {}
+
+
+def _forget(ref):
+    # the entry may already name a newer node built after this one died
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
+
+
+def _interned(key: tuple) -> "Formula":
+    """The live node for ``key == (cls, *field values)``, built if none is."""
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    cls = key[0]
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, key[1:]):
+        object.__setattr__(node, name, value)
+    _NODES[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
 class Formula:
-    """Base class; all nodes are immutable and hashable."""
+    """Base class of the immutable syntax nodes.
+
+    Nodes are hash-consed: constructing a node whose class and fields equal
+    those of a live node returns that node.  Equality is therefore
+    identity, hashing is by identity, and comparing or hashing a node never
+    walks its subtree.  The intern table holds nodes weakly, so a node lives
+    exactly as long as something else refers to it.  Each subclass lists its
+    fields, in constructor order, as its ``__slots__``.
+    """
+
+    __slots__ = ("_pretty", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        # copies and unpickled nodes go through the constructor, so they
+        # come back as the interned node itself
+        cls = type(self)
+        return cls, tuple(getattr(self, name) for name in cls.__slots__)
+
+    def __repr__(self):
+        cls = type(self)
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in cls.__slots__)
+        return f"{cls.__name__}({body})"
 
     def __str__(self):
         return pretty(self)
 
 
-@dataclass(frozen=True)
 class TrueF(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        return _interned((cls,))
 
 
-@dataclass(frozen=True)
 class FalseF(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        return _interned((cls,))
 
 
 TRUE = TrueF()
 FALSE = FalseF()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        return _interned((cls, name))
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
+
+    def __new__(cls, operand: Formula):
+        return _interned((cls, operand))
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        return _interned((cls, left, right))
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        return _interned((cls, left, right))
 
 
-@dataclass(frozen=True)
 class Until(Formula):
     """left U right, optionally within `interval`; None means untimed."""
 
-    left: Formula
-    right: Formula
-    interval: Interval | None = None
+    __slots__ = ("left", "right", "interval")
+
+    def __new__(cls, left: Formula, right: Formula,
+                interval: Interval | None = None):
+        return _interned((cls, left, right, interval))
 
 
-@dataclass(frozen=True)
 class DistEventually(Formula):
     """External event `event` first occurs at a time distributed as `dist`."""
 
-    event: str
-    dist: DistributionSpec
+    __slots__ = ("event", "dist")
+
+    def __new__(cls, event: str, dist: DistributionSpec):
+        return _interned((cls, event, dist))
 
 
 def until(left: Formula, right: Formula, interval: Interval | None = None) -> Until:
@@ -519,8 +591,20 @@ def _prec(f: Formula) -> int:
 
 
 def pretty(f: Formula) -> str:
-    """Canonical text rendering; ``parse(pretty(f)) == f``."""
+    """Canonical text rendering; ``parse(pretty(f)) is f``.
 
+    The text is cached on the node, so a node is rendered once however
+    often it is printed or used as a sort key.
+    """
+    try:
+        return f._pretty
+    except AttributeError:
+        text = _render(f)
+        object.__setattr__(f, "_pretty", text)
+        return text
+
+
+def _render(f: Formula) -> str:
     def wrap(child, need):
         s = pretty(child)
         return f"({s})" if _prec(child) < need else s

@@ -68,6 +68,20 @@ def _subsets(names) -> list[frozenset[str]]:
     return out
 
 
+def _outcome_prob(haz: dict[str, float], e) -> float:
+    """Probability that exactly the events of `e` occur at the next step.
+
+    `haz` maps each pending event to its hazard, in event declaration
+    order.  The product is taken in that order, not in the iteration order
+    of a set of names, which varies with the string hash seed and would
+    move the last digits of the result between runs.
+    """
+    p = 1.0
+    for name, h in haz.items():
+        p *= h if name in e else 1.0 - h
+    return p
+
+
 class StaModel:
     """Deterministic timed automaton plus external-event distributions."""
 
@@ -94,7 +108,8 @@ class StaModel:
         return state, p
 
     def hazards(self, q: StaState) -> dict[str, float]:
-        """Per-pending-event occurrence probability for the next step."""
+        """Per-pending-event occurrence probability for the next step,
+        keyed in event declaration order."""
         out = {}
         for i, name in enumerate(self.event_names):
             if name in q.pending:
@@ -106,13 +121,7 @@ class StaModel:
         if q.sink:
             raise StaError("no outcomes from the sink state")
         haz = self.hazards(q)
-        dist = {}
-        for e in _subsets(q.pending):
-            p = 1.0
-            for name in q.pending:
-                p *= haz[name] if name in e else 1.0 - haz[name]
-            dist[e] = p
-        return dist
+        return {e: _outcome_prob(haz, e) for e in _subsets(q.pending)}
 
     def _advanced_clocks(self, q: StaState) -> tuple[int, ...]:
         return tuple(
@@ -129,10 +138,7 @@ class StaModel:
         if not e <= q.pending:
             raise StaError(
                 f"events {sorted(e - q.pending)} already occurred")
-        haz = self.hazards(q)
-        p = 1.0
-        for name in q.pending:
-            p *= haz[name] if name in e else 1.0 - haz[name]
+        p = _outcome_prob(self.hazards(q), e)
         clocks = self._advanced_clocks(q)
         clocks = tuple(0 if name in e else c
                        for name, c in zip(self.event_names, clocks))
@@ -259,11 +265,7 @@ class TruncatedSta(StaModel):
         if not e <= q.pending:
             raise StaError(f"events {sorted(e - q.pending)} already occurred")
         if self.would_sink(q):
-            haz = self.hazards(q)
-            p = 1.0
-            for name in q.pending:
-                p *= haz[name] if name in e else 1.0 - haz[name]
-            return SINK, p
+            return SINK, _outcome_prob(self.hazards(q), e)
         q2, p = super().step(q, symbol)
         if self._dta_cap is not None:
             q2 = StaState(self._clamp(q2.config, self._dta_cap),

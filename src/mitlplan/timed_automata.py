@@ -228,19 +228,6 @@ class TimedWord:
 # Formula progression
 # ---------------------------------------------------------------------------
 
-_SORT_KEYS: dict[Formula, str] = {}
-_CANONICAL: dict[Formula, Formula] = {}
-_PROGRESS: dict[tuple[Formula, frozenset], Formula] = {}
-
-
-def _sort_key(f: Formula) -> str:
-    key = _SORT_KEYS.get(f)
-    if key is None:
-        key = pretty(f)
-        _SORT_KEYS[f] = key
-    return key
-
-
 def _clauses(f: Formula) -> frozenset[frozenset[Formula]]:
     """Disjunctive normal form over non-boolean units.
 
@@ -262,66 +249,128 @@ def _clauses(f: Formula) -> frozenset[frozenset[Formula]]:
     return frozenset([frozenset([f])])
 
 
+class _Progression:
+    """Memo tables of one automaton build.
+
+    Canonical forms and one-step progressions are memoized per
+    (subformula, symbol) for as long as the context lives.  `build_dta`
+    owns one context and drops it when it returns, so nothing at module
+    level outlives a build; sort keys are the ``pretty`` text cached on
+    each node.
+    """
+
+    def __init__(self):
+        self.canonical_forms: dict[Formula, Formula] = {}
+        self.progressed: dict[tuple[Formula, frozenset], Formula] = {}
+
+    def canonical(self, f: Formula) -> Formula:
+        got = self.canonical_forms.get(f)
+        if got is None:
+            got = self._canonical_node(f)
+            self.canonical_forms[f] = got
+            self.canonical_forms[got] = got
+        return got
+
+    def _canonical_node(self, f: Formula) -> Formula:
+        canonical = self.canonical
+        if isinstance(f, (TrueF, FalseF, Atom)):
+            return f
+        if isinstance(f, Not):
+            g = canonical(f.operand)
+            if isinstance(g, TrueF):
+                return FALSE
+            if isinstance(g, FalseF):
+                return TRUE
+            if isinstance(g, Not):
+                return g.operand
+            return Not(g)
+        if isinstance(f, Until):
+            left = canonical(f.left)
+            right = canonical(f.right)
+            if isinstance(right, FalseF):
+                return FALSE
+            iv = f.interval
+            if isinstance(right, TrueF) and (iv is None or iv.lo == 0):
+                return TRUE
+            if isinstance(left, FalseF) and (iv is not None and iv.lo > 0):
+                return FALSE
+            return until(left, right, iv)
+        if isinstance(f, (And, Or)):
+            ctor = And if isinstance(f, And) else Or
+            clauses = _clauses(ctor(canonical(f.left), canonical(f.right)))
+            # absorption: a clause implied by a smaller one is redundant
+            kept = [c for c in clauses
+                    if not any(other < c for other in clauses)]
+            if not kept:
+                return FALSE
+            if frozenset() in kept:
+                return TRUE
+            disjuncts = []
+            for clause in kept:
+                units = sorted(clause, key=pretty)
+                acc = units[0]
+                for g in units[1:]:
+                    acc = And(acc, g)
+                disjuncts.append(acc)
+            disjuncts.sort(key=pretty)
+            acc = disjuncts[0]
+            for g in disjuncts[1:]:
+                acc = Or(acc, g)
+            return acc
+        raise TypeError(f"not a formula: {f!r}")
+
+    def progress(self, f: Formula, symbol: frozenset) -> Formula:
+        key = (f, symbol)
+        got = self.progressed.get(key)
+        if got is None:
+            got = self.canonical(self._progress_node(f, symbol))
+            self.progressed[key] = got
+        return got
+
+    def _progress_node(self, g: Formula, symbol: frozenset) -> Formula:
+        progress = self.progress
+        if isinstance(g, TrueF) or isinstance(g, FalseF):
+            return g
+        if isinstance(g, Atom):
+            return TRUE if g.name in symbol else FALSE
+        if isinstance(g, Not):
+            if not isinstance(g.operand, Atom):
+                raise FormulaError(
+                    f"cannot progress negation over {type(g.operand).__name__}")
+            return TRUE if g.operand.name not in symbol else FALSE
+        if isinstance(g, And):
+            return And(progress(g.left, symbol), progress(g.right, symbol))
+        if isinstance(g, Or):
+            return Or(progress(g.left, symbol), progress(g.right, symbol))
+        if isinstance(g, Until):
+            iv = g.interval
+            if iv is None:
+                return Or(progress(g.right, symbol),
+                          And(progress(g.left, symbol), g))
+            if iv.lo > 0:
+                nxt = Interval(iv.lo - 1, None if iv.hi is None else iv.hi - 1)
+                return And(progress(g.left, symbol), until(g.left, g.right, nxt))
+            if iv.hi is None:
+                return Or(progress(g.right, symbol),
+                          And(progress(g.left, symbol), until(g.left, g.right)))
+            if iv.hi == 0:
+                return progress(g.right, symbol)
+            nxt = Interval(0, iv.hi - 1)
+            return Or(progress(g.right, symbol),
+                      And(progress(g.left, symbol), until(g.left, g.right, nxt)))
+        raise FormulaError(f"cannot progress {type(g).__name__}")
+
+
 def canonical(f: Formula) -> Formula:
     """Canonical form: residuals are flattened into a subsumption-reduced
     disjunction of conjunctions of temporal units, with operands sorted by
     a total structural order and constants absorbed.  Keeping residuals in
     this shape is what makes the progression closure finite.
+
+    Memoized only within this call; `build_dta` keeps one memo for a
+    whole build.
     """
-    got = _CANONICAL.get(f)
-    if got is None:
-        got = _canonical_node(f)
-        _CANONICAL[f] = got
-        _CANONICAL[got] = got
-    return got
-
-
-def _canonical_node(f: Formula) -> Formula:
-    if isinstance(f, (TrueF, FalseF, Atom)):
-        return f
-    if isinstance(f, Not):
-        g = canonical(f.operand)
-        if isinstance(g, TrueF):
-            return FALSE
-        if isinstance(g, FalseF):
-            return TRUE
-        if isinstance(g, Not):
-            return g.operand
-        return Not(g)
-    if isinstance(f, Until):
-        left = canonical(f.left)
-        right = canonical(f.right)
-        if isinstance(right, FalseF):
-            return FALSE
-        iv = f.interval
-        if isinstance(right, TrueF) and (iv is None or iv.lo == 0):
-            return TRUE
-        if isinstance(left, FalseF) and (iv is not None and iv.lo > 0):
-            return FALSE
-        return until(left, right, iv)
-    if isinstance(f, (And, Or)):
-        ctor = And if isinstance(f, And) else Or
-        clauses = _clauses(ctor(canonical(f.left), canonical(f.right)))
-        # absorption: a clause implied by a smaller one is redundant
-        kept = [c for c in clauses
-                if not any(other < c for other in clauses)]
-        if not kept:
-            return FALSE
-        if frozenset() in kept:
-            return TRUE
-        disjuncts = []
-        for clause in kept:
-            units = sorted(clause, key=_sort_key)
-            acc = units[0]
-            for g in units[1:]:
-                acc = And(acc, g)
-            disjuncts.append(acc)
-        disjuncts.sort(key=_sort_key)
-        acc = disjuncts[0]
-        for g in disjuncts[1:]:
-            acc = Or(acc, g)
-        return acc
-    raise TypeError(f"not a formula: {f!r}")
+    return _Progression().canonical(f)
 
 
 def progress(f: Formula, symbol) -> Formula:
@@ -329,49 +378,13 @@ def progress(f: Formula, symbol) -> Formula:
 
     TRUE means the prefix already satisfies the formula, FALSE that it
     already violates it.  The input must be distribution-free and in
-    negation normal form.  Results are canonical and memoized per
-    (subformula, symbol), which is what keeps closure construction cheap.
+    negation normal form.  Results are canonical.  They are memoized per
+    (subformula, symbol) within one build, which is what keeps closure
+    construction cheap; this function memoizes only within the call.
     """
-    symbol = frozenset(symbol)
-    key = (f, symbol)
-    got = _PROGRESS.get(key)
-    if got is None:
-        got = canonical(_progress_node(f, symbol))
-        _PROGRESS[key] = got
-    return got
-
-
-def _progress_node(g: Formula, symbol: frozenset) -> Formula:
-    if isinstance(g, TrueF) or isinstance(g, FalseF):
-        return g
-    if isinstance(g, Atom):
-        return TRUE if g.name in symbol else FALSE
-    if isinstance(g, Not):
-        if not isinstance(g.operand, Atom):
-            raise FormulaError(
-                f"cannot progress negation over {type(g.operand).__name__}")
-        return TRUE if g.operand.name not in symbol else FALSE
-    if isinstance(g, And):
-        return And(progress(g.left, symbol), progress(g.right, symbol))
-    if isinstance(g, Or):
-        return Or(progress(g.left, symbol), progress(g.right, symbol))
-    if isinstance(g, Until):
-        iv = g.interval
-        if iv is None:
-            return Or(progress(g.right, symbol),
-                      And(progress(g.left, symbol), g))
-        if iv.lo > 0:
-            nxt = Interval(iv.lo - 1, None if iv.hi is None else iv.hi - 1)
-            return And(progress(g.left, symbol), until(g.left, g.right, nxt))
-        if iv.hi is None:
-            return Or(progress(g.right, symbol),
-                      And(progress(g.left, symbol), until(g.left, g.right)))
-        if iv.hi == 0:
-            return progress(g.right, symbol)
-        nxt = Interval(0, iv.hi - 1)
-        return Or(progress(g.right, symbol),
-                  And(progress(g.left, symbol), until(g.left, g.right, nxt)))
-    raise FormulaError(f"cannot progress {type(g).__name__}")
+    if not isinstance(symbol, frozenset):
+        symbol = frozenset(symbol)
+    return _Progression().progress(f, symbol)
 
 
 def formula_atoms(f: Formula) -> set[str]:
@@ -503,12 +516,17 @@ class ProgressionDta(Dta):
 def build_dta(phi_d: Formula, cap: int = 20000) -> ProgressionDta:
     """Closure of one-step progression from the canonicalized formula.
 
+    The progression memo lives for this call only: once the automaton is
+    returned, its locations are all that is kept of the build.
     Raises AutomatonError when more than `cap` locations are discovered,
     which indicates the formula is outside the intended desk scale.
     """
-    init = canonical(normalize(phi_d))
+    memo = _Progression()
+    init = memo.canonical(normalize(phi_d))
     atoms = tuple(sorted(formula_atoms(init)))
-    n_masks = 1 << len(atoms)
+    # symbol i holds the atoms of bit mask i, built once per automaton
+    symbols = [frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+               for mask in range(1 << len(atoms))]
     index: dict[Formula, int] = {init: 0}
     locations: list[Formula] = [init]
     table: list[list[int]] = []
@@ -516,9 +534,8 @@ def build_dta(phi_d: Formula, cap: int = 20000) -> ProgressionDta:
     while frontier:
         f = frontier.popleft()
         row = []
-        for mask in range(n_masks):
-            symbol = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-            succ = progress(f, symbol)
+        for symbol in symbols:
+            succ = memo.progress(f, symbol)
             j = index.get(succ)
             if j is None:
                 if len(locations) >= cap:

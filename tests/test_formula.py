@@ -1,13 +1,20 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
+from mitlplan import formula
 from mitlplan.formula import (
+    FALSE,
     TRUE,
     And,
     Atom,
     DistEventually,
     EventSet,
+    FalseF,
     FiniteTable,
     FormulaError,
     Geometric,
@@ -15,6 +22,8 @@ from mitlplan.formula import (
     Not,
     Or,
     ParseError,
+    TrueF,
+    Until,
     ZeroSurvivalError,
     eventually,
     hazard,
@@ -28,6 +37,7 @@ from mitlplan.formula import (
     until,
     validate_fragment,
 )
+from mitlplan.timed_automata import build_dta
 
 from _oracles import random_fragment_formula
 
@@ -104,6 +114,66 @@ def test_roundtrip_with_distributions():
     for text in [BUS_CASE1, "D{table:1:0.5,2:0.5} b", "D{geom:1.0} e & F e"]:
         f = parse(text)
         assert parse(pretty(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# interning
+# ---------------------------------------------------------------------------
+
+def test_equal_nodes_are_one_node():
+    rng = random.Random(7)
+    for _ in range(200):
+        f = random_fragment_formula(rng, ["p", "q", "r"])
+        assert parse(pretty(f)) is f, pretty(f)
+    a, b = Atom("a"), Atom("b")
+    iv = Interval(1, 4)
+    assert Until(a, b) is Until(a, b, None)
+    assert Until(left=a, right=b, interval=iv) is Until(a, b, Interval(1, 4))
+    assert Atom(name="a") is a
+    assert until(TRUE, a, Interval(0, None)) is eventually(a)
+    assert TrueF() is TRUE
+    assert FalseF() is FALSE
+    assert And(a, b) is not And(b, a)
+    assert Or(a, b) is not And(a, b)
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    for text in [BUS_CASE1, "D{table:1:0.5,2:0.5} b & F[2,5] !c",
+                 "p U[0,3] (q | F r)", "true", "false"]:
+        f = parse(text)
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_nodes_are_immutable():
+    f = parse("p U[0,3] q")
+    with pytest.raises(AttributeError):
+        f.left = Atom("r")
+    with pytest.raises(AttributeError):
+        del f.right
+    assert repr(Not(Atom("p"))) == "Not(operand=Atom(name='p'))"
+
+
+def _build_and_drop(text):
+    """Build an automaton from text nothing else refers to; return weak
+    references to its locations."""
+    dta = build_dta(parse(text))
+    return [weakref.ref(f) for f in dta.locations
+            if f is not TRUE and f is not FALSE]
+
+
+def test_build_leaves_no_formulas_behind():
+    # the intern table holds nodes weakly and the progression memo belongs
+    # to one build, so once the automaton is dropped every formula the
+    # build made is freed
+    gc.collect()
+    before = len(formula._NODES)
+    refs = _build_and_drop("F[0,3] (x1 & F[1,4] x2) | x3 U[0,5] !x1")
+    gc.collect()
+    assert len(refs) > 10
+    assert all(r() is None for r in refs)
+    assert len(formula._NODES) == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import importlib.util
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +228,24 @@ def test_progression_soundness_random():
             expect = word_satisfies(canonical(f), w)
             got = run_dta(d, TimedWord.from_sets(w)).accepted
             assert got == expect, (pretty(f), w)
+
+
+def _digest_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "dta_digests.py"
+    spec = importlib.util.spec_from_file_location("dta_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_dta_digests():
+    # location lists and transition tables as the committed digests record
+    # them; regenerate with tools/dta_digests.py only for a change that is
+    # meant to alter automata
+    expected = json.loads((DATA / "dta_digests.json").read_text())
+    got = _digest_tool().digests()
+    assert sorted(got) == sorted(expected)
+    assert [name for name in expected if got[name] != expected[name]] == []
 
 
 # ---------------------------------------------------------------------------
