@@ -1,77 +1,54 @@
 """Hot numeric kernels: Bellman sweeps and batch rollouts.
 
-Each kernel ships in two versions: a vectorized numpy kernel
-(``*_numpy``) and a scalar loop kernel (``*_loop``).  The loop kernels are
-plain Python and serve as the reference the numpy kernels are tested
-against; they run on every machine, slowly.  numba, when it imports, only
-compiles those same loop functions into the ``numba`` backend.  The backend
-is picked by the ``MITLPLAN_KERNELS`` env var ("numba" or "numpy"); default
-is numba when importable, numpy otherwise.  Both rollout kernels draw from
-the same splitmix64 streams, so results are identical across backends for a
-fixed seed.
+The solver and the simulator run the vectorized numpy kernels
+(``*_numpy``).  Each has a scalar loop kernel (``*_loop``) in plain Python
+beside it: the reference the numpy kernels are tested against, equal in
+values and sweep counts for the Bellman sweep and decision for decision
+for the rollouts.
+
+Rollouts draw from splitmix64 streams (Steele, Lea & Flood, OOPSLA 2014).
+A stream adds the golden gamma to its state per draw and outputs the mix
+of the new state.  Stream i of a batch starts from the mix of
+``seed + (i + 1) * gamma``: without that mix, stream i + 1 would be
+stream i one draw later.  `splitmix_init` and `splitmix_next` work on
+Python integers, for `rollout` and the loop kernel; the numpy kernel runs
+the same arithmetic on uint64 arrays, one lane per rollout.  Batch stream
+0 is therefore the stream of a single rollout with the same seed.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
+import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_U64 = 0xFFFFFFFFFFFFFFFF
 _INV53 = 1.0 / float(1 << 53)
 
 
-def default_backend() -> str:
-    env = os.environ.get("MITLPLAN_KERNELS", "").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            warnings.warn("MITLPLAN_KERNELS=numba but numba is unavailable; "
-                          "falling back to numpy")
-            return "numpy"
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def resolve_backend(backend: str | None) -> str:
-    if backend is None:
-        return default_backend()
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown kernel backend {backend!r}")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is unavailable")
-    return backend
-
-
 # ---------------------------------------------------------------------------
-# splitmix64 (single-stream helpers usable from plain python)
+# splitmix64
 # ---------------------------------------------------------------------------
+
+def _mix64(z):
+    """splitmix64's output function, on a Python int or a uint64 array."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _U64
+    z = ((z ^ (z >> 27)) * _MIX2) & _U64
+    return z ^ (z >> 31)
+
 
 def splitmix_init(seed: int, index: int = 0) -> int:
-    return (int(seed) + (index + 1) * int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF
+    """Start state of stream `index` of `seed`."""
+    return _mix64((int(seed) + (index + 1) * _GOLDEN) & _U64)
 
 
 def splitmix_next(state: int) -> tuple[float, int]:
     """Next uniform in [0,1) and the advanced state."""
-    state = (state + int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF
-    z = state
-    z = ((z ^ (z >> 30)) * int(_MIX1)) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * int(_MIX2)) & 0xFFFFFFFFFFFFFFFF
-    z = z ^ (z >> 31)
-    return (z >> 11) * _INV53, state
+    state = (state + _GOLDEN) & _U64
+    return (_mix64(state) >> 11) * _INV53, state
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +68,7 @@ def bellman_sweep_numpy(row_ptr, cols, probs, reward_row, absorbing, values,
 
 def bellman_sweep_loop(row_ptr, cols, probs, reward_row, absorbing, values,
                        n_actions):
-    """Scalar reference for `bellman_sweep_numpy`; numba compiles it."""
+    """Scalar reference for `bellman_sweep_numpy`."""
     n = values.shape[0]
     new_values = np.empty_like(values)
     residual = 0.0
@@ -114,29 +91,28 @@ def bellman_sweep_loop(row_ptr, cols, probs, reward_row, absorbing, values,
     return new_values, float(residual)
 
 
-if HAVE_NUMBA:
-    bellman_sweep_numba = njit(cache=True)(bellman_sweep_loop)
-
-
-def bellman_sweep(backend, *args):
-    if backend == "numba":
-        return bellman_sweep_numba(*args)
-    return bellman_sweep_numpy(*args)
-
-
 # ---------------------------------------------------------------------------
-# Batch rollouts
+# Rollouts
 # ---------------------------------------------------------------------------
 # Outcome codes: 0 step-limit, 1 accept, 2 sink.
 
-def _rollout_batch_scalar(row_ptr, cols, probs, policy_row, accepting, sink,
-                          z0, n_rollouts, seed, max_steps):
-    golden = np.uint64(0x9E3779B97F4A7C15)
-    mix1 = np.uint64(0xBF58476D1CE4E5B9)
-    mix2 = np.uint64(0x94D049BB133111EB)
+def sample_successor(cols, probs, u: float) -> int:
+    """The successor of a CSR row that the uniform `u` selects: the first
+    whose cumulative probability exceeds `u`, else the last."""
+    acc = 0.0
+    for c, p in zip(cols.tolist(), probs.tolist()):
+        acc += p
+        if u < acc:
+            return c
+    return int(cols[-1])
+
+
+def rollout_batch_loop(row_ptr, cols, probs, policy_row, accepting, sink,
+                       z0, n_rollouts, seed, max_steps):
+    """Scalar reference for `rollout_batch_numpy`."""
     outcomes = np.zeros(n_rollouts, dtype=np.int8)
     for i in range(n_rollouts):
-        state = np.uint64(seed) + np.uint64(i + 1) * golden
+        state = splitmix_init(seed, i)
         z = z0
         for t in range(max_steps + 1):
             if accepting[z]:
@@ -147,41 +123,11 @@ def _rollout_batch_scalar(row_ptr, cols, probs, policy_row, accepting, sink,
                 break
             if t == max_steps:
                 break
-            state = state + golden
-            u64 = state
-            u64 = (u64 ^ (u64 >> np.uint64(30))) * mix1
-            u64 = (u64 ^ (u64 >> np.uint64(27))) * mix2
-            u64 = u64 ^ (u64 >> np.uint64(31))
-            u = (u64 >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+            u, state = splitmix_next(state)
             r = policy_row[z]
-            lo = row_ptr[r]
-            hi = row_ptr[r + 1]
-            nxt = cols[hi - 1]
-            acc = 0.0
-            for k in range(lo, hi):
-                acc += probs[k]
-                if u < acc:
-                    nxt = cols[k]
-                    break
-            z = nxt
+            row = slice(row_ptr[r], row_ptr[r + 1])
+            z = sample_successor(cols[row], probs[row], u)
     return outcomes
-
-
-def rollout_batch_loop(row_ptr, cols, probs, policy_row, accepting, sink,
-                       z0, n_rollouts, seed, max_steps):
-    """Scalar reference for `rollout_batch_numpy`; numba compiles its body.
-
-    splitmix64 relies on uint64 arithmetic wrapping mod 2**64, which numpy
-    scalars report as overflow; the wrap is intended, so it is silenced.
-    """
-    with np.errstate(over="ignore"):
-        return _rollout_batch_scalar(row_ptr, cols, probs, policy_row,
-                                     accepting, sink, z0, n_rollouts, seed,
-                                     max_steps)
-
-
-if HAVE_NUMBA:
-    rollout_batch_numba = njit(cache=True)(_rollout_batch_scalar)
 
 
 def rollout_batch_numpy(row_ptr, cols, probs, policy_row, accepting, sink,
@@ -201,8 +147,9 @@ def rollout_batch_numpy(row_ptr, cols, probs, policy_row, accepting, sink,
 
     states = np.full(n_rollouts, z0, dtype=np.int64)
     outcomes = np.zeros(n_rollouts, dtype=np.int8)
-    rng_state = (np.uint64(seed)
-                 + (np.arange(1, n_rollouts + 1, dtype=np.uint64)) * _GOLDEN)
+    rng_state = _mix64(np.uint64(int(seed) & _U64)
+                       + np.arange(1, n_rollouts + 1, dtype=np.uint64)
+                       * np.uint64(_GOLDEN))
     active = np.ones(n_rollouts, dtype=bool)
     for t in range(max_steps + 1):
         acc_now = active & accepting[states]
@@ -212,12 +159,8 @@ def rollout_batch_numpy(row_ptr, cols, probs, policy_row, accepting, sink,
         active &= ~(acc_now | sink_now)
         if t == max_steps or not active.any():
             break
-        rng_state = rng_state + _GOLDEN
-        z = rng_state.copy()
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z = z ^ (z >> np.uint64(31))
-        u = (z >> np.uint64(11)).astype(np.float64) * _INV53
+        rng_state = rng_state + np.uint64(_GOLDEN)
+        u = (_mix64(rng_state) >> 11).astype(np.float64) * _INV53
         rows = policy_row[states[active]]
         offsets = (cum2d[rows] <= u[active, None]).sum(axis=1)
         offsets = np.minimum(offsets, lengths[rows] - 1)
@@ -225,7 +168,23 @@ def rollout_batch_numpy(row_ptr, cols, probs, policy_row, accepting, sink,
     return outcomes
 
 
-def rollout_batch(backend, *args):
-    if backend == "numba":
-        return rollout_batch_numba(*args)
-    return rollout_batch_numpy(*args)
+# ---------------------------------------------------------------------------
+# Binomial confidence interval
+# ---------------------------------------------------------------------------
+
+_Z95 = 1.959963984540054
+
+
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """Wilson score 95% interval for `hits` successes in `n` trials.
+
+    Unlike the normal interval it does not collapse to a point at 0 or n
+    hits.  Its ends are exactly 0.0 at 0 hits and 1.0 at n hits, where the
+    closed form leaves a rounding residue of about 1e-19.
+    """
+    z2 = _Z95 * _Z95
+    centre = (hits + z2 / 2) / (n + z2)
+    half = _Z95 / (n + z2) * math.sqrt(hits * (n - hits) / n + z2 / 4)
+    low = 0.0 if hits == 0 else max(centre - half, 0.0)
+    high = 1.0 if hits == n else min(centre + half, 1.0)
+    return low, high

@@ -26,9 +26,10 @@ from .game_model import (
     load_game,
     parse_gridworld_config,
 )
-from .product_mdp import ProductError, build_product, model_hash
+from .product_mdp import STAY_ACTION, ProductError, build_product, model_hash
 from .simulator import estimate_success, rollout
 from .solver import (
+    Policy,
     extract_policy,
     satisfaction_probability,
     value_iteration,
@@ -125,18 +126,40 @@ def load_environment(args, u):
     _fail(EXIT_VALIDATION, "need an environment: --grid or --game")
 
 
-def make_truncation(args, f, u):
-    if getattr(args, "uniform_T", None) is not None and getattr(args, "eps", None):
-        _fail(EXIT_VALIDATION, "give one of --eps or --uniform-T, not both")
+def truncation(f, u, uniform_T=None, eps=None):
+    """A common truncation point if `uniform_T` is given, else per-event
+    points with tails below `eps`."""
     try:
-        if getattr(args, "uniform_T", None) is not None:
-            return fm.uniform_truncation_vector(f, u, args.uniform_T)
-        eps = getattr(args, "eps", None)
-        if eps is None:
-            eps = 0.01
+        if uniform_T is not None:
+            return fm.uniform_truncation_vector(f, u, uniform_T)
         return fm.truncation_vector(f, u, eps)
     except (fm.FormulaError, ValueError) as exc:
         _fail(EXIT_VALIDATION, f"truncation: {exc}")
+
+
+def make_truncation(args, f, u):
+    uniform_T, eps = getattr(args, "uniform_T", None), getattr(args, "eps", None)
+    if uniform_T is not None and eps:
+        _fail(EXIT_VALIDATION, "give one of --eps or --uniform-T, not both")
+    return truncation(f, u, uniform_T, 0.01 if eps is None else eps)
+
+
+def build_automaton(f, cap):
+    """The distribution-substituted formula and its progression DTA."""
+    phid = fm.substitute_dist(f)
+    try:
+        return phid, build_dta(phid, cap=cap)
+    except AutomatonError as exc:
+        _fail(EXIT_PRODUCT, f"automaton: {exc}")
+
+
+def validated_product(game, tsta):
+    try:
+        product = build_product(game, tsta)
+        product.validate()
+    except ProductError as exc:
+        _fail(EXIT_PRODUCT, f"product: {exc}")
+    return product
 
 
 @dataclass
@@ -157,17 +180,9 @@ def build_model(args):
     f, u = load_formula(args)
     game, env_text = load_environment(args, u)
     trunc = make_truncation(args, f, u)
-    phid = fm.substitute_dist(f)
-    try:
-        dta = build_dta(phid, cap=getattr(args, "cap", 20000))
-    except AutomatonError as exc:
-        _fail(EXIT_PRODUCT, f"automaton: {exc}")
+    phid, dta = build_automaton(f, args.cap)
     tsta = truncate(StaModel(dta, u), trunc)
-    try:
-        product = build_product(game, tsta)
-        product.validate()
-    except ProductError as exc:
-        _fail(EXIT_PRODUCT, f"product: {exc}")
+    product = validated_product(game, tsta)
     h = model_hash(pretty(f), env_text, trunc)
     return Built(f, u, phid, dta, trunc, game, env_text, tsta, product, h)
 
@@ -195,29 +210,49 @@ def write_values(path, built, values):
 
 
 def read_policy(path, built):
+    """The policy of a file written by `write_policy` for this model.
+
+    Every non-absorbing state needs one line naming a model action;
+    absorbing states may be left out or carry the stay action.  A
+    malformed line, an index out of range, a repeated state, or a missing
+    or unknown action fails with exit code 2.
+    """
     m = built.product
-    text = _read(path)
     file_hash = None
-    actions = {}
-    for line in text.splitlines():
+    rows = []
+    for lineno, line in enumerate(_read(path).splitlines(), start=1):
         if line.startswith("# model-hash:"):
             file_hash = line.split(":", 1)[1].strip()
-            continue
-        if line.startswith("#") or not line.strip():
-            continue
-        parts = line.split()
-        actions[int(parts[0])] = parts[1]
+        elif line.strip() and not line.startswith("#"):
+            rows.append((lineno, line.split()))
     if file_hash != built.hash:
         _fail(EXIT_STALE,
               f"policy was built for model {file_hash}, current model is "
               f"{built.hash}")
-    from .product_mdp import STAY_ACTION
-    from .solver import Policy
-
-    idx = np.zeros(m.n_states, dtype=np.int64)
-    for z in range(m.n_states):
-        name = actions.get(z, STAY_ACTION)
-        idx[z] = m.actions.index(name) if name in m.actions else 0
+    idx = np.full(m.n_states, -1, dtype=np.int64)
+    for lineno, parts in rows:
+        where = f"{path} line {lineno}"
+        if len(parts) not in (2, 3) or not parts[0].isdecimal():
+            _fail(EXIT_VALIDATION, f"{where}: expected 'state action value'")
+        z = int(parts[0])
+        if z >= m.n_states:
+            _fail(EXIT_VALIDATION, f"{where}: state {z} is not in "
+                                   f"0..{m.n_states - 1}")
+        if idx[z] >= 0:
+            _fail(EXIT_VALIDATION, f"{where}: state {z} appears twice")
+        name = parts[1]
+        if name in m.actions:
+            idx[z] = m.actions.index(name)
+        elif name == STAY_ACTION and m.absorbing[z]:
+            idx[z] = 0
+        else:
+            _fail(EXIT_VALIDATION,
+                  f"{where}: unknown action {name!r} at state {z}")
+    missing = np.flatnonzero((idx < 0) & ~m.absorbing)
+    if missing.size:
+        _fail(EXIT_VALIDATION, f"{path}: no action for {missing.size} "
+                               f"state(s), first {int(missing[0])}")
+    idx[idx < 0] = 0
     return Policy(idx, m.actions, m.absorbing.copy())
 
 
@@ -227,11 +262,7 @@ def read_policy(path, built):
 
 def cmd_translate(args):
     f, u = load_formula(args)
-    phid = fm.substitute_dist(f)
-    try:
-        dta = build_dta(phid, cap=args.cap)
-    except AutomatonError as exc:
-        _fail(EXIT_PRODUCT, f"automaton: {exc}")
+    phid, dta = build_automaton(f, args.cap)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump = ["# progression automaton",
@@ -293,8 +324,7 @@ def cmd_plan(args):
     built = build_model(args)
     m = built.product
     t0 = time.perf_counter()
-    res = value_iteration(m, tol=args.tol, max_iter=args.max_iter,
-                          backend=args.backend)
+    res = value_iteration(m, tol=args.tol, max_iter=args.max_iter)
     elapsed = time.perf_counter() - t0
     if not res.converged:
         _fail(EXIT_SOLVER,
@@ -340,7 +370,7 @@ def cmd_simulate(args):
         path.write_text(traj.render())
         print(f"trajectory {i}: {traj.outcome} ({traj.steps} steps) -> {path}")
     est = estimate_success(m, policy, args.n, seed=args.seed,
-                           max_steps=args.max_steps, backend=args.backend)
+                           max_steps=args.max_steps)
     print(f"rollouts: {est.samples}")
     print(f"success-rate: {est.rate!r}")
     print(f"ci95: [{est.ci_low!r}, {est.ci_high!r}]")
@@ -352,11 +382,7 @@ def cmd_simulate(args):
 
 def cmd_monitor(args):
     f, u = load_formula(args)
-    phid = fm.substitute_dist(f)
-    try:
-        dta = build_dta(phid, cap=args.cap)
-    except AutomatonError as exc:
-        _fail(EXIT_PRODUCT, f"automaton: {exc}")
+    _, dta = build_automaton(f, args.cap)
     sta = StaModel(dta, u)
     word = TimedWord.from_text(_read(args.word))
     known = set(dta.atoms) | set(u.names)
@@ -374,35 +400,21 @@ def cmd_monitor(args):
 
 def cmd_bench(args):
     f, u = load_formula(args)
-    game, env_text = load_environment(args, u)
-    phid = fm.substitute_dist(f)
-    try:
-        dta = build_dta(phid, cap=args.cap)
-    except AutomatonError as exc:
-        _fail(EXIT_PRODUCT, f"automaton: {exc}")
+    game, _ = load_environment(args, u)
+    _, dta = build_automaton(f, args.cap)
     sta = StaModel(dta, u)
     if args.uniform_T:
-        settings = [("T", T) for T in args.uniform_T]
+        settings = [("T", T, {"uniform_T": T}) for T in args.uniform_T]
     elif args.eps_list:
-        settings = [("eps", e) for e in args.eps_list]
+        settings = [("eps", e, {"eps": e}) for e in args.eps_list]
     else:
         _fail(EXIT_VALIDATION, "need --uniform-T or --eps-list")
     rows = []
-    for kind, value in settings:
-        try:
-            if kind == "T":
-                trunc = fm.uniform_truncation_vector(f, u, value)
-            else:
-                trunc = fm.truncation_vector(f, u, value)
-        except (fm.FormulaError, ValueError) as exc:
-            _fail(EXIT_VALIDATION, f"truncation: {exc}")
+    for kind, value, setting in settings:
+        trunc = truncation(f, u, **setting)
         t0 = time.perf_counter()
-        try:
-            m = build_product(game, truncate(sta, trunc))
-        except ProductError as exc:
-            _fail(EXIT_PRODUCT, f"product: {exc}")
-        res = value_iteration(m, tol=args.tol, max_iter=args.max_iter,
-                              backend=args.backend)
+        m = validated_product(game, truncate(sta, trunc))
+        res = value_iteration(m, tol=args.tol, max_iter=args.max_iter)
         if not res.converged:
             _fail(EXIT_SOLVER, f"no convergence at {kind}={value}")
         elapsed = time.perf_counter() - t0
@@ -442,8 +454,6 @@ def _add_trunc_args(p):
 def _add_solver_args(p):
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=100_000)
-    p.add_argument("--backend", choices=["numba", "numpy"], default=None,
-                   help="kernel backend (default: env MITLPLAN_KERNELS)")
 
 
 def build_parser():

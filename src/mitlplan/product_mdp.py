@@ -223,9 +223,7 @@ def build_product(game: Game, tsta: TruncatedSta,
         z = frontier.popleft()
         ps = states[z]
         expanded += 1
-        absorbing = (ps.spec.sink or tsta.is_accepting(ps.spec)
-                     or tsta.is_rejecting(ps.spec))
-        if absorbing:
+        if tsta.is_absorbing(ps.spec):
             for _ in game.actions:
                 rows.append([(z, 1.0)])
             continue

@@ -2,22 +2,22 @@
 
 Rollouts sample successors from the product kernel with a splitmix64
 stream, so a (model, policy, seed, max_steps) quadruple always reproduces
-the same trajectory byte for byte.  Batch estimation derives stream i from
-(seed, i) the same way in both kernel backends.
+the same trajectory byte for byte.  Batch estimation runs the numpy rollout
+kernel; its stream 0 is the stream of `rollout` with the same seed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernels import (
-    resolve_backend,
-    rollout_batch,
+    rollout_batch_numpy,
+    sample_successor,
     splitmix_init,
     splitmix_next,
+    wilson_interval,
 )
 from .product_mdp import ProductMdp, describe_spec_state
 
@@ -86,14 +86,7 @@ def rollout(m: ProductMdp, policy, seed: int, max_steps: int | None = None
             raise ValueError(f"policy action {a_name!r} undefined at state {z}")
         a = m.action_index(a_name)
         u, state = splitmix_next(state)
-        cols, probs = m.row(z, a)
-        acc = 0.0
-        nxt = int(cols[-1])
-        for c, p in zip(cols.tolist(), probs.tolist()):
-            acc += p
-            if u < acc:
-                nxt = c
-                break
+        nxt = sample_successor(*m.row(z, a), u)
         occurred = m.states[nxt].game.occurred
         lines.append(f"--{a_name}--> ({_state_line(m, z)}, {a_name})")
         lines.append(f"--e={{{','.join(sorted(occurred))}}}--> "
@@ -116,26 +109,23 @@ class SuccessEstimate:
 
 
 def estimate_success(m: ProductMdp, policy, n: int, seed: int,
-                     max_steps: int | None = None,
-                     backend: str | None = None) -> SuccessEstimate:
+                     max_steps: int | None = None) -> SuccessEstimate:
     """Fraction of n independent rollouts ending in acceptance, with a
-    normal-approximation 95% confidence interval."""
+    Wilson score 95% confidence interval.  Rollout i follows stream
+    ``splitmix_init(seed, i)``."""
     if n < 1:
         raise ValueError("need at least one rollout")
     if max_steps is None:
         max_steps = default_max_steps(m)
-    backend = resolve_backend(backend)
     policy_row = m.n_actions * np.arange(m.n_states) + policy.action_index
-    outcomes = rollout_batch(backend, m.row_ptr, m.cols, m.probs,
-                             policy_row, m.accepting, m.sink,
-                             m.z0, n, seed, max_steps)
+    outcomes = rollout_batch_numpy(m.row_ptr, m.cols, m.probs, policy_row,
+                                   m.accepting, m.sink, m.z0, n, seed,
+                                   max_steps)
     successes = int((outcomes == 1).sum())
-    rate = successes / n
-    half = 1.959963984540054 * math.sqrt(max(rate * (1 - rate), 0.0) / n)
     tally = {
         "accept": successes,
         "sink": int((outcomes == 2).sum()),
         "step-limit": int((outcomes == 0).sum()),
     }
-    return SuccessEstimate(rate, max(rate - half, 0.0),
-                           min(rate + half, 1.0), successes, n, tally)
+    return SuccessEstimate(successes / n, *wilson_interval(successes, n),
+                           successes, n, tally)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import bellman_sweep, resolve_backend
+from ._kernels import bellman_sweep_numpy
 from .product_mdp import STAY_ACTION, ProductMdp
 
 
@@ -34,21 +34,19 @@ class ValueIterationResult:
 
 
 def value_iteration(m: ProductMdp, tol: float = 1e-10,
-                    max_iter: int = 100_000,
-                    backend: str | None = None) -> ValueIterationResult:
+                    max_iter: int = 100_000) -> ValueIterationResult:
     """Iterate V <- max_a (R + sum P V) until the max-norm residual drops
     below tol; values stay pinned to zero on absorbing states."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    backend = resolve_backend(backend)
     values = np.zeros(m.n_states)
     residual = float("inf")
     for it in range(1, max_iter + 1):
-        values, residual = bellman_sweep(
-            backend, m.row_ptr, m.cols, m.probs, m.reward_row, m.absorbing,
-            values, m.n_actions)
+        values, residual = bellman_sweep_numpy(
+            m.row_ptr, m.cols, m.probs, m.reward_row, m.absorbing, values,
+            m.n_actions)
         if residual < tol:
             return ValueIterationResult(values, it, residual, True)
     return ValueIterationResult(values, max_iter, residual, False)
@@ -100,9 +98,7 @@ def policy_evaluation(m: ProductMdp, policy: Policy, tol: float = 1e-12,
     rows = np.arange(m.n_states) * m.n_actions + policy.action_index
     values = np.zeros(m.n_states)
     for _ in range(max_iter):
-        contrib = m.probs * values[m.cols]
-        q = m.reward_row + np.add.reduceat(contrib, m.row_ptr[:-1])
-        new_values = q[rows]
+        new_values = q_values(m, values).ravel()[rows]
         new_values[m.absorbing] = 0.0
         if np.abs(new_values - values).max() < tol:
             return new_values

@@ -21,19 +21,19 @@ cap, which is the bound the truncation argument promises.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import wilson_interval
 from .formula import DistributionSpec, EventSet, FiniteTable, Geometric
+from .game_model import env_subsets
 from .timed_automata import (
     ClockVector,
     Dta,
     ExplicitDta,
     ProgressionDta,
     TimedWord,
-    constraint_constants,
 )
 
 
@@ -58,16 +58,6 @@ class StaState:
 SINK = StaState(config=None, clocks=(), pending=frozenset(), sink=True)
 
 
-def _subsets(names) -> list[frozenset[str]]:
-    """Deterministic enumeration of all subsets (by size, then name)."""
-    names = sorted(names)
-    out = []
-    for mask in range(1 << len(names)):
-        out.append(frozenset(n for i, n in enumerate(names) if mask >> i & 1))
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return out
-
-
 def _outcome_prob(haz: dict[str, float], e) -> float:
     """Probability that exactly the events of `e` occur at the next step.
 
@@ -90,6 +80,8 @@ class StaModel:
         self.events = events
         self.event_names = tuple(events.names)
         self._dist = {name: d for name, d in events}
+        self._clock_bound = (dta.clock_bound if isinstance(dta, ExplicitDta)
+                             else None)
 
     def dist(self, name) -> DistributionSpec:
         return self._dist[name]
@@ -121,12 +113,12 @@ class StaModel:
         if q.sink:
             raise StaError("no outcomes from the sink state")
         haz = self.hazards(q)
-        return {e: _outcome_prob(haz, e) for e in _subsets(q.pending)}
+        return {e: _outcome_prob(haz, e) for e in env_subsets(q.pending)}
 
-    def _advanced_clocks(self, q: StaState) -> tuple[int, ...]:
-        return tuple(
-            c + 1 if name in q.pending else c
-            for name, c in zip(self.event_names, q.clocks))
+    def would_sink(self, q: StaState) -> bool:
+        """True when the next unit step leaves the model for the sink;
+        never without truncation."""
+        return False
 
     def step(self, q: StaState, symbol) -> tuple[StaState, float]:
         """One unit step consuming `symbol`; returns successor and its
@@ -139,10 +131,12 @@ class StaModel:
             raise StaError(
                 f"events {sorted(e - q.pending)} already occurred")
         p = _outcome_prob(self.hazards(q), e)
-        clocks = self._advanced_clocks(q)
-        clocks = tuple(0 if name in e else c
-                       for name, c in zip(self.event_names, clocks))
-        config = self.dta.step_config(q.config, symbol, 1)
+        if self.would_sink(q):
+            return SINK, p
+        # pending clocks advance; those of the events that occur reset
+        clocks = tuple(0 if name in e else c + 1 if name in q.pending else c
+                       for name, c in zip(self.event_names, q.clocks))
+        config = self._saturate(self.dta.step_config(q.config, symbol, 1))
         return StaState(config, clocks, q.pending - e), p
 
     def is_accepting(self, q: StaState) -> bool:
@@ -188,14 +182,8 @@ class StaModel:
     def _acceptance_reachable(self, q: StaState) -> bool:
         """Can any future (events firing at most once) reach acceptance?"""
         base_atoms = [a for a in self.dta.atoms if a not in self.event_names]
-        cap = None
-        if isinstance(self.dta, ExplicitDta):
-            consts = [0]
-            for e in self.dta.edge_list:
-                consts.extend(constraint_constants(e.guard))
-            cap = max(consts) + 1
         seen = set()
-        stack = [(self._clamp(q.config, cap), frozenset(q.pending))]
+        stack = [(self._saturate(q.config), frozenset(q.pending))]
         while stack:
             config, pending = stack.pop()
             if (config, pending) in seen:
@@ -205,22 +193,24 @@ class StaModel:
                 return True
             if self.dta.is_rejecting(config):
                 continue
-            for extra in _subsets(pending):
+            for extra in env_subsets(pending):
                 for mask in range(1 << len(base_atoms)):
                     symbol = frozenset(
                         a for i, a in enumerate(base_atoms) if mask >> i & 1
                     ) | extra
-                    nxt = self._clamp(
-                        self.dta.step_config(config, symbol, 1), cap)
+                    nxt = self._saturate(
+                        self.dta.step_config(config, symbol, 1))
                     stack.append((nxt, pending - extra))
         return False
 
-    @staticmethod
-    def _clamp(config, cap):
-        if cap is None or not isinstance(config, tuple):
+    def _saturate(self, config):
+        """Explicit-automaton clocks saturate at the automaton's
+        `clock_bound`: no guard or invariant tells larger values apart,
+        and saturation keeps configurations finite."""
+        if self._clock_bound is None:
             return config
         loc, values = config
-        return (loc, tuple(min(v, cap) for v in values))
+        return (loc, tuple(min(v, self._clock_bound) for v in values))
 
 
 class TruncatedSta(StaModel):
@@ -228,9 +218,7 @@ class TruncatedSta(StaModel):
 
     Any step from a state where a pending event clock would advance past
     its truncation point goes to the absorbing sink instead, carrying that
-    step outcome's probability.  Explicit-automaton clocks are saturated at
-    one above the largest guard constant, which preserves the language
-    while keeping configurations finite.
+    step outcome's probability.
     """
 
     def __init__(self, base: StaModel, trunc):
@@ -241,14 +229,6 @@ class TruncatedSta(StaModel):
             if name not in trunc:
                 raise StaError(f"missing truncation entry for event {name!r}")
             self.points[name] = trunc[name]
-        self._dta_cap = None
-        if isinstance(self.dta, ExplicitDta):
-            consts = [0]
-            for e in self.dta.edge_list:
-                consts.extend(constraint_constants(e.guard))
-            for inv in self.dta.invariants.values():
-                consts.extend(constraint_constants(inv))
-            self._dta_cap = max(consts) + 1
 
     def would_sink(self, q: StaState) -> bool:
         """True when the next unit step pushes a pending clock past its cap."""
@@ -256,21 +236,6 @@ class TruncatedSta(StaModel):
             if name in q.pending and c + 1 > self.points[name]:
                 return True
         return False
-
-    def step(self, q: StaState, symbol) -> tuple[StaState, float]:
-        if q.sink:
-            return q, 1.0
-        symbol = frozenset(symbol)
-        e = symbol & set(self.event_names)
-        if not e <= q.pending:
-            raise StaError(f"events {sorted(e - q.pending)} already occurred")
-        if self.would_sink(q):
-            return SINK, _outcome_prob(self.hazards(q), e)
-        q2, p = super().step(q, symbol)
-        if self._dta_cap is not None:
-            q2 = StaState(self._clamp(q2.config, self._dta_cap),
-                          q2.clocks, q2.pending, q2.sink)
-        return q2, p
 
 
 def truncate(m: StaModel, trunc) -> TruncatedSta:
@@ -288,55 +253,6 @@ class MonteCarloEstimate:
     ci_high: float
     hits: int
     samples: int
-
-
-def _log_binom_cdf(k: int, n: int, p: float) -> float:
-    """log P(X <= k) for X ~ Binomial(n, p), stable for small k."""
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return 0.0 if k >= n else -math.inf
-    terms = []
-    for j in range(k + 1):
-        terms.append(math.lgamma(n + 1) - math.lgamma(j + 1)
-                     - math.lgamma(n - j + 1)
-                     + j * math.log(p) + (n - j) * math.log1p(-p))
-    m = max(terms)
-    return m + math.log(sum(math.exp(t - m) for t in terms))
-
-
-def _exact_ci(hits: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
-    """Clopper-Pearson interval by bisection on the binomial CDF."""
-    if hits == 0:
-        low = 0.0
-    else:
-        lo, hi = 0.0, hits / n
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            # P(X >= hits) at p=mid
-            if 1.0 - math.exp(_log_binom_cdf(hits - 1, n, mid)) > alpha / 2:
-                hi = mid
-            else:
-                lo = mid
-        low = lo
-    if hits == n:
-        high = 1.0
-    else:
-        lo, hi = hits / n, 1.0
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if math.exp(_log_binom_cdf(hits, n, mid)) > alpha / 2:
-                lo = mid
-            else:
-                hi = mid
-        high = hi
-    return low, high
-
-
-def _normal_ci(hits: int, n: int) -> tuple[float, float]:
-    p = hits / n
-    half = 1.959963984540054 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
-    return max(p - half, 0.0), min(p + half, 1.0)
 
 
 def sample_occurrence_steps(d: DistributionSpec, n: int, rng,
@@ -414,8 +330,4 @@ def truncation_error_estimate(m: StaModel, mt: TruncatedSta, n: int, seed: int,
     sunk = (t_sink <= first_accept) & (t_sink <= horizon - 1)
 
     hits = int(np.count_nonzero(accepted & sunk))
-    if hits < 10:
-        lo, hi = _exact_ci(hits, n)
-    else:
-        lo, hi = _normal_ci(hits, n)
-    return MonteCarloEstimate(hits / n, lo, hi, hits, n)
+    return MonteCarloEstimate(hits / n, *wilson_interval(hits, n), hits, n)

@@ -141,10 +141,6 @@ class OrC(ClockConstraint):
     right: ClockConstraint
 
 
-def true_constraint(clock: str) -> Compare:
-    return Compare(clock, ">=", 0)
-
-
 def eval_constraint(c: ClockConstraint | None, v: ClockVector) -> bool:
     """Evaluate a clock constraint; None is the trivially true guard."""
     if c is None:
@@ -683,7 +679,12 @@ class ExplicitDta(Dta):
         for e in self.edge_list:
             inferred |= formula_atoms(e.predicate)
         self.atoms = tuple(sorted(atoms if atoms is not None else inferred))
-        self.clock_cap: int | None = None
+        # one above the largest guard or invariant constant: no constraint
+        # tells clock values at or above it apart
+        constraints = [e.guard for e in self.edge_list]
+        constraints += self.invariants.values()
+        self.clock_bound = 1 + max(
+            [0] + [k for c in constraints for k in constraint_constants(c)])
         self._validate()
 
     def _validate(self):
@@ -704,22 +705,10 @@ class ExplicitDta(Dta):
             _check_boolean(e.predicate)
         self._validate_determinism()
 
-    def _max_constant(self) -> int:
-        k = 0
-        for e in self.edge_list:
-            consts = constraint_constants(e.guard)
-            if consts:
-                k = max(k, max(consts))
-        for inv in self.invariants.values():
-            consts = constraint_constants(inv)
-            if consts:
-                k = max(k, max(consts))
-        return k
-
     def _validate_determinism(self, box_cap: int = 200_000):
         """Enumerate symbol masks and clock vectors over the bounded box
         [0, K+1]^M; two simultaneously enabled edges are an error."""
-        k = self._max_constant() + 1
+        k = self.clock_bound
         n_vectors = (k + 1) ** len(self.clocks)
         n_masks = 1 << len(self.atoms)
         if n_vectors * n_masks > box_cap:
@@ -727,7 +716,6 @@ class ExplicitDta(Dta):
         masks = [frozenset(a for i, a in enumerate(self.atoms) if m >> i & 1)
                  for m in range(n_masks)]
         for loc in self.locations:
-            edges = self._by_source.get(loc, [])
             for vec_id in range(n_vectors):
                 vals = []
                 rest = vec_id
@@ -737,14 +725,17 @@ class ExplicitDta(Dta):
                 v = ClockVector(self.clocks, tuple(vals),
                                 (False,) * len(self.clocks))
                 for symbol in masks:
-                    enabled = [e for e in edges
-                               if eval_symbol_predicate(e.predicate, symbol)
-                               and eval_constraint(e.guard, v)]
+                    enabled = self._enabled(loc, symbol, v)
                     if len(enabled) > 1:
                         raise AutomatonError(
                             f"nondeterministic edges from {loc!r} on "
                             f"{set(symbol) or '{}'} at {v}: "
                             f"{enabled[0].target!r} vs {enabled[1].target!r}")
+
+    def _enabled(self, loc, symbol, v) -> list[ExplicitEdge]:
+        return [e for e in self._by_source.get(loc, [])
+                if eval_symbol_predicate(e.predicate, symbol)
+                and eval_constraint(e.guard, v)]
 
     @property
     def location_count(self):
@@ -765,9 +756,7 @@ class ExplicitDta(Dta):
                 return (REJECT_LOCATION, values)
         v = v.advance(tau)
         symbol = frozenset(symbol) & set(self.atoms)
-        enabled = [e for e in self._by_source.get(loc, [])
-                   if eval_symbol_predicate(e.predicate, symbol)
-                   and eval_constraint(e.guard, v)]
+        enabled = self._enabled(loc, symbol, v)
         if len(enabled) > 1:
             raise AutomatonError(
                 f"nondeterministic step from {loc!r} on {set(symbol)} at {v}")
@@ -778,10 +767,7 @@ class ExplicitDta(Dta):
         inv2 = self.invariants.get(e.target)
         if inv2 is not None and not eval_constraint(inv2, v):
             return (REJECT_LOCATION, v.values)
-        values = v.values
-        if self.clock_cap is not None:
-            values = tuple(min(x, self.clock_cap) for x in values)
-        return (e.target, values)
+        return (e.target, v.values)
 
     def is_accepting(self, config):
         return config[0] in self.accepting

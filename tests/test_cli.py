@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mitlplan
 from mitlplan.cli import main
 
@@ -77,6 +79,41 @@ def test_simulate_stale_policy(tmp_path, capsys):
                         "--policy", str(tmp_path / "policy.txt"))
     assert code2 == 6
     assert "policy was built for model" in err
+
+
+@pytest.fixture(scope="module")
+def case2_policy_lines(tmp_path_factory):
+    out = tmp_path_factory.mktemp("case2")
+    assert main(["plan", "--formula", BUS_CASE2,
+                 "--grid", str(DATA / "case2.grid"),
+                 "--uniform-T", "3", "--out", str(out)]) == 0
+    # three header lines, then one line per state; state 0 is not absorbing
+    return (out / "policy.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (lambda ls: ls[:3] + ["0 Q 0.5"] + ls[4:], 2, "line 4: unknown action"),
+    (lambda ls: ls[:3] + ["0 stay 0.5"] + ls[4:], 2, "line 4: unknown action"),
+    (lambda ls: ls[:3], 2, "no action for"),
+    (lambda ls: ls[:3] + ["zero N 0.5"] + ls[4:], 2, "line 4: expected"),
+    (lambda ls: ls[:3] + ["0"] + ls[4:], 2, "line 4: expected"),
+    (lambda ls: ls + ["99999 N 0.5"], 2, "state 99999 is not in"),
+    (lambda ls: ls + [ls[3]], 2, "state 0 appears twice"),
+    (lambda ls: [l for l in ls if " stay " not in l], 0, ""),
+], ids=["unknown-action", "stay-at-live-state", "no-rows",
+        "non-integer-index", "one-token", "index-out-of-range",
+        "repeated-state", "absorbing-states-omitted"])
+def test_simulate_rejects_malformed_policy(tmp_path, capsys,
+                                           case2_policy_lines, edit, code,
+                                           message):
+    policy = tmp_path / "policy.txt"
+    policy.write_text("\n".join(edit(case2_policy_lines)) + "\n")
+    got, _, err = run(capsys, "simulate", "--formula", BUS_CASE2,
+                      "--grid", str(DATA / "case2.grid"), "--uniform-T", "3",
+                      "--policy", str(policy), "-n", "100", "--logs", "0",
+                      "--out", str(tmp_path))
+    assert got == code
+    assert message in err
 
 
 def test_plan_nonconvergence_exit(tmp_path, capsys):

@@ -118,7 +118,7 @@ def test_non_convergence_diagnostic(case2_T3):
 
 
 def loop_value_iteration(m, tol=1e-10, max_iter=100_000):
-    """value_iteration's sweeps run on the scalar loop kernel, uncompiled."""
+    """value_iteration's sweeps run on the scalar loop kernel."""
     values = np.zeros(m.n_states)
     for it in range(1, max_iter + 1):
         values, residual = bellman_sweep_loop(
@@ -130,20 +130,10 @@ def loop_value_iteration(m, tol=1e-10, max_iter=100_000):
 
 
 def test_backends_agree(case2_T3):
-    # the numpy backend against the scalar reference kernel that the numba
-    # backend compiles; runs without numba
+    # the numpy kernel against its scalar reference kernel
     m, _ = case2_T3
-    v_np = value_iteration(m, backend="numpy")
+    v_np = value_iteration(m)
     v_nb = loop_value_iteration(m)
-    assert np.abs(v_np.values - v_nb.values).max() < 1e-12
-    assert v_np.iterations == v_nb.iterations
-
-
-def test_backends_agree_numba(case2_T3):
-    pytest.importorskip("numba")
-    m, _ = case2_T3
-    v_np = value_iteration(m, backend="numpy")
-    v_nb = value_iteration(m, backend="numba")
     assert np.abs(v_np.values - v_nb.values).max() < 1e-12
     assert v_np.iterations == v_nb.iterations
 

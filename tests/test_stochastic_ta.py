@@ -288,12 +288,12 @@ def test_error_estimate_needs_samples(bus1_sta, bus1_formula, bus1_events):
 
 
 def test_exact_ci_small_counts():
-    from mitlplan.stochastic_ta import _exact_ci
+    from mitlplan._kernels import wilson_interval
 
-    lo, hi = _exact_ci(0, 1000)
+    lo, hi = wilson_interval(0, 1000)
     assert lo == 0.0
     assert 0.0 < hi < 0.005  # 3/n rule of thumb
-    lo5, hi5 = _exact_ci(5, 1000)
+    lo5, hi5 = wilson_interval(5, 1000)
     assert 0.0 < lo5 < 0.005 < hi5 < 0.02
 
 

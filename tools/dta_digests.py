@@ -1,6 +1,6 @@
-"""Golden digests of progression automata.
+"""Golden digests of progression automata and of planner outputs.
 
-For a fixed corpus of formulas this prints, as JSON, the sha256 of each
+This prints, as JSON, for a fixed corpus of formulas, the sha256 of each
 automaton's location list (one ``pretty`` rendering per line, in location
 order) and of its transition table (``json.dumps`` of ``ProgressionDta.table``).
 The corpus is a two-bus mission (the oracle mission of the test suite)
@@ -8,21 +8,30 @@ and a three-bus mission, with their distribution eventualities
 substituted, and every tenth of the 1 000 random formulas that
 ``test_criterion_9_progression_soundness`` draws.
 
-A change to the formula or automaton layer keeps the automata identical
-when this script prints the same file on the change as on its parent::
+Under the key ``plans`` it records the sha256 of the ``policy.txt``,
+``values.txt`` and ``product.txt`` that ``mitlplan plan --uniform-T 4
+--dump-product`` writes for the two bus grids ``case1`` and ``case2`` of
+the test suite, and of two ``mitlplan bench`` CSVs without their
+``wall_time_s`` column.
+
+A change keeps automata and planner outputs identical when this script
+prints the same file on the change as on its parent::
 
     PYTHONPATH=src python tools/dta_digests.py > tests/data/dta_digests.json
 
-``tests/test_timed_automata.py::test_golden_dta_digests`` checks the
-committed file.
+``tests/test_timed_automata.py::test_golden_dta_digests`` and
+``::test_golden_plan_digests`` check the committed file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent.parent / "tests"
@@ -81,8 +90,50 @@ def digests() -> dict:
     return {name: dta_digest(build_dta(f)) for name, f in corpus()}
 
 
+def _sha256(data: str) -> str:
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def _cli(*argv) -> str:
+    """stdout of an in-process `mitlplan` run that must succeed."""
+    from mitlplan.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    if code != 0:
+        raise RuntimeError(f"mitlplan {' '.join(argv)} exited with {code}")
+    return out.getvalue()
+
+
+def plan_digests() -> dict:
+    if str(TESTS) not in sys.path:
+        sys.path.insert(0, str(TESTS))
+    from conftest import BUS_CASE1, BUS_CASE2, DATA
+
+    cases = {"case1": BUS_CASE1, "case2": BUS_CASE2}
+    benches = {"bench-case1-eps": ("case1", "--eps-list", "0.1,0.05"),
+               "bench-case2-T": ("case2", "--uniform-T", "3,4,5")}
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, formula in cases.items():
+            _cli("plan", "--formula", formula,
+                 "--grid", str(DATA / f"{case}.grid"), "--uniform-T", "4",
+                 "--dump-product", "--out", tmp)
+            out[f"plan-{case}-T4"] = {
+                f"{name}_sha256": _sha256(Path(tmp, f"{name}.txt").read_text())
+                for name in ("policy", "values", "product")}
+    for name, (case, *setting) in benches.items():
+        csv = _cli("bench", "--formula", cases[case],
+                   "--grid", str(DATA / f"{case}.grid"), *setting)
+        rows = [line.rsplit(",", 1)[0] for line in csv.splitlines()]
+        out[name] = {"csv_sha256": _sha256("\n".join(rows) + "\n")}
+    return out
+
+
 def main():
-    json.dump(digests(), sys.stdout, indent=1, sort_keys=True)
+    json.dump({**digests(), "plans": plan_digests()}, sys.stdout, indent=1,
+              sort_keys=True)
     sys.stdout.write("\n")
 
 
