@@ -433,6 +433,32 @@ def cmd_bench(args):
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _at_least(minimum):
+    """An argparse type for integers no smaller than `minimum`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _positive_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _add_formula_args(p):
     p.add_argument("--formula", help="formula text")
     p.add_argument("--formula-file", help="file containing the formula")
@@ -452,8 +478,8 @@ def _add_trunc_args(p):
 
 
 def _add_solver_args(p):
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--tol", type=_positive_float, default=1e-10)
+    p.add_argument("--max-iter", type=_at_least(1), default=100_000)
 
 
 def build_parser():
@@ -487,10 +513,11 @@ def build_parser():
     _add_trunc_args(p)
     _add_solver_args(p)
     p.add_argument("--policy", required=True, help="policy file from plan")
-    p.add_argument("-n", type=int, default=10000, help="rollout count")
+    p.add_argument("-n", type=_at_least(1), default=10000,
+                   help="rollout count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--logs", type=int, default=None,
+    p.add_argument("--max-steps", type=_at_least(0), default=None)
+    p.add_argument("--logs", type=_at_least(0), default=None,
                    help="trajectory logs to write (default min(n, 5))")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_simulate)

@@ -15,7 +15,9 @@ and a generic explicit game read from a text file.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .formula import DistributionSpec, FormulaError, parse_distribution
 
@@ -46,12 +48,34 @@ def env_subsets(pending) -> list[frozenset[str]]:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledGame:
+    """The reachable states of a game as integer tables.
+
+    State ids follow breadth-first discovery from the initial state (id 0).
+    Row ``s * n_actions + a`` of the CSR arrays lists the successors of
+    state s under action a: for each outcome e in `env_subsets` order, the
+    rows of `Game.transitions` in their order.
+    """
+
+    states: tuple[GameState, ...]
+    labels: tuple[frozenset[str], ...]   # label id -> label
+    label_of: np.ndarray                 # state id -> label id
+    row_ptr: np.ndarray
+    succ: np.ndarray                     # successor state ids
+    prob: np.ndarray
+
+
+KERNEL_TOL = 1e-12
+
+
 class Game:
     """Interface for the product construction and the validators."""
 
     actions: tuple[str, ...]
     events: tuple[str, ...]
     initial: GameState
+    _compiled: CompiledGame | None = None
 
     def label(self, s: GameState) -> frozenset[str]:
         raise NotImplementedError
@@ -61,48 +85,74 @@ class Game:
         list of (GameState, probability) with positive probabilities."""
         raise NotImplementedError
 
-    def enabled_env_actions(self, s: GameState) -> list[frozenset[str]]:
-        return env_subsets(s.pending)
-
     def enumerate_states(self) -> list[GameState]:
-        seen = {self.initial}
-        order = [self.initial]
-        frontier = [self.initial]
-        while frontier:
-            s = frontier.pop()
-            for a in self.actions:
-                for e in self.enabled_env_actions(s):
-                    for s2, _ in self.transitions(s, a, e):
-                        if s2 not in seen:
-                            seen.add(s2)
-                            order.append(s2)
-                            frontier.append(s2)
-        return order
+        return list(self.compiled().states)
 
-    def validate(self, tol: float = 1e-12):
+    def validate(self):
         """Exhaustively check kernel normalization, labeling consistency,
         and pending monotonicity over all reachable (s, a, e) triples."""
-        for s in self.enumerate_states():
+        self.compiled()
+
+    def compiled(self) -> CompiledGame:
+        """The reachable game as integer tables, built and validated on
+        the first call and cached on the game."""
+        if self._compiled is None:
+            self._compiled = self._compile()
+        return self._compiled
+
+    def _compile(self) -> CompiledGame:
+        events = set(self.events)
+        index = {self.initial: 0}
+        states = [self.initial]
+        label_index: dict[frozenset[str], int] = {}
+        label_of = []
+        shown = []          # the events each state's label shows
+
+        def add_label(s):
+            label = self.label(s)
+            label_of.append(label_index.setdefault(label, len(label_index)))
+            shown.append(label & events)
+
+        add_label(self.initial)
+        succ: list[int] = []
+        prob: list[float] = []
+        row_len: list[int] = []
+        for s in states:        # grows while it is walked: breadth first
+            outcomes = env_subsets(s.pending)
             for a in self.actions:
-                for e in self.enabled_env_actions(s):
+                start = len(succ)
+                for e in outcomes:
                     rows = self.transitions(s, a, e)
                     total = sum(p for _, p in rows)
-                    if abs(total - 1.0) > tol:
+                    if abs(total - 1.0) > KERNEL_TOL:
                         raise GameError(
                             f"kernel row ({s.brief()}, {a}, {set(e) or '{}'}) "
                             f"sums to {total!r}")
+                    rest = s.pending - e
                     for s2, p in rows:
                         if p <= 0.0:
                             raise GameError("non-positive transition probability")
-                        if self.label(s2) & set(self.events) != e:
+                        j = index.get(s2)
+                        if j is None:
+                            j = index[s2] = len(states)
+                            states.append(s2)
+                            add_label(s2)
+                        if shown[j] != e:
                             raise GameError(
                                 f"label of {s2.brief()} shows "
-                                f"{sorted(self.label(s2) & set(self.events))}, "
-                                f"outcome was {sorted(e)}")
-                        if s2.pending != s.pending - e:
+                                f"{sorted(shown[j])}, outcome was {sorted(e)}")
+                        if s2.pending != rest:
                             raise GameError(
-                                f"pending of {s2.brief()} is not "
-                                f"{sorted(s.pending - e)}")
+                                f"pending of {s2.brief()} is not {sorted(rest)}")
+                        succ.append(j)
+                        prob.append(p)
+                row_len.append(len(succ) - start)
+        row_ptr = np.zeros(len(row_len) + 1, dtype=np.int64)
+        np.cumsum(row_len, out=row_ptr[1:])
+        return CompiledGame(tuple(states), tuple(label_index),
+                            np.array(label_of, dtype=np.int64), row_ptr,
+                            np.array(succ, dtype=np.int64),
+                            np.array(prob, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +356,6 @@ class ExplicitGame(Game):
             raise GameError(
                 f"no transitions for ({s.robot!r}, {action!r}, {sorted(e)})")
         return [(self._mk(dst), p) for dst, p in rows]
-
-    def enumerate_states(self):
-        return [self._mk(n) for n in self.state_names if n in self._pending]
 
 
 def load_game(text: str) -> ExplicitGame:

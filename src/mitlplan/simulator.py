@@ -37,8 +37,7 @@ class Trajectory:
         return len(self.actions)
 
 
-def _state_line(m: ProductMdp, z: int) -> str:
-    ps = m.states[z]
+def _state_text(ps) -> str:
     return f"({ps.game.brief()}, {describe_spec_state(ps.spec)})"
 
 
@@ -72,7 +71,8 @@ def rollout(m: ProductMdp, policy, seed: int, max_steps: int | None = None
     z = m.z0
     indices = [z]
     actions: list[str] = []
-    lines = [_state_line(m, z)]
+    z_text = _state_text(m.states[z])
+    lines = [z_text]
     outcome = "step-limit"
     for t in range(max_steps + 1):
         cls = _absorption_class(m, z)
@@ -87,13 +87,14 @@ def rollout(m: ProductMdp, policy, seed: int, max_steps: int | None = None
         a = m.action_index(a_name)
         u, state = splitmix_next(state)
         nxt = sample_successor(*m.row(z, a), u)
-        occurred = m.states[nxt].game.occurred
-        lines.append(f"--{a_name}--> ({_state_line(m, z)}, {a_name})")
-        lines.append(f"--e={{{','.join(sorted(occurred))}}}--> "
-                     f"{_state_line(m, nxt)}")
+        ps = m.states[nxt]
+        nxt_text = _state_text(ps)
+        lines.append(f"--{a_name}--> ({z_text}, {a_name})")
+        lines.append(f"--e={{{','.join(sorted(ps.game.occurred))}}}--> "
+                     f"{nxt_text}")
         actions.append(a_name)
         indices.append(nxt)
-        z = nxt
+        z, z_text = nxt, nxt_text
     lines.append(f"terminal: {outcome}")
     return Trajectory(outcome, indices, actions, lines)
 

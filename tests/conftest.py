@@ -17,6 +17,9 @@ BUS_CASE1 = ("D{geom:0.8} b1 & F (b1 & F[0,3] b3) | "
              "D{geom:0.3} b2 & F (b2 & F[0,3] b4)")
 BUS_CASE2 = ("D{geom:0.4} b1 & F (b1 & F[0,3] b3) | "
              "D{geom:0.7} b2 & F (b2 & F[0,3] b4)")
+THREE_BUS = ("D{geom:0.6} b1 & F (b1 & F[0,2] s1) | "
+             "D{geom:0.62} b2 & F (b2 & F[0,4] s2) | "
+             "D{geom:0.6} b3 & F (b3 & F[0,3] s3)")
 
 
 def grid_config(events):

@@ -8,7 +8,7 @@ import pytest
 import mitlplan
 from mitlplan.cli import main
 
-from conftest import DATA, BUS_CASE1, BUS_CASE2
+from conftest import DATA, BUS_CASE1, BUS_CASE2, THREE_BUS
 
 
 def run(capsys, *argv):
@@ -116,6 +116,26 @@ def test_simulate_rejects_malformed_policy(tmp_path, capsys,
     assert message in err
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("simulate", "-n", "0"),
+    ("plan", "--tol", "0"),
+    ("plan", "--max-iter", "0"),
+    ("simulate", "--max-steps", "-3"),
+    ("simulate", "--logs", "-2"),
+])
+def test_out_of_range_option_exits_2(tmp_path, capsys, case2_policy_lines,
+                                     command, option, value):
+    policy = tmp_path / "policy.txt"
+    policy.write_text("\n".join(case2_policy_lines) + "\n")
+    rollouts = ["--policy", str(policy), "-n", "10"] * (command == "simulate")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--formula", BUS_CASE2,
+              "--grid", str(DATA / "case2.grid"), "--uniform-T", "3",
+              *rollouts, option, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"error: argument {option}: must be" in capsys.readouterr().err
+
+
 def test_plan_nonconvergence_exit(tmp_path, capsys):
     code, _, err = run(capsys, "plan", "--formula", BUS_CASE2,
                        "--grid", str(DATA / "case2.grid"),
@@ -135,25 +155,13 @@ def test_plan_game_load_error(tmp_path, capsys):
     assert "sums to" in err
 
 
-THREE_BUS = ("D{geom:0.6} b1 & F (b1 & F[0,2] s1) | "
-             "D{geom:0.62} b2 & F (b2 & F[0,4] s2) | "
-             "D{geom:0.6} b3 & F (b3 & F[0,3] s3)")
-THREE_BUS_GRID = """width = 5
-height = 5
-start = (3,2)
-stations.s1 = (4,1)
-stations.s2 = (0,3)
-stations.s3 = (2,0)
-slip = 0.81,0.09,0.1
-"""
 
 
 def test_plan_outputs_independent_of_hash_seed(tmp_path):
     # outcome probabilities multiply per-event hazards; in the iteration
     # order of a set of event names the last digits of this mission's
     # values changed with the string hash seed
-    grid = tmp_path / "three.grid"
-    grid.write_text(THREE_BUS_GRID)
+    grid = DATA / "three_bus.grid"
     src = str(Path(mitlplan.__file__).resolve().parent.parent)
     outs = []
     for seed in ("0", "1"):

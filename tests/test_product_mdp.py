@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from mitlplan.product_mdp import ProductError, build_product, model_hash
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import build_dta
 
-from conftest import DATA, BUS_CASE1, build_case
+from _oracles import reference_product
+from conftest import DATA, BUS_CASE1, BUS_CASE2, THREE_BUS, build_case
 
 
 def test_initial_state(case1_T3):
@@ -189,3 +192,88 @@ def test_model_hash_sensitivity():
     assert h1 != model_hash("f2", "env", "t")
     assert h1 != model_hash("f", "env2", "t")
     assert h1 != model_hash("f", "env", "t2")
+
+
+# ---------------------------------------------------------------------------
+# the array-based construction against the state-at-a-time reference
+# ---------------------------------------------------------------------------
+
+TOY = "D{geom:0.5} b & F (b & F[0,1] goal)"
+
+
+def truncated(formula_text, T):
+    f = parse(formula_text)
+    u = EventSet.from_formula(f)
+    return u, truncate(StaModel(build_dta(substitute_dist(f)), u),
+                       uniform_truncation_vector(f, u, T))
+
+
+def grid_inputs(formula_text, T, width, height, start, stations, slip):
+    u, tsta = truncated(formula_text, T)
+    game = build_gridworld(GridWorldConfig(width, height, start, stations,
+                                           tuple(u.entries), slip))
+    return game, tsta
+
+
+def toy_inputs(T, game_text=None):
+    _, tsta = truncated(TOY, T)
+    return load_game(game_text or (DATA / "toy.game").read_text()), tsta
+
+
+def random_grid_inputs(seed):
+    rng = random.Random(seed)
+    width, height = rng.randint(2, 5), rng.randint(2, 5)
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    rng.shuffle(cells)
+    n_bus = rng.randint(1, min(2, len(cells) - 1))
+    buses = " | ".join(
+        f"D{{geom:{rng.choice((0.3, 0.5, 0.8))}}} b{i} & "
+        f"F (b{i} & F[0,{rng.randint(1, 3)}] s{i})" for i in range(n_bus))
+    forward = rng.choice((0.6, 0.8, 1.0))
+    slip = (forward, round(1.0 - forward, 2), 0.0)
+    stations = tuple((f"s{i}", cells[1 + i]) for i in range(n_bus))
+    return grid_inputs(buses, rng.randint(2, 5), width, height, cells[0],
+                       stations, slip)
+
+
+PRODUCT_CASES = {
+    **{f"case1-T{T}": (lambda T=T: grid_inputs(
+        BUS_CASE1, T, 4, 4, (0, 0), (("b3", (0, 3)), ("b4", (3, 0))),
+        (0.8, 0.1, 0.1))) for T in range(3, 9)},
+    **{f"case2-T{T}": (lambda T=T: grid_inputs(
+        BUS_CASE2, T, 4, 4, (0, 0), (("b3", (0, 3)), ("b4", (3, 0))),
+        (0.8, 0.1, 0.1))) for T in range(3, 9)},
+    "toy-T4": lambda: toy_inputs(4),
+    # a destination listed twice in one kernel row: its weights are summed
+    "toy-repeated-destination-T3": lambda: toy_inputs(3, (
+        DATA / "toy.game").read_text().replace(
+            "trans h0 go {} -> t0 : 0.7",
+            "trans h0 go {} -> t0 : 0.4\ntrans h0 go {} -> t0 : 0.3")),
+    "three-bus-4x4-T3": lambda: grid_inputs(
+        THREE_BUS, 3, 4, 4, (3, 2), (("s1", (3, 1)), ("s2", (0, 3)),
+                                     ("s3", (2, 0))), (0.81, 0.09, 0.1)),
+    "no-slip-T6": lambda: grid_inputs(
+        "D{geom:0.5} b1 & F b3", 6, 4, 4, (3, 3), (("b3", (0, 3)),),
+        (1.0, 0.0, 0.0)),
+    **{f"random-grid-{seed}": (lambda seed=seed: random_grid_inputs(seed))
+       for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("case", PRODUCT_CASES)
+def test_build_matches_reference(case):
+    game, tsta = PRODUCT_CASES[case]()
+    got = build_product(game, tsta)
+    want = reference_product(game, tsta)
+    assert got.to_text() == want.to_text()
+    for name in ("row_ptr", "cols", "accepting", "sink"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.probs.tobytes() == want.probs.tobytes()
+
+
+def test_cap_is_the_exact_state_count(case1_T3):
+    m, _ = case1_T3
+    n = m.n_states
+    assert build_product(m.game, m.sta, cap=n).n_states == n
+    with pytest.raises(ProductError, match=f"product exceeded {n - 1} states"):
+        build_product(m.game, m.sta, cap=n - 1)

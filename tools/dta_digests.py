@@ -11,8 +11,9 @@ substituted, and every tenth of the 1 000 random formulas that
 Under the key ``plans`` it records the sha256 of the ``policy.txt``,
 ``values.txt`` and ``product.txt`` that ``mitlplan plan --uniform-T 4
 --dump-product`` writes for the two bus grids ``case1`` and ``case2`` of
-the test suite, and of two ``mitlplan bench`` CSVs without their
-``wall_time_s`` column.
+the test suite, for the explicit game ``toy.game`` and for the three-bus
+mission on the 5x5 grid ``three_bus.grid``, and of two ``mitlplan bench``
+CSVs without their ``wall_time_s`` column.
 
 A change keeps automata and planner outputs identical when this script
 prints the same file on the change as on its parent::
@@ -112,14 +113,21 @@ def plan_digests() -> dict:
     from conftest import BUS_CASE1, BUS_CASE2, DATA
 
     cases = {"case1": BUS_CASE1, "case2": BUS_CASE2}
+    plans = {
+        **{case: (formula, "--grid", DATA / f"{case}.grid")
+           for case, formula in cases.items()},
+        "toy": ("D{geom:0.5} b & F (b & F[0,1] goal)",
+                "--game", DATA / "toy.game"),
+        "three-bus": (BUS_MISSIONS["three-bus"],
+                      "--grid", DATA / "three_bus.grid"),
+    }
     benches = {"bench-case1-eps": ("case1", "--eps-list", "0.1,0.05"),
                "bench-case2-T": ("case2", "--uniform-T", "3,4,5")}
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for case, formula in cases.items():
-            _cli("plan", "--formula", formula,
-                 "--grid", str(DATA / f"{case}.grid"), "--uniform-T", "4",
-                 "--dump-product", "--out", tmp)
+        for case, (formula, env_flag, env_path) in plans.items():
+            _cli("plan", "--formula", formula, env_flag, str(env_path),
+                 "--uniform-T", "4", "--dump-product", "--out", tmp)
             out[f"plan-{case}-T4"] = {
                 f"{name}_sha256": _sha256(Path(tmp, f"{name}.txt").read_text())
                 for name in ("policy", "values", "product")}
