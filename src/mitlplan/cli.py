@@ -139,7 +139,7 @@ def truncation(f, u, uniform_T=None, eps=None):
 
 def make_truncation(args, f, u):
     uniform_T, eps = getattr(args, "uniform_T", None), getattr(args, "eps", None)
-    if uniform_T is not None and eps:
+    if uniform_T is not None and eps is not None:
         _fail(EXIT_VALIDATION, "give one of --eps or --uniform-T, not both")
     return truncation(f, u, uniform_T, 0.01 if eps is None else eps)
 
@@ -462,7 +462,7 @@ def _positive_float(text):
 def _add_formula_args(p):
     p.add_argument("--formula", help="formula text")
     p.add_argument("--formula-file", help="file containing the formula")
-    p.add_argument("--cap", type=int, default=20000,
+    p.add_argument("--cap", type=_at_least(1), default=20000,
                    help="automaton location cap")
 
 

@@ -15,6 +15,7 @@ and a generic explicit game read from a text file.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,22 +49,54 @@ def env_subsets(pending) -> list[frozenset[str]]:
     return out
 
 
+def event_mask(names, events) -> int:
+    """`events` as a bit mask in which bit i stands for names[i]."""
+    return sum(1 << i for i, name in enumerate(names) if name in events)
+
+
 @dataclass(frozen=True, eq=False)
 class CompiledGame:
     """The reachable states of a game as integer tables.
 
-    State ids follow breadth-first discovery from the initial state (id 0).
-    Row ``s * n_actions + a`` of the CSR arrays lists the successors of
-    state s under action a: for each outcome e in `env_subsets` order, the
-    rows of `Game.transitions` in their order.
+    State ids are internal: the initial state has id 0, and nothing else
+    may depend on the numbering.  `Game._compile` numbers states in
+    breadth-first discovery order; the grid compile numbers them by its
+    own search, which is not that order.  Row ``s * n_actions + a`` of the
+    CSR arrays lists the successors of state s under action a: for each
+    outcome e in `env_subsets` order, the rows of `Game.transitions` in
+    their order.
     """
 
-    states: tuple[GameState, ...]
+    states: Sequence[GameState]          # state id -> state
     labels: tuple[frozenset[str], ...]   # label id -> label
     label_of: np.ndarray                 # state id -> label id
+    events: tuple[str, ...]              # bit i of an event mask: events[i]
+    pending: np.ndarray                  # state id -> pending events' mask
     row_ptr: np.ndarray
     succ: np.ndarray                     # successor state ids
     prob: np.ndarray
+
+
+def concat_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """start[i], ..., start[i] + count[i] - 1 for each i in turn: the
+    entries of CSR rows with those starts and lengths."""
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
+                                                count)
+    return np.repeat(start, count) + offset
+
+
+def _row_sum_error(s: GameState, action: str, e, total: float) -> GameError:
+    return GameError(f"kernel row ({s.brief()}, {action}, {set(e) or '{}'}) "
+                     f"sums to {total!r}")
+
+
+def _label_error(s2: GameState, shown, e) -> GameError:
+    return GameError(f"label of {s2.brief()} shows {sorted(shown)}, "
+                     f"outcome was {sorted(e)}")
+
+
+def _pending_error(s2: GameState, rest) -> GameError:
+    return GameError(f"pending of {s2.brief()} is not {sorted(rest)}")
 
 
 KERNEL_TOL = 1e-12
@@ -125,9 +158,7 @@ class Game:
                     rows = self.transitions(s, a, e)
                     total = sum(p for _, p in rows)
                     if abs(total - 1.0) > KERNEL_TOL:
-                        raise GameError(
-                            f"kernel row ({s.brief()}, {a}, {set(e) or '{}'}) "
-                            f"sums to {total!r}")
+                        raise _row_sum_error(s, a, e, total)
                     rest = s.pending - e
                     for s2, p in rows:
                         if p <= 0.0:
@@ -138,21 +169,22 @@ class Game:
                             states.append(s2)
                             add_label(s2)
                         if shown[j] != e:
-                            raise GameError(
-                                f"label of {s2.brief()} shows "
-                                f"{sorted(shown[j])}, outcome was {sorted(e)}")
+                            raise _label_error(s2, shown[j], e)
                         if s2.pending != rest:
-                            raise GameError(
-                                f"pending of {s2.brief()} is not {sorted(rest)}")
+                            raise _pending_error(s2, rest)
                         succ.append(j)
                         prob.append(p)
                 row_len.append(len(succ) - start)
         row_ptr = np.zeros(len(row_len) + 1, dtype=np.int64)
         np.cumsum(row_len, out=row_ptr[1:])
-        return CompiledGame(tuple(states), tuple(label_index),
-                            np.array(label_of, dtype=np.int64), row_ptr,
-                            np.array(succ, dtype=np.int64),
-                            np.array(prob, dtype=np.float64))
+        names = tuple(sorted(events))
+        return CompiledGame(
+            states=tuple(states), labels=tuple(label_index),
+            label_of=np.array(label_of, dtype=np.int64), events=names,
+            pending=np.array([event_mask(names, s.pending) for s in states],
+                             dtype=np.int64),
+            row_ptr=row_ptr, succ=np.array(succ, dtype=np.int64),
+            prob=np.array(prob, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +326,198 @@ class GridWorld(Game):
         pending = s.pending - e
         return [(GameState(cell, None, pending, frozenset(e)), p)
                 for cell, p in self.motion(s.robot, action)]
+
+    def _compile(self) -> CompiledGame:
+        """`Game._compile` on whole arrays.
+
+        A state is a cell ``x * height + y`` and a (pending, occurred) pair
+        of event masks.  The motion table over cells x actions is crossed
+        with the table of mask pairs, which depends only on the number of
+        events, and one breadth-first pass over the two keeps the states
+        reachable from the start.  Ids follow that pass, a layer at a time
+        in increasing order of ``pair * n_cells + cell``.  Each row lists
+        the successors `Game._compile` lists, in its order, with the same
+        probabilities, and every check of `Game._compile` runs over all
+        entries at once.
+        """
+        cfg = self.cfg
+        n_cells, n_actions = cfg.width * cfg.height, len(self.actions)
+        names = tuple(sorted(set(self.events)))
+        sets = [frozenset(n for i, n in enumerate(names) if mask >> i & 1)
+                for mask in range(1 << len(names))]
+        move_cell, move_prob, move_len = self._motion_table()
+        pair_pending, pair_occurred, out_ptr, out_len, out_pair, out_e = (
+            _event_mask_table(sets))
+
+        # the search, over the successor cells of all actions and the
+        # successor pairs of all outcomes
+        cell_next = move_cell[move_cell >= 0]
+        cell_len = move_len.reshape(n_cells, n_actions).sum(axis=1)
+        cell_ptr = np.cumsum(cell_len) - cell_len
+        n_full = len(pair_pending) * n_cells
+        layer = np.array([cfg.start[0] * cfg.height + cfg.start[1]])  # pair 0
+        seen = np.zeros(n_full, dtype=bool)
+        seen[layer] = True
+        layers = [layer]
+        while layer.size:
+            pair, cell = np.divmod(layer, n_cells)
+            cell2 = cell_next[concat_ranges(cell_ptr[cell], cell_len[cell])]
+            pair = np.repeat(pair, cell_len[cell])
+            reached = np.zeros(n_full, dtype=bool)
+            reached[out_pair[concat_ranges(out_ptr[pair], out_len[pair])]
+                    * n_cells + np.repeat(cell2, out_len[pair])] = True
+            layer = np.flatnonzero(reached & ~seen)
+            seen[layer] = True
+            layers.append(layer)
+        full_id = np.concatenate(layers)
+        state_of = np.full(n_full, -1, dtype=np.int64)
+        state_of[full_id] = np.arange(len(full_id))
+        pair, cell = np.divmod(full_id, n_cells)
+        pending, occurred = pair_pending[pair], pair_occurred[pair]
+        states = _GridStates(cfg.height, cell, pending, occurred, sets)
+
+        # labels: one id per (station label, occurred events), reached or not
+        base_index = {frozenset(): 0}
+        station = np.zeros(n_cells, dtype=np.int64)
+        for x, y in self.station_at:
+            station[x * cfg.height + y] = base_index.setdefault(
+                self.base_label((x, y)), len(base_index))
+        labels = tuple(base | events for base in base_index for events in sets)
+        label_of = station[cell] << len(names) | occurred
+        shown = np.array([event_mask(names, label) for label in labels],
+                         dtype=np.int64)[label_of]          # by state
+
+        # rows: one block per (state, action, outcome), which holds the
+        # motion row of the (cell, action); filled one motion slot at a time
+        n_rows = len(full_id) * n_actions
+        move_row = (cell[:, None] * n_actions + np.arange(n_actions)).ravel()
+        row_outs = out_len[np.repeat(pair, n_actions)]
+        block_row = np.repeat(np.arange(n_rows), row_outs)
+        block_out = concat_ranges(out_ptr[np.repeat(pair, n_actions)],
+                                  row_outs)
+        block_move = move_row[block_row]
+        block_len = move_len[block_move]
+        block_start = np.cumsum(block_len) - block_len
+        block_pair = out_pair[block_out] * n_cells
+        succ = np.empty(block_start[-1] + block_len[-1], dtype=np.int64)
+        prob = np.empty(len(succ))
+        for k in range(move_cell.shape[1]):
+            has = np.flatnonzero(block_len > k)
+            at = block_start[has] + k
+            succ[at] = state_of[block_pair[has]
+                                + move_cell[block_move[has], k]]
+            prob[at] = move_prob[block_move[has], k]
+        row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(move_len[move_row] * row_outs, out=row_ptr[1:])
+
+        # the checks of `Game._compile`, entry by entry
+        total = np.add.reduceat(prob, block_start)
+        bad = np.flatnonzero(np.abs(total - 1.0) > KERNEL_TOL)
+        if bad.size:
+            b = bad[0]
+            s, a = divmod(int(block_row[b]), n_actions)
+            raise _row_sum_error(states[s], self.actions[a],
+                                 sets[out_e[block_out[b]]], float(total[b]))
+        if not (prob > 0.0).all():
+            raise GameError("non-positive transition probability")
+        e = np.repeat(out_e[block_out], block_len)
+        bad = np.flatnonzero(shown[succ] != e)
+        if bad.size:
+            j = succ[bad[0]]
+            raise _label_error(states[j], sets[shown[j]], sets[e[bad[0]]])
+        rest = np.repeat(pending[block_row // n_actions] & ~out_e[block_out],
+                         block_len)
+        bad = np.flatnonzero(pending[succ] != rest)
+        if bad.size:
+            raise _pending_error(states[succ[bad[0]]], sets[rest[bad[0]]])
+        return CompiledGame(states=states, labels=labels, label_of=label_of,
+                            events=names, pending=pending, row_ptr=row_ptr,
+                            succ=succ, prob=prob)
+
+    def _motion_table(self):
+        """`motion` of every (cell, action), in row ``cell * n_actions + a``:
+        up to three successor cells by increasing id, padded with -1, their
+        probabilities, and how many there are."""
+        cfg = self.cfg
+        n_cells = cfg.width * cfg.height
+        x, y = np.divmod(np.arange(n_cells), cfg.height)
+        dest = []
+        for a in self.actions:
+            for direction in (a, _LEFT[a], _RIGHT[a]):
+                dx, dy = _DIRS[direction]
+                nx, ny = x + dx, y + dy
+                inside = ((0 <= nx) & (nx < cfg.width)
+                          & (0 <= ny) & (ny < cfg.height))
+                dest.append(np.where(inside, nx * cfg.height + ny,
+                                     x * cfg.height + y))
+        dest = np.stack(dest, axis=1).reshape(-1, 3)
+        prob = np.tile(np.array(cfg.slip, dtype=np.float64), (len(dest), 1))
+        live = prob != 0.0
+        # a part that lands where an earlier part did adds its mass to that
+        # one, forward, left, right in turn, as `motion` sums them
+        for k in (1, 2):
+            for j in range(k):
+                fold = live[:, j] & live[:, k] & (dest[:, j] == dest[:, k])
+                prob[fold, j] += prob[fold, k]
+                live[fold, k] = False
+        dest[~live] = -1
+        prob[~live] = 0.0
+        order = np.argsort(np.where(live, dest, n_cells), axis=1,
+                           kind="stable")
+        return (np.take_along_axis(dest, order, axis=1),
+                np.take_along_axis(prob, order, axis=1), live.sum(axis=1))
+
+
+def _event_mask_table(sets):
+    """The (pending, occurred) mask pairs reachable from (all, none), which
+    is pair 0, as two mask arrays, and the successors of each pair in
+    `env_subsets` outcome order, as CSR arrays (start, length) over the
+    successor pair ids and the outcome masks."""
+    index = {(len(sets) - 1, 0): 0}
+    pairs = [(len(sets) - 1, 0)]
+    out_len: list[int] = []
+    out_pair: list[int] = []
+    out_e: list[int] = []
+    mask_of = {events: mask for mask, events in enumerate(sets)}
+    for pending, _ in pairs:        # grows while it is walked
+        outcomes = [mask_of[e] for e in env_subsets(sets[pending])]
+        for e in outcomes:
+            nxt = (pending & ~e, e)
+            out_pair.append(index.setdefault(nxt, len(pairs)))
+            if out_pair[-1] == len(pairs):
+                pairs.append(nxt)
+            out_e.append(e)
+        out_len.append(len(outcomes))
+    pending, occurred = np.array(pairs, dtype=np.int64).T
+    out_len = np.array(out_len, dtype=np.int64)
+    return (pending, occurred, np.cumsum(out_len) - out_len, out_len,
+            np.array(out_pair, dtype=np.int64),
+            np.array(out_e, dtype=np.int64))
+
+
+class _GridStates(Sequence):
+    """The states of a compiled grid, each decoded to a `GameState` when it
+    is first read, and kept."""
+
+    def __init__(self, height, cell, pending, occurred, sets):
+        self._height = height
+        self._cell = cell
+        self._pending = pending
+        self._occurred = occurred
+        self._sets = sets
+        self._decoded: list[GameState | None] = [None] * len(cell)
+
+    def __len__(self) -> int:
+        return len(self._decoded)
+
+    def __getitem__(self, i) -> GameState:
+        s = self._decoded[i]
+        if s is None:
+            x, y = divmod(int(self._cell[i]), self._height)
+            s = self._decoded[i] = GameState(
+                (x, y), None, self._sets[self._pending[i]],
+                self._sets[self._occurred[i]])
+        return s
 
 
 def build_gridworld(cfg: GridWorldConfig) -> GridWorld:

@@ -36,7 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game_model import Game, GameState
+from .game_model import (
+    CompiledGame,
+    Game,
+    GameState,
+    concat_ranges,
+    event_mask,
+)
 from .stochastic_ta import StaState, StepTable, TruncatedSta
 
 
@@ -65,25 +71,26 @@ class ProductStates(Sequence):
 
     def __getitem__(self, z: int) -> ProductState:
         m = self._m
-        return ProductState(m.game_states[m.game_of[z]],
+        return ProductState(m.compiled.states[m.game_of[z]],
                             m.spec_states[m.spec_of[z]])
 
 
 class ProductMdp:
     """Explicit reachable product with CSR transition storage.
 
-    State z pairs game state ``game_states[game_of[z]]`` with automaton
+    State z pairs game state ``compiled.states[game_of[z]]`` with automaton
     state ``spec_states[spec_of[z]]``.  Row r = z * n_actions + a holds the
     successor distribution of state z under action a.  `accepting` and
     `sink` are disjoint absorbing classes; values are pinned to zero there
     (reward is earned on entry).
     """
 
-    def __init__(self, game, sta, game_states, spec_states, game_of, spec_of,
-                 z0, actions, row_ptr, cols, probs, accepting, sink):
+    def __init__(self, game, sta, compiled: CompiledGame, spec_states,
+                 game_of, spec_of, z0, actions, row_ptr, cols, probs,
+                 accepting, sink):
         self.game = game
         self.sta = sta
-        self.game_states = tuple(game_states)
+        self.compiled = compiled
         self.spec_states = tuple(spec_states)
         self.game_of = game_of
         self.spec_of = spec_of
@@ -136,11 +143,9 @@ class ProductMdp:
         if abs(row_sums[bad] - 1.0) > tol:
             raise ProductError(
                 f"row {bad} sums to {row_sums[bad]!r}")
-        # pending sets as bit masks over the automaton's events
-        bit = {name: 1 << i for i, name in enumerate(self.sta.event_names)}
-        game_pending = np.array([sum(bit[n] for n in s.pending)
-                                 for s in self.game_states], dtype=np.int64)
-        spec_pending = np.array([sum(bit[n] for n in q.pending)
+        # pending sets as bit masks over the compiled game's events
+        game_pending = self.compiled.pending
+        spec_pending = np.array([event_mask(self.compiled.events, q.pending)
                                  for q in self.spec_states], dtype=np.int64)
         spec_live = np.array([not (q.sink or self.sta.is_rejecting(q))
                               for q in self.spec_states], dtype=bool)
@@ -188,7 +193,7 @@ class ProductMdp:
         lines.append(f"# states {self.n_states} actions {self.n_actions} "
                      f"edges {self.n_edges}")
         lines.append(f"init {self.z0}")
-        game_text = [s.brief() for s in self.game_states]
+        game_text = [s.brief() for s in self.compiled.states]
         spec_text = [describe_spec_state(q) for q in self.spec_states]
         for z, (g, q, acc, sink) in enumerate(zip(
                 self.game_of.tolist(), self.spec_of.tolist(),
@@ -295,7 +300,7 @@ def build_product(game: Game, tsta: TruncatedSta,
     spec_of = np.concatenate(spec_of)
     row_ptr = np.zeros(len(game_of) * n_actions + 1, dtype=np.int64)
     np.cumsum(np.concatenate(row_len), out=row_ptr[1:])
-    return ProductMdp(game, tsta, g.states, table.states, game_of, spec_of, 0,
+    return ProductMdp(game, tsta, g, table.states, game_of, spec_of, 0,
                       game.actions, row_ptr, np.concatenate(cols),
                       np.concatenate(probs), table.accepting[spec_of],
                       table.sink[spec_of])
@@ -313,9 +318,7 @@ def _live_successors(g, table: StepTable, n_actions: int, z, gz, qz):
     game_row = _rows(gz, n_actions)
     start = g.row_ptr[game_row]
     count = g.row_ptr[game_row + 1] - start
-    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
-                                                count)
-    entry = np.repeat(start, count) + offset
+    entry = concat_ranges(start, count)
     s2 = g.succ[entry]
     q2, pq = table.step(np.repeat(np.repeat(qz, n_actions), count),
                         g.label_of[s2])

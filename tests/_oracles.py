@@ -168,11 +168,11 @@ def reference_product(game, tsta, cap: int = 2_000_000) -> ProductMdp:
             sink[z] = True
         elif tsta.is_accepting(ps.spec):
             accepting[z] = True
-    game_states = list(dict.fromkeys(ps.game for ps in states))
+    compiled = game.compiled()
+    game_id = {s: i for i, s in enumerate(compiled.states)}
     spec_states = list(dict.fromkeys(ps.spec for ps in states))
-    game_id = {s: i for i, s in enumerate(game_states)}
     spec_id = {q: i for i, q in enumerate(spec_states)}
     game_of = np.array([game_id[ps.game] for ps in states], dtype=np.int64)
     spec_of = np.array([spec_id[ps.spec] for ps in states], dtype=np.int64)
-    return ProductMdp(game, tsta, game_states, spec_states, game_of, spec_of,
+    return ProductMdp(game, tsta, compiled, spec_states, game_of, spec_of,
                       0, game.actions, row_ptr, cols, probs, accepting, sink)

@@ -122,6 +122,8 @@ def test_simulate_rejects_malformed_policy(tmp_path, capsys,
     ("plan", "--max-iter", "0"),
     ("simulate", "--max-steps", "-3"),
     ("simulate", "--logs", "-2"),
+    ("plan", "--cap", "0"),
+    ("plan", "--cap", "-4"),
 ])
 def test_out_of_range_option_exits_2(tmp_path, capsys, case2_policy_lines,
                                      command, option, value):
@@ -134,6 +136,26 @@ def test_out_of_range_option_exits_2(tmp_path, capsys, case2_policy_lines,
               *rollouts, option, value, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"error: argument {option}: must be" in capsys.readouterr().err
+
+
+def test_plan_eps_zero_with_uniform_T_exits_2(tmp_path, capsys):
+    # --eps 0 is given, so it conflicts with --uniform-T like any other value
+    code, _, err = run(capsys, "plan", "--formula", BUS_CASE2,
+                       "--grid", str(DATA / "case2.grid"),
+                       "--uniform-T", "3", "--eps", "0", "--out", str(tmp_path))
+    assert code == 2
+    assert "give one of --eps or --uniform-T, not both" in err
+
+
+def test_plan_station_named_like_an_event_exits_3(tmp_path, capsys):
+    grid = tmp_path / "station_b1.grid"
+    grid.write_text((DATA / "case2.grid").read_text() + "stations.b1 = (2,2)\n")
+    code, _, err = run(capsys, "plan", "--formula", BUS_CASE2,
+                       "--grid", str(grid), "--uniform-T", "3",
+                       "--out", str(tmp_path))
+    assert code == 3
+    assert "grid: label of ((2, 2), {}, {b1,b2}) shows ['b1'], outcome was []" \
+        in err
 
 
 def test_plan_nonconvergence_exit(tmp_path, capsys):

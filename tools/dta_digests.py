@@ -11,9 +11,10 @@ substituted, and every tenth of the 1 000 random formulas that
 Under the key ``plans`` it records the sha256 of the ``policy.txt``,
 ``values.txt`` and ``product.txt`` that ``mitlplan plan --uniform-T 4
 --dump-product`` writes for the two bus grids ``case1`` and ``case2`` of
-the test suite, for the explicit game ``toy.game`` and for the three-bus
-mission on the 5x5 grid ``three_bus.grid``, and of two ``mitlplan bench``
-CSVs without their ``wall_time_s`` column.
+the test suite, for the explicit game ``toy.game``, for the three-bus
+mission on the 5x5 grid ``three_bus.grid`` and for the two-bus mission on
+``no_slip.grid`` (no slip, a station on the start cell), and of two
+``mitlplan bench`` CSVs without their ``wall_time_s`` column.
 
 A change keeps automata and planner outputs identical when this script
 prints the same file on the change as on its parent::
@@ -120,6 +121,7 @@ def plan_digests() -> dict:
                 "--game", DATA / "toy.game"),
         "three-bus": (BUS_MISSIONS["three-bus"],
                       "--grid", DATA / "three_bus.grid"),
+        "no-slip": (BUS_MISSIONS["two-bus"], "--grid", DATA / "no_slip.grid"),
     }
     benches = {"bench-case1-eps": ("case1", "--eps-list", "0.1,0.05"),
                "bench-case2-T": ("case2", "--uniform-T", "3,4,5")}
