@@ -11,9 +11,10 @@ A stream adds the golden gamma to its state per draw and outputs the mix
 of the new state.  Stream i of a batch starts from the mix of
 ``seed + (i + 1) * gamma``: without that mix, stream i + 1 would be
 stream i one draw later.  `splitmix_init` and `splitmix_next` work on
-Python integers, for `rollout` and the loop kernel; the numpy kernel runs
-the same arithmetic on uint64 arrays, one lane per rollout.  Batch stream
-0 is therefore the stream of a single rollout with the same seed.
+Python integers, for `walk`, the one scalar rollout that `rollout` and the
+loop kernel share; the numpy kernel runs the same arithmetic on uint64
+arrays, one lane per rollout.  Batch stream 0 is therefore the stream of
+a single rollout with the same seed.
 """
 
 from __future__ import annotations
@@ -107,26 +108,33 @@ def sample_successor(cols, probs, u: float) -> int:
     return int(cols[-1])
 
 
+def walk(row_ptr, cols, probs, policy_row, accepting, sink, z, state,
+         max_steps) -> tuple[int, list[int]]:
+    """One rollout from state z that follows CSR row ``policy_row[z]`` at
+    each state and draws from the splitmix64 stream at `state`: its outcome
+    code and the states it visits, z first."""
+    visited = [z]
+    while True:
+        if accepting[z]:
+            return 1, visited
+        if sink[z]:
+            return 2, visited
+        if len(visited) > max_steps:
+            return 0, visited
+        u, state = splitmix_next(state)
+        r = policy_row[z]
+        row = slice(row_ptr[r], row_ptr[r + 1])
+        z = sample_successor(cols[row], probs[row], u)
+        visited.append(z)
+
+
 def rollout_batch_loop(row_ptr, cols, probs, policy_row, accepting, sink,
                        z0, n_rollouts, seed, max_steps):
     """Scalar reference for `rollout_batch_numpy`."""
     outcomes = np.zeros(n_rollouts, dtype=np.int8)
     for i in range(n_rollouts):
-        state = splitmix_init(seed, i)
-        z = z0
-        for t in range(max_steps + 1):
-            if accepting[z]:
-                outcomes[i] = 1
-                break
-            if sink[z]:
-                outcomes[i] = 2
-                break
-            if t == max_steps:
-                break
-            u, state = splitmix_next(state)
-            r = policy_row[z]
-            row = slice(row_ptr[r], row_ptr[r + 1])
-            z = sample_successor(cols[row], probs[row], u)
+        outcomes[i], _ = walk(row_ptr, cols, probs, policy_row, accepting,
+                              sink, z0, splitmix_init(seed, i), max_steps)
     return outcomes
 
 

@@ -26,7 +26,13 @@ from .game_model import (
     load_game,
     parse_gridworld_config,
 )
-from .product_mdp import STAY_ACTION, ProductError, build_product, model_hash
+from .product_mdp import (
+    DOT_MAX_STATES,
+    STAY_ACTION,
+    ProductError,
+    build_product,
+    model_hash,
+)
 from .simulator import estimate_success, rollout
 from .solver import (
     Policy,
@@ -164,14 +170,7 @@ def validated_product(game, tsta):
 
 @dataclass
 class Built:
-    f: object
-    u: object
-    phid: object
-    dta: object
     trunc: object
-    game: object
-    env_text: str
-    tsta: object
     product: object
     hash: str
 
@@ -180,11 +179,9 @@ def build_model(args):
     f, u = load_formula(args)
     game, env_text = load_environment(args, u)
     trunc = make_truncation(args, f, u)
-    phid, dta = build_automaton(f, args.cap)
-    tsta = truncate(StaModel(dta, u), trunc)
-    product = validated_product(game, tsta)
-    h = model_hash(pretty(f), env_text, trunc)
-    return Built(f, u, phid, dta, trunc, game, env_text, tsta, product, h)
+    _, dta = build_automaton(f, args.cap)
+    product = validated_product(game, truncate(StaModel(dta, u), trunc))
+    return Built(trunc, product, model_hash(pretty(f), env_text, trunc))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +347,7 @@ def cmd_plan(args):
     if args.dump_product:
         (out / "product.txt").write_text(m.to_text(header=built.hash))
         print(f"wrote: {out / 'product.txt'}")
-        if m.n_states <= 200:
+        if m.n_states <= DOT_MAX_STATES:
             (out / "product.dot").write_text(m.to_dot())
             print(f"wrote: {out / 'product.dot'}")
     return 0
@@ -493,8 +490,8 @@ def build_parser():
     _add_formula_args(p)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--oracle", help="explicit automaton file to check against")
-    p.add_argument("--words", type=int, default=10000)
-    p.add_argument("--max-len", type=int, default=20)
+    p.add_argument("--words", type=_at_least(1), default=10000)
+    p.add_argument("--max-len", type=_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_translate)
 
@@ -511,7 +508,6 @@ def build_parser():
     _add_formula_args(p)
     _add_env_args(p)
     _add_trunc_args(p)
-    _add_solver_args(p)
     p.add_argument("--policy", required=True, help="policy file from plan")
     p.add_argument("-n", type=_at_least(1), default=10000,
                    help="rollout count")

@@ -759,18 +759,6 @@ def substitute_dist(f: Formula) -> Formula:
 # Truncation points
 # ---------------------------------------------------------------------------
 
-def tail(d: DistributionSpec, T: int) -> float:
-    """Mass of the distribution strictly after step T."""
-    if T < 0:
-        raise ValueError("truncation point must be non-negative")
-    return d.tail(T)
-
-
-def hazard(d: DistributionSpec, t: int) -> float:
-    """Conditional probability of first occurrence at step t."""
-    return d.hazard(t)
-
-
 @dataclass(frozen=True)
 class TruncationVector:
     """Per-clock truncation points plus the achieved event-tail bound."""
@@ -841,22 +829,23 @@ def _collect_clocks(f: Formula, u: EventSet, event_T) -> dict[str, int]:
     return walk(f)
 
 
+def _truncation(clocks: dict[str, int], u: EventSet) -> TruncationVector:
+    """The vector of `clocks`, with the largest tail of an event clock."""
+    achieved = max((u.dist(n).tail(T) for n, T in clocks.items() if n in u),
+                   default=0.0)
+    return TruncationVector(tuple(sorted(clocks.items())), achieved)
+
+
 def truncation_vector(f: Formula, u: EventSet, eps: float) -> TruncationVector:
     """Smallest per-event truncation points with tails below eps."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"error bound must be in (0,1), got {eps}")
     per_event = {name: _minimal_T(u.dist(name), eps) for name in u.names}
-    clocks = _collect_clocks(f, u, lambda name: per_event[name])
-    achieved = max((u.dist(n).tail(T) for n, T in clocks.items() if n in u),
-                   default=0.0)
-    return TruncationVector(tuple(sorted(clocks.items())), achieved)
+    return _truncation(_collect_clocks(f, u, lambda name: per_event[name]), u)
 
 
 def uniform_truncation_vector(f: Formula, u: EventSet, T: int) -> TruncationVector:
     """Common truncation point T for every event clock."""
     if T < 0:
         raise ValueError("truncation point must be non-negative")
-    clocks = _collect_clocks(f, u, lambda name: T)
-    achieved = max((u.dist(n).tail(tv) for n, tv in clocks.items() if n in u),
-                   default=0.0)
-    return TruncationVector(tuple(sorted(clocks.items())), achieved)
+    return _truncation(_collect_clocks(f, u, lambda name: T), u)

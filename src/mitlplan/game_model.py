@@ -3,10 +3,9 @@
 The robot picks an action, the environment resolves a subset of the still
 pending external events, and the successor state is drawn from the kernel
 for that (state, action, outcome) triple.  States are factored into the
-robot component, an optional environment component, the pending-event set,
-and the events that fired on entry (the latter feeds the labeling: the
-label of a successor reached with outcome e must show exactly e among the
-external events).
+robot component, the pending-event set, and the events that fired on entry
+(the latter feeds the labeling: the label of a successor reached with
+outcome e must show exactly e among the external events).
 
 Two concrete models: the grid world with slip dynamics and bouncing walls,
 and a generic explicit game read from a text file.
@@ -30,7 +29,6 @@ class GameError(ValueError):
 @dataclass(frozen=True)
 class GameState:
     robot: object
-    env: object
     pending: frozenset[str]
     occurred: frozenset[str]
 
@@ -253,19 +251,26 @@ def parse_gridworld_config(text: str) -> GridWorldConfig:
         else:
             fields[key] = value
     try:
-        width = int(fields["width"])
-        height = int(fields["height"])
+        width, height = fields["width"], fields["height"]
     except KeyError as exc:
         raise GameError(f"missing grid key {exc.args[0]!r}") from None
+    width, height = _number("width", width, int), _number("height", height, int)
     start = _parse_cell(fields.get("start", "(0,0)"), 0)
     slip = (0.8, 0.1, 0.1)
     if "slip" in fields:
         parts = fields["slip"].split(",")
         if len(parts) != 3:
             raise GameError("slip needs three components: forward,left,right")
-        slip = tuple(float(p) for p in parts)
+        slip = tuple(_number("slip", p, float) for p in parts)
     return GridWorldConfig(width, height, start, tuple(stations),
                            tuple(events), slip)
+
+
+def _number(key, text, kind):
+    try:
+        return kind(text)
+    except ValueError:
+        raise GameError(f"grid key {key!r}: bad number {text!r}") from None
 
 
 def _parse_cell(text, lineno):
@@ -284,7 +289,7 @@ class GridWorld(Game):
         self.actions = GRID_ACTIONS
         self.events = tuple(name for name, _ in cfg.events)
         self.station_at = {cell: atom for atom, cell in cfg.stations}
-        self.initial = GameState(cfg.start, None, frozenset(self.events),
+        self.initial = GameState(cfg.start, frozenset(self.events),
                                  frozenset())
         if self.label(self.initial) & set(self.events):
             raise GameError("initial label may not contain external events")
@@ -324,7 +329,7 @@ class GridWorld(Game):
         if not e <= s.pending:
             raise GameError(f"environment outcome {sorted(e)} not enabled")
         pending = s.pending - e
-        return [(GameState(cell, None, pending, frozenset(e)), p)
+        return [(GameState(cell, pending, frozenset(e)), p)
                 for cell, p in self.motion(s.robot, action)]
 
     def _compile(self) -> CompiledGame:
@@ -515,7 +520,7 @@ class _GridStates(Sequence):
         if s is None:
             x, y = divmod(int(self._cell[i]), self._height)
             s = self._decoded[i] = GameState(
-                (x, y), None, self._sets[self._pending[i]],
+                (x, y), self._sets[self._pending[i]],
                 self._sets[self._occurred[i]])
         return s
 
@@ -569,7 +574,7 @@ class ExplicitGame(Game):
 
     def _mk(self, name) -> GameState:
         occurred = self._labels[name] & set(self.events)
-        return GameState(name, None, self._pending[name], occurred)
+        return GameState(name, self._pending[name], occurred)
 
     def label(self, s):
         return frozenset(self._labels[s.robot])

@@ -51,6 +51,10 @@ class ProductError(ValueError):
 
 
 STAY_ACTION = "stay"
+# largest deviation of a row sum from one that `validate` accepts
+ROW_SUM_TOL = 1e-10
+# `to_dot` refuses products with more states than this
+DOT_MAX_STATES = 200
 
 
 @dataclass(frozen=True)
@@ -131,26 +135,19 @@ class ProductMdp:
         cols, probs = self.row(z, a)
         return list(zip(cols.tolist(), probs.tolist()))
 
-    def action_index(self, name: str) -> int:
-        return self.actions.index(name)
-
-    def reward(self, z: int, a: int, z2: int) -> float:
-        return 1.0 if (not self.absorbing[z]) and self.accepting[z2] else 0.0
-
-    def validate(self, tol: float = 1e-10):
+    def validate(self):
         row_sums = np.add.reduceat(self.probs, self.row_ptr[:-1])
         bad = np.argmax(np.abs(row_sums - 1.0))
-        if abs(row_sums[bad] - 1.0) > tol:
+        if abs(row_sums[bad] - 1.0) > ROW_SUM_TOL:
             raise ProductError(
                 f"row {bad} sums to {row_sums[bad]!r}")
         # pending sets as bit masks over the compiled game's events
         game_pending = self.compiled.pending
         spec_pending = np.array([event_mask(self.compiled.events, q.pending)
                                  for q in self.spec_states], dtype=np.int64)
-        spec_live = np.array([not (q.sink or self.sta.is_rejecting(q))
-                              for q in self.spec_states], dtype=bool)
+        # sinks, the truncation sink and rejecting locations, are exempt
         mismatch = np.flatnonzero(
-            spec_live[self.spec_of]
+            ~self.sink
             & (game_pending[self.game_of] != spec_pending[self.spec_of]))
         if mismatch.size:
             z = int(mismatch[0])
@@ -158,33 +155,6 @@ class ProductMdp:
             raise ProductError(
                 f"pending mismatch at state {z}: game "
                 f"{sorted(ps.game.pending)} vs spec {sorted(ps.spec.pending)}")
-
-    def stats(self, horizon: int | None = None) -> dict:
-        out = {
-            "states": self.n_states,
-            "edges": self.n_edges,
-            "accepting": int(self.accepting.sum()),
-            "sink": int(self.sink.sum()),
-            "note": "reachable product with fused environment turns; "
-                    "counts are construction dependent",
-        }
-        if horizon is not None:
-            out["sink_mass_horizon"] = horizon
-            out["sink_mass"] = self.sink_mass(horizon)
-        return out
-
-    def sink_mass(self, horizon: int) -> float:
-        """Probability of sitting in a sink state after `horizon` steps
-        under the uniformly random policy."""
-        n = self.n_states
-        src = np.repeat(np.arange(n * self.n_actions), np.diff(self.row_ptr))
-        src //= self.n_actions
-        d = np.zeros(n)
-        d[self.z0] = 1.0
-        for _ in range(horizon):
-            w = self.probs * d[src] / self.n_actions
-            d = np.bincount(self.cols, weights=w, minlength=n)
-        return float(d[self.sink].sum())
 
     def to_text(self, header: str = "") -> str:
         lines = ["# product-mdp"]
@@ -208,10 +178,10 @@ class ProductMdp:
             lines.append(f"trans {z} {self.actions[a]} {z2} : {p!r}")
         return "\n".join(lines) + "\n"
 
-    def to_dot(self, max_states: int = 200) -> str:
-        if self.n_states > max_states:
+    def to_dot(self) -> str:
+        if self.n_states > DOT_MAX_STATES:
             raise ProductError(
-                f"refusing DOT export beyond {max_states} states")
+                f"refusing DOT export beyond {DOT_MAX_STATES} states")
         lines = ["digraph product {", "  rankdir=LR;"]
         for z in range(self.n_states):
             shape = ("doublecircle" if self.accepting[z]
@@ -230,11 +200,9 @@ class ProductMdp:
 def describe_spec_state(q: StaState) -> str:
     if q.sink:
         return "(sink)"
-    loc = q.config if isinstance(q.config, (int, str)) else q.config[0]
-    loc = f"q{loc}" if isinstance(loc, int) else str(loc)
     clocks = ",".join(str(c) for c in q.clocks)
     pend = "{" + ",".join(sorted(q.pending)) + "}"
-    return f"({loc}, [{clocks}], {pend})"
+    return f"(q{q.config}, [{clocks}], {pend})"
 
 
 def build_product(game: Game, tsta: TruncatedSta,

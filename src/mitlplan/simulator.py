@@ -12,14 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import (
-    rollout_batch_numpy,
-    sample_successor,
-    splitmix_init,
-    splitmix_next,
-    wilson_interval,
-)
+from ._kernels import rollout_batch_numpy, splitmix_init, walk, wilson_interval
 from .product_mdp import ProductMdp, describe_spec_state
+
+
+# the outcome of each of the kernels' outcome codes
+_OUTCOMES = ("step-limit", "accept", "sink")
 
 
 @dataclass
@@ -41,25 +39,18 @@ def _state_text(ps) -> str:
     return f"({ps.game.brief()}, {describe_spec_state(ps.spec)})"
 
 
-def _absorption_class(m: ProductMdp, z: int) -> str | None:
-    if m.accepting[z]:
-        return "accept"
-    if m.sink[z]:
-        return "sink"
-    return None
-
-
 def default_max_steps(m: ProductMdp) -> int:
     """Step budget after which the bus-style missions are fully classified:
     every event clock is capped, and windows expire within their bounds."""
-    points = getattr(m.sta, "points", {})
-    max_t = max(points.values(), default=0)
-    trunc = getattr(m.sta, "trunc", None)
-    max_win = 0
-    if trunc is not None:
-        max_win = max((T for name, T in trunc.points
-                       if name not in points), default=0)
-    return max_t + max_win + 8
+    points = m.sta.points
+    max_win = max((T for name, T in m.sta.trunc.points if name not in points),
+                  default=0)
+    return max(points.values(), default=0) + max_win + 8
+
+
+def _policy_rows(m: ProductMdp, policy) -> np.ndarray:
+    """The CSR row that `policy` follows at each state."""
+    return m.n_actions * np.arange(m.n_states) + policy.action_index
 
 
 def rollout(m: ProductMdp, policy, seed: int, max_steps: int | None = None
@@ -67,36 +58,22 @@ def rollout(m: ProductMdp, policy, seed: int, max_steps: int | None = None
     """Sample one trajectory following `policy` from the initial state."""
     if max_steps is None:
         max_steps = default_max_steps(m)
-    state = splitmix_init(seed)
-    z = m.z0
-    indices = [z]
-    actions: list[str] = []
-    z_text = _state_text(m.states[z])
+    code, visited = walk(m.row_ptr, m.cols, m.probs, _policy_rows(m, policy),
+                         m.accepting, m.sink, m.z0, splitmix_init(seed),
+                         max_steps)
+    actions = [policy.action_name(z) for z in visited[:-1]]
+    z_text = _state_text(m.states[m.z0])
     lines = [z_text]
-    outcome = "step-limit"
-    for t in range(max_steps + 1):
-        cls = _absorption_class(m, z)
-        if cls is not None:
-            outcome = cls
-            break
-        if t == max_steps:
-            break
-        a_name = policy.action_name(z)
-        if a_name not in m.actions:
-            raise ValueError(f"policy action {a_name!r} undefined at state {z}")
-        a = m.action_index(a_name)
-        u, state = splitmix_next(state)
-        nxt = sample_successor(*m.row(z, a), u)
+    for a_name, nxt in zip(actions, visited[1:]):
         ps = m.states[nxt]
         nxt_text = _state_text(ps)
         lines.append(f"--{a_name}--> ({z_text}, {a_name})")
         lines.append(f"--e={{{','.join(sorted(ps.game.occurred))}}}--> "
                      f"{nxt_text}")
-        actions.append(a_name)
-        indices.append(nxt)
-        z, z_text = nxt, nxt_text
+        z_text = nxt_text
+    outcome = _OUTCOMES[code]
     lines.append(f"terminal: {outcome}")
-    return Trajectory(outcome, indices, actions, lines)
+    return Trajectory(outcome, visited, actions, lines)
 
 
 @dataclass
@@ -118,10 +95,9 @@ def estimate_success(m: ProductMdp, policy, n: int, seed: int,
         raise ValueError("need at least one rollout")
     if max_steps is None:
         max_steps = default_max_steps(m)
-    policy_row = m.n_actions * np.arange(m.n_states) + policy.action_index
-    outcomes = rollout_batch_numpy(m.row_ptr, m.cols, m.probs, policy_row,
-                                   m.accepting, m.sink, m.z0, n, seed,
-                                   max_steps)
+    outcomes = rollout_batch_numpy(m.row_ptr, m.cols, m.probs,
+                                   _policy_rows(m, policy), m.accepting,
+                                   m.sink, m.z0, n, seed, max_steps)
     successes = int((outcomes == 1).sum())
     tally = {
         "accept": successes,

@@ -74,9 +74,6 @@ class Policy:
             return STAY_ACTION
         return self.actions[self.action_index[z]]
 
-    def __getitem__(self, z: int) -> str:
-        return self.action_name(z)
-
 
 def q_values(m: ProductMdp, values: np.ndarray) -> np.ndarray:
     contrib = m.probs * values[m.cols]

@@ -28,13 +28,7 @@ import numpy as np
 from ._kernels import wilson_interval
 from .formula import DistributionSpec, EventSet, FiniteTable, Geometric
 from .game_model import env_subsets
-from .timed_automata import (
-    ClockVector,
-    Dta,
-    ExplicitDta,
-    ProgressionDta,
-    TimedWord,
-)
+from .timed_automata import ProgressionDta, TimedWord
 
 
 class StaError(ValueError):
@@ -43,16 +37,12 @@ class StaError(ValueError):
 
 @dataclass(frozen=True)
 class StaState:
-    """Automaton configuration plus event clocks and the pending set."""
+    """Automaton location plus event clocks and the pending set."""
 
-    config: object
+    config: int | None
     clocks: tuple[int, ...]
     pending: frozenset[str]
     sink: bool = False
-
-    def clock_vector(self, names) -> ClockVector:
-        stopped = tuple(n not in self.pending for n in names)
-        return ClockVector(tuple(names), self.clocks, stopped)
 
 
 SINK = StaState(config=None, clocks=(), pending=frozenset(), sink=True)
@@ -73,18 +63,14 @@ def _outcome_prob(haz: dict[str, float], e) -> float:
 
 
 class StaModel:
-    """Deterministic timed automaton plus external-event distributions."""
+    """Progression automaton of the formula plus one clock per external
+    event, each running until its event fires."""
 
-    def __init__(self, dta: Dta, events: EventSet):
+    def __init__(self, dta: ProgressionDta, events: EventSet):
         self.dta = dta
         self.events = events
         self.event_names = tuple(events.names)
         self._dist = {name: d for name, d in events}
-        self._clock_bound = (dta.clock_bound if isinstance(dta, ExplicitDta)
-                             else None)
-
-    def dist(self, name) -> DistributionSpec:
-        return self._dist[name]
 
     def initial(self, symbol) -> tuple[StaState, float]:
         """Zero-time move consuming the initial symbol.
@@ -136,7 +122,7 @@ class StaModel:
         # pending clocks advance; those of the events that occur reset
         clocks = tuple(0 if name in e else c + 1 if name in q.pending else c
                        for name, c in zip(self.event_names, q.clocks))
-        config = self._saturate(self.dta.step_config(q.config, symbol, 1))
+        config = self.dta.step_config(q.config, symbol, 1)
         return StaState(config, clocks, q.pending - e), p
 
     def is_accepting(self, q: StaState) -> bool:
@@ -183,7 +169,7 @@ class StaModel:
         """Can any future (events firing at most once) reach acceptance?"""
         base_atoms = [a for a in self.dta.atoms if a not in self.event_names]
         seen = set()
-        stack = [(self._saturate(q.config), frozenset(q.pending))]
+        stack = [(q.config, frozenset(q.pending))]
         while stack:
             config, pending = stack.pop()
             if (config, pending) in seen:
@@ -198,19 +184,9 @@ class StaModel:
                     symbol = frozenset(
                         a for i, a in enumerate(base_atoms) if mask >> i & 1
                     ) | extra
-                    nxt = self._saturate(
-                        self.dta.step_config(config, symbol, 1))
-                    stack.append((nxt, pending - extra))
+                    stack.append((self.dta.step_config(config, symbol, 1),
+                                  pending - extra))
         return False
-
-    def _saturate(self, config):
-        """Explicit-automaton clocks saturate at the automaton's
-        `clock_bound`: no guard or invariant tells larger values apart,
-        and saturation keeps configurations finite."""
-        if self._clock_bound is None:
-            return config
-        loc, values = config
-        return (loc, tuple(min(v, self._clock_bound) for v in values))
 
 
 class TruncatedSta(StaModel):
@@ -299,7 +275,10 @@ class StepTable:
         missing = np.flatnonzero(nxt < 0)
         if missing.size:
             n_labels = len(self.labels)
-            pairs = np.unique(q_ids[missing] * n_labels + label_ids[missing])
+            # the distinct pairs in increasing order; plain `np.unique`
+            # would import `numpy.ma` on its first call
+            pairs = np.sort(q_ids[missing] * n_labels + label_ids[missing])
+            pairs = pairs[np.diff(pairs, prepend=-1) != 0]
             for pair in pairs.tolist():
                 q, lab = divmod(pair, n_labels)
                 q2, p = self.sta.step(self.states[q], self.labels[lab])
@@ -350,8 +329,6 @@ def truncation_error_estimate(m: StaModel, mt: TruncatedSta, n: int, seed: int,
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    if not isinstance(m.dta, ProgressionDta):
-        raise StaError("estimate requires a progression-built automaton")
     agent_prop_prob = agent_prop_prob or {}
     points = mt.points
     max_T = max(points.values(), default=0)
@@ -363,10 +340,10 @@ def truncation_error_estimate(m: StaModel, mt: TruncatedSta, n: int, seed: int,
     never = 1 << 40
 
     rng = np.random.default_rng(seed)
-    occ = {name: sample_occurrence_steps(m.dist(name), n, rng, never)
+    occ = {name: sample_occurrence_steps(m.events.dist(name), n, rng, never)
            for name in m.event_names}
 
-    dta: ProgressionDta = m.dta
+    dta = m.dta
     table = np.asarray(dta.table, dtype=np.int64)
     atom_bit = {a: 1 << i for i, a in enumerate(dta.atoms)}
     agent_atoms = [a for a in dta.atoms if a not in m.event_names]

@@ -4,13 +4,14 @@ Two automaton representations share one stepping interface:
 
 * :class:`ProgressionDta` is built from a formula by one-step progression;
   window bounds live inside the location formulas, so it carries no clocks.
+  It is the automaton the stochastic TA steps.
 * :class:`ExplicitDta` is loaded from a text file with named locations,
-  clocks, guards, and resets (used for hand-built reference automata and
-  user-supplied specifications).
+  clocks, guards, and resets.  It is the format of hand-built reference
+  automata, such as the oracle of ``translate --oracle``.
 
 Time is discrete with unit steps: the word entry at index i carries
 timestamp i, the first symbol is consumed with zero elapsed time, and every
-later symbol advances all running clocks by one before guards are checked.
+later symbol advances all clocks by one before guards are checked.
 """
 
 from __future__ import annotations
@@ -49,16 +50,10 @@ class AutomatonError(ValueError):
 
 @dataclass(frozen=True)
 class ClockVector:
-    """Integer clock values with per-clock stopped flags."""
+    """Integer clock values, one per named clock."""
 
     clocks: tuple[str, ...]
     values: tuple[int, ...]
-    stopped: tuple[bool, ...]
-
-    @classmethod
-    def zero(cls, clocks) -> "ClockVector":
-        clocks = tuple(clocks)
-        return cls(clocks, (0,) * len(clocks), (False,) * len(clocks))
 
     def index(self, clock: str) -> int:
         try:
@@ -70,28 +65,22 @@ class ClockVector:
         return self.values[self.index(clock)]
 
     def advance(self, t: int) -> "ClockVector":
-        """Advance every running clock by t; stopped clocks hold."""
+        """Advance every clock by t."""
         if t == 0:
             return self
-        vals = tuple(v if s else v + t
-                     for v, s in zip(self.values, self.stopped))
-        return ClockVector(self.clocks, vals, self.stopped)
+        return ClockVector(self.clocks, tuple(v + t for v in self.values))
 
-    def reset(self, zero=(), stop=()) -> "ClockVector":
-        """Zero the clocks in `zero`; additionally stop those in `stop`."""
-        zero = set(zero) | set(stop)
+    def reset(self, zero=()) -> "ClockVector":
+        """Zero the clocks in `zero`."""
+        zero = set(zero)
         for c in zero:
             self.index(c)
         vals = tuple(0 if c in zero else v
                      for c, v in zip(self.clocks, self.values))
-        stopped = tuple(True if c in stop else s
-                        for c, s in zip(self.clocks, self.stopped))
-        return ClockVector(self.clocks, vals, stopped)
+        return ClockVector(self.clocks, vals)
 
     def __str__(self):
-        body = ", ".join(
-            f"{c}={v}{'*' if s else ''}"
-            for c, v, s in zip(self.clocks, self.values, self.stopped))
+        body = ", ".join(f"{c}={v}" for c, v in zip(self.clocks, self.values))
         return f"[{body}]"
 
 
@@ -191,9 +180,6 @@ class TimedWord:
 
     def __iter__(self):
         return iter(self.symbols)
-
-    def entries(self):
-        return list(enumerate(self.symbols))
 
     @classmethod
     def from_sets(cls, sets) -> "TimedWord":
@@ -388,9 +374,7 @@ def formula_atoms(f: Formula) -> set[str]:
         return {f.name}
     if isinstance(f, Not):
         return formula_atoms(f.operand)
-    if isinstance(f, (And, Or)):
-        return formula_atoms(f.left) | formula_atoms(f.right)
-    if isinstance(f, Until):
+    if isinstance(f, (And, Or, Until)):
         return formula_atoms(f.left) | formula_atoms(f.right)
     return set()
 
@@ -434,11 +418,9 @@ def run_dta(dta: Dta, word: TimedWord) -> RunResult:
     config = dta.initial_config()
     trace = [(dta.location_label(config), dta.clock_values(config))]
     accepted = dta.is_accepting(config)
-    prev_t = 0
     for i, symbol in enumerate(word):
-        tau = i - prev_t if i > 0 else 0
-        config = dta.step_config(config, frozenset(symbol), tau)
-        prev_t = i
+        # the first symbol is read at time 0, each later one a step after
+        config = dta.step_config(config, frozenset(symbol), min(i, 1))
         trace.append((dta.location_label(config), dta.clock_values(config)))
         accepted = accepted or dta.is_accepting(config)
     return RunResult(accepted, trace)
@@ -722,8 +704,7 @@ class ExplicitDta(Dta):
                 for _ in self.clocks:
                     vals.append(rest % (k + 1))
                     rest //= k + 1
-                v = ClockVector(self.clocks, tuple(vals),
-                                (False,) * len(self.clocks))
+                v = ClockVector(self.clocks, tuple(vals))
                 for symbol in masks:
                     enabled = self._enabled(loc, symbol, v)
                     if len(enabled) > 1:
@@ -748,7 +729,7 @@ class ExplicitDta(Dta):
         loc, values = config
         if loc == REJECT_LOCATION:
             return config
-        v = ClockVector(self.clocks, values, (False,) * len(self.clocks))
+        v = ClockVector(self.clocks, values)
         if tau > 0:
             # invariant must hold while time elapses in the source location
             inv = self.invariants.get(loc)

@@ -124,18 +124,36 @@ def test_simulate_rejects_malformed_policy(tmp_path, capsys,
     ("simulate", "--logs", "-2"),
     ("plan", "--cap", "0"),
     ("plan", "--cap", "-4"),
+    ("translate", "--words", "-5"),
+    ("translate", "--words", "0"),
+    ("translate", "--max-len", "-1"),
 ])
 def test_out_of_range_option_exits_2(tmp_path, capsys, case2_policy_lines,
                                      command, option, value):
     policy = tmp_path / "policy.txt"
     policy.write_text("\n".join(case2_policy_lines) + "\n")
     rollouts = ["--policy", str(policy), "-n", "10"] * (command == "simulate")
+    model = ["--grid", str(DATA / "case2.grid"),
+             "--uniform-T", "3"] * (command != "translate")
+    oracle = ["--oracle", str(DATA / "bus_oracle.dta")] * (command == "translate")
     with pytest.raises(SystemExit) as exc:
-        main([command, "--formula", BUS_CASE2,
-              "--grid", str(DATA / "case2.grid"), "--uniform-T", "3",
-              *rollouts, option, value, "--out", str(tmp_path)])
+        main([command, "--formula", BUS_CASE2, *model, *rollouts, *oracle,
+              option, value, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"error: argument {option}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--tol", "--max-iter"])
+def test_simulate_has_no_solver_options(tmp_path, capsys, case2_policy_lines,
+                                        option):
+    policy = tmp_path / "policy.txt"
+    policy.write_text("\n".join(case2_policy_lines) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--formula", BUS_CASE2,
+              "--grid", str(DATA / "case2.grid"), "--uniform-T", "3",
+              "--policy", str(policy), option, "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
 
 def test_plan_eps_zero_with_uniform_T_exits_2(tmp_path, capsys):
@@ -156,6 +174,40 @@ def test_plan_station_named_like_an_event_exits_3(tmp_path, capsys):
     assert code == 3
     assert "grid: label of ((2, 2), {}, {b1,b2}) shows ['b1'], outcome was []" \
         in err
+
+
+@pytest.mark.parametrize("line, key", [
+    ("width = abc", "width"),
+    ("height = 4.5", "height"),
+    ("slip = a,0.1,0.1", "slip"),
+])
+def test_plan_malformed_grid_number_exits_3(tmp_path, capsys, line, key):
+    grid = tmp_path / "bad.grid"
+    grid.write_text((DATA / "case2.grid").read_text() + line + "\n")
+    code, _, err = run(capsys, "plan", "--formula", BUS_CASE2,
+                       "--grid", str(grid), "--uniform-T", "3",
+                       "--out", str(tmp_path))
+    assert code == 3
+    assert f"grid: grid key {key!r}: bad number" in err
+
+
+def test_plan_does_not_import_numpy_ma(tmp_path):
+    # plain `np.unique` imports `numpy.ma` on its first call, which costs
+    # every `plan` process 10-15 ms
+    src = str(Path(mitlplan.__file__).resolve().parent.parent)
+    script = ("import sys\n"
+              "from mitlplan.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "assert code == 0, code\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "plan", "--formula", BUS_CASE1,
+         "--grid", str(DATA / "case1.grid"), "--uniform-T", "3",
+         "--out", str(tmp_path)],
+        env=env, check=True, capture_output=True, text=True, timeout=300)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_plan_nonconvergence_exit(tmp_path, capsys):

@@ -26,12 +26,10 @@ from mitlplan.formula import (
     Until,
     ZeroSurvivalError,
     eventually,
-    hazard,
     normalize,
     parse,
     pretty,
     substitute_dist,
-    tail,
     truncation_vector,
     uniform_truncation_vector,
     until,
@@ -258,10 +256,10 @@ def test_substitute_idempotent_and_preserving():
 # ---------------------------------------------------------------------------
 
 def test_geometric_tail_closed_form():
-    assert tail(Geometric(0.3), 3) == (1 - 0.3) ** 3
-    assert abs(tail(Geometric(0.3), 3) - 0.343) < 1e-15
-    assert tail(Geometric(0.4), 5) == (1 - 0.4) ** 5
-    assert abs(tail(Geometric(0.4), 5) - 0.07776) < 1e-15
+    assert Geometric(0.3).tail(3) == (1 - 0.3) ** 3
+    assert abs(Geometric(0.3).tail(3) - 0.343) < 1e-15
+    assert Geometric(0.4).tail(5) == (1 - 0.4) ** 5
+    assert abs(Geometric(0.4).tail(5) - 0.07776) < 1e-15
 
 
 def test_tail_matches_pmf_summation():
@@ -283,25 +281,25 @@ def test_geometric_hazard_constant():
     for p in (0.3, 0.4, 0.7, 0.8):
         d = Geometric(p)
         for t in range(1, 21):
-            assert hazard(d, t) == p
+            assert d.hazard(t) == p
             # matches the pmf/survival ratio
             survival = d.tail(t - 1)
             assert d.pmf(t) / survival == pytest.approx(p, abs=1e-12)
 
 
 def test_hazard_geometric_example():
-    assert hazard(Geometric(0.8), 7) == 0.8
+    assert Geometric(0.8).hazard(7) == 0.8
 
 
 def test_hazard_table():
     d = FiniteTable(((1, 0.5), (2, 0.5)))
-    assert hazard(d, 2) == pytest.approx(1.0, abs=1e-12)
+    assert d.hazard(2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hazard_zero_survival():
     d = FiniteTable(((1, 1.0),))
     with pytest.raises(ZeroSurvivalError):
-        hazard(d, 2)
+        d.hazard(2)
 
 
 def test_table_validation():

@@ -35,9 +35,9 @@ def test_grid_basics(grid):
 
 
 def test_grid_station_labels(grid):
-    s = GameState((0, 3), None, frozenset(), frozenset())
+    s = GameState((0, 3), frozenset(), frozenset())
     assert grid.label(s) == {"b3"}
-    s2 = GameState((0, 3), None, frozenset(), frozenset({"b1"}))
+    s2 = GameState((0, 3), frozenset(), frozenset({"b1"}))
     assert grid.label(s2) == {"b3", "b1"}
 
 

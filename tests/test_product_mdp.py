@@ -11,7 +11,12 @@ from mitlplan.formula import (
     uniform_truncation_vector,
 )
 from mitlplan.game_model import GridWorldConfig, build_gridworld, env_subsets, load_game
-from mitlplan.product_mdp import ProductError, build_product, model_hash
+from mitlplan.product_mdp import (
+    DOT_MAX_STATES,
+    ProductError,
+    build_product,
+    model_hash,
+)
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import build_dta
 
@@ -44,7 +49,7 @@ def test_pending_synchronized(case1_T3):
 def test_motion_times_outcome_factor(case1_T3):
     # east move succeeding while only the fast bus fires: 0.8 * 0.56
     m, _ = case1_T3
-    a = m.action_index("E")
+    a = m.actions.index("E")
     want = None
     for z2, p in m.successors(m.z0, a):
         ps = m.states[z2]
@@ -59,17 +64,22 @@ def test_absorbing_self_loops(case1_T3):
     for z in np.flatnonzero(m.absorbing):
         for a in range(m.n_actions):
             assert m.successors(z, a) == [(z, 1.0)]
-            assert m.reward(z, a, z) == 0.0
+            assert m.reward_row[z * m.n_actions + a] == 0.0
 
 
 def test_reward_on_entry_only(case1_T3):
+    # a row earns the mass of its accepting successors, and nothing at an
+    # absorbing state
     m, _ = case1_T3
-    zacc = int(np.flatnonzero(m.accepting)[0])
-    zsink = int(np.flatnonzero(m.sink)[0])
-    znorm = m.z0
-    assert m.reward(znorm, 0, zacc) == 1.0
-    assert m.reward(znorm, 0, zsink) == 0.0
-    assert m.reward(zacc, 0, zacc) == 0.0
+    assert m.accepting.any() and m.sink.any()
+    for z in range(m.n_states):
+        for a in range(m.n_actions):
+            want = 0.0
+            if not m.absorbing[z]:
+                for z2, p in m.successors(z, a):
+                    if m.accepting[z2]:
+                        want += p
+            assert m.reward_row[z * m.n_actions + a] == want
 
 
 def test_marginalization_recovers_game_kernel(case1_T3):
@@ -161,20 +171,12 @@ def test_state_count_grows_with_T():
 
 def test_stats_and_dumps(case1_T3):
     m, _ = case1_T3
-    st = m.stats(horizon=10)
-    assert st["states"] == m.n_states
-    assert st["edges"] == m.n_edges
-    assert 0.0 <= st["sink_mass"] <= 1.0
     text = m.to_text()
     assert f"init {m.z0}" in text
     assert text.count("\ntrans ") == m.n_edges
+    assert m.n_states > DOT_MAX_STATES
     with pytest.raises(ProductError):
-        m.to_dot(max_states=10)
-
-
-def test_sink_mass_increases_with_horizon(case1_T3):
-    m, _ = case1_T3
-    assert m.sink_mass(12) >= m.sink_mass(4) >= 0.0
+        m.to_dot()
 
 
 def test_build_deterministic(case1_T3):

@@ -48,7 +48,7 @@ def test_rollout_transitions_positive_probability(planned_case2):
     for seed in range(20):
         traj = rollout(m, pol, seed=seed)
         for z, z2 in zip(traj.state_indices, traj.state_indices[1:]):
-            a = m.action_index(pol.action_name(z))
+            a = m.actions.index(pol.action_name(z))
             assert dict(m.successors(z, a)).get(z2, 0.0) > 0.0
 
 
@@ -96,12 +96,12 @@ def test_estimate_consistent_with_value(planned_case2):
     assert est.ci_low <= est.rate <= est.ci_high
 
 
-def loop_estimate(m, pol, n, seed):
+def loop_estimate(m, pol, n, seed, max_steps=None):
     """estimate_success's rate and tally, from the scalar loop kernel."""
     policy_row = m.n_actions * np.arange(m.n_states) + pol.action_index
     codes = rollout_batch_loop(m.row_ptr, m.cols, m.probs, policy_row,
                                m.accepting, m.sink, m.z0, n, seed,
-                               default_max_steps(m))
+                               max_steps or default_max_steps(m))
     tally = {"accept": int((codes == 1).sum()),
              "sink": int((codes == 2).sum()),
              "step-limit": int((codes == 0).sum())}
@@ -116,6 +116,18 @@ def test_estimate_backends_identical(planned_case2):
     b = loop_estimate(m, pol, 5000, seed=3)
     assert a.rate == b.rate
     assert a.outcomes == b.outcomes
+
+
+@pytest.mark.parametrize("max_steps", [1, 2, 3])
+def test_step_limit_after_exactly_max_steps(planned_case2, max_steps):
+    m, pol, _ = planned_case2
+    a = estimate_success(m, pol, 2000, seed=5, max_steps=max_steps)
+    b = loop_estimate(m, pol, 2000, seed=5, max_steps=max_steps)
+    assert a.outcomes == b.outcomes
+    assert a.outcomes["step-limit"] > 0
+    limited = [t for t in (rollout(m, pol, seed=s, max_steps=max_steps)
+                           for s in range(20)) if t.outcome == "step-limit"]
+    assert limited and all(t.steps == max_steps for t in limited)
 
 
 def test_rollout_streams_do_not_overlap():

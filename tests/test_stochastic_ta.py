@@ -102,8 +102,9 @@ def test_step_event_resets_and_stops(bus1_sta):
     assert q1.pending == {"b2"}
     clocks = dict(zip(bus1_sta.event_names, q1.clocks))
     assert clocks == {"b1": 0, "b2": 1}
-    vec = q1.clock_vector(bus1_sta.event_names)
-    assert vec.stopped == (True, False)
+    # the clock of the event that occurred holds at zero
+    q2, _ = bus1_sta.step(q1, frozenset())
+    assert dict(zip(bus1_sta.event_names, q2.clocks)) == {"b1": 0, "b2": 2}
 
 
 def test_step_case1_probability_one(bus1_sta):

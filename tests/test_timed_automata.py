@@ -46,11 +46,9 @@ from conftest import BUS_CASE1, DATA
 # clock vectors and constraints
 # ---------------------------------------------------------------------------
 
-def vec(values, stopped=None, clocks=None):
-    n = len(values)
-    clocks = tuple(clocks or (f"x{i+1}" for i in range(n)))
-    stopped = tuple(stopped or [False] * n)
-    return ClockVector(clocks, tuple(values), stopped)
+def vec(values, clocks=None):
+    clocks = tuple(clocks or (f"x{i+1}" for i in range(len(values))))
+    return ClockVector(clocks, tuple(values))
 
 
 def test_eval_compare():
@@ -84,21 +82,15 @@ def test_advance_uniform():
     assert vec([0, 0, 0, 0]).advance(1).values == (1, 1, 1, 1)
 
 
-def test_advance_respects_stopped():
-    v = vec([0, 1, 0, 1], stopped=[True, False, False, False])
-    assert v.advance(1).values == (0, 2, 1, 2)
-
-
 def test_advance_zero_identity():
     v = vec([3, 1])
     assert v.advance(0) is v
 
 
-def test_reset_and_stop():
-    v = vec([0, 1, 0, 1])
-    r = v.reset(zero={"x1", "x3"}, stop={"x1"})
+def test_reset():
+    v = vec([2, 1, 3, 1])
+    r = v.reset(zero={"x1", "x3"})
     assert r.values == (0, 1, 0, 1)
-    assert r.stopped == (True, False, False, False)
 
 
 def test_reset_empty_identity():
@@ -108,8 +100,8 @@ def test_reset_empty_identity():
 
 def test_reset_idempotent():
     v = vec([5, 5])
-    once = v.reset(zero={"x1"}, stop={"x2"})
-    twice = once.reset(zero={"x1"}, stop={"x2"})
+    once = v.reset(zero={"x1"})
+    twice = once.reset(zero={"x1"})
     assert once == twice
 
 
