@@ -4,7 +4,8 @@ Subcommands: translate (formula to automaton), plan (synthesize a policy),
 simulate (roll out a stored policy), monitor (verdict and likelihood of an
 observed word), bench (truncation sweep as CSV).  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 2 parse/validation, 3 environment
-load, 4 product build, 5 solver non-convergence, 6 stale policy.
+load, 4 automaton or product build, 5 solver non-convergence, 6 stale
+policy.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import random
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +45,7 @@ from .solver import (
 from .stochastic_ta import StaModel, TimedWord, truncate
 from .timed_automata import (
     AutomatonError,
-    build_dta,
+    ProgressionDta,
     dta_to_dot,
     load_dta,
     pretty,
@@ -151,17 +153,27 @@ def make_truncation(args, f, u):
 
 
 def build_automaton(f, cap):
-    """The distribution-substituted formula and its progression DTA."""
+    """The distribution-substituted formula and its progression DTA, whose
+    table entries are computed as steps read them; run every step under
+    `stepping`."""
     phid = fm.substitute_dist(f)
+    return phid, ProgressionDta(phid, cap=cap)
+
+
+@contextmanager
+def stepping():
+    """Steps of an automaton that may reach more than its `--cap`
+    locations exit with code 4."""
     try:
-        return phid, build_dta(phid, cap=cap)
+        yield
     except AutomatonError as exc:
         _fail(EXIT_PRODUCT, f"automaton: {exc}")
 
 
 def validated_product(game, tsta):
     try:
-        product = build_product(game, tsta)
+        with stepping():
+            product = build_product(game, tsta)
         product.validate()
     except ProductError as exc:
         _fail(EXIT_PRODUCT, f"product: {exc}")
@@ -260,6 +272,8 @@ def read_policy(path, built):
 def cmd_translate(args):
     f, u = load_formula(args)
     phid, dta = build_automaton(f, args.cap)
+    with stepping():
+        dta.close()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump = ["# progression automaton",
@@ -389,7 +403,8 @@ def cmd_monitor(args):
             _fail(EXIT_VALIDATION,
                   f"word step {i} references unknown propositions "
                   f"{sorted(unknown)}")
-    verdict, likelihood, _states = sta.run_word(word)
+    with stepping():
+        verdict, likelihood, _states = sta.run_word(word)
     print(f"verdict: {verdict}")
     print(f"likelihood: {likelihood!r}")
     return 0
@@ -460,7 +475,7 @@ def _add_formula_args(p):
     p.add_argument("--formula", help="formula text")
     p.add_argument("--formula-file", help="file containing the formula")
     p.add_argument("--cap", type=_at_least(1), default=20000,
-                   help="automaton location cap")
+                   help="most automaton locations a run may reach")
 
 
 def _add_env_args(p):

@@ -19,7 +19,11 @@ carrying the sum of its weights in discovery order.
 
 `build_product` keeps that numbering with whole-array steps.  The game is
 compiled once to integer tables (`Game.compiled`) and the automaton is
-stepped once per (state, label) pair (`StepTable`).  The search then
+stepped once per (state, label) pair (`StepTable`); a progression
+automaton computes only the table entries those steps read, so its
+locations, the ``q<n>`` of `describe_spec_state`, are numbered in the
+order the product reaches them.  No product index depends on that
+numbering: `StepTable` ids follow first sight.  The search then
 expands one breadth-first layer at a time: every successor of the layer
 is packed into an int64 key ``sta_id * n_game + game_id``, looked up
 among the sorted keys of the known states, and the new keys get indices

@@ -343,7 +343,8 @@ def truncation_error_estimate(m: StaModel, mt: TruncatedSta, n: int, seed: int,
     occ = {name: sample_occurrence_steps(m.events.dist(name), n, rng, never)
            for name in m.event_names}
 
-    dta = m.dta
+    # the walk reads the table densely, so every entry must be computed
+    dta = m.dta.close()
     table = np.asarray(dta.table, dtype=np.int64)
     atom_bit = {a: 1 << i for i, a in enumerate(dta.atoms)}
     agent_atoms = [a for a in dta.atoms if a not in m.event_names]

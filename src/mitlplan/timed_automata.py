@@ -2,9 +2,10 @@
 
 Two automaton representations share one stepping interface:
 
-* :class:`ProgressionDta` is built from a formula by one-step progression;
-  window bounds live inside the location formulas, so it carries no clocks.
-  It is the automaton the stochastic TA steps.
+* :class:`ProgressionDta` is built from a formula by one-step progression,
+  one table entry at a time as steps read them; window bounds live inside
+  the location formulas, so it carries no clocks.  It is the automaton the
+  stochastic TA steps.
 * :class:`ExplicitDta` is loaded from a text file with named locations,
   clocks, guards, and resets.  It is the format of hand-built reference
   automata, such as the oracle of ``translate --oracle``.
@@ -17,7 +18,6 @@ later symbol advances all clocks by one before guards are checked.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 
 from .formula import (
@@ -210,40 +210,26 @@ class TimedWord:
 # Formula progression
 # ---------------------------------------------------------------------------
 
-def _clauses(f: Formula) -> frozenset[frozenset[Formula]]:
-    """Disjunctive normal form over non-boolean units.
-
-    A formula maps to a set of clauses (disjuncts); each clause is a set of
-    unit formulas (conjuncts).  True is the single empty clause, False the
-    empty clause set.  Units (atoms, literals, untils) must already be
-    canonical.
-    """
-    if isinstance(f, TrueF):
-        return frozenset([frozenset()])
-    if isinstance(f, FalseF):
-        return frozenset()
-    if isinstance(f, Or):
-        return _clauses(f.left) | _clauses(f.right)
-    if isinstance(f, And):
-        left = _clauses(f.left)
-        right = _clauses(f.right)
-        return frozenset(a | b for a in left for b in right)
-    return frozenset([frozenset([f])])
-
-
 class _Progression:
     """Memo tables of one automaton build.
 
     Canonical forms and one-step progressions are memoized per
-    (subformula, symbol) for as long as the context lives.  `build_dta`
-    owns one context and drops it when it returns, so nothing at module
-    level outlives a build; sort keys are the ``pretty`` text cached on
-    each node.
+    (subformula, symbol) for as long as the context lives, and so is the
+    clause set of every canonical conjunction and disjunction, which is
+    what canonicalizing a parent reads instead of walking the child again.
+    Clauses are interned in a pool, so a clause shared by many clause sets
+    is stored once.  An automaton owns one context and drops it once its
+    table is closed, so nothing at module level outlives a build; sort
+    keys are the ``pretty`` text cached on each node.
     """
 
     def __init__(self):
         self.canonical_forms: dict[Formula, Formula] = {}
-        self.progressed: dict[tuple[Formula, frozenset], Formula] = {}
+        # symbol -> subformula -> progression; one table per symbol
+        # keeps a key tuple from being allocated for every entry
+        self.progressed: dict[frozenset, dict[Formula, Formula]] = {}
+        self.clause_sets: dict[Formula, tuple[frozenset[Formula], ...]] = {}
+        self.clause_pool: dict[frozenset[Formula], frozenset[Formula]] = {}
 
     def canonical(self, f: Formula) -> Formula:
         got = self.canonical_forms.get(f)
@@ -252,6 +238,23 @@ class _Progression:
             self.canonical_forms[f] = got
             self.canonical_forms[got] = got
         return got
+
+    def clauses(self, g: Formula) -> tuple[frozenset[Formula], ...]:
+        """Disjunctive normal form of a canonical formula.
+
+        A formula maps to its clauses (disjuncts); each clause is a set of
+        unit formulas (conjuncts): atoms, literals and untils.  True is
+        the single empty clause, False has no clause.  A canonical
+        conjunction or disjunction was built from its clause set, which is
+        read back from the memo.
+        """
+        if isinstance(g, (And, Or)):
+            return self.clause_sets[g]
+        if isinstance(g, TrueF):
+            return (frozenset(),)
+        if isinstance(g, FalseF):
+            return ()
+        return (frozenset([g]),)
 
     def _canonical_node(self, f: Formula) -> Formula:
         canonical = self.canonical
@@ -278,8 +281,12 @@ class _Progression:
                 return FALSE
             return until(left, right, iv)
         if isinstance(f, (And, Or)):
-            ctor = And if isinstance(f, And) else Or
-            clauses = _clauses(ctor(canonical(f.left), canonical(f.right)))
+            left = self.clauses(canonical(f.left))
+            right = self.clauses(canonical(f.right))
+            if isinstance(f, And):
+                clauses = {a | b for a in left for b in right}
+            else:
+                clauses = {*left, *right}
             # absorption: a clause implied by a smaller one is redundant
             kept = [c for c in clauses
                     if not any(other < c for other in clauses)]
@@ -298,15 +305,20 @@ class _Progression:
             acc = disjuncts[0]
             for g in disjuncts[1:]:
                 acc = Or(acc, g)
+            if isinstance(acc, (And, Or)):
+                pool = self.clause_pool
+                self.clause_sets[acc] = tuple(pool.setdefault(c, c)
+                                              for c in kept)
             return acc
         raise TypeError(f"not a formula: {f!r}")
 
     def progress(self, f: Formula, symbol: frozenset) -> Formula:
-        key = (f, symbol)
-        got = self.progressed.get(key)
+        memo = self.progressed.get(symbol)
+        if memo is None:
+            memo = self.progressed[symbol] = {}
+        got = memo.get(f)
         if got is None:
-            got = self.canonical(self._progress_node(f, symbol))
-            self.progressed[key] = got
+            got = memo[f] = self.canonical(self._progress_node(f, symbol))
         return got
 
     def _progress_node(self, g: Formula, symbol: frozenset) -> Formula:
@@ -349,8 +361,8 @@ def canonical(f: Formula) -> Formula:
     a total structural order and constants absorbed.  Keeping residuals in
     this shape is what makes the progression closure finite.
 
-    Memoized only within this call; `build_dta` keeps one memo for a
-    whole build.
+    Memoized only within this call; a `ProgressionDta` keeps one memo
+    until its table is closed.
     """
     return _Progression().canonical(f)
 
@@ -361,7 +373,7 @@ def progress(f: Formula, symbol) -> Formula:
     TRUE means the prefix already satisfies the formula, FALSE that it
     already violates it.  The input must be distribution-free and in
     negation normal form.  Results are canonical.  They are memoized per
-    (subformula, symbol) within one build, which is what keeps closure
+    (subformula, symbol) within one automaton, which is what keeps closure
     construction cheap; this function memoizes only within the call.
     """
     if not isinstance(symbol, frozenset):
@@ -436,22 +448,69 @@ class ProgressionDta(Dta):
     Configs are integer location indices.  The transition table is total
     over subsets of the tracked atoms; symbols are restricted to the
     tracked atoms before lookup, so untracked propositions are ignored.
+
+    The automaton starts with its initial location alone, and a table
+    entry is computed by progression the first time a step reads it (the
+    on-the-fly construction of Couvreur, FM 1999).  Locations are numbered
+    in the order steps first reach them, and the table holds -1 where an
+    entry is not computed yet.  `close` computes every entry.  Raises
+    AutomatonError when more than `cap` locations are reached.
     """
 
-    def __init__(self, init_formula, locations, table, atoms):
-        self.locations: list[Formula] = locations
-        self.table: list[list[int]] = table
-        self.atoms = tuple(atoms)
+    def __init__(self, phi_d: Formula, cap: int = 20000):
+        self._memo = _Progression()
+        init = self._memo.canonical(normalize(phi_d))
+        self.atoms = tuple(sorted(formula_atoms(init)))
         self._atom_bit = {a: 1 << i for i, a in enumerate(self.atoms)}
-        self.init_index = locations.index(init_formula)
-        self.accept_index = self._find(TRUE)
-        self.reject_index = self._find(FALSE)
+        # symbol i holds the atoms of bit mask i
+        self._symbols = [
+            frozenset(a for i, a in enumerate(self.atoms) if mask >> i & 1)
+            for mask in range(1 << len(self.atoms))]
+        self.cap = cap
+        self.locations: list[Formula] = []
+        self.table: list[list[int]] = []
+        self._index: dict[Formula, int] = {}
+        self.accept_index = -1
+        self.reject_index = -1
+        self.init_index = self._intern(init)
 
-    def _find(self, f):
-        try:
-            return self.locations.index(f)
-        except ValueError:
-            return -1
+    def _intern(self, f: Formula) -> int:
+        j = self._index.get(f)
+        if j is None:
+            if len(self.locations) >= self.cap:
+                raise AutomatonError(
+                    f"progression closure exceeded {self.cap} locations")
+            j = self._index[f] = len(self.locations)
+            self.locations.append(f)
+            self.table.append([-1] * len(self._symbols))
+            if isinstance(f, TrueF):
+                self.accept_index = j
+            elif isinstance(f, FalseF):
+                self.reject_index = j
+        return j
+
+    def _fill(self, i: int, mask: int) -> int:
+        """Compute table entry (i, mask) by progression."""
+        f = self._memo.progress(self.locations[i], self._symbols[mask])
+        j = self.table[i][mask] = self._intern(f)
+        return j
+
+    def close(self) -> "ProgressionDta":
+        """Compute every missing entry, rows in index order, and drop what
+        only filling entries needs.  On a fresh automaton this is the
+        breadth-first closure, so locations are numbered in discovery
+        order."""
+        if self._memo is None:
+            return self
+        fill, table = self._fill, self.table
+        i = 0
+        while i < len(table):
+            for mask, j in enumerate(table[i]):
+                if j < 0:
+                    fill(i, mask)
+            i += 1
+        self._memo = self._index = None
+        return self
 
     @property
     def location_count(self) -> int:
@@ -467,7 +526,11 @@ class ProgressionDta(Dta):
         return self.init_index
 
     def step_config(self, config, symbol, tau):
-        return self.table[config][self.mask_of(symbol)]
+        mask = self.mask_of(symbol)
+        j = self.table[config][mask]
+        if j < 0:
+            j = self._fill(config, mask)
+        return j
 
     def is_accepting(self, config):
         return config == self.accept_index
@@ -479,10 +542,10 @@ class ProgressionDta(Dta):
         return pretty(self.locations[config])
 
     def edges(self):
-        """Symbol-predicate edges: (src, frozenset of masks, dst) grouped
-        by destination."""
+        """Symbol-predicate edges of the closed automaton: (src, frozenset
+        of masks, dst) grouped by destination."""
         out = []
-        for i, row in enumerate(self.table):
+        for i, row in enumerate(self.close().table):
             groups: dict[int, list[int]] = {}
             for mask, dst in enumerate(row):
                 groups.setdefault(dst, []).append(mask)
@@ -494,39 +557,13 @@ class ProgressionDta(Dta):
 def build_dta(phi_d: Formula, cap: int = 20000) -> ProgressionDta:
     """Closure of one-step progression from the canonicalized formula.
 
-    The progression memo lives for this call only: once the automaton is
-    returned, its locations are all that is kept of the build.
-    Raises AutomatonError when more than `cap` locations are discovered,
-    which indicates the formula is outside the intended desk scale.
+    The automaton is closed before it is returned, with locations numbered
+    breadth-first, and its progression memo is dropped: its locations and
+    table are all that is kept of the build.  Raises AutomatonError when
+    more than `cap` locations are discovered, which indicates the formula
+    is outside the intended desk scale.
     """
-    memo = _Progression()
-    init = memo.canonical(normalize(phi_d))
-    atoms = tuple(sorted(formula_atoms(init)))
-    # symbol i holds the atoms of bit mask i, built once per automaton
-    symbols = [frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-               for mask in range(1 << len(atoms))]
-    index: dict[Formula, int] = {init: 0}
-    locations: list[Formula] = [init]
-    table: list[list[int]] = []
-    frontier = deque([init])
-    while frontier:
-        f = frontier.popleft()
-        row = []
-        for symbol in symbols:
-            succ = memo.progress(f, symbol)
-            j = index.get(succ)
-            if j is None:
-                if len(locations) >= cap:
-                    raise AutomatonError(
-                        f"progression closure exceeded {cap} locations")
-                j = len(locations)
-                index[succ] = j
-                locations.append(succ)
-                frontier.append(succ)
-            row.append(j)
-        # rows land in discovery order, matching `locations`
-        table.append(row)
-    return ProgressionDta(init, locations, table, atoms)
+    return ProgressionDta(phi_d, cap).close()
 
 
 # ---------------------------------------------------------------------------
@@ -835,12 +872,13 @@ def dta_to_dot(dta: Dta, max_masks: int = 3) -> str:
     """GraphViz rendering; mask groups abbreviated on progression edges."""
     lines = ["digraph dta {", "  rankdir=LR;", '  node [shape=circle];']
     if isinstance(dta, ProgressionDta):
+        edges = dta.edges()
         names = {i: f"q{i}" for i in range(dta.location_count)}
         for i, f in enumerate(dta.locations):
             shape = "doublecircle" if i == dta.accept_index else "circle"
             label = pretty(f).replace('"', "'")
             lines.append(f'  q{i} [shape={shape}, label="q{i}\\n{label}"];')
-        for src, masks, dst in dta.edges():
+        for src, masks, dst in edges:
             if dst == dta.reject_index:
                 continue
             shown = []

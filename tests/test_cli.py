@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import mitlplan
-from mitlplan.cli import main
+from mitlplan.cli import build_model, build_parser, main
 
 from conftest import DATA, BUS_CASE1, BUS_CASE2, THREE_BUS
 
@@ -208,6 +208,52 @@ def test_plan_does_not_import_numpy_ma(tmp_path):
          "--out", str(tmp_path)],
         env=env, check=True, capture_output=True, text=True, timeout=300)
     assert done.stdout.splitlines()[-1] == "False"
+
+
+CAP_OVERFLOW_RUNS = {
+    "translate": ("translate", "--formula", THREE_BUS),
+    "plan": ("plan", "--formula", THREE_BUS, "--grid",
+             str(DATA / "three_bus.grid"), "--uniform-T", "4"),
+    "monitor": ("monitor", "--formula", BUS_CASE1),
+    "bench": ("bench", "--formula", BUS_CASE1, "--grid",
+              str(DATA / "case1.grid"), "--uniform-T", "3"),
+}
+
+
+@pytest.mark.parametrize("command", CAP_OVERFLOW_RUNS)
+def test_cap_overflow_exits_4(tmp_path, capsys, command):
+    word = tmp_path / "w.txt"
+    word.write_text("-\nb1\n")
+    argv = CAP_OVERFLOW_RUNS[command] + ("--cap", "2")
+    if command == "monitor":
+        argv += ("--word", str(word))
+    elif command != "bench":
+        argv += ("--out", str(tmp_path))
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert err == "error: automaton: progression closure exceeded 2 locations\n"
+
+
+def test_cap_bounds_the_locations_a_run_reaches(tmp_path, capsys):
+    # the three-bus closure has 766 locations; this plan reaches 107
+    plan = CAP_OVERFLOW_RUNS["plan"] + ("--out", str(tmp_path))
+    assert run(capsys, *plan, "--cap", "107")[0] == 0
+    code, _, err = run(capsys, *plan, "--cap", "106")
+    assert code == 4
+    assert "progression closure exceeded 106 locations" in err
+    code, _, err = run(capsys, *CAP_OVERFLOW_RUNS["translate"], "--cap", "107",
+                       "--out", str(tmp_path))
+    assert code == 4
+    assert "progression closure exceeded 107 locations" in err
+
+
+def test_plan_computes_only_the_automaton_entries_it_steps():
+    # exact counts: a plan that computed the whole closure (766 locations,
+    # 49 024 entries) would fail here on any machine
+    args = build_parser().parse_args(CAP_OVERFLOW_RUNS["plan"])
+    dta = build_model(args).product.sta.dta
+    assert dta.location_count == 107
+    assert sum(j >= 0 for row in dta.table for j in row) == 608
 
 
 def test_plan_nonconvergence_exit(tmp_path, capsys):

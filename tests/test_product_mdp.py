@@ -18,7 +18,7 @@ from mitlplan.product_mdp import (
     model_hash,
 )
 from mitlplan.stochastic_ta import StaModel, truncate
-from mitlplan.timed_automata import build_dta
+from mitlplan.timed_automata import ProgressionDta, build_dta
 
 from _oracles import reference_product
 from conftest import DATA, BUS_CASE1, BUS_CASE2, THREE_BUS, build_case
@@ -222,12 +222,12 @@ def toy_inputs(T, game_text=None):
     return load_game(game_text or (DATA / "toy.game").read_text()), tsta
 
 
-def random_grid_inputs(seed):
+def random_grid_inputs(seed, max_bus=2):
     rng = random.Random(seed)
     width, height = rng.randint(2, 5), rng.randint(2, 5)
     cells = [(x, y) for x in range(width) for y in range(height)]
     rng.shuffle(cells)
-    n_bus = rng.randint(1, min(2, len(cells) - 1))
+    n_bus = rng.randint(1, min(max_bus, len(cells) - 1))
     buses = " | ".join(
         f"D{{geom:{rng.choice((0.3, 0.5, 0.8))}}} b{i} & "
         f"F (b{i} & F[0,{rng.randint(1, 3)}] s{i})" for i in range(n_bus))
@@ -279,3 +279,40 @@ def test_cap_is_the_exact_state_count(case1_T3):
     assert build_product(m.game, m.sta, cap=n).n_states == n
     with pytest.raises(ProductError, match=f"product exceeded {n - 1} states"):
         build_product(m.game, m.sta, cap=n - 1)
+
+
+# ---------------------------------------------------------------------------
+# the product over an automaton that computes only the entries it steps
+# ---------------------------------------------------------------------------
+
+ON_DEMAND_CASES = {
+    **{case: make for case, make in PRODUCT_CASES.items()
+       if not case.startswith("random-grid")},
+    **{f"random-grid-{seed}-up-to-3-events": (
+        lambda seed=seed: random_grid_inputs(seed, max_bus=3))
+       for seed in range(100, 108)},
+}
+
+
+def _spec_formulas(m):
+    """Per product state: its automaton state with the location formula in
+    place of the location index, which depends on the order of steps."""
+    dta = m.sta.dta
+    return [(None if q.sink else dta.locations[q.config], q.clocks,
+             q.pending, q.sink) for q in m.spec_states]
+
+
+@pytest.mark.parametrize("case", ON_DEMAND_CASES)
+def test_on_demand_automaton_gives_the_same_product(case):
+    game, tsta = ON_DEMAND_CASES[case]()
+    want = build_product(game, tsta)
+    init = tsta.dta.locations[tsta.dta.init_index]
+    lazy = truncate(StaModel(ProgressionDta(init), tsta.events), tsta.trunc)
+    got = build_product(game, lazy)
+    for name in ("row_ptr", "cols", "probs"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert np.array_equal(got.game_of, want.game_of)
+    got_spec, want_spec = _spec_formulas(got), _spec_formulas(want)
+    assert [got_spec[q] for q in got.spec_of] == \
+        [want_spec[q] for q in want.spec_of]
+    assert lazy.dta.location_count <= tsta.dta.location_count

@@ -17,7 +17,7 @@ from mitlplan.stochastic_ta import (
     truncation_error_estimate,
     truncate,
 )
-from mitlplan.timed_automata import TimedWord, build_dta
+from mitlplan.timed_automata import ProgressionDta, TimedWord, build_dta
 
 
 
@@ -279,6 +279,24 @@ def test_error_estimate_no_truncation_zero(bus1_sta, bus1_formula, bus1_events):
                                agent_prop_prob={"b3": 0.3, "b4": 0.3})
     assert est.estimate == 0.0
     assert est.hits == 0
+
+
+def test_error_estimate_on_partly_stepped_automaton(bus1_sta, bus1_formula,
+                                                    bus1_events):
+    # the estimate walks the whole table; entries no step has read yet
+    # are computed first, not read as -1 (the last location)
+    lazy = StaModel(ProgressionDta(substitute_dist(bus1_formula)), bus1_events)
+    lazy.run_word(TimedWord.from_sets([set(), {"b1"}]))
+    assert any(j < 0 for row in lazy.dta.table for j in row)
+    tv = uniform_truncation_vector(bus1_formula, bus1_events, 3)
+    props = {"b3": 0.25, "b4": 0.25}
+    got = truncation_error_estimate(lazy, truncate(lazy, tv), 20000, seed=7,
+                                    agent_prop_prob=props)
+    want = truncation_error_estimate(bus1_sta, truncate(bus1_sta, tv), 20000,
+                                     seed=7, agent_prop_prob=props)
+    assert got == want
+    assert got.hits > 0
+    assert all(j >= 0 for row in lazy.dta.table for j in row)
 
 
 def test_error_estimate_needs_samples(bus1_sta, bus1_formula, bus1_events):

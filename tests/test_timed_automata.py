@@ -26,6 +26,7 @@ from mitlplan.timed_automata import (
     FalseC,
     AndC,
     OrC,
+    ProgressionDta,
     TimedWord,
     build_dta,
     canonical,
@@ -220,6 +221,70 @@ def test_progression_soundness_random():
             expect = word_satisfies(canonical(f), w)
             got = run_dta(d, TimedWord.from_sets(w)).accepted
             assert got == expect, (pretty(f), w)
+
+
+def _relation(d):
+    """Transitions of a closed automaton by location formula."""
+    return {(d.locations[i], mask, d.locations[j])
+            for i, row in enumerate(d.table) for mask, j in enumerate(row)}
+
+
+def test_on_demand_automaton_fills_only_what_steps_read():
+    f = substitute_dist(parse(BUS_CASE1))
+    d = ProgressionDta(f)
+    assert d.location_count == 1
+    assert d.table == [[-1] * (1 << len(d.atoms))]
+    assert d.accept_index == d.reject_index == -1
+    j = d.step_config(d.initial_config(), {"b1"}, 0)
+    assert d.location_count == 2 and j == 1
+    assert sum(x >= 0 for row in d.table for x in row) == 1
+    # a filled entry is read back, not computed again
+    assert d.step_config(d.initial_config(), {"b1"}, 1) == 1
+    assert d.location_count == 2
+    assert d.close() is d
+    full = build_dta(f)
+    assert d.location_count == full.location_count
+    assert d.locations[d.accept_index] == TRUE
+    # the unbounded eventualities can always still be met
+    assert d.reject_index == full.reject_index == -1
+
+
+def test_on_demand_automaton_runs_like_the_closure():
+    # random words give the same location formulas and acceptance through
+    # an automaton filled as they are read as through `build_dta`; closing
+    # it afterwards gives the closure's locations and transitions, up to
+    # renumbering
+    rng = random.Random(7031)
+    atoms = ["p", "q", "r"]
+    for _ in range(200):
+        f = random_fragment_formula(rng, atoms)
+        full = build_dta(f)
+        d = ProgressionDta(f)
+        for _ in range(4):
+            w = TimedWord.from_sets(random_word(rng, atoms, 12))
+            assert run_dta(d, w) == run_dta(full, w), (pretty(f), w)
+        assert d.location_count <= full.location_count
+        d.close()
+        assert sorted(map(pretty, d.locations)) == \
+            sorted(map(pretty, full.locations))
+        assert _relation(d) == _relation(full), pretty(f)
+        for index in ("init_index", "accept_index", "reject_index"):
+            i, j = getattr(d, index), getattr(full, index)
+            assert (i < 0) == (j < 0)
+            assert i < 0 or d.locations[i] == full.locations[j]
+
+
+def test_on_demand_cap_counts_reached_locations():
+    f = substitute_dist(parse(BUS_CASE1))
+    n = build_dta(f).location_count
+    assert build_dta(f, cap=n).location_count == n
+    with pytest.raises(AutomatonError,
+                       match=f"closure exceeded {n - 1} locations"):
+        build_dta(f, cap=n - 1)
+    d = ProgressionDta(f, cap=2)
+    d.step_config(d.initial_config(), {"b1"}, 0)
+    with pytest.raises(AutomatonError, match="closure exceeded 2 locations"):
+        d.step_config(d.initial_config(), {"b1", "b2"}, 0)
 
 
 def _digest_tool():
