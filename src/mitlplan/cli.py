@@ -42,7 +42,7 @@ from .solver import (
     satisfaction_probability,
     value_iteration,
 )
-from .stochastic_ta import StaModel, TimedWord, truncate
+from .stochastic_ta import StaError, StaModel, TimedWord, truncate
 from .timed_automata import (
     AutomatonError,
     ProgressionDta,
@@ -205,16 +205,15 @@ def write_policy(path, built, policy, values):
     lines = ["# mitlplan-policy",
              f"# model-hash: {built.hash}",
              f"# actions: {' '.join(m.actions)}"]
-    for z in range(m.n_states):
-        lines.append(f"{z} {policy.action_name(z)} {values[z]!r}")
+    for z, v in enumerate(values.tolist()):
+        lines.append(f"{z} {policy.action_name(z)} {v!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_values(path, built, values):
-    m = built.product
     lines = ["# mitlplan-values", f"# model-hash: {built.hash}"]
-    for z in range(m.n_states):
-        lines.append(f"{z} {values[z]!r}")
+    for z, v in enumerate(values.tolist()):
+        lines.append(f"{z} {v!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -403,8 +402,11 @@ def cmd_monitor(args):
             _fail(EXIT_VALIDATION,
                   f"word step {i} references unknown propositions "
                   f"{sorted(unknown)}")
-    with stepping():
-        verdict, likelihood, _states = sta.run_word(word)
+    try:
+        with stepping():
+            verdict, likelihood, _states = sta.run_word(word)
+    except StaError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
     print(f"verdict: {verdict}")
     print(f"likelihood: {likelihood!r}")
     return 0

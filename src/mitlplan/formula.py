@@ -281,12 +281,15 @@ class Or(Formula):
 
 
 class Until(Formula):
-    """left U right, optionally within `interval`; None means untimed."""
+    """left U right, optionally within `interval`; None means untimed, and
+    [0,inf] is stored as None."""
 
     __slots__ = ("left", "right", "interval")
 
     def __new__(cls, left: Formula, right: Formula,
                 interval: Interval | None = None):
+        if interval is not None and interval.lo == 0 and interval.hi is None:
+            interval = None
         return _interned((cls, left, right, interval))
 
 
@@ -299,15 +302,12 @@ class DistEventually(Formula):
         return _interned((cls, event, dist))
 
 
-def until(left: Formula, right: Formula, interval: Interval | None = None) -> Until:
-    """Until factory normalizing [0,inf] to the untimed form."""
-    if interval is not None and interval.lo == 0 and interval.hi is None:
-        interval = None
-    return Until(left, right, interval)
+# the lower-case name some callers import
+until = Until
 
 
 def eventually(phi: Formula, interval: Interval | None = None) -> Until:
-    return until(TRUE, phi, interval)
+    return Until(TRUE, phi, interval)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +489,7 @@ class _Parser:
             self.next()
             interval = self.parse_bound_opt()
             # right associative: a U b U c == a U (b U c)
-            return until(f, self.parse_until(), interval)
+            return Until(f, self.parse_until(), interval)
         return f
 
     def parse_bound_opt(self):
@@ -547,22 +547,13 @@ class _Parser:
             if tok.text == "F":
                 self.next()
                 interval = self.parse_bound_opt()
-                return eventually(self.parse_unary_or_until(), interval)
+                # the operand may chain an until: F a U b == F (a U b)
+                return eventually(self.parse_until(), interval)
             if tok.text == "U":
                 self.error("until operator needs a left operand", tok)
             self.next()
             return Atom(tok.text)
         self.error(f"expected a formula, found {tok.text!r}", tok)
-
-    def parse_unary_or_until(self):
-        # operand of F may itself chain an until: F a U b == F (a U b)
-        f = self.parse_unary()
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "U":
-            self.next()
-            interval = self.parse_bound_opt()
-            return until(f, self.parse_unary_or_until(), interval)
-        return f
 
 
 def parse(text: str) -> Formula:

@@ -58,11 +58,10 @@ class CompiledGame:
 
     State ids are internal: the initial state has id 0, and nothing else
     may depend on the numbering.  `Game._compile` numbers states in
-    breadth-first discovery order; the grid compile numbers them by its
-    own search, which is not that order.  Row ``s * n_actions + a`` of the
-    CSR arrays lists the successors of state s under action a: for each
-    outcome e in `env_subsets` order, the rows of `Game.transitions` in
-    their order.
+    breadth-first discovery order; the grid compile numbers them by cell
+    and event masks.  Row ``s * n_actions + a`` of the CSR arrays lists
+    the successors of state s under action a: for each outcome e in
+    `env_subsets` order, the rows of `Game.transitions` in their order.
     """
 
     states: Sequence[GameState]          # state id -> state
@@ -288,26 +287,23 @@ class GridWorld(Game):
         self.cfg = cfg
         self.actions = GRID_ACTIONS
         self.events = tuple(name for name, _ in cfg.events)
-        self.station_at = {cell: atom for atom, cell in cfg.stations}
+        # cell -> its stations, cells in order of first mention
+        self.station_at: dict[tuple[int, int], frozenset[str]] = {}
+        for atom, cell in cfg.stations:
+            self.station_at[cell] = self.base_label(cell) | {atom}
         self.initial = GameState(cfg.start, frozenset(self.events),
                                  frozenset())
         if self.label(self.initial) & set(self.events):
             raise GameError("initial label may not contain external events")
-        self._motion_cache: dict = {}
 
     def base_label(self, cell) -> frozenset[str]:
-        atoms = [atom for c, atom in self.station_at.items() if c == cell]
-        return frozenset(atoms)
+        return self.station_at.get(cell, frozenset())
 
     def label(self, s: GameState) -> frozenset[str]:
         return self.base_label(s.robot) | s.occurred
 
     def motion(self, cell, action):
         """Successor cell distribution, wall bounces folded in."""
-        key = (cell, action)
-        got = self._motion_cache.get(key)
-        if got is not None:
-            return got
         accum: dict[tuple[int, int], float] = {}
         for direction, p in ((action, self.cfg.slip[0]),
                              (_LEFT[action], self.cfg.slip[1]),
@@ -319,9 +315,7 @@ class GridWorld(Game):
             if not (0 <= nx < self.cfg.width and 0 <= ny < self.cfg.height):
                 nx, ny = cell
             accum[(nx, ny)] = accum.get((nx, ny), 0.0) + p
-        result = sorted(accum.items())
-        self._motion_cache[key] = result
-        return result
+        return sorted(accum.items())
 
     def transitions(self, s, action, e):
         if action not in self.actions:
@@ -338,12 +332,14 @@ class GridWorld(Game):
         A state is a cell ``x * height + y`` and a (pending, occurred) pair
         of event masks.  The motion table over cells x actions is crossed
         with the table of mask pairs, which depends only on the number of
-        events, and one breadth-first pass over the two keeps the states
-        reachable from the start.  Ids follow that pass, a layer at a time
-        in increasing order of ``pair * n_cells + cell``.  Each row lists
-        the successors `Game._compile` lists, in its order, with the same
-        probabilities, and every check of `Game._compile` runs over all
-        entries at once.
+        events.  Every cell x pair is reachable from the start: outcomes
+        lead from pair 0 (all pending, none occurred) to every pair whatever
+        the motion; the grid is 4-connected; and forward, left and right
+        sum to 1, so for each direction some action moves that way with
+        positive probability.  So state id i is ``pair * n_cells + cell``
+        minus the start's, modulo the state count, and the start has id 0.  Each row lists the successors
+        `Game._compile` lists, in its order, with the same probabilities,
+        and every check of `Game._compile` runs over all entries at once.
         """
         cfg = self.cfg
         n_cells, n_actions = cfg.width * cfg.height, len(self.actions)
@@ -354,39 +350,19 @@ class GridWorld(Game):
         pair_pending, pair_occurred, out_ptr, out_len, out_pair, out_e = (
             _event_mask_table(sets))
 
-        # the search, over the successor cells of all actions and the
-        # successor pairs of all outcomes
-        cell_next = move_cell[move_cell >= 0]
-        cell_len = move_len.reshape(n_cells, n_actions).sum(axis=1)
-        cell_ptr = np.cumsum(cell_len) - cell_len
-        n_full = len(pair_pending) * n_cells
-        layer = np.array([cfg.start[0] * cfg.height + cfg.start[1]])  # pair 0
-        seen = np.zeros(n_full, dtype=bool)
-        seen[layer] = True
-        layers = [layer]
-        while layer.size:
-            pair, cell = np.divmod(layer, n_cells)
-            cell2 = cell_next[concat_ranges(cell_ptr[cell], cell_len[cell])]
-            pair = np.repeat(pair, cell_len[cell])
-            reached = np.zeros(n_full, dtype=bool)
-            reached[out_pair[concat_ranges(out_ptr[pair], out_len[pair])]
-                    * n_cells + np.repeat(cell2, out_len[pair])] = True
-            layer = np.flatnonzero(reached & ~seen)
-            seen[layer] = True
-            layers.append(layer)
-        full_id = np.concatenate(layers)
-        state_of = np.full(n_full, -1, dtype=np.int64)
-        state_of[full_id] = np.arange(len(full_id))
-        pair, cell = np.divmod(full_id, n_cells)
+        n_states = len(pair_pending) * n_cells
+        start = cfg.start[0] * cfg.height + cfg.start[1]    # pair 0
+        pair, cell = np.divmod((np.arange(n_states) + start) % n_states,
+                               n_cells)
         pending, occurred = pair_pending[pair], pair_occurred[pair]
         states = _GridStates(cfg.height, cell, pending, occurred, sets)
 
         # labels: one id per (station label, occurred events), reached or not
         base_index = {frozenset(): 0}
         station = np.zeros(n_cells, dtype=np.int64)
-        for x, y in self.station_at:
+        for (x, y), base in self.station_at.items():
             station[x * cfg.height + y] = base_index.setdefault(
-                self.base_label((x, y)), len(base_index))
+                base, len(base_index))
         labels = tuple(base | events for base in base_index for events in sets)
         label_of = station[cell] << len(names) | occurred
         shown = np.array([event_mask(names, label) for label in labels],
@@ -394,7 +370,7 @@ class GridWorld(Game):
 
         # rows: one block per (state, action, outcome), which holds the
         # motion row of the (cell, action); filled one motion slot at a time
-        n_rows = len(full_id) * n_actions
+        n_rows = n_states * n_actions
         move_row = (cell[:, None] * n_actions + np.arange(n_actions)).ravel()
         row_outs = out_len[np.repeat(pair, n_actions)]
         block_row = np.repeat(np.arange(n_rows), row_outs)
@@ -409,8 +385,8 @@ class GridWorld(Game):
         for k in range(move_cell.shape[1]):
             has = np.flatnonzero(block_len > k)
             at = block_start[has] + k
-            succ[at] = state_of[block_pair[has]
-                                + move_cell[block_move[has], k]]
+            succ[at] = (block_pair[has] + move_cell[block_move[has], k]
+                        - start) % n_states
             prob[at] = move_prob[block_move[has], k]
         row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(move_len[move_row] * row_outs, out=row_ptr[1:])

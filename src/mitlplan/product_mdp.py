@@ -41,13 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game_model import (
-    CompiledGame,
     Game,
     GameState,
     concat_ranges,
     event_mask,
 )
-from .stochastic_ta import StaState, StepTable, TruncatedSta
+from .stochastic_ta import StaModel, StaState, StepTable
 
 
 class ProductError(ValueError):
@@ -90,21 +89,20 @@ class ProductMdp:
     state ``spec_states[spec_of[z]]``.  Row r = z * n_actions + a holds the
     successor distribution of state z under action a.  `accepting` and
     `sink` are disjoint absorbing classes; values are pinned to zero there
-    (reward is earned on entry).
+    (reward is earned on entry).  The initial state is state 0.
     """
 
-    def __init__(self, game, sta, compiled: CompiledGame, spec_states,
-                 game_of, spec_of, z0, actions, row_ptr, cols, probs,
-                 accepting, sink):
+    def __init__(self, game: Game, sta: StaModel, spec_states, game_of,
+                 spec_of, row_ptr, cols, probs, accepting, sink):
         self.game = game
         self.sta = sta
-        self.compiled = compiled
+        self.compiled = game.compiled()
         self.spec_states = tuple(spec_states)
         self.game_of = game_of
         self.spec_of = spec_of
         self.states = ProductStates(self)
-        self.z0 = z0
-        self.actions = tuple(actions)
+        self.z0 = 0
+        self.actions = tuple(game.actions)
         self.n_actions = len(self.actions)
         self.row_ptr = row_ptr
         self.cols = cols
@@ -209,7 +207,7 @@ def describe_spec_state(q: StaState) -> str:
     return f"(q{q.config}, [{clocks}], {pend})"
 
 
-def build_product(game: Game, tsta: TruncatedSta,
+def build_product(game: Game, tsta: StaModel,
                   cap: int = 2_000_000) -> ProductMdp:
     """Forward-reachable product construction, numbered as the module
     docstring states.
@@ -240,7 +238,7 @@ def build_product(game: Game, tsta: TruncatedSta,
     while lo < hi:
         # expand states lo..hi-1, the last ones numbered
         z = np.arange(lo, hi)
-        live = ~table.absorbing[spec_of[-1]]
+        live = ~(table.accepting | table.sink)[spec_of[-1]]
         row, s2, q2, p = _live_successors(g, table, n_actions, z[live],
                                           game_of[-1][live],
                                           spec_of[-1][live])
@@ -272,10 +270,9 @@ def build_product(game: Game, tsta: TruncatedSta,
     spec_of = np.concatenate(spec_of)
     row_ptr = np.zeros(len(game_of) * n_actions + 1, dtype=np.int64)
     np.cumsum(np.concatenate(row_len), out=row_ptr[1:])
-    return ProductMdp(game, tsta, g, table.states, game_of, spec_of, 0,
-                      game.actions, row_ptr, np.concatenate(cols),
-                      np.concatenate(probs), table.accepting[spec_of],
-                      table.sink[spec_of])
+    return ProductMdp(game, tsta, table.states, game_of, spec_of, row_ptr,
+                      np.concatenate(cols), np.concatenate(probs),
+                      table.accepting[spec_of], table.sink[spec_of])
 
 
 def _rows(z: np.ndarray, n_actions: int) -> np.ndarray:

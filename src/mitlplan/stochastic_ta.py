@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import wilson_interval
-from .formula import DistributionSpec, EventSet, FiniteTable, Geometric
+from .formula import (
+    DistributionSpec,
+    EventSet,
+    FiniteTable,
+    Geometric,
+    ZeroSurvivalError,
+)
 from .game_model import env_subsets
 from .timed_automata import ProgressionDta, TimedWord
 
@@ -64,13 +70,22 @@ def _outcome_prob(haz: dict[str, float], e) -> float:
 
 class StaModel:
     """Progression automaton of the formula plus one clock per external
-    event, each running until its event fires."""
+    event, each running until its event fires.  Given `trunc`, clocks
+    are truncated at its points as the module docstring says."""
 
-    def __init__(self, dta: ProgressionDta, events: EventSet):
+    def __init__(self, dta: ProgressionDta, events: EventSet, trunc=None):
         self.dta = dta
         self.events = events
         self.event_names = tuple(events.names)
         self._dist = {name: d for name, d in events}
+        self.trunc = trunc
+        self.points = {}
+        if trunc is not None:
+            for name in self.event_names:
+                if name not in trunc:
+                    raise StaError(
+                        f"missing truncation entry for event {name!r}")
+                self.points[name] = trunc[name]
 
     def initial(self, symbol) -> tuple[StaState, float]:
         """Zero-time move consuming the initial symbol.
@@ -102,8 +117,13 @@ class StaModel:
         return {e: _outcome_prob(haz, e) for e in env_subsets(q.pending)}
 
     def would_sink(self, q: StaState) -> bool:
-        """True when the next unit step leaves the model for the sink;
-        never without truncation."""
+        """True when the next unit step pushes a pending clock past its
+        cap; never without truncation."""
+        if not self.points:
+            return False
+        for name, c in zip(self.event_names, q.clocks):
+            if name in q.pending and c + 1 > self.points[name]:
+                return True
         return False
 
     def step(self, q: StaState, symbol) -> tuple[StaState, float]:
@@ -143,6 +163,8 @@ class StaModel:
         when the residual can no longer be satisfied given the events that
         already fired, else 'inconclusive-prefix'.  The likelihood is the
         product of the step probabilities of the observed event pattern.
+        A word the model cannot produce, one in which an event occurs twice
+        or after its law has no mass left, raises StaError naming the step.
         """
         symbols = list(word)
         if not symbols:
@@ -155,7 +177,11 @@ class StaModel:
         states = [q]
         accepted = self.is_accepting(q)
         for symbol in symbols[1:]:
-            q, p = self.step(q, symbol)
+            try:
+                q, p = self.step(q, symbol)
+            except (StaError, ZeroSurvivalError) as exc:
+                # states holds one state per symbol read so far
+                raise StaError(f"word step {len(states)}: {exc}") from None
             likelihood *= p
             states.append(q)
             accepted = accepted or self.is_accepting(q)
@@ -168,6 +194,9 @@ class StaModel:
     def _acceptance_reachable(self, q: StaState) -> bool:
         """Can any future (events firing at most once) reach acceptance?"""
         base_atoms = [a for a in self.dta.atoms if a not in self.event_names]
+        base_symbols = [
+            frozenset(a for i, a in enumerate(base_atoms) if mask >> i & 1)
+            for mask in range(1 << len(base_atoms))]
         seen = set()
         stack = [(q.config, frozenset(q.pending))]
         while stack:
@@ -180,42 +209,15 @@ class StaModel:
             if self.dta.is_rejecting(config):
                 continue
             for extra in env_subsets(pending):
-                for mask in range(1 << len(base_atoms)):
-                    symbol = frozenset(
-                        a for i, a in enumerate(base_atoms) if mask >> i & 1
-                    ) | extra
+                for base in base_symbols:
+                    symbol = base | extra
                     stack.append((self.dta.step_config(config, symbol, 1),
                                   pending - extra))
         return False
 
 
-class TruncatedSta(StaModel):
-    """Stochastic timed automaton with truncated event clocks.
-
-    Any step from a state where a pending event clock would advance past
-    its truncation point goes to the absorbing sink instead, carrying that
-    step outcome's probability.
-    """
-
-    def __init__(self, base: StaModel, trunc):
-        super().__init__(base.dta, base.events)
-        self.trunc = trunc
-        self.points = {}
-        for name in self.event_names:
-            if name not in trunc:
-                raise StaError(f"missing truncation entry for event {name!r}")
-            self.points[name] = trunc[name]
-
-    def would_sink(self, q: StaState) -> bool:
-        """True when the next unit step pushes a pending clock past its cap."""
-        for name, c in zip(self.event_names, q.clocks):
-            if name in q.pending and c + 1 > self.points[name]:
-                return True
-        return False
-
-
-def truncate(m: StaModel, trunc) -> TruncatedSta:
-    return TruncatedSta(m, trunc)
+def truncate(m: StaModel, trunc) -> StaModel:
+    return StaModel(m.dta, m.events, trunc)
 
 
 def _grown(a: np.ndarray, fill) -> np.ndarray:
@@ -229,8 +231,9 @@ class StepTable:
 
     States get ids as they are first seen; `labels` fixes the label ids.
     Entries are filled on demand, one `step` call per pair.  Per state id
-    the table also holds whether the state is absorbing, accepting, or a
-    sink (the truncation sink or a rejecting location).
+    the table also holds whether the state is accepting or a sink (the
+    truncation sink or a rejecting location); a state is absorbing when it
+    is either.
     """
 
     def __init__(self, sta: StaModel, labels):
@@ -240,19 +243,15 @@ class StepTable:
         self._index: dict[StaState, int] = {}
         self._next = np.full((0, len(self.labels)), -1, dtype=np.int64)
         self._prob = np.zeros((0, len(self.labels)))
-        self._flags = np.zeros((0, 3), dtype=bool)
-
-    @property
-    def absorbing(self) -> np.ndarray:
-        return self._flags[:len(self.states), 0]
+        self._flags = np.zeros((0, 2), dtype=bool)
 
     @property
     def accepting(self) -> np.ndarray:
-        return self._flags[:len(self.states), 1]
+        return self._flags[:len(self.states), 0]
 
     @property
     def sink(self) -> np.ndarray:
-        return self._flags[:len(self.states), 2]
+        return self._flags[:len(self.states), 1]
 
     def intern(self, q: StaState) -> int:
         j = self._index.get(q)
@@ -265,8 +264,7 @@ class StepTable:
             self._prob = _grown(self._prob, 0.0)
             self._flags = _grown(self._flags, False)
         sink = q.sink or self.sta.is_rejecting(q)
-        self._flags[j] = (self.sta.is_absorbing(q),
-                          not sink and self.sta.is_accepting(q), sink)
+        self._flags[j] = (not sink and self.sta.is_accepting(q), sink)
         return j
 
     def step(self, q_ids: np.ndarray, label_ids: np.ndarray):
@@ -316,7 +314,7 @@ def sample_occurrence_steps(d: DistributionSpec, n: int, rng,
     raise StaError(f"cannot sample from {type(d).__name__}")
 
 
-def truncation_error_estimate(m: StaModel, mt: TruncatedSta, n: int, seed: int,
+def truncation_error_estimate(m: StaModel, mt: StaModel, n: int, seed: int,
                          agent_prop_prob: dict[str, float] | None = None,
                          horizon: int | None = None) -> MonteCarloEstimate:
     """Monte Carlo estimate of P(word accepted by m and sunk by mt).

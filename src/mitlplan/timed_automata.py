@@ -36,7 +36,6 @@ from .formula import (
     normalize,
     parse as parse_formula,
     pretty,
-    until,
 )
 
 
@@ -279,7 +278,7 @@ class _Progression:
                 return TRUE
             if isinstance(left, FalseF) and (iv is not None and iv.lo > 0):
                 return FALSE
-            return until(left, right, iv)
+            return Until(left, right, iv)
         if isinstance(f, (And, Or)):
             left = self.clauses(canonical(f.left))
             right = self.clauses(canonical(f.right))
@@ -343,15 +342,12 @@ class _Progression:
                           And(progress(g.left, symbol), g))
             if iv.lo > 0:
                 nxt = Interval(iv.lo - 1, None if iv.hi is None else iv.hi - 1)
-                return And(progress(g.left, symbol), until(g.left, g.right, nxt))
-            if iv.hi is None:
-                return Or(progress(g.right, symbol),
-                          And(progress(g.left, symbol), until(g.left, g.right)))
+                return And(progress(g.left, symbol), Until(g.left, g.right, nxt))
             if iv.hi == 0:
                 return progress(g.right, symbol)
             nxt = Interval(0, iv.hi - 1)
             return Or(progress(g.right, symbol),
-                      And(progress(g.left, symbol), until(g.left, g.right, nxt)))
+                      And(progress(g.left, symbol), Until(g.left, g.right, nxt)))
         raise FormulaError(f"cannot progress {type(g).__name__}")
 
 
@@ -401,32 +397,9 @@ class RunResult:
     trace: list
 
 
-class Dta:
-    """Deterministic timed automaton interface shared by both builds."""
-
-    atoms: tuple[str, ...]
-
-    def initial_config(self):
-        raise NotImplementedError
-
-    def step_config(self, config, symbol: frozenset, tau: int):
-        raise NotImplementedError
-
-    def is_accepting(self, config) -> bool:
-        raise NotImplementedError
-
-    def is_rejecting(self, config) -> bool:
-        raise NotImplementedError
-
-    def location_label(self, config) -> str:
-        raise NotImplementedError
-
-    def clock_values(self, config) -> tuple[int, ...]:
-        return ()
-
-
-def run_dta(dta: Dta, word: TimedWord) -> RunResult:
-    """Run a finite word; accepted iff an accepting location is visited."""
+def run_dta(dta, word: TimedWord) -> RunResult:
+    """Run a finite word on a `ProgressionDta` or an `ExplicitDta`;
+    accepted iff an accepting location is visited."""
     config = dta.initial_config()
     trace = [(dta.location_label(config), dta.clock_values(config))]
     accepted = dta.is_accepting(config)
@@ -442,7 +415,7 @@ def run_dta(dta: Dta, word: TimedWord) -> RunResult:
 # Progression automaton
 # ---------------------------------------------------------------------------
 
-class ProgressionDta(Dta):
+class ProgressionDta:
     """Automaton whose locations are canonical residual formulas.
 
     Configs are integer location indices.  The transition table is total
@@ -540,6 +513,9 @@ class ProgressionDta(Dta):
 
     def location_label(self, config):
         return pretty(self.locations[config])
+
+    def clock_values(self, config):
+        return ()
 
     def edges(self):
         """Symbol-predicate edges of the closed automaton: (src, frozenset
@@ -664,6 +640,8 @@ def parse_clock_constraint(text: str) -> ClockConstraint | None:
 
 
 REJECT_LOCATION = "__reject__"
+# most (clock vector, symbol) pairs per location checked at load time
+DETERMINISM_BOX_CAP = 200_000
 
 
 @dataclass
@@ -675,7 +653,7 @@ class ExplicitEdge:
     resets: frozenset[str]
 
 
-class ExplicitDta(Dta):
+class ExplicitDta:
     """Named-location automaton with explicit clocks, guards, and resets.
 
     Configs are (location, clock value tuple).  Exactly one edge may be
@@ -724,13 +702,13 @@ class ExplicitDta(Dta):
             _check_boolean(e.predicate)
         self._validate_determinism()
 
-    def _validate_determinism(self, box_cap: int = 200_000):
+    def _validate_determinism(self):
         """Enumerate symbol masks and clock vectors over the bounded box
         [0, K+1]^M; two simultaneously enabled edges are an error."""
         k = self.clock_bound
         n_vectors = (k + 1) ** len(self.clocks)
         n_masks = 1 << len(self.atoms)
-        if n_vectors * n_masks > box_cap:
+        if n_vectors * n_masks > DETERMINISM_BOX_CAP:
             n_vectors = 0  # box too large; rely on the run-time check
         masks = [frozenset(a for i, a in enumerate(self.atoms) if m >> i & 1)
                  for m in range(n_masks)]
@@ -868,36 +846,29 @@ def load_dta(text: str) -> ExplicitDta:
                        invariants, atoms)
 
 
-def dta_to_dot(dta: Dta, max_masks: int = 3) -> str:
-    """GraphViz rendering; mask groups abbreviated on progression edges."""
+# `dta_to_dot` shows at most this many symbols on an edge
+DOT_MAX_MASKS = 3
+
+
+def dta_to_dot(dta: ProgressionDta) -> str:
+    """GraphViz rendering of a progression automaton; mask groups are
+    abbreviated on edges."""
     lines = ["digraph dta {", "  rankdir=LR;", '  node [shape=circle];']
-    if isinstance(dta, ProgressionDta):
-        edges = dta.edges()
-        names = {i: f"q{i}" for i in range(dta.location_count)}
-        for i, f in enumerate(dta.locations):
-            shape = "doublecircle" if i == dta.accept_index else "circle"
-            label = pretty(f).replace('"', "'")
-            lines.append(f'  q{i} [shape={shape}, label="q{i}\\n{label}"];')
-        for src, masks, dst in edges:
-            if dst == dta.reject_index:
-                continue
-            shown = []
-            for m in sorted(masks)[:max_masks]:
-                sym = {a for k, a in enumerate(dta.atoms) if m >> k & 1}
-                shown.append("{" + ",".join(sorted(sym)) + "}")
-            extra = "" if len(masks) <= max_masks else f" (+{len(masks) - max_masks})"
-            lines.append(
-                f'  {names[src]} -> {names[dst]} [label="{" ".join(shown)}{extra}"];')
-        lines.append(f"  init [shape=point]; init -> q{dta.init_index};")
-    else:
-        for loc in dta.locations:
-            shape = "doublecircle" if loc in dta.accepting else "circle"
-            lines.append(f'  "{loc}" [shape={shape}];')
-        for e in dta.edge_list:
-            guard = "" if e.guard is None else f"[{e.guard}] "
-            resets = "" if not e.resets else f" r{{{','.join(sorted(e.resets))}}}"
-            label = f"{guard}{pretty(e.predicate)}{resets}".replace('"', "'")
-            lines.append(f'  "{e.source}" -> "{e.target}" [label="{label}"];')
-        lines.append(f'  init [shape=point]; init -> "{dta.init}";')
+    edges = dta.edges()
+    for i, f in enumerate(dta.locations):
+        shape = "doublecircle" if i == dta.accept_index else "circle"
+        label = pretty(f).replace('"', "'")
+        lines.append(f'  q{i} [shape={shape}, label="q{i}\\n{label}"];')
+    for src, masks, dst in edges:
+        if dst == dta.reject_index:
+            continue
+        shown = []
+        for m in sorted(masks)[:DOT_MAX_MASKS]:
+            sym = {a for k, a in enumerate(dta.atoms) if m >> k & 1}
+            shown.append("{" + ",".join(sorted(sym)) + "}")
+        extra = ("" if len(masks) <= DOT_MAX_MASKS
+                 else f" (+{len(masks) - DOT_MAX_MASKS})")
+        lines.append(f'  q{src} -> q{dst} [label="{" ".join(shown)}{extra}"];')
+    lines.append(f"  init [shape=point]; init -> q{dta.init_index};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -174,5 +174,5 @@ def reference_product(game, tsta, cap: int = 2_000_000) -> ProductMdp:
     spec_id = {q: i for i, q in enumerate(spec_states)}
     game_of = np.array([game_id[ps.game] for ps in states], dtype=np.int64)
     spec_of = np.array([spec_id[ps.spec] for ps in states], dtype=np.int64)
-    return ProductMdp(game, tsta, compiled, spec_states, game_of, spec_of,
-                      0, game.actions, row_ptr, cols, probs, accepting, sink)
+    return ProductMdp(game, tsta, spec_states, game_of, spec_of, row_ptr,
+                      cols, probs, accepting, sink)

@@ -3,10 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mitlplan
 from mitlplan.cli import build_model, build_parser, main
+from mitlplan.solver import value_iteration
 
 from conftest import DATA, BUS_CASE1, BUS_CASE2, THREE_BUS
 
@@ -358,6 +360,65 @@ def test_monitor_unknown_proposition(tmp_path, capsys):
                        "--word", str(word))
     assert code == 2
     assert "unknown propositions" in err
+
+
+@pytest.mark.parametrize("formula, word, message", [
+    (BUS_CASE1, "-\nb1\nb1 b3\n", "events ['b1'] already occurred"),
+    ("D{table:1:1.0} b1 & F (b1 & F[0,2] b3)", "-\n-\n-\n",
+     "no probability mass remains"),
+], ids=["event-twice", "no-mass-left"])
+def test_monitor_word_the_model_cannot_produce_exits_2(tmp_path, capsys,
+                                                       formula, word,
+                                                       message):
+    path = tmp_path / "w.txt"
+    path.write_text(word)
+    code, _, err = run(capsys, "monitor", "--formula", formula,
+                       "--word", str(path))
+    assert code == 2
+    assert err.startswith(f"error: word step 2: {message}")
+
+
+@pytest.mark.parametrize("stations, target", [("b3 b4", "b3"), ("b4", "b4")])
+def test_plan_sees_every_station_on_a_shared_cell(tmp_path, capsys, stations,
+                                                  target):
+    grid = tmp_path / "task.grid"
+    grid.write_text("width = 3\nheight = 3\nslip = 1.0,0.0,0.0\n" + "".join(
+        f"stations.{s} = (2,2)\n" for s in stations.split()))
+    code, out, _ = run(capsys, "plan", "--formula",
+                       f"D{{geom:0.5}} b1 & F (b1 & F[0,6] {target})",
+                       "--grid", str(grid), "--uniform-T", "6",
+                       "--out", str(tmp_path))
+    assert code == 0
+    assert "satisfaction-probability: 0.984375\n" in out
+
+
+def test_policy_and_value_files_hold_python_floats(tmp_path, capsys):
+    argv = ["--formula", BUS_CASE2, "--grid", str(DATA / "case2.grid"),
+            "--uniform-T", "3"]
+    assert run(capsys, "plan", *argv, "--out", str(tmp_path))[0] == 0
+    args = build_parser().parse_args(["plan", *argv])
+    m = build_model(args).product
+    want = value_iteration(m, tol=args.tol, max_iter=args.max_iter).values
+    for name in ("policy.txt", "values.txt"):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert not [line for line in lines if "np." in line]
+        got = np.array([float(line.split()[-1]) for line in lines
+                        if not line.startswith("#")])
+        assert got.tobytes() == want.tobytes()
+    # `read_policy` also reads values as numpy 2 prints them
+    new = tmp_path / "policy.txt"
+    old = tmp_path / "old_policy.txt"
+    old.write_text("".join(
+        line + "\n" if line.startswith("#")
+        else "{} {} np.float64({})\n".format(*line.split())
+        for line in new.read_text().splitlines()))
+    outs = []
+    for policy in (new, old):
+        code, out, _ = run(capsys, "simulate", *argv, "--policy", str(policy),
+                           "-n", "500", "--logs", "1", "--out", str(tmp_path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_bench_case1_csv(capsys):

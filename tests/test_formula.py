@@ -135,6 +135,13 @@ def test_equal_nodes_are_one_node():
     assert Or(a, b) is not And(a, b)
 
 
+def test_until_stores_zero_to_inf_as_untimed():
+    a, b = Atom("a"), Atom("b")
+    assert Until(a, b, Interval(0, None)) is Until(a, b)
+    assert Until(a, b, Interval(0, None)).interval is None
+    assert Until(a, b, Interval(1, None)).interval == Interval(1, None)
+
+
 def test_copies_and_pickles_are_the_interned_node():
     for text in [BUS_CASE1, "D{table:1:0.5,2:0.5} b & F[2,5] !c",
                  "p U[0,3] (q | F r)", "true", "false"]:

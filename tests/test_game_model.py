@@ -187,6 +187,9 @@ COMPILE_CASES = {
         3, 4, (1, 1), (("s", (2, 3)),), TWO_EVENTS, (0.9, 0.1, 0.0)),
     "station-on-start": lambda: GridWorldConfig(
         3, 3, (1, 2), (("s", (1, 2)), ("t", (0, 0))), TWO_EVENTS),
+    "two-stations-on-a-cell": lambda: GridWorldConfig(
+        3, 3, (0, 0), (("s", (2, 2)), ("t", (1, 0)), ("u", (2, 2))),
+        TWO_EVENTS),
     "three-events": lambda: GridWorldConfig(
         3, 2, (0, 1), (("s", (2, 0)),),
         TWO_EVENTS + (("a0", Geometric(0.5)),), (0.7, 0.2, 0.1)),
@@ -198,6 +201,28 @@ COMPILE_CASES = {
 @pytest.mark.parametrize("case", COMPILE_CASES)
 def test_array_compile_matches_game_compile(case):
     assert_same_compile(build_gridworld(COMPILE_CASES[case]()))
+
+
+def test_grid_reaches_every_cell_and_event_pair():
+    # the array compile numbers all cells x 3^k (pending, occurred) pairs
+    # without a search; `Game._compile` searches and must find as many
+    rng = random.Random(5)
+    shapes = [(1, 1), (1, 6), (6, 1), (1, 2), (2, 2), (3, 4), (5, 3)]
+    slips = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+             (0.0, 0.5, 0.5), (0.5, 0.5, 0.0), (0.8, 0.1, 0.1)]
+    for i in range(40):
+        width, height = shapes[i % len(shapes)]
+        k = i % 4
+        cells = [(x, y) for x in range(width) for y in range(height)]
+        stations = tuple((f"s{j}", rng.choice(cells))
+                         for j in range(rng.randint(0, 2)))
+        events = tuple((f"b{j}", Geometric(0.5)) for j in range(k))
+        cfg = GridWorldConfig(width, height, rng.choice(cells), stations,
+                              events, rng.choice(slips))
+        grid = build_gridworld(cfg)
+        n = len(grid.compiled().states)
+        assert n == width * height * 3 ** k, cfg
+        assert n == len(Game._compile(grid).states), cfg
 
 
 def test_grid_states_decode_once():

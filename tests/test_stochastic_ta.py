@@ -186,6 +186,19 @@ def test_truncation_requires_all_events(bus1_sta):
         truncate(bus1_sta, tv)
 
 
+def test_untruncated_model_never_sinks(bus1_sta, bus1_formula, bus1_events):
+    ts = truncate(bus1_sta, uniform_truncation_vector(bus1_formula,
+                                                      bus1_events, 3))
+    assert bus1_sta.points == {} and bus1_sta.trunc is None
+    q, _ = bus1_sta.initial(frozenset())
+    for _ in range(50):
+        assert not bus1_sta.would_sink(q)
+        q, p = bus1_sta.step(q, frozenset())
+        assert not q.sink and p > 0.0
+    assert q.clocks == (50, 50)
+    assert ts.would_sink(q)
+
+
 @pytest.mark.parametrize("p,T", [(0.5, 3), (0.3, 4), (0.8, 0), (0.7, 5)])
 def test_single_event_sink_mass_exact(p, T):
     m, f, u = single_event_sta(f"geom:{p}")

@@ -13,8 +13,11 @@ Under the key ``plans`` it records the sha256 of the ``policy.txt``,
 --dump-product`` writes for the two bus grids ``case1`` and ``case2`` of
 the test suite, for the explicit game ``toy.game``, for the three-bus
 mission on the 5x5 grid ``three_bus.grid`` and for the two-bus mission on
-``no_slip.grid`` (no slip, a station on the start cell), and of two
-``mitlplan bench`` CSVs without their ``wall_time_s`` column.
+``no_slip.grid`` (no slip, a station on the start cell), of two
+``mitlplan bench`` CSVs without their ``wall_time_s`` column, of the
+``dta.txt`` and ``dta.dot`` that ``mitlplan translate`` writes for the two-
+and three-bus missions, and of ``mitlplan monitor``'s stdout on the fixed
+words of ``MONITOR_WORDS``.
 
 A change keeps automata and planner outputs identical when this script
 prints the same file on the change as on its parent::
@@ -44,6 +47,16 @@ BUS_MISSIONS = {
     "three-bus": ("D{geom:0.6} b1 & F (b1 & F[0,2] s1) | "
                   "D{geom:0.62} b2 & F (b2 & F[0,4] s2) | "
                   "D{geom:0.6} b3 & F (b3 & F[0,3] s3)"),
+}
+
+# words for `mitlplan monitor`, one string per step, "-" for the empty set
+MONITOR_WORDS = {
+    "two-bus": [(), ("-",), ("-", "b1", "b3"), ("-", "b1", "-", "-", "-", "-"),
+                ("-", "-", "b2", "-", "b4"), ("b3", "b1 b4", "-", "b2", "b3"),
+                ("-", "b1 b2", "b3 b4"), ("-", "b1 b2", "-", "-", "-", "-")],
+    "three-bus": [("-", "b1", "s1"), ("-", "b2", "-", "-", "-", "s2"),
+                  ("-", "b1 b2 b3", "-", "-", "-", "-"),
+                  ("s1 s2 s3", "-", "b3", "s3")],
 }
 
 # the draw of test_criterion_9_progression_soundness, words included, so
@@ -138,6 +151,20 @@ def plan_digests() -> dict:
                    "--grid", str(DATA / f"{case}.grid"), *setting)
         rows = [line.rsplit(",", 1)[0] for line in csv.splitlines()]
         out[name] = {"csv_sha256": _sha256("\n".join(rows) + "\n")}
+    with tempfile.TemporaryDirectory() as tmp:
+        for mission, formula in BUS_MISSIONS.items():
+            _cli("translate", "--formula", formula, "--out", tmp)
+            out[f"translate-{mission}"] = {
+                f"{name.replace('.', '_')}_sha256":
+                    _sha256(Path(tmp, name).read_text())
+                for name in ("dta.txt", "dta.dot")}
+            for i, word in enumerate(MONITOR_WORDS[mission]):
+                path = Path(tmp, "word.txt")
+                path.write_text("".join(step + "\n" for step in word))
+                stdout = _cli("monitor", "--formula", formula,
+                              "--word", str(path))
+                out[f"monitor-{mission}-{i}"] = {
+                    "stdout_sha256": _sha256(stdout)}
     return out
 
 
