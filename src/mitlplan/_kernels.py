@@ -1,10 +1,10 @@
 """Hot numeric kernels: Bellman sweeps and batch rollouts.
 
 The solver and the simulator run the vectorized numpy kernels
-(``*_numpy``).  Each has a scalar loop kernel (``*_loop``) in plain Python
-beside it: the reference the numpy kernels are tested against, equal in
-values and sweep counts for the Bellman sweep and decision for decision
-for the rollouts.
+(``*_numpy``).  The tests compare each against a scalar loop kernel in
+plain Python (``tests/_oracles.py``: ``bellman_sweep_loop`` and
+``rollout_batch_loop``), equal in values and sweep counts for the Bellman
+sweep and decision for decision for the rollouts.
 
 Rollouts draw from splitmix64 streams (Steele, Lea & Flood, OOPSLA 2014).
 A stream adds the golden gamma to its state per draw and outputs the mix
@@ -67,31 +67,6 @@ def bellman_sweep_numpy(row_ptr, cols, probs, reward_row, absorbing, values,
     return new_values, residual
 
 
-def bellman_sweep_loop(row_ptr, cols, probs, reward_row, absorbing, values,
-                       n_actions):
-    """Scalar reference for `bellman_sweep_numpy`."""
-    n = values.shape[0]
-    new_values = np.empty_like(values)
-    residual = 0.0
-    for z in range(n):
-        if absorbing[z]:
-            new_values[z] = 0.0
-            continue
-        best = -1.0
-        for a in range(n_actions):
-            r = z * n_actions + a
-            q = reward_row[r]
-            for k in range(row_ptr[r], row_ptr[r + 1]):
-                q += probs[k] * values[cols[k]]
-            if q > best:
-                best = q
-        new_values[z] = best
-        diff = abs(best - values[z])
-        if diff > residual:
-            residual = diff
-    return new_values, float(residual)
-
-
 # ---------------------------------------------------------------------------
 # Rollouts
 # ---------------------------------------------------------------------------
@@ -126,16 +101,6 @@ def walk(row_ptr, cols, probs, policy_row, accepting, sink, z, state,
         row = slice(row_ptr[r], row_ptr[r + 1])
         z = sample_successor(cols[row], probs[row], u)
         visited.append(z)
-
-
-def rollout_batch_loop(row_ptr, cols, probs, policy_row, accepting, sink,
-                       z0, n_rollouts, seed, max_steps):
-    """Scalar reference for `rollout_batch_numpy`."""
-    outcomes = np.zeros(n_rollouts, dtype=np.int8)
-    for i in range(n_rollouts):
-        outcomes[i], _ = walk(row_ptr, cols, probs, policy_row, accepting,
-                              sink, z0, splitmix_init(seed, i), max_steps)
-    return outcomes
 
 
 def rollout_batch_numpy(row_ptr, cols, probs, policy_row, accepting, sink,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass, field
+from itertools import combinations
 
 
 class FormulaError(ValueError):
@@ -59,14 +60,15 @@ class DistributionSpec:
         raise NotImplementedError
 
     def hazard(self, t: int) -> float:
-        """P(first occurrence at step t | no occurrence before t)."""
+        """P(first occurrence at step t | no occurrence before t), at most 1
+        where step t takes all the mass left and the quotient rounds up."""
         if t < 1:
             return 0.0
         survival = self.tail(t - 1)
         if survival <= 0.0:
             raise ZeroSurvivalError(
                 f"no probability mass remains at step {t}")
-        return self.pmf(t) / survival
+        return min(self.pmf(t) / survival, 1.0)
 
 
 @dataclass(frozen=True)
@@ -302,10 +304,6 @@ class DistEventually(Formula):
         return _interned((cls, event, dist))
 
 
-# the lower-case name some callers import
-until = Until
-
-
 def eventually(phi: Formula, interval: Interval | None = None) -> Until:
     return Until(TRUE, phi, interval)
 
@@ -313,6 +311,14 @@ def eventually(phi: Formula, interval: Interval | None = None) -> Until:
 # ---------------------------------------------------------------------------
 # Event sets
 # ---------------------------------------------------------------------------
+
+def env_subsets(pending) -> list[frozenset[str]]:
+    """The outcomes of one step: every subset of the pending events, by
+    size, then by sorted names."""
+    names = sorted(pending)
+    return [frozenset(c) for k in range(len(names) + 1)
+            for c in combinations(names, k)]
+
 
 @dataclass(frozen=True)
 class EventSet:

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formula import DistributionSpec, FormulaError, parse_distribution
+from .formula import (
+    DistributionSpec,
+    FormulaError,
+    env_subsets,
+    parse_distribution,
+)
 
 
 class GameError(ValueError):
@@ -36,15 +41,6 @@ class GameState:
         occ = "{" + ",".join(sorted(self.occurred)) + "}"
         pend = "{" + ",".join(sorted(self.pending)) + "}"
         return f"({self.robot}, {occ}, {pend})"
-
-
-def env_subsets(pending) -> list[frozenset[str]]:
-    names = sorted(pending)
-    out = []
-    for mask in range(1 << len(names)):
-        out.append(frozenset(n for i, n in enumerate(names) if mask >> i & 1))
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return out
 
 
 def event_mask(names, events) -> int:
@@ -281,7 +277,9 @@ def _parse_cell(text, lineno):
 
 class GridWorld(Game):
     """Slip-motion grid: intended direction with probability slip[0],
-    perpendicular left/right with slip[1]/slip[2]; hitting a wall stays."""
+    perpendicular left/right with slip[1]/slip[2]; hitting a wall stays.
+    It is compiled from arrays only; its `transitions`, the reference the
+    tests check `_compile` against, are in `tests/_oracles.py`."""
 
     def __init__(self, cfg: GridWorldConfig):
         self.cfg = cfg
@@ -302,30 +300,6 @@ class GridWorld(Game):
     def label(self, s: GameState) -> frozenset[str]:
         return self.base_label(s.robot) | s.occurred
 
-    def motion(self, cell, action):
-        """Successor cell distribution, wall bounces folded in."""
-        accum: dict[tuple[int, int], float] = {}
-        for direction, p in ((action, self.cfg.slip[0]),
-                             (_LEFT[action], self.cfg.slip[1]),
-                             (_RIGHT[action], self.cfg.slip[2])):
-            if p == 0.0:
-                continue
-            dx, dy = _DIRS[direction]
-            nx, ny = cell[0] + dx, cell[1] + dy
-            if not (0 <= nx < self.cfg.width and 0 <= ny < self.cfg.height):
-                nx, ny = cell
-            accum[(nx, ny)] = accum.get((nx, ny), 0.0) + p
-        return sorted(accum.items())
-
-    def transitions(self, s, action, e):
-        if action not in self.actions:
-            raise GameError(f"unknown action {action!r}")
-        if not e <= s.pending:
-            raise GameError(f"environment outcome {sorted(e)} not enabled")
-        pending = s.pending - e
-        return [(GameState(cell, pending, frozenset(e)), p)
-                for cell, p in self.motion(s.robot, action)]
-
     def _compile(self) -> CompiledGame:
         """`Game._compile` on whole arrays.
 
@@ -337,8 +311,9 @@ class GridWorld(Game):
         the motion; the grid is 4-connected; and forward, left and right
         sum to 1, so for each direction some action moves that way with
         positive probability.  So state id i is ``pair * n_cells + cell``
-        minus the start's, modulo the state count, and the start has id 0.  Each row lists the successors
-        `Game._compile` lists, in its order, with the same probabilities,
+        minus the start's, modulo the state count, and the start has id 0.
+        Each row lists the successors `Game._compile` lists over the
+        reference `transitions`, in its order, with the same probabilities,
         and every check of `Game._compile` runs over all entries at once.
         """
         cfg = self.cfg
@@ -416,7 +391,8 @@ class GridWorld(Game):
                             succ=succ, prob=prob)
 
     def _motion_table(self):
-        """`motion` of every (cell, action), in row ``cell * n_actions + a``:
+        """The successor cell distribution of every (cell, action), wall
+        bounces folded in, in row ``cell * n_actions + a``:
         up to three successor cells by increasing id, padded with -1, their
         probabilities, and how many there are."""
         cfg = self.cfg
@@ -435,7 +411,7 @@ class GridWorld(Game):
         prob = np.tile(np.array(cfg.slip, dtype=np.float64), (len(dest), 1))
         live = prob != 0.0
         # a part that lands where an earlier part did adds its mass to that
-        # one, forward, left, right in turn, as `motion` sums them
+        # one, forward, left, right in turn
         for k in (1, 2):
             for j in range(k):
                 fold = live[:, j] & live[:, k] & (dest[:, j] == dest[:, k])

@@ -19,7 +19,7 @@ carrying the sum of its weights in discovery order.
 
 `build_product` keeps that numbering with whole-array steps.  The game is
 compiled once to integer tables (`Game.compiled`) and the automaton is
-stepped once per (state, label) pair (`StepTable`); a progression
+stepped once per (state, label) pair (`StepTable`, below); a progression
 automaton computes only the table entries those steps read, so its
 locations, the ``q<n>`` of `describe_spec_state`, are numbered in the
 order the product reaches them.  No product index depends on that
@@ -46,7 +46,7 @@ from .game_model import (
     concat_ranges,
     event_mask,
 )
-from .stochastic_ta import StaModel, StaState, StepTable
+from .stochastic_ta import StaModel, StaState
 
 
 class ProductError(ValueError):
@@ -197,6 +197,74 @@ class ProductMdp:
                     lines.append(f'  z{z} -> z{z2} [label="{name}:{p:.4g}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _grown(a: np.ndarray, fill) -> np.ndarray:
+    """`a` with as many rows again, at least 16, appended and set to `fill`."""
+    extra = np.full((max(len(a), 16),) + a.shape[1:], fill, dtype=a.dtype)
+    return np.concatenate([a, extra])
+
+
+class StepTable:
+    """`StaModel.step` as a table over (state id, label id) pairs.
+
+    States get ids as they are first seen; `labels` fixes the label ids.
+    Entries are filled on demand, one `sta.step` call per pair; the table
+    is the product's own memo of the steps, so `StaModel.step` itself
+    stores nothing.  Per state id the table also holds whether the state
+    is accepting or a sink (the truncation sink or a rejecting location);
+    a state is absorbing when it is either.
+    """
+
+    def __init__(self, sta: StaModel, labels):
+        self.sta = sta
+        self.labels = tuple(labels)
+        self.states: list[StaState] = []
+        self._index: dict[StaState, int] = {}
+        self._next = np.full((0, len(self.labels)), -1, dtype=np.int64)
+        self._prob = np.zeros((0, len(self.labels)))
+        self._flags = np.zeros((0, 2), dtype=bool)
+
+    @property
+    def accepting(self) -> np.ndarray:
+        return self._flags[:len(self.states), 0]
+
+    @property
+    def sink(self) -> np.ndarray:
+        return self._flags[:len(self.states), 1]
+
+    def intern(self, q: StaState) -> int:
+        j = self._index.get(q)
+        if j is not None:
+            return j
+        j = self._index[q] = len(self.states)
+        self.states.append(q)
+        if j == len(self._next):
+            self._next = _grown(self._next, -1)
+            self._prob = _grown(self._prob, 0.0)
+            self._flags = _grown(self._flags, False)
+        sink = q.sink or self.sta.is_rejecting(q)
+        self._flags[j] = (not sink and self.sta.is_accepting(q), sink)
+        return j
+
+    def step(self, q_ids: np.ndarray, label_ids: np.ndarray):
+        """Successor ids and step probabilities of the given pairs."""
+        nxt = self._next[q_ids, label_ids]
+        missing = np.flatnonzero(nxt < 0)
+        if missing.size:
+            n_labels = len(self.labels)
+            # the distinct pairs in increasing order; plain `np.unique`
+            # would import `numpy.ma` on its first call
+            pairs = np.sort(q_ids[missing] * n_labels + label_ids[missing])
+            pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+            for pair in pairs.tolist():
+                q, lab = divmod(pair, n_labels)
+                q2, p = self.sta.step(self.states[q], self.labels[lab])
+                j = self.intern(q2)
+                self._next[q, lab] = j
+                self._prob[q, lab] = p
+            nxt = self._next[q_ids, label_ids]
+        return nxt, self._prob[q_ids, label_ids]
 
 
 def describe_spec_state(q: StaState) -> str:

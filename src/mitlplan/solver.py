@@ -2,9 +2,9 @@
 
 `value_iteration` runs synchronous Bellman sweeps from the zero function
 (so iterates increase monotonically toward the maximal probability of
-reaching an accepting state), `extract_policy` takes the greedy argmax
-with a fixed tie-breaking order, and `brute_force_reach` is an independent
-finite-horizon oracle that shares no code with the sweep kernels.
+reaching an accepting state), and `extract_policy` takes the greedy argmax
+with a fixed tie-breaking order.  The tests check both against an
+independent finite-horizon oracle, `tests/_oracles.py::brute_force_reach`.
 """
 
 from __future__ import annotations
@@ -101,22 +101,3 @@ def policy_evaluation(m: ProductMdp, policy: Policy, tol: float = 1e-12,
             return new_values
         values = new_values
     raise SolverError("policy evaluation did not converge")
-
-
-def brute_force_reach(m: ProductMdp, horizon: int) -> np.ndarray:
-    """Independent oracle: exact maximal probability of entering an
-    accepting state within `horizon` steps, by plain backward induction
-    over the edge list (no shared sweep kernel, no early stopping)."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    n = m.n_states
-    n_rows = n * m.n_actions
-    edge_row = np.repeat(np.arange(n_rows), np.diff(m.row_ptr))
-    enter_reward = m.accepting[m.cols].astype(np.float64)
-    w = np.zeros(n)
-    for _ in range(horizon):
-        gain = m.probs * (enter_reward + w[m.cols])
-        q = np.bincount(edge_row, weights=gain, minlength=n_rows)
-        w = q.reshape(n, m.n_actions).max(axis=1)
-        w[m.absorbing] = 0.0
-    return w

@@ -17,23 +17,16 @@ that would push a pending clock past the cap redirects the whole step (all
 outcomes) to an absorbing, non-accepting sink.  That convention makes the
 total sink mass of a single-event model equal the distribution tail at the
 cap, which is the bound the truncation argument promises.
+
+Like `formula` and `timed_automata` beneath it, this module imports no
+numpy; the product's table of steps is `product_mdp.StepTable`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._kernels import wilson_interval
-from .formula import (
-    DistributionSpec,
-    EventSet,
-    FiniteTable,
-    Geometric,
-    ZeroSurvivalError,
-)
-from .game_model import env_subsets
+from .formula import EventSet, ZeroSurvivalError, env_subsets
 from .timed_automata import ProgressionDta, TimedWord
 
 
@@ -79,6 +72,12 @@ class StaModel:
         self.event_names = tuple(events.names)
         self._dist = {name: d for name, d in events}
         self.trunc = trunc
+        # `run_word`'s memos.  `_succ`: (state, symbol & `_read`) -> what
+        # `step` returns, with state None for `initial`; `_reach`:
+        # (config, pending) -> `_acceptance_reachable`
+        self._read = frozenset(dta.atoms) | frozenset(self.event_names)
+        self._succ: dict = {}
+        self._reach: dict = {}
         self.points = {}
         if trunc is not None:
             for name in self.event_names:
@@ -151,9 +150,6 @@ class StaModel:
     def is_rejecting(self, q: StaState) -> bool:
         return not q.sink and self.dta.is_rejecting(q.config)
 
-    def is_absorbing(self, q: StaState) -> bool:
-        return q.sink or self.is_accepting(q) or self.is_rejecting(q)
-
     # -- monitoring ---------------------------------------------------------
 
     def run_word(self, word: TimedWord):
@@ -165,6 +161,12 @@ class StaModel:
         product of the step probabilities of the observed event pattern.
         A word the model cannot produce, one in which an event occurs twice
         or after its law has no mass left, raises StaError naming the step.
+
+        Steps and the final reachability check go through the model's
+        memos, which a call that raises leaves as they were.  A long-lived
+        model pays for each (state, symbol) pair once; the memos hold at
+        most the states reachable within the longest word read, times
+        2^|atoms and events|, entries.
         """
         symbols = list(word)
         if not symbols:
@@ -172,33 +174,40 @@ class StaModel:
             verdict = "accept" if self.dta.is_accepting(self.dta.initial_config()) \
                 else "inconclusive-prefix"
             return verdict, 1.0, [q]
-        q, p = self.initial(symbols[0])
-        likelihood = p
-        states = [q]
-        accepted = self.is_accepting(q)
-        for symbol in symbols[1:]:
-            try:
-                q, p = self.step(q, symbol)
-            except (StaError, ZeroSurvivalError) as exc:
-                # states holds one state per symbol read so far
-                raise StaError(f"word step {len(states)}: {exc}") from None
+        succ, read = self._succ, self._read
+        q, likelihood, states, accepted = None, 1.0, [], False
+        for symbol in symbols:
+            key = (q, read.intersection(symbol))
+            hit = succ.get(key)
+            if hit is None:
+                try:
+                    hit = (self.initial(symbol) if q is None
+                           else self.step(q, symbol))
+                except (StaError, ZeroSurvivalError) as exc:
+                    # states holds one state per symbol read so far
+                    raise StaError(f"word step {len(states)}: {exc}") from None
+                succ[key] = hit
+            q, p = hit
             likelihood *= p
             states.append(q)
             accepted = accepted or self.is_accepting(q)
         if accepted:
             return "accept", likelihood, states
-        if self.is_rejecting(q) or not self._acceptance_reachable(q):
+        key = (q.config, q.pending)
+        if key not in self._reach:
+            self._reach[key] = self._acceptance_reachable(*key)
+        if self.is_rejecting(q) or not self._reach[key]:
             return "reject", likelihood, states
         return "inconclusive-prefix", likelihood, states
 
-    def _acceptance_reachable(self, q: StaState) -> bool:
+    def _acceptance_reachable(self, config, pending) -> bool:
         """Can any future (events firing at most once) reach acceptance?"""
         base_atoms = [a for a in self.dta.atoms if a not in self.event_names]
         base_symbols = [
             frozenset(a for i, a in enumerate(base_atoms) if mask >> i & 1)
             for mask in range(1 << len(base_atoms))]
         seen = set()
-        stack = [(q.config, frozenset(q.pending))]
+        stack = [(config, pending)]
         while stack:
             config, pending = stack.pop()
             if (config, pending) in seen:
@@ -218,160 +227,3 @@ class StaModel:
 
 def truncate(m: StaModel, trunc) -> StaModel:
     return StaModel(m.dta, m.events, trunc)
-
-
-def _grown(a: np.ndarray, fill) -> np.ndarray:
-    """`a` with as many rows again, at least 16, appended and set to `fill`."""
-    extra = np.full((max(len(a), 16),) + a.shape[1:], fill, dtype=a.dtype)
-    return np.concatenate([a, extra])
-
-
-class StepTable:
-    """`StaModel.step` as a table over (state id, label id) pairs.
-
-    States get ids as they are first seen; `labels` fixes the label ids.
-    Entries are filled on demand, one `step` call per pair.  Per state id
-    the table also holds whether the state is accepting or a sink (the
-    truncation sink or a rejecting location); a state is absorbing when it
-    is either.
-    """
-
-    def __init__(self, sta: StaModel, labels):
-        self.sta = sta
-        self.labels = tuple(labels)
-        self.states: list[StaState] = []
-        self._index: dict[StaState, int] = {}
-        self._next = np.full((0, len(self.labels)), -1, dtype=np.int64)
-        self._prob = np.zeros((0, len(self.labels)))
-        self._flags = np.zeros((0, 2), dtype=bool)
-
-    @property
-    def accepting(self) -> np.ndarray:
-        return self._flags[:len(self.states), 0]
-
-    @property
-    def sink(self) -> np.ndarray:
-        return self._flags[:len(self.states), 1]
-
-    def intern(self, q: StaState) -> int:
-        j = self._index.get(q)
-        if j is not None:
-            return j
-        j = self._index[q] = len(self.states)
-        self.states.append(q)
-        if j == len(self._next):
-            self._next = _grown(self._next, -1)
-            self._prob = _grown(self._prob, 0.0)
-            self._flags = _grown(self._flags, False)
-        sink = q.sink or self.sta.is_rejecting(q)
-        self._flags[j] = (not sink and self.sta.is_accepting(q), sink)
-        return j
-
-    def step(self, q_ids: np.ndarray, label_ids: np.ndarray):
-        """Successor ids and step probabilities of the given pairs."""
-        nxt = self._next[q_ids, label_ids]
-        missing = np.flatnonzero(nxt < 0)
-        if missing.size:
-            n_labels = len(self.labels)
-            # the distinct pairs in increasing order; plain `np.unique`
-            # would import `numpy.ma` on its first call
-            pairs = np.sort(q_ids[missing] * n_labels + label_ids[missing])
-            pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-            for pair in pairs.tolist():
-                q, lab = divmod(pair, n_labels)
-                q2, p = self.sta.step(self.states[q], self.labels[lab])
-                j = self.intern(q2)
-                self._next[q, lab] = j
-                self._prob[q, lab] = p
-            nxt = self._next[q_ids, label_ids]
-        return nxt, self._prob[q_ids, label_ids]
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo check of the truncation error bound
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MonteCarloEstimate:
-    estimate: float
-    ci_low: float
-    ci_high: float
-    hits: int
-    samples: int
-
-
-def sample_occurrence_steps(d: DistributionSpec, n: int, rng,
-                            never: int) -> np.ndarray:
-    """Sample n first-occurrence steps; `never` encodes 'no finite step'."""
-    if isinstance(d, Geometric):
-        return rng.geometric(d.p, size=n).astype(np.int64)
-    if isinstance(d, FiniteTable):
-        steps = [k for k, _ in d.entries] + [never]
-        probs = [m for _, m in d.entries] + [d.never_mass]
-        total = sum(probs)
-        probs = [p / total for p in probs]
-        return rng.choice(np.array(steps, dtype=np.int64), size=n, p=probs)
-    raise StaError(f"cannot sample from {type(d).__name__}")
-
-
-def truncation_error_estimate(m: StaModel, mt: StaModel, n: int, seed: int,
-                         agent_prop_prob: dict[str, float] | None = None,
-                         horizon: int | None = None) -> MonteCarloEstimate:
-    """Monte Carlo estimate of P(word accepted by m and sunk by mt).
-
-    Words are sampled by drawing each event's first-occurrence step from
-    its distribution and filling the remaining propositions independently
-    per step with the given probabilities (default: never true).  The
-    truncation bound guarantees the true probability is below the achieved
-    error bound regardless of the agent word generator.
-    """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    agent_prop_prob = agent_prop_prob or {}
-    points = mt.points
-    max_T = max(points.values(), default=0)
-    if horizon is None:
-        # long enough that a sink step fits inside the sampled words
-        horizon = max_T + 16
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    never = 1 << 40
-
-    rng = np.random.default_rng(seed)
-    occ = {name: sample_occurrence_steps(m.events.dist(name), n, rng, never)
-           for name in m.event_names}
-
-    # the walk reads the table densely, so every entry must be computed
-    dta = m.dta.close()
-    table = np.asarray(dta.table, dtype=np.int64)
-    atom_bit = {a: 1 << i for i, a in enumerate(dta.atoms)}
-    agent_atoms = [a for a in dta.atoms if a not in m.event_names]
-
-    loc = np.full(n, dta.init_index, dtype=np.int64)
-    big = np.int64(1 << 40)
-    first_accept = np.full(n, big, dtype=np.int64)
-    for t in range(horizon):
-        mask = np.zeros(n, dtype=np.int64)
-        for name in m.event_names:
-            bit = atom_bit.get(name, 0)
-            if bit:
-                mask |= np.where(occ[name] == t, bit, 0)
-        for a in agent_atoms:
-            q = agent_prop_prob.get(a, 0.0)
-            if q > 0.0:
-                mask |= np.where(rng.random(n) < q, atom_bit[a], 0)
-        loc = table[loc, mask]
-        if dta.accept_index >= 0:
-            newly = (loc == dta.accept_index) & (first_accept == big)
-            first_accept[newly] = t
-
-    accepted = first_accept < big
-    # first step at which a pending clock would exceed its cap
-    t_sink = np.full(n, big, dtype=np.int64)
-    for name in m.event_names:
-        late = occ[name] > points[name]
-        t_sink = np.where(late, np.minimum(t_sink, points[name] + 1), t_sink)
-    sunk = (t_sink <= first_accept) & (t_sink <= horizon - 1)
-
-    hits = int(np.count_nonzero(accepted & sunk))
-    return MonteCarloEstimate(hits / n, *wilson_interval(hits, n), hits, n)

@@ -1,30 +1,55 @@
-"""Independent test oracles: a brute-force discrete-time satisfaction
-checker (witness enumeration, no progression machinery), random
-generators for fragment formulas and words, and the state-at-a-time
-product construction that the array-based one must reproduce."""
+"""Independent test oracles and reference implementations.
+
+- a brute-force discrete-time satisfaction checker (witness enumeration,
+  no progression machinery) and random generators for fragment formulas
+  and words;
+- the grid world one state at a time (`ReferenceGrid`), which
+  `Game._compile` walks to check the array compile of `GridWorld`;
+- the state-at-a-time product construction that the array-based one must
+  reproduce;
+- the scalar loop kernels the numpy kernels of `mitlplan._kernels` must
+  reproduce, and a finite-horizon reachability oracle for the solver;
+- a Monte Carlo check of the truncation error bound.
+
+None of this runs in the command line tool.
+"""
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
+from mitlplan._kernels import splitmix_init, walk, wilson_interval
 from mitlplan.formula import (
     TRUE,
     And,
     Atom,
+    DistributionSpec,
     FalseF,
+    FiniteTable,
     Formula,
+    Geometric,
     Interval,
     Not,
     Or,
     TrueF,
     Until,
-    until,
+    Until as until,
+    env_subsets,
 )
-from mitlplan.game_model import env_subsets
+from mitlplan.game_model import (
+    _DIRS,
+    _LEFT,
+    _RIGHT,
+    GameError,
+    GameState,
+    GridWorld,
+)
 from mitlplan.product_mdp import ProductError, ProductMdp, ProductState
+from mitlplan.stochastic_ta import StaError, StaModel
 
 
 def word_satisfies(f: Formula, word, i: int = 0) -> bool:
@@ -129,7 +154,8 @@ def reference_product(game, tsta, cap: int = 2_000_000) -> ProductMdp:
         z = frontier.popleft()
         ps = states[z]
         expanded += 1
-        if tsta.is_absorbing(ps.spec):
+        if (ps.spec.sink or tsta.is_accepting(ps.spec)
+                or tsta.is_rejecting(ps.spec)):
             for _ in game.actions:
                 rows.append([(z, 1.0)])
             continue
@@ -176,3 +202,193 @@ def reference_product(game, tsta, cap: int = 2_000_000) -> ProductMdp:
     spec_of = np.array([spec_id[ps.spec] for ps in states], dtype=np.int64)
     return ProductMdp(game, tsta, spec_states, game_of, spec_of, row_ptr,
                       cols, probs, accepting, sink)
+
+
+# ---------------------------------------------------------------------------
+# The grid world one state at a time
+# ---------------------------------------------------------------------------
+
+class ReferenceGrid(GridWorld):
+    """`GridWorld` with the state-at-a-time kernel that its array compile
+    must reproduce: `Game._compile` over `transitions` gives the same
+    states, labels and rows as `GridWorld._compile`, up to the ids."""
+
+    def motion(self, cell, action):
+        """Successor cell distribution, wall bounces folded in."""
+        accum: dict[tuple[int, int], float] = {}
+        for direction, p in ((action, self.cfg.slip[0]),
+                             (_LEFT[action], self.cfg.slip[1]),
+                             (_RIGHT[action], self.cfg.slip[2])):
+            if p == 0.0:
+                continue
+            dx, dy = _DIRS[direction]
+            nx, ny = cell[0] + dx, cell[1] + dy
+            if not (0 <= nx < self.cfg.width and 0 <= ny < self.cfg.height):
+                nx, ny = cell
+            accum[(nx, ny)] = accum.get((nx, ny), 0.0) + p
+        return sorted(accum.items())
+
+    def transitions(self, s, action, e):
+        if action not in self.actions:
+            raise GameError(f"unknown action {action!r}")
+        if not e <= s.pending:
+            raise GameError(f"environment outcome {sorted(e)} not enabled")
+        pending = s.pending - e
+        return [(GameState(cell, pending, frozenset(e)), p)
+                for cell, p in self.motion(s.robot, action)]
+
+
+def reference_grid(cfg) -> ReferenceGrid:
+    """`build_gridworld` for a `ReferenceGrid`."""
+    g = ReferenceGrid(cfg)
+    g.validate()
+    return g
+
+
+# ---------------------------------------------------------------------------
+# Scalar kernels and the finite-horizon oracle
+# ---------------------------------------------------------------------------
+
+def bellman_sweep_loop(row_ptr, cols, probs, reward_row, absorbing, values,
+                       n_actions):
+    """Scalar reference for `bellman_sweep_numpy`."""
+    n = values.shape[0]
+    new_values = np.empty_like(values)
+    residual = 0.0
+    for z in range(n):
+        if absorbing[z]:
+            new_values[z] = 0.0
+            continue
+        best = -1.0
+        for a in range(n_actions):
+            r = z * n_actions + a
+            q = reward_row[r]
+            for k in range(row_ptr[r], row_ptr[r + 1]):
+                q += probs[k] * values[cols[k]]
+            if q > best:
+                best = q
+        new_values[z] = best
+        diff = abs(best - values[z])
+        if diff > residual:
+            residual = diff
+    return new_values, float(residual)
+
+
+def rollout_batch_loop(row_ptr, cols, probs, policy_row, accepting, sink,
+                       z0, n_rollouts, seed, max_steps):
+    """Scalar reference for `rollout_batch_numpy`."""
+    outcomes = np.zeros(n_rollouts, dtype=np.int8)
+    for i in range(n_rollouts):
+        outcomes[i], _ = walk(row_ptr, cols, probs, policy_row, accepting,
+                              sink, z0, splitmix_init(seed, i), max_steps)
+    return outcomes
+
+
+def brute_force_reach(m: ProductMdp, horizon: int) -> np.ndarray:
+    """Exact maximal probability of entering an accepting state within
+    `horizon` steps, by plain backward induction over the edge list (no
+    shared sweep kernel, no early stopping)."""
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    n = m.n_states
+    n_rows = n * m.n_actions
+    edge_row = np.repeat(np.arange(n_rows), np.diff(m.row_ptr))
+    enter_reward = m.accepting[m.cols].astype(np.float64)
+    w = np.zeros(n)
+    for _ in range(horizon):
+        gain = m.probs * (enter_reward + w[m.cols])
+        q = np.bincount(edge_row, weights=gain, minlength=n_rows)
+        w = q.reshape(n, m.n_actions).max(axis=1)
+        w[m.absorbing] = 0.0
+    return w
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo check of the truncation error bound
+# ---------------------------------------------------------------------------
+
+@dataclass
+class MonteCarloEstimate:
+    estimate: float
+    ci_low: float
+    ci_high: float
+    hits: int
+    samples: int
+
+
+def sample_occurrence_steps(d: DistributionSpec, n: int, rng,
+                            never: int) -> np.ndarray:
+    """Sample n first-occurrence steps; `never` encodes 'no finite step'."""
+    if isinstance(d, Geometric):
+        return rng.geometric(d.p, size=n).astype(np.int64)
+    if isinstance(d, FiniteTable):
+        steps = [k for k, _ in d.entries] + [never]
+        probs = [m for _, m in d.entries] + [d.never_mass]
+        total = sum(probs)
+        probs = [p / total for p in probs]
+        return rng.choice(np.array(steps, dtype=np.int64), size=n, p=probs)
+    raise StaError(f"cannot sample from {type(d).__name__}")
+
+
+def truncation_error_estimate(m: StaModel, mt: StaModel, n: int, seed: int,
+                              agent_prop_prob: dict[str, float] | None = None,
+                              horizon: int | None = None
+                              ) -> MonteCarloEstimate:
+    """Monte Carlo estimate of P(word accepted by m and sunk by mt).
+
+    Words are sampled by drawing each event's first-occurrence step from
+    its distribution and filling the remaining propositions independently
+    per step with the given probabilities (default: never true).  The
+    truncation bound guarantees the true probability is below the achieved
+    error bound regardless of the agent word generator.
+    """
+    if n < 1:
+        raise ValueError("need at least one sample")
+    agent_prop_prob = agent_prop_prob or {}
+    points = mt.points
+    max_T = max(points.values(), default=0)
+    if horizon is None:
+        # long enough that a sink step fits inside the sampled words
+        horizon = max_T + 16
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    never = 1 << 40
+
+    rng = np.random.default_rng(seed)
+    occ = {name: sample_occurrence_steps(m.events.dist(name), n, rng, never)
+           for name in m.event_names}
+
+    # the walk reads the table densely, so every entry must be computed
+    dta = m.dta.close()
+    table = np.asarray(dta.table, dtype=np.int64)
+    atom_bit = {a: 1 << i for i, a in enumerate(dta.atoms)}
+    agent_atoms = [a for a in dta.atoms if a not in m.event_names]
+
+    loc = np.full(n, dta.init_index, dtype=np.int64)
+    big = np.int64(1 << 40)
+    first_accept = np.full(n, big, dtype=np.int64)
+    for t in range(horizon):
+        mask = np.zeros(n, dtype=np.int64)
+        for name in m.event_names:
+            bit = atom_bit.get(name, 0)
+            if bit:
+                mask |= np.where(occ[name] == t, bit, 0)
+        for a in agent_atoms:
+            q = agent_prop_prob.get(a, 0.0)
+            if q > 0.0:
+                mask |= np.where(rng.random(n) < q, atom_bit[a], 0)
+        loc = table[loc, mask]
+        if dta.accept_index >= 0:
+            newly = (loc == dta.accept_index) & (first_accept == big)
+            first_accept[newly] = t
+
+    accepted = first_accept < big
+    # first step at which a pending clock would exceed its cap
+    t_sink = np.full(n, big, dtype=np.int64)
+    for name in m.event_names:
+        late = occ[name] > points[name]
+        t_sink = np.where(late, np.minimum(t_sink, points[name] + 1), t_sink)
+    sunk = (t_sink <= first_accept) & (t_sink <= horizon - 1)
+
+    hits = int(np.count_nonzero(accepted & sunk))
+    return MonteCarloEstimate(hits / n, *wilson_interval(hits, n), hits, n)

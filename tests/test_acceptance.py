@@ -20,16 +20,17 @@ from mitlplan.formula import (
     uniform_truncation_vector,
 )
 from mitlplan.simulator import estimate_success
-from mitlplan.solver import (
-    brute_force_reach,
-    extract_policy,
-    policy_evaluation,
-    value_iteration,
-)
-from mitlplan.stochastic_ta import StaModel, truncation_error_estimate, truncate
+from mitlplan.solver import extract_policy, policy_evaluation, value_iteration
+from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import TimedWord, build_dta, canonical, load_dta, run_dta
 
-from _oracles import random_fragment_formula, random_word, word_satisfies
+from _oracles import (
+    brute_force_reach,
+    random_fragment_formula,
+    random_word,
+    truncation_error_estimate,
+    word_satisfies,
+)
 from conftest import BUS_CASE1, BUS_CASE2, DATA, build_case
 
 REFERENCE_RESULTS = {

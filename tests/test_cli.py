@@ -378,6 +378,18 @@ def test_monitor_word_the_model_cannot_produce_exits_2(tmp_path, capsys,
     assert err.startswith(f"error: word step 2: {message}")
 
 
+def test_monitor_likelihood_of_a_word_past_a_hazard_of_one(tmp_path, capsys):
+    # the table's hazard at step 3 rounded to 1.0000000000000002, so b1
+    # not arriving by step 3 had probability -2e-16
+    path = tmp_path / "w.txt"
+    path.write_text("-\n-\n-\n-\n")
+    code, out, _ = run(capsys, "monitor", "--formula",
+                       "D{table:1:0.05,2:0.05,3:0.9} b1 & F (b1 & F[0,2] s1)",
+                       "--word", str(path))
+    assert code == 0
+    assert out == "verdict: inconclusive-prefix\nlikelihood: 0.0\n"
+
+
 @pytest.mark.parametrize("stations, target", [("b3 b4", "b3"), ("b4", "b4")])
 def test_plan_sees_every_station_on_a_shared_cell(tmp_path, capsys, stations,
                                                   target):

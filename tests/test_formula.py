@@ -24,6 +24,7 @@ from mitlplan.formula import (
     ParseError,
     TrueF,
     Until,
+    Until as until,
     ZeroSurvivalError,
     eventually,
     normalize,
@@ -32,7 +33,6 @@ from mitlplan.formula import (
     substitute_dist,
     truncation_vector,
     uniform_truncation_vector,
-    until,
     validate_fragment,
 )
 from mitlplan.timed_automata import build_dta
@@ -301,6 +301,20 @@ def test_hazard_geometric_example():
 def test_hazard_table():
     d = FiniteTable(((1, 0.5), (2, 0.5)))
     assert d.hazard(2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_hazard_of_a_full_table_stays_in_unit_interval():
+    # masses in twentieths summing to 1; pmf/survival can round above 1 at
+    # the last step (table:1:0.05,2:0.05,3:0.9 gives 1.0000000000000002)
+    # and would give the non-firing outcome a negative probability
+    tables = [(i / 20, j / 20, (20 - i - j) / 20)
+              for i in range(1, 19) for j in range(1, 20 - i)]
+    tables += [(i / 20, (20 - i) / 20) for i in range(1, 20)]
+    for masses in tables:
+        d = FiniteTable(tuple(enumerate(masses, start=1)))
+        for t in range(1, d.max_step + 1):
+            assert 0.0 <= d.hazard(t) <= 1.0, (masses, t)
+    assert FiniteTable(((1, 0.05), (2, 0.05), (3, 0.9))).hazard(3) == 1.0
 
 
 def test_hazard_zero_survival():

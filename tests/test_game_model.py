@@ -3,26 +3,25 @@ import random
 import numpy as np
 import pytest
 
-from mitlplan.formula import EventSet, Geometric, parse
+from mitlplan.formula import EventSet, Geometric, env_subsets, parse
 from mitlplan.game_model import (
     Game,
     GameError,
     GameState,
-    GridWorld,
     GridWorldConfig,
     build_gridworld,
     concat_ranges,
-    env_subsets,
     load_game,
     parse_gridworld_config,
 )
 
+from _oracles import ReferenceGrid, reference_grid
 from conftest import DATA, THREE_BUS, grid_config
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return build_gridworld(grid_config(
+    return reference_grid(grid_config(
         (("b1", Geometric(0.8)), ("b2", Geometric(0.3)))))
 
 
@@ -69,7 +68,7 @@ def test_grid_rows_sum_to_one(grid):
 def test_deterministic_slip_singleton():
     cfg = GridWorldConfig(4, 4, (0, 0), (("b3", (0, 3)),),
                           (("b1", Geometric(0.5)),), (1.0, 0.0, 0.0))
-    g = build_gridworld(cfg)
+    g = reference_grid(cfg)
     assert g.motion((1, 1), "N") == [((1, 2), 1.0)]
 
 
@@ -200,7 +199,7 @@ COMPILE_CASES = {
 
 @pytest.mark.parametrize("case", COMPILE_CASES)
 def test_array_compile_matches_game_compile(case):
-    assert_same_compile(build_gridworld(COMPILE_CASES[case]()))
+    assert_same_compile(reference_grid(COMPILE_CASES[case]()))
 
 
 def test_grid_reaches_every_cell_and_event_pair():
@@ -219,7 +218,7 @@ def test_grid_reaches_every_cell_and_event_pair():
         events = tuple((f"b{j}", Geometric(0.5)) for j in range(k))
         cfg = GridWorldConfig(width, height, rng.choice(cells), stations,
                               events, rng.choice(slips))
-        grid = build_gridworld(cfg)
+        grid = reference_grid(cfg)
         n = len(grid.compiled().states)
         assert n == width * height * 3 ** k, cfg
         assert n == len(Game._compile(grid).states), cfg
@@ -253,7 +252,7 @@ BAD_GRIDS = {
 @pytest.mark.parametrize("case", BAD_GRIDS)
 def test_array_compile_rejects_as_game_compile(case):
     want = pytest.raises(GameError, Game._compile,
-                         GridWorld(BAD_GRIDS[case]())).value
+                         ReferenceGrid(BAD_GRIDS[case]())).value
     with pytest.raises(GameError) as got:
         build_gridworld(BAD_GRIDS[case]())
     assert str(got.value) == str(want)

@@ -6,11 +6,12 @@ import pytest
 from mitlplan.formula import (
     EventSet,
     Geometric,
+    env_subsets,
     parse,
     substitute_dist,
     uniform_truncation_vector,
 )
-from mitlplan.game_model import GridWorldConfig, build_gridworld, env_subsets, load_game
+from mitlplan.game_model import GridWorldConfig, build_gridworld, load_game
 from mitlplan.product_mdp import (
     DOT_MAX_STATES,
     ProductError,
@@ -20,7 +21,7 @@ from mitlplan.product_mdp import (
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import ProgressionDta, build_dta
 
-from _oracles import reference_product
+from _oracles import ReferenceGrid, reference_grid, reference_product
 from conftest import DATA, BUS_CASE1, BUS_CASE2, THREE_BUS, build_case
 
 
@@ -84,7 +85,7 @@ def test_reward_on_entry_only(case1_T3):
 
 def test_marginalization_recovers_game_kernel(case1_T3):
     m, _ = case1_T3
-    game, sta = m.game, m.sta
+    game, sta = ReferenceGrid(m.game.cfg), m.sta
     checked = 0
     for z in range(m.n_states):
         if m.absorbing[z]:
@@ -135,7 +136,7 @@ def test_no_pending_events_reduces_to_game_kernel():
     u = EventSet.from_formula(f)
     ts = truncate(StaModel(build_dta(substitute_dist(f)), u),
                   uniform_truncation_vector(f, u, 0))
-    game = build_gridworld(GridWorldConfig(
+    game = reference_grid(GridWorldConfig(
         2, 2, (0, 0), (("goal", (1, 1)),), ()))
     m = build_product(game, ts)
     for z in range(m.n_states):
@@ -212,8 +213,8 @@ def truncated(formula_text, T):
 
 def grid_inputs(formula_text, T, width, height, start, stations, slip):
     u, tsta = truncated(formula_text, T)
-    game = build_gridworld(GridWorldConfig(width, height, start, stations,
-                                           tuple(u.entries), slip))
+    game = reference_grid(GridWorldConfig(width, height, start, stations,
+                                          tuple(u.entries), slip))
     return game, tsta
 
 

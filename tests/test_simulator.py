@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mitlplan._kernels import rollout_batch_loop, splitmix_init, splitmix_next
+from mitlplan._kernels import splitmix_init, splitmix_next
 from mitlplan.formula import EventSet, parse, substitute_dist, uniform_truncation_vector
 from mitlplan.game_model import GridWorldConfig, build_gridworld
 from mitlplan.product_mdp import build_product
@@ -13,6 +13,7 @@ from mitlplan.solver import extract_policy, value_iteration
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import build_dta
 
+from _oracles import rollout_batch_loop
 from conftest import BUS_CASE2, build_case
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mitlplan._kernels import bellman_sweep_loop
 from mitlplan.formula import (
     EventSet,
     parse,
@@ -13,7 +12,6 @@ from mitlplan.game_model import GridWorldConfig, build_gridworld, load_game
 from mitlplan.product_mdp import STAY_ACTION, build_product
 from mitlplan.solver import (
     ValueIterationResult,
-    brute_force_reach,
     extract_policy,
     policy_evaluation,
     q_values,
@@ -23,6 +21,7 @@ from mitlplan.solver import (
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import build_dta
 
+from _oracles import bellman_sweep_loop, brute_force_reach
 from conftest import BUS_CASE2, build_case
 
 

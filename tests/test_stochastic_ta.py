@@ -1,6 +1,13 @@
+import os
+import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
+
+import mitlplan
 
 from mitlplan.formula import (
     EventSet,
@@ -10,14 +17,17 @@ from mitlplan.formula import (
     substitute_dist,
     uniform_truncation_vector,
 )
-from mitlplan.stochastic_ta import (
-    SINK,
-    StaError,
-    StaModel,
-    truncation_error_estimate,
-    truncate,
+from mitlplan._kernels import wilson_interval
+from mitlplan.stochastic_ta import SINK, StaError, StaModel, truncate
+from mitlplan.timed_automata import (
+    AutomatonError,
+    ProgressionDta,
+    TimedWord,
+    build_dta,
 )
-from mitlplan.timed_automata import ProgressionDta, TimedWord, build_dta
+
+from _oracles import truncation_error_estimate
+from conftest import BUS_CASE1
 
 
 
@@ -146,6 +156,94 @@ def test_word_monitor_verdicts(bus1_sta):
     verdict2, _, _ = bus1_sta.run_word(w2)
     assert verdict2 == "inconclusive-prefix"
     assert bus1_sta.run_word(TimedWord.from_sets([]))[0] == "inconclusive-prefix"
+
+
+def test_monitor_layers_import_without_numpy():
+    src = str(Path(mitlplan.__file__).resolve().parent.parent)
+    script = ("import sys\n"
+              "import mitlplan.formula, mitlplan.timed_automata, "
+              "mitlplan.stochastic_ta\n"
+              "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=120)
+    assert done.stdout == "False\n"
+
+
+# `BUS_CASE1`, the two missions the end-to-end benchmark monitors, and a law
+# that leaves no mass after step 1
+MEMO_MISSIONS = {
+    "case1": BUS_CASE1,
+    "bench-two-bus": ("D{geom:0.4} b1 & F (b1 & F[0,3] s1) | "
+                      "D{geom:0.7} b2 & F (b2 & F[0,3] s2)"),
+    "bench-three-bus": ("D{geom:0.4} b1 & F (b1 & F[0,3] s1) | "
+                        "D{geom:0.7} b2 & F (b2 & F s2) | "
+                        "D{geom:0.5} b3 & F (b3 & F[0,2] s3)"),
+    "zero-survival": "D{geom:1.0} b1 & F (b1 & F[0,2] s1)",
+}
+
+
+def memo_words(rng, atoms, events, n):
+    """n words over the atoms, the events and the untracked `zz`; in about
+    a third of them an event may occur more than once.  The first two show
+    an event twice and leave it pending for three steps."""
+    words = [[set(), {events[0]}, {events[0]}], [set(), set(), set()]]
+    for _ in range(n - len(words)):
+        repeat = rng.random() < 0.3
+        fired, word = set(), []
+        for _ in range(rng.randint(0, 12)):
+            sym = {a for a in atoms + ("zz",) if rng.random() < 0.3}
+            sym |= {e for e in events if rng.random() < 0.2
+                    and (repeat or e not in fired)}
+            fired |= sym
+            word.append(sym)
+        words.append(word)
+    return [TimedWord.from_sets(w) for w in words]
+
+
+def monitor_outcome(m, word):
+    try:
+        verdict, likelihood, states = m.run_word(word)
+    except StaError as exc:
+        return "error", str(exc)
+    return verdict, likelihood.hex(), states
+
+
+@pytest.mark.parametrize("mission", MEMO_MISSIONS)
+def test_run_word_memo_matches_a_fresh_model(mission):
+    f = parse(MEMO_MISSIONS[mission])
+    u = EventSet.from_formula(f)
+    dta = build_dta(substitute_dist(f))
+    atoms = tuple(a for a in dta.atoms if a not in u.names)
+    words = memo_words(random.Random(mission), atoms, u.names, 500)
+    warm = StaModel(dta, u)
+    got = [monitor_outcome(warm, w) for w in words]
+    assert got == [monitor_outcome(StaModel(dta, u), w) for w in words]
+    errors = [out[1] for out in got if out[0] == "error"]
+    assert any("word step 2: events ['b1'] already occurred" == e
+               for e in errors)
+    if mission == "zero-survival":
+        assert "word step 2: no probability mass remains at step 2" in errors
+    # a replay is served from the memos and adds nothing to them
+    sizes = len(warm._succ), len(warm._reach)
+    assert [monitor_outcome(warm, w) for w in words] == got
+    assert (len(warm._succ), len(warm._reach)) == sizes
+    # keys hold only what a step reads: at most 2^|read| per state
+    assert all(sym <= warm._read for _, sym in warm._succ)
+    states = {q for q, _ in warm._succ}
+    assert len(warm._succ) <= len(states) * 2 ** len(warm._read)
+
+
+def test_run_word_reraises_the_location_cap_on_every_call(bus1_formula,
+                                                          bus1_events):
+    m = StaModel(ProgressionDta(substitute_dist(bus1_formula), cap=2),
+                 bus1_events)
+    word = TimedWord.from_sets([set(), {"b1"}, set(), {"b3"}])
+    for _ in range(2):
+        with pytest.raises(AutomatonError):
+            m.run_word(word)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +418,6 @@ def test_error_estimate_needs_samples(bus1_sta, bus1_formula, bus1_events):
 
 
 def test_exact_ci_small_counts():
-    from mitlplan._kernels import wilson_interval
 
     lo, hi = wilson_interval(0, 1000)
     assert lo == 0.0

@@ -12,11 +12,11 @@ from mitlplan.formula import (
     Atom,
     Interval,
     Or,
+    Until as until,
     eventually,
     parse,
     pretty,
     substitute_dist,
-    until,
 )
 from mitlplan.timed_automata import (
     AutomatonError,

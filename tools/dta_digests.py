@@ -17,7 +17,8 @@ mission on the 5x5 grid ``three_bus.grid`` and for the two-bus mission on
 ``mitlplan bench`` CSVs without their ``wall_time_s`` column, of the
 ``dta.txt`` and ``dta.dot`` that ``mitlplan translate`` writes for the two-
 and three-bus missions, and of ``mitlplan monitor``'s stdout on the fixed
-words of ``MONITOR_WORDS``.
+words of ``MONITOR_WORDS`` (the bus missions, and a table law whose hazard
+reaches 1).
 
 A change keeps automata and planner outputs identical when this script
 prints the same file on the change as on its parent::
@@ -49,6 +50,13 @@ BUS_MISSIONS = {
                   "D{geom:0.6} b3 & F (b3 & F[0,3] s3)"),
 }
 
+# missions `mitlplan monitor` runs: the bus missions, and a table law whose
+# hazard at step 3 rounds to 1 (it printed a negative likelihood)
+MONITOR_MISSIONS = {
+    **BUS_MISSIONS,
+    "table-hazard-one": "D{table:1:0.05,2:0.05,3:0.9} b1 & F (b1 & F[0,2] s1)",
+}
+
 # words for `mitlplan monitor`, one string per step, "-" for the empty set
 MONITOR_WORDS = {
     "two-bus": [(), ("-",), ("-", "b1", "b3"), ("-", "b1", "-", "-", "-", "-"),
@@ -57,6 +65,7 @@ MONITOR_WORDS = {
     "three-bus": [("-", "b1", "s1"), ("-", "b2", "-", "-", "-", "s2"),
                   ("-", "b1 b2 b3", "-", "-", "-", "-"),
                   ("s1 s2 s3", "-", "b3", "s3")],
+    "table-hazard-one": [("-", "-", "-", "-")],
 }
 
 # the draw of test_criterion_9_progression_soundness, words included, so
@@ -158,6 +167,7 @@ def plan_digests() -> dict:
                 f"{name.replace('.', '_')}_sha256":
                     _sha256(Path(tmp, name).read_text())
                 for name in ("dta.txt", "dta.dot")}
+        for mission, formula in MONITOR_MISSIONS.items():
             for i, word in enumerate(MONITOR_WORDS[mission]):
                 path = Path(tmp, "word.txt")
                 path.write_text("".join(step + "\n" for step in word))
