@@ -42,7 +42,7 @@ from .solver import (
     satisfaction_probability,
     value_iteration,
 )
-from .stochastic_ta import StaError, StaModel, TimedWord, truncate
+from .stochastic_ta import StaError, StaModel, TimedWord
 from .timed_automata import (
     AutomatonError,
     ProgressionDta,
@@ -192,7 +192,7 @@ def build_model(args):
     game, env_text = load_environment(args, u)
     trunc = make_truncation(args, f, u)
     _, dta = build_automaton(f, args.cap)
-    product = validated_product(game, truncate(StaModel(dta, u), trunc))
+    product = validated_product(game, StaModel(dta, u, trunc))
     return Built(trunc, product, model_hash(pretty(f), env_text, trunc))
 
 
@@ -416,7 +416,6 @@ def cmd_bench(args):
     f, u = load_formula(args)
     game, _ = load_environment(args, u)
     _, dta = build_automaton(f, args.cap)
-    sta = StaModel(dta, u)
     if args.uniform_T:
         settings = [("T", T, {"uniform_T": T}) for T in args.uniform_T]
     elif args.eps_list:
@@ -427,7 +426,7 @@ def cmd_bench(args):
     for kind, value, setting in settings:
         trunc = truncation(f, u, **setting)
         t0 = time.perf_counter()
-        m = validated_product(game, truncate(sta, trunc))
+        m = validated_product(game, StaModel(dta, u, trunc))
         res = value_iteration(m, tol=args.tol, max_iter=args.max_iter)
         if not res.converged:
             _fail(EXIT_SOLVER, f"no convergence at {kind}={value}")

@@ -320,6 +320,13 @@ def env_subsets(pending) -> list[frozenset[str]]:
             for c in combinations(names, k)]
 
 
+def mask_subsets(names) -> list[frozenset[str]]:
+    """Every subset of `names` by bit mask: subset m holds ``names[i]``
+    for each bit i set in m."""
+    return [frozenset(n for i, n in enumerate(names) if m >> i & 1)
+            for m in range(1 << len(names))]
+
+
 @dataclass(frozen=True)
 class EventSet:
     """Ordered external-event names with their occurrence distributions."""

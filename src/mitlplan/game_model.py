@@ -23,6 +23,7 @@ from .formula import (
     DistributionSpec,
     FormulaError,
     env_subsets,
+    mask_subsets,
     parse_distribution,
 )
 
@@ -207,7 +208,7 @@ class GridWorldConfig:
             x, y = cell
             if not (0 <= x < self.width and 0 <= y < self.height):
                 raise GameError(f"cell {cell} outside the {self.width}x{self.height} grid")
-        if any(p < 0 for p in self.slip) or abs(sum(self.slip) - 1.0) > 1e-12:
+        if any(p < 0 for p in self.slip) or abs(sum(self.slip) - 1.0) > KERNEL_TOL:
             raise GameError(f"slip probabilities {self.slip} must be >= 0 and sum to 1")
 
     def canonical_text(self) -> str:
@@ -319,8 +320,7 @@ class GridWorld(Game):
         cfg = self.cfg
         n_cells, n_actions = cfg.width * cfg.height, len(self.actions)
         names = tuple(sorted(set(self.events)))
-        sets = [frozenset(n for i, n in enumerate(names) if mask >> i & 1)
-                for mask in range(1 << len(names))]
+        sets = mask_subsets(names)
         move_cell, move_prob, move_len = self._motion_table()
         pair_pending, pair_occurred, out_ptr, out_len, out_pair, out_e = (
             _event_mask_table(sets))
@@ -608,7 +608,7 @@ def load_game(text: str) -> ExplicitGame:
             if ev not in events:
                 raise GameError(f"undeclared event {ev!r}")
         total = sum(p for _, p in rows)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > KERNEL_TOL:
             raise GameError(
                 f"row ({src!r}, {act!r}, {set(e) or '{}'}) sums to {total!r}")
     actions = sorted(actions)

@@ -3,8 +3,11 @@
 `value_iteration` runs synchronous Bellman sweeps from the zero function
 (so iterates increase monotonically toward the maximal probability of
 reaching an accepting state), and `extract_policy` takes the greedy argmax
-with a fixed tie-breaking order.  The tests check both against an
-independent finite-horizon oracle, `tests/_oracles.py::brute_force_reach`.
+with a fixed tie-breaking order.  `q_values` is the one Bellman backup:
+value iteration, policy extraction and policy evaluation all read it.  The
+tests check the sweeps against a scalar loop (`tests/_oracles.py::
+bellman_sweep_loop`) and the values against an independent finite-horizon
+oracle, `tests/_oracles.py::brute_force_reach`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import bellman_sweep_numpy
 from .product_mdp import STAY_ACTION, ProductMdp
 
 
@@ -44,9 +46,10 @@ def value_iteration(m: ProductMdp, tol: float = 1e-10,
     values = np.zeros(m.n_states)
     residual = float("inf")
     for it in range(1, max_iter + 1):
-        values, residual = bellman_sweep_numpy(
-            m.row_ptr, m.cols, m.probs, m.reward_row, m.absorbing, values,
-            m.n_actions)
+        new_values = q_values(m, values).max(axis=1)
+        new_values[m.absorbing] = 0.0
+        residual = float(np.abs(new_values - values).max())
+        values = new_values
         if residual < tol:
             return ValueIterationResult(values, it, residual, True)
     return ValueIterationResult(values, max_iter, residual, False)
@@ -74,8 +77,14 @@ class Policy:
             return STAY_ACTION
         return self.actions[self.action_index[z]]
 
+    def rows(self) -> np.ndarray:
+        """The CSR row the policy follows at each state."""
+        n_states = len(self.action_index)
+        return len(self.actions) * np.arange(n_states) + self.action_index
+
 
 def q_values(m: ProductMdp, values: np.ndarray) -> np.ndarray:
+    """Q(z, a) = R(z, a) + sum_z' P(z' | z, a) V(z'), one row per state."""
     contrib = m.probs * values[m.cols]
     q = m.reward_row + np.add.reduceat(contrib, m.row_ptr[:-1])
     return q.reshape(m.n_states, m.n_actions)
@@ -92,7 +101,7 @@ def extract_policy(m: ProductMdp, values: np.ndarray) -> Policy:
 def policy_evaluation(m: ProductMdp, policy: Policy, tol: float = 1e-12,
                       max_iter: int = 200_000) -> np.ndarray:
     """Value of a fixed policy by linear iteration (no maximization)."""
-    rows = np.arange(m.n_states) * m.n_actions + policy.action_index
+    rows = policy.rows()
     values = np.zeros(m.n_states)
     for _ in range(max_iter):
         new_values = q_values(m, values).ravel()[rows]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import EventSet, ZeroSurvivalError, env_subsets
+from .formula import EventSet, ZeroSurvivalError, env_subsets, mask_subsets
 from .timed_automata import ProgressionDta, TimedWord
 
 
@@ -202,10 +202,8 @@ class StaModel:
 
     def _acceptance_reachable(self, config, pending) -> bool:
         """Can any future (events firing at most once) reach acceptance?"""
-        base_atoms = [a for a in self.dta.atoms if a not in self.event_names]
-        base_symbols = [
-            frozenset(a for i, a in enumerate(base_atoms) if mask >> i & 1)
-            for mask in range(1 << len(base_atoms))]
+        base_symbols = mask_subsets(
+            [a for a in self.dta.atoms if a not in self.event_names])
         seen = set()
         stack = [(config, pending)]
         while stack:

@@ -33,6 +33,7 @@ from .formula import (
     Or,
     TrueF,
     Until,
+    mask_subsets,
     normalize,
     parse as parse_formula,
     pretty,
@@ -436,9 +437,7 @@ class ProgressionDta:
         self.atoms = tuple(sorted(formula_atoms(init)))
         self._atom_bit = {a: 1 << i for i, a in enumerate(self.atoms)}
         # symbol i holds the atoms of bit mask i
-        self._symbols = [
-            frozenset(a for i, a in enumerate(self.atoms) if mask >> i & 1)
-            for mask in range(1 << len(self.atoms))]
+        self._symbols = mask_subsets(self.atoms)
         self.cap = cap
         self.locations: list[Formula] = []
         self.table: list[list[int]] = []
@@ -707,11 +706,9 @@ class ExplicitDta:
         [0, K+1]^M; two simultaneously enabled edges are an error."""
         k = self.clock_bound
         n_vectors = (k + 1) ** len(self.clocks)
-        n_masks = 1 << len(self.atoms)
-        if n_vectors * n_masks > DETERMINISM_BOX_CAP:
+        masks = mask_subsets(self.atoms)
+        if n_vectors * len(masks) > DETERMINISM_BOX_CAP:
             n_vectors = 0  # box too large; rely on the run-time check
-        masks = [frozenset(a for i, a in enumerate(self.atoms) if m >> i & 1)
-                 for m in range(n_masks)]
         for loc in self.locations:
             for vec_id in range(n_vectors):
                 vals = []
@@ -864,8 +861,7 @@ def dta_to_dot(dta: ProgressionDta) -> str:
             continue
         shown = []
         for m in sorted(masks)[:DOT_MAX_MASKS]:
-            sym = {a for k, a in enumerate(dta.atoms) if m >> k & 1}
-            shown.append("{" + ",".join(sorted(sym)) + "}")
+            shown.append("{" + ",".join(sorted(dta._symbols[m])) + "}")
         extra = ("" if len(masks) <= DOT_MAX_MASKS
                  else f" (+{len(masks) - DOT_MAX_MASKS})")
         lines.append(f'  q{src} -> q{dst} [label="{" ".join(shown)}{extra}"];')

@@ -7,8 +7,9 @@
   `Game._compile` walks to check the array compile of `GridWorld`;
 - the state-at-a-time product construction that the array-based one must
   reproduce;
-- the scalar loop kernels the numpy kernels of `mitlplan._kernels` must
-  reproduce, and a finite-horizon reachability oracle for the solver;
+- scalar loops that the numpy Bellman sweep of `mitlplan.solver` and the
+  batch rollouts of `mitlplan.simulator` must reproduce, and a
+  finite-horizon reachability oracle for the solver;
 - a Monte Carlo check of the truncation error bound.
 
 None of this runs in the command line tool.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mitlplan._kernels import splitmix_init, walk, wilson_interval
+from mitlplan.simulator import splitmix_init, walk, wilson_interval
 from mitlplan.formula import (
     TRUE,
     And,
@@ -251,7 +252,8 @@ def reference_grid(cfg) -> ReferenceGrid:
 
 def bellman_sweep_loop(row_ptr, cols, probs, reward_row, absorbing, values,
                        n_actions):
-    """Scalar reference for `bellman_sweep_numpy`."""
+    """Scalar reference for one sweep of `solver.value_iteration`: the new
+    values and the max-norm residual."""
     n = values.shape[0]
     new_values = np.empty_like(values)
     residual = 0.0
@@ -276,7 +278,7 @@ def bellman_sweep_loop(row_ptr, cols, probs, reward_row, absorbing, values,
 
 def rollout_batch_loop(row_ptr, cols, probs, policy_row, accepting, sink,
                        z0, n_rollouts, seed, max_steps):
-    """Scalar reference for `rollout_batch_numpy`."""
+    """Scalar reference for `simulator.rollout_batch_numpy`."""
     outcomes = np.zeros(n_rollouts, dtype=np.int8)
     for i in range(n_rollouts):
         outcomes[i], _ = walk(row_ptr, cols, probs, policy_row, accepting,

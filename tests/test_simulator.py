@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mitlplan._kernels import splitmix_init, splitmix_next
+from mitlplan.simulator import splitmix_init, splitmix_next
 from mitlplan.formula import EventSet, parse, substitute_dist, uniform_truncation_vector
 from mitlplan.game_model import GridWorldConfig, build_gridworld
 from mitlplan.product_mdp import build_product

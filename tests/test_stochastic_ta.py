@@ -17,7 +17,7 @@ from mitlplan.formula import (
     substitute_dist,
     uniform_truncation_vector,
 )
-from mitlplan._kernels import wilson_interval
+from mitlplan.simulator import wilson_interval
 from mitlplan.stochastic_ta import SINK, StaError, StaModel, truncate
 from mitlplan.timed_automata import (
     AutomatonError,
