@@ -60,14 +60,17 @@ class DistributionSpec:
         raise NotImplementedError
 
     def hazard(self, t: int) -> float:
-        """P(first occurrence at step t | no occurrence before t), at most 1
-        where step t takes all the mass left and the quotient rounds up."""
+        """P(first occurrence at step t | no occurrence before t): exactly 1
+        where no mass remains after step t, and at most 1 where the quotient
+        rounds up."""
         if t < 1:
             return 0.0
         survival = self.tail(t - 1)
         if survival <= 0.0:
             raise ZeroSurvivalError(
                 f"no probability mass remains at step {t}")
+        if self.tail(t) == 0.0:
+            return 1.0
         return min(self.pmf(t) / survival, 1.0)
 
 
@@ -101,9 +104,14 @@ class Geometric(DistributionSpec):
         return f"geom:{self.p!r}"
 
 
+TABLE_MASS_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class FiniteTable(DistributionSpec):
-    """Explicit pmf over listed steps; any missing mass never occurs."""
+    """Explicit pmf over listed steps; any missing mass never occurs.  A
+    table whose masses sum to 1 (within `TABLE_MASS_TOL`) has no mass after
+    its last step of positive mass, whatever the rounding of the sum."""
 
     entries: tuple[tuple[int, float], ...]
 
@@ -119,7 +127,7 @@ class FiniteTable(DistributionSpec):
                 raise FormulaError(f"table mass {m} outside [0,1]")
             last = k
             total += m
-        if total > 1.0 + 1e-12:
+        if total > 1.0 + TABLE_MASS_TOL:
             raise FormulaError(f"table mass sums to {total} > 1")
 
     def pmf(self, k):
@@ -133,6 +141,9 @@ class FiniteTable(DistributionSpec):
         for step, m in self.entries:
             if step <= T:
                 acc -= m
+        if acc <= TABLE_MASS_TOL and not any(
+                m for step, m in self.entries if step > T):
+            return 0.0
         return max(acc, 0.0)
 
     @property

@@ -501,13 +501,14 @@ class ExplicitGame(Game):
         self.validate()
 
     def _derive_pending(self, init_name) -> dict[str, frozenset[str]]:
+        by_src: dict[str, list] = {}
+        for (src, _a, e), rows in self._kernel.items():
+            by_src.setdefault(src, []).append((e, rows))
         pending = {init_name: frozenset(self.events)}
         frontier = [init_name]
         while frontier:
             name = frontier.pop()
-            for (src, _a, e), rows in self._kernel.items():
-                if src != name:
-                    continue
+            for e, rows in by_src.get(name, ()):
                 if not e <= pending[name]:
                     raise GameError(
                         f"transition from {name!r} uses outcome {sorted(e)} "
@@ -598,9 +599,10 @@ def load_game(text: str) -> ExplicitGame:
         raise GameError("missing init state")
     for name in names:
         labels.setdefault(name, frozenset())
+    declared = set(names)
     for (src, act, e), rows in kernel.items():
         for nm in [src] + [d for d, _ in rows]:
-            if nm not in names:
+            if nm not in declared:
                 raise GameError(f"undeclared state {nm!r} in transitions")
         if act not in actions:
             raise GameError(f"undeclared action {act!r}")

@@ -194,9 +194,9 @@ class StaModel:
         if accepted:
             return "accept", likelihood, states
         key = (q.config, q.pending)
-        if key not in self._reach:
+        if not q.sink and key not in self._reach:
             self._reach[key] = self._acceptance_reachable(*key)
-        if self.is_rejecting(q) or not self._reach[key]:
+        if q.sink or self.is_rejecting(q) or not self._reach[key]:
             return "reject", likelihood, states
         return "inconclusive-prefix", likelihood, states
 

@@ -390,6 +390,23 @@ def test_monitor_likelihood_of_a_word_past_a_hazard_of_one(tmp_path, capsys):
     assert out == "verdict: inconclusive-prefix\nlikelihood: 0.0\n"
 
 
+@pytest.mark.parametrize("steps, code, expected", [
+    (4, 0, "verdict: inconclusive-prefix\nlikelihood: 0.0\n"),
+    (5, 2, "error: word step 4: no probability mass remains at step 4\n"),
+], ids=["four-steps", "five-steps"])
+def test_monitor_past_a_hazard_that_rounded_below_one(tmp_path, capsys, steps,
+                                                      code, expected):
+    # the table's masses sum to 1, but pmf/survival at step 3 rounded to
+    # 0.9999999999999998, so b1 not arriving by step 3 kept 1.3e-16
+    path = tmp_path / "w.txt"
+    path.write_text("-\n" * steps)
+    got, out, err = run(capsys, "monitor", "--formula",
+                        "D{table:1:0.1,2:0.3,3:0.6} b1 & F (b1 & F[0,2] s1)",
+                        "--word", str(path))
+    assert got == code
+    assert (out if code == 0 else err) == expected
+
+
 @pytest.mark.parametrize("stations, target", [("b3 b4", "b3"), ("b4", "b4")])
 def test_plan_sees_every_station_on_a_shared_cell(tmp_path, capsys, stations,
                                                   target):

@@ -317,6 +317,34 @@ def test_hazard_of_a_full_table_stays_in_unit_interval():
     assert FiniteTable(((1, 0.05), (2, 0.05), (3, 0.9))).hazard(3) == 1.0
 
 
+@pytest.mark.parametrize("law", [
+    "table:1:0.1,2:0.3,3:0.6",      # hazard(3) rounded to 0.9999999999999998
+    "table:1:0.05,2:0.05,3:0.9",    # and this one to 1.0000000000000002
+    "table:1:0.7,2:0.2,3:0.1",
+    "table:2:0.1,5:0.2,6:0.3,9:0.4",
+    "table:1:0.1,2:0.3,3:0.6,4:0.0",
+    "table:1:0.3333333333333,2:0.6666666666667",
+    "table:4:1.0",
+])
+def test_full_table_has_no_mass_after_its_last_step(law):
+    # the masses sum to 1 within the constructor's tolerance, so the event
+    # fires for certain at the last step of positive mass if not before
+    d = formula.parse_distribution(law)
+    last = max(k for k, m in d.entries if m > 0)
+    assert d.hazard(last) == 1.0
+    for T in range(last, d.max_step + 3):
+        assert d.tail(T) == 0.0
+    assert d.never_mass == 0.0
+    with pytest.raises(ZeroSurvivalError):
+        d.hazard(last + 1)
+
+
+def test_partial_table_keeps_its_never_mass():
+    d = FiniteTable(((1, 0.25), (3, 0.5)))
+    assert d.tail(3) == d.never_mass == 0.25
+    assert d.hazard(3) == pytest.approx(0.5 / 0.75, abs=1e-15)
+
+
 def test_hazard_zero_survival():
     d = FiniteTable(((1, 1.0),))
     with pytest.raises(ZeroSurvivalError):

@@ -322,3 +322,63 @@ trans s1 a {} -> s1 : 1.0
         load_game(text)
     # reached with e={} but label shows b
     assert "label" in str(exc.value) or "pending" in str(exc.value)
+
+
+def test_load_game_conflicting_pending_sets():
+    # s1 is entered both with b still pending and after b fired
+    text = """
+states s0 s1
+actions a
+events b
+init s0
+label s0:
+label s1:
+trans s0 a {} -> s1 : 1.0
+trans s0 a {b} -> s1 : 1.0
+trans s1 a {} -> s1 : 1.0
+"""
+    with pytest.raises(GameError, match=r"^state 's1' reachable with "
+                                        r"conflicting pending sets$"):
+        load_game(text)
+
+
+def test_load_game_missing_row():
+    # s1 is reached with b pending but has no row for the outcome {b}
+    text = """
+states s0 s1 s2
+actions a
+events b
+init s0
+label s0:
+label s1:
+label s2: b
+trans s0 a {} -> s1 : 1.0
+trans s0 a {b} -> s2 : 1.0
+trans s1 a {} -> s1 : 1.0
+trans s2 a {} -> s2 : 1.0
+"""
+    with pytest.raises(GameError, match=r"^no transitions for \('s1', 'a', "
+                                        r"\['b'\]\)$"):
+        load_game(text)
+
+
+def test_load_game_reports_the_first_fault_of_its_walk():
+    # s1 reuses b, and s2 leads back to s0 after b fired; the pending walk
+    # visits the last successor found first, so s2's fault is reported
+    text = """
+states s0 s1 s2
+actions a
+events b
+init s0
+label s0:
+label s1: b
+label s2: b
+trans s0 a {} -> s0 : 1.0
+trans s0 a {b} -> s1 : 0.5
+trans s0 a {b} -> s2 : 0.5
+trans s1 a {b} -> s1 : 1.0
+trans s2 a {} -> s0 : 1.0
+"""
+    with pytest.raises(GameError, match=r"^state 's0' reachable with "
+                                        r"conflicting pending sets$"):
+        load_game(text)

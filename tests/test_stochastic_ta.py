@@ -246,6 +246,20 @@ def test_run_word_reraises_the_location_cap_on_every_call(bus1_formula,
             m.run_word(word)
 
 
+def test_run_word_rejects_a_word_that_ends_in_the_truncation_sink():
+    f = parse("D{geom:0.5} b1 & F (b1 & F[0,2] s1)")
+    u = EventSet.from_formula(f)
+    m = StaModel(build_dta(substitute_dist(f)), u,
+                 uniform_truncation_vector(f, u, 2))
+    word = TimedWord.from_sets([set()] * 5)
+    for _ in range(2):  # the second run reads the memos
+        verdict, likelihood, states = m.run_word(word)
+        assert verdict == "reject"
+        assert states[-2:] == [SINK, SINK]
+        # b1 stays away at steps 1-3; the third step overruns the cap
+        assert likelihood == 0.5 ** 3
+
+
 # ---------------------------------------------------------------------------
 # hazard chaining identity
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ mission on the 5x5 grid ``three_bus.grid`` and for the two-bus mission on
 ``mitlplan bench`` CSVs without their ``wall_time_s`` column, of the
 ``dta.txt`` and ``dta.dot`` that ``mitlplan translate`` writes for the two-
 and three-bus missions, and of ``mitlplan monitor``'s stdout on the fixed
-words of ``MONITOR_WORDS`` (the bus missions, and a table law whose hazard
-reaches 1).
+words of ``MONITOR_WORDS`` (the bus missions, and two table laws whose
+hazard reaches 1).
 
 A change keeps automata and planner outputs identical when this script
 prints the same file on the change as on its parent::
@@ -50,11 +50,14 @@ BUS_MISSIONS = {
                   "D{geom:0.6} b3 & F (b3 & F[0,3] s3)"),
 }
 
-# missions `mitlplan monitor` runs: the bus missions, and a table law whose
-# hazard at step 3 rounds to 1 (it printed a negative likelihood)
+# missions `mitlplan monitor` runs: the bus missions, and two table laws
+# whose hazard at step 3 is 1 but whose pmf/survival quotient rounds above
+# 1 (it printed a negative likelihood) and below 1 (a likelihood of 1e-16)
 MONITOR_MISSIONS = {
     **BUS_MISSIONS,
     "table-hazard-one": "D{table:1:0.05,2:0.05,3:0.9} b1 & F (b1 & F[0,2] s1)",
+    "table-hazard-below-one":
+        "D{table:1:0.1,2:0.3,3:0.6} b1 & F (b1 & F[0,2] s1)",
 }
 
 # words for `mitlplan monitor`, one string per step, "-" for the empty set
@@ -66,6 +69,7 @@ MONITOR_WORDS = {
                   ("-", "b1 b2 b3", "-", "-", "-", "-"),
                   ("s1 s2 s3", "-", "b3", "s3")],
     "table-hazard-one": [("-", "-", "-", "-")],
+    "table-hazard-below-one": [("-", "-", "-", "-")],
 }
 
 # the draw of test_criterion_9_progression_soundness, words included, so
