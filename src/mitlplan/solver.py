@@ -44,7 +44,6 @@ def value_iteration(m: ProductMdp, tol: float = 1e-10,
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     values = np.zeros(m.n_states)
-    residual = float("inf")
     for it in range(1, max_iter + 1):
         new_values = q_values(m, values).max(axis=1)
         new_values[m.absorbing] = 0.0
