@@ -220,7 +220,10 @@ class Formula:
     identity, hashing is by identity, and comparing or hashing a node never
     walks its subtree.  The intern table holds nodes weakly, so a node lives
     exactly as long as something else refers to it.  Each subclass lists its
-    fields, in constructor order, as its ``__slots__``.
+    fields, in constructor order, as its ``__slots__``; the fields holding
+    nodes are its children.  `subformulas` (pre-order) and `map_children`
+    (rebuild with each child mapped) read the children from those fields,
+    so a walk that treats most nodes alike names no node's children.
     """
 
     __slots__ = ("_pretty", "__weakref__")
@@ -234,13 +237,12 @@ class Formula:
     def __reduce__(self):
         # copies and unpickled nodes go through the constructor, so they
         # come back as the interned node itself
-        cls = type(self)
-        return cls, tuple(getattr(self, name) for name in cls.__slots__)
+        return type(self), _fields(self)
 
     def __repr__(self):
         cls = type(self)
-        body = ", ".join(f"{name}={getattr(self, name)!r}"
-                         for name in cls.__slots__)
+        body = ", ".join(f"{name}={value!r}"
+                         for name, value in zip(cls.__slots__, _fields(self)))
         return f"{cls.__name__}({body})"
 
     def __str__(self):
@@ -319,6 +321,27 @@ def eventually(phi: Formula, interval: Interval | None = None) -> Until:
     return Until(TRUE, phi, interval)
 
 
+def _fields(f: Formula) -> tuple:
+    """The field values of `f`, in constructor order."""
+    return tuple(getattr(f, name) for name in type(f).__slots__)
+
+
+def subformulas(f: Formula):
+    """Every node of `f` in pre-order: a parent before its children, and
+    children in field order (left before right, as the text names them)."""
+    yield f
+    for v in _fields(f):
+        if isinstance(v, Formula):
+            yield from subformulas(v)
+
+
+def map_children(f: Formula, fn) -> Formula:
+    """`f` rebuilt, through its interning constructor, with `fn` applied to
+    each child; a leaf comes back as itself."""
+    return type(f)(*(fn(v) if isinstance(v, Formula) else v
+                     for v in _fields(f)))
+
+
 # ---------------------------------------------------------------------------
 # Event sets
 # ---------------------------------------------------------------------------
@@ -366,28 +389,11 @@ class EventSet:
     @classmethod
     def from_formula(cls, f: Formula) -> "EventSet":
         """Collect the distribution-eventuality events, in syntactic order."""
-        found: list[tuple[str, DistributionSpec]] = []
-
-        def walk(g):
+        found: dict[str, DistributionSpec] = {}
+        for g in subformulas(f):
             if isinstance(g, DistEventually):
-                found.append((g.event, g.dist))
-            elif isinstance(g, Not):
-                walk(g.operand)
-            elif isinstance(g, (And, Or)):
-                walk(g.left)
-                walk(g.right)
-            elif isinstance(g, Until):
-                walk(g.left)
-                walk(g.right)
-
-        walk(f)
-        seen = set()
-        ordered = []
-        for name, d in found:
-            if name not in seen:
-                seen.add(name)
-                ordered.append((name, d))
-        return cls(tuple(ordered))
+                found.setdefault(g.event, g.dist)
+        return cls(tuple(found.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -681,13 +687,7 @@ def normalize(f: Formula) -> Formula:
         if isinstance(g, Or):
             return And(normalize(Not(g.left)), normalize(Not(g.right)))
         return Not(normalize(g))
-    if isinstance(f, And):
-        return And(normalize(f.left), normalize(f.right))
-    if isinstance(f, Or):
-        return Or(normalize(f.left), normalize(f.right))
-    if isinstance(f, Until):
-        return Until(normalize(f.left), normalize(f.right), f.interval)
-    return f
+    return map_children(f, normalize)
 
 
 @dataclass
@@ -759,15 +759,7 @@ def substitute_dist(f: Formula) -> Formula:
     """Replace every distribution eventuality with an untimed eventuality."""
     if isinstance(f, DistEventually):
         return eventually(Atom(f.event))
-    if isinstance(f, Not):
-        return Not(substitute_dist(f.operand))
-    if isinstance(f, And):
-        return And(substitute_dist(f.left), substitute_dist(f.right))
-    if isinstance(f, Or):
-        return Or(substitute_dist(f.left), substitute_dist(f.right))
-    if isinstance(f, Until):
-        return Until(substitute_dist(f.left), substitute_dist(f.right), f.interval)
-    return f
+    return map_children(f, substitute_dist)
 
 
 # ---------------------------------------------------------------------------
@@ -811,37 +803,25 @@ def _minimal_T(d: DistributionSpec, eps: float) -> int:
     return T
 
 
-def _collect_clocks(f: Formula, u: EventSet, event_T) -> dict[str, int]:
-    """Walk the formula gathering one truncation entry per clock.
+def _collect_clocks(f: Formula, event_T) -> dict[str, int]:
+    """Gather one truncation entry per clock.
 
     Event clocks are keyed by the event name; each bounded until gets a
-    fresh window clock ``win<n>`` (numbered in syntactic order) truncated
-    at its interval's upper bound.  Merges take element-wise max.
+    fresh window clock ``win<n>`` (numbered in pre-order) truncated at its
+    interval's upper bound.  A name met twice keeps the larger point.
     """
-    counter = [0]
-
-    def merge(a, b):
-        out = dict(a)
-        for k, v in b.items():
-            out[k] = max(out.get(k, -1), v)
-        return out
-
-    def walk(g):
+    clocks: dict[str, int] = {}
+    n_windows = 0
+    for g in subformulas(f):
         if isinstance(g, DistEventually):
-            return {g.event: event_T(g.event)}
-        if isinstance(g, Not):
-            return walk(g.operand)
-        if isinstance(g, (And, Or)):
-            return merge(walk(g.left), walk(g.right))
-        if isinstance(g, Until):
-            own = {}
-            if g.interval is not None and g.interval.bounded:
-                counter[0] += 1
-                own[f"win{counter[0]}"] = g.interval.hi
-            return merge(own, merge(walk(g.left), walk(g.right)))
-        return {}
-
-    return walk(f)
+            name, T = g.event, event_T(g.event)
+        elif isinstance(g, Until) and g.interval is not None and g.interval.bounded:
+            n_windows += 1
+            name, T = f"win{n_windows}", g.interval.hi
+        else:
+            continue
+        clocks[name] = max(clocks.get(name, T), T)
+    return clocks
 
 
 def _truncation(clocks: dict[str, int], u: EventSet) -> TruncationVector:
@@ -856,11 +836,11 @@ def truncation_vector(f: Formula, u: EventSet, eps: float) -> TruncationVector:
     if not (0.0 < eps < 1.0):
         raise ValueError(f"error bound must be in (0,1), got {eps}")
     per_event = {name: _minimal_T(u.dist(name), eps) for name in u.names}
-    return _truncation(_collect_clocks(f, u, lambda name: per_event[name]), u)
+    return _truncation(_collect_clocks(f, lambda name: per_event[name]), u)
 
 
 def uniform_truncation_vector(f: Formula, u: EventSet, T: int) -> TruncationVector:
     """Common truncation point T for every event clock."""
     if T < 0:
         raise ValueError("truncation point must be non-negative")
-    return _truncation(_collect_clocks(f, u, lambda name: T), u)
+    return _truncation(_collect_clocks(f, lambda name: T), u)

@@ -37,6 +37,7 @@ from .formula import (
     normalize,
     parse as parse_formula,
     pretty,
+    subformulas,
 )
 
 
@@ -147,22 +148,15 @@ def eval_constraint(c: ClockConstraint | None, v: ClockVector) -> bool:
     raise TypeError(f"not a clock constraint: {c!r}")
 
 
-def constraint_constants(c: ClockConstraint | None) -> list[int]:
-    if c is None or isinstance(c, FalseC):
-        return []
-    if isinstance(c, (Compare, DiffCompare)):
-        return [c.k]
-    return constraint_constants(c.left) + constraint_constants(c.right)
-
-
-def constraint_clocks(c: ClockConstraint | None) -> set[str]:
-    if c is None or isinstance(c, FalseC):
-        return set()
-    if isinstance(c, Compare):
-        return {c.clock}
-    if isinstance(c, DiffCompare):
-        return {c.clock_a, c.clock_b}
-    return constraint_clocks(c.left) | constraint_clocks(c.right)
+def comparisons(c: ClockConstraint | None):
+    """The clocks and constant of each comparison in `c`, left to right."""
+    if isinstance(c, (AndC, OrC)):
+        yield from comparisons(c.left)
+        yield from comparisons(c.right)
+    elif isinstance(c, Compare):
+        yield (c.clock,), c.k
+    elif isinstance(c, DiffCompare):
+        yield (c.clock_a, c.clock_b), c.k
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +373,7 @@ def progress(f: Formula, symbol) -> Formula:
 
 
 def formula_atoms(f: Formula) -> set[str]:
-    if isinstance(f, Atom):
-        return {f.name}
-    if isinstance(f, Not):
-        return formula_atoms(f.operand)
-    if isinstance(f, (And, Or, Until)):
-        return formula_atoms(f.left) | formula_atoms(f.right)
-    return set()
+    return {g.name for g in subformulas(f) if isinstance(g, Atom)}
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +552,9 @@ def eval_symbol_predicate(pred: Formula, symbol: frozenset) -> bool:
 
 
 def _check_boolean(pred: Formula):
-    if isinstance(pred, (TrueF, FalseF, Atom)):
-        return
-    if isinstance(pred, Not):
-        _check_boolean(pred.operand)
-        return
-    if isinstance(pred, (And, Or)):
-        _check_boolean(pred.left)
-        _check_boolean(pred.right)
-        return
-    raise AutomatonError(f"symbol predicate must be boolean: {pretty(pred)}")
+    for g in subformulas(pred):
+        if not isinstance(g, (TrueF, FalseF, Atom, Not, And, Or)):
+            raise AutomatonError(f"symbol predicate must be boolean: {pretty(g)}")
 
 
 def parse_clock_constraint(text: str) -> ClockConstraint | None:
@@ -680,7 +661,7 @@ class ExplicitDta:
         constraints = [e.guard for e in self.edge_list]
         constraints += self.invariants.values()
         self.clock_bound = 1 + max(
-            [0] + [k for c in constraints for k in constraint_constants(c)])
+            [0] + [k for c in constraints for _, k in comparisons(c)])
         self._validate()
 
     def _validate(self):
@@ -694,7 +675,8 @@ class ExplicitDta:
                 raise AutomatonError(f"edge from undeclared location {e.source!r}")
             if e.target not in self.locations:
                 raise AutomatonError(f"edge to undeclared location {e.target!r}")
-            for c in constraint_clocks(e.guard) | set(e.resets):
+            guard_clocks = [c for cs, _ in comparisons(e.guard) for c in cs]
+            for c in guard_clocks + sorted(e.resets):
                 if c not in self.clocks:
                     raise AutomatonError(f"unknown clock {c!r} on edge "
                                          f"{e.source}->{e.target}")
