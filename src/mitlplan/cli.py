@@ -297,12 +297,14 @@ def cmd_translate(args):
     print(f"atoms: {' '.join(dta.atoms)}")
     print(f"wrote: {out / 'dta.txt'} {out / 'dta.dot'} {out / 'sta.txt'}")
     if args.oracle:
+        # the closed progression automaton raises nothing while it steps:
+        # an error here is the oracle's, at load or at run time
         try:
             oracle = load_dta(_read(args.oracle))
+            agree = _equivalence_trials(dta, oracle, u.names, args.words,
+                                        args.max_len, args.seed)
         except AutomatonError as exc:
             _fail(EXIT_VALIDATION, f"oracle: {exc}")
-        agree = _equivalence_trials(dta, oracle, u.names, args.words,
-                                    args.max_len, args.seed)
         print(f"oracle-agreement: {agree}/{args.words}")
         if agree != args.words:
             _fail(1, "oracle disagreement")

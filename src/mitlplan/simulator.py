@@ -120,14 +120,15 @@ def rollout_batch_numpy(row_ptr, cols, probs, policy_row, accepting, sink,
     n_rows = len(row_ptr) - 1
     lengths = np.diff(row_ptr)
     max_len = int(lengths.max())
-    # per-row cumulative probabilities, padded wide so a comparison count
-    # yields the sampled offset
-    cum_global = np.cumsum(probs)
-    base = np.concatenate(([0.0], cum_global))[row_ptr[:-1]]
+    # per-row running sums, added left to right as `sample_successor` adds
+    # them, so a comparison count yields the sampled offset; padding
+    # repeats the row's total, which the clamp to the row's last offset
+    # absorbs
     edge_row = np.repeat(np.arange(n_rows), lengths)
     edge_pos = np.arange(len(probs)) - row_ptr[edge_row]
-    cum2d = np.full((n_rows, max_len), 2.0)
-    cum2d[edge_row, edge_pos] = cum_global - base[edge_row]
+    cum2d = np.zeros((n_rows, max_len))
+    cum2d[edge_row, edge_pos] = probs
+    np.cumsum(cum2d, axis=1, out=cum2d)
 
     states = np.full(n_rollouts, z0, dtype=np.int64)
     outcomes = np.zeros(n_rollouts, dtype=np.int8)

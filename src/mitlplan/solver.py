@@ -84,9 +84,13 @@ class Policy:
 
 def q_values(m: ProductMdp, values: np.ndarray) -> np.ndarray:
     """Q(z, a) = R(z, a) + sum_z' P(z' | z, a) V(z'), one row per state."""
-    contrib = m.probs * values[m.cols]
-    q = m.reward_row + np.add.reduceat(contrib, m.row_ptr[:-1])
+    q = _backup(values, m.reward_row, m.row_ptr[:-1], m.probs, m.cols)
     return q.reshape(m.n_states, m.n_actions)
+
+
+def _backup(values, reward, starts, probs, cols) -> np.ndarray:
+    """R + P V, one entry per CSR row; row r's entries start at starts[r]."""
+    return reward + np.add.reduceat(probs * values[cols], starts)
 
 
 def extract_policy(m: ProductMdp, values: np.ndarray) -> Policy:
@@ -99,11 +103,17 @@ def extract_policy(m: ProductMdp, values: np.ndarray) -> Policy:
 
 def policy_evaluation(m: ProductMdp, policy: Policy, tol: float = 1e-12,
                       max_iter: int = 200_000) -> np.ndarray:
-    """Value of a fixed policy by linear iteration (no maximization)."""
+    """Value of a fixed policy by linear iteration (no maximization); each
+    sweep backs up only the CSR rows the policy follows, gathered once."""
     rows = policy.rows()
+    lengths = np.diff(m.row_ptr)[rows]
+    starts = np.cumsum(lengths) - lengths
+    edges = (np.repeat(m.row_ptr[rows] - starts, lengths)
+             + np.arange(lengths.sum()))
+    kernel = (m.reward_row[rows], starts, m.probs[edges], m.cols[edges])
     values = np.zeros(m.n_states)
     for _ in range(max_iter):
-        new_values = q_values(m, values).ravel()[rows]
+        new_values = _backup(values, *kernel)
         new_values[m.absorbing] = 0.0
         if np.abs(new_values - values).max() < tol:
             return new_values

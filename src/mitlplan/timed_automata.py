@@ -675,13 +675,20 @@ class ExplicitDta:
                 raise AutomatonError(f"edge from undeclared location {e.source!r}")
             if e.target not in self.locations:
                 raise AutomatonError(f"edge to undeclared location {e.target!r}")
-            guard_clocks = [c for cs, _ in comparisons(e.guard) for c in cs]
-            for c in guard_clocks + sorted(e.resets):
-                if c not in self.clocks:
-                    raise AutomatonError(f"unknown clock {c!r} on edge "
-                                         f"{e.source}->{e.target}")
+            self._check_clocks(e.guard, e.resets,
+                               f"on edge {e.source}->{e.target}")
             _check_boolean(e.predicate)
+        for loc, inv in self.invariants.items():
+            if loc not in self.locations:
+                raise AutomatonError(f"invariant of undeclared location {loc!r}")
+            self._check_clocks(inv, (), f"in invariant of {loc!r}")
         self._validate_determinism()
+
+    def _check_clocks(self, constraint, resets, where):
+        used = [c for cs, _ in comparisons(constraint) for c in cs]
+        for c in used + sorted(resets):
+            if c not in self.clocks:
+                raise AutomatonError(f"unknown clock {c!r} {where}")
 
     def _validate_determinism(self):
         """Enumerate symbol masks and clock vectors over the bounded box

@@ -39,6 +39,39 @@ def test_translate_oracle_agreement(tmp_path, capsys):
     assert "oracle-agreement: 500/500" in out
 
 
+NONDETERMINISTIC_BEYOND_THE_BOX = """
+locations A B
+clocks x1 x2 x3 x4 x5
+init A
+accepting B
+edge A [x1 <= 10 & x2 <= 10 & x3 <= 10 & x4 <= 10 & x5 <= 10] {a} -> B
+edge A [true] {a} -> A
+"""
+
+
+@pytest.mark.parametrize("oracle, message", [
+    # 12**5 clock vectors times 2 symbols exceed the load-time box, so the
+    # overlap is found only when a word steps it
+    (NONDETERMINISTIC_BEYOND_THE_BOX,
+     "oracle: nondeterministic step from 'A' on {'a'} at [x1=0, x2=0, "
+     "x3=0, x4=0, x5=0]"),
+    ("locations A\nclocks x1\ninit A\naccepting A\n"
+     "invariant A [zz <= 3]\nedge A [true] {a} -> A\n",
+     "oracle: unknown clock 'zz' in invariant of 'A'"),
+    ("locations A\nclocks x1\ninit A\naccepting A\n"
+     "invariant Q [x1 <= 3]\nedge A [true] {a} -> A\n",
+     "oracle: invariant of undeclared location 'Q'"),
+], ids=["run-time-nondeterminism", "invariant-clock", "invariant-location"])
+def test_translate_faulty_oracle_exits_2(tmp_path, capsys, oracle, message):
+    path = tmp_path / "oracle.dta"
+    path.write_text(oracle)
+    code, _, err = run(capsys, "translate", "--formula", "F a",
+                       "--out", str(tmp_path), "--oracle", str(path),
+                       "--words", "50", "--seed", "1")
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_translate_malformed_formula(tmp_path, capsys):
     code, _, err = run(capsys, "translate", "--formula", "F[2,2] b",
                        "--out", str(tmp_path))

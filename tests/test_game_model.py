@@ -318,10 +318,33 @@ trans s0 a {} -> s1 : 1.0
 trans s0 a {b} -> s1 : 1.0
 trans s1 a {} -> s1 : 1.0
 """
-    with pytest.raises(GameError) as exc:
+    # s1 is entered both with b pending and after b fired, which the
+    # pending walk finds before any label is read
+    with pytest.raises(GameError, match=r"^state 's1' reachable with "
+                                        r"conflicting pending sets$"):
         load_game(text)
-    # reached with e={} but label shows b
-    assert "label" in str(exc.value) or "pending" in str(exc.value)
+
+
+def test_load_game_label_shows_an_event_the_outcome_lacks():
+    # every state has one pending set, but s2 is entered with outcome {}
+    # while its label shows b
+    text = """
+states s0 s1 s2
+actions a
+events b
+init s0
+label s0:
+label s1: b
+label s2: b
+trans s0 a {} -> s2 : 1.0
+trans s0 a {b} -> s1 : 1.0
+trans s1 a {} -> s1 : 1.0
+trans s2 a {} -> s2 : 1.0
+trans s2 a {b} -> s1 : 1.0
+"""
+    with pytest.raises(GameError, match=r"^label of \(s2, \{b\}, \{b\}\) "
+                                        r"shows \['b'\], outcome was \[\]$"):
+        load_game(text)
 
 
 def test_load_game_conflicting_pending_sets():

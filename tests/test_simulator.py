@@ -8,7 +8,8 @@ from mitlplan.simulator import splitmix_init, splitmix_next
 from mitlplan.formula import EventSet, parse, substitute_dist, uniform_truncation_vector
 from mitlplan.game_model import GridWorldConfig, build_gridworld
 from mitlplan.product_mdp import build_product
-from mitlplan.simulator import default_max_steps, estimate_success, rollout
+from mitlplan.simulator import (default_max_steps, estimate_success, rollout,
+                                rollout_batch_numpy)
 from mitlplan.solver import extract_policy, value_iteration
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import build_dta
@@ -117,6 +118,21 @@ def test_estimate_backends_identical(planned_case2):
     b = loop_estimate(m, pol, 5000, seed=3)
     assert a.rate == b.rate
     assert a.outcomes == b.outcomes
+
+
+def test_batch_thresholds_are_per_row_running_sums():
+    # an unvisited row of weight 2**40 ahead of state 0's row [0.3, 0.7]:
+    # sums carried across rows round state 0's thresholds at 2**-12
+    row_ptr = np.array([0, 1, 3])
+    cols = np.array([0, 1, 2])
+    probs = np.array([2.0 ** 40, 0.3, 0.7])
+    policy_row = np.array([1, 0, 0])
+    accepting = np.array([False, True, False])
+    sink = np.array([False, False, True])
+    args = (row_ptr, cols, probs, policy_row, accepting, sink, 0, 100_000, 9, 1)
+    batch = rollout_batch_numpy(*args)
+    loop = rollout_batch_loop(*args)
+    assert int((batch != loop).sum()) == 0
 
 
 @pytest.mark.parametrize("max_steps", [1, 2, 3])
