@@ -121,9 +121,8 @@ def rollout_batch_numpy(row_ptr, cols, probs, policy_row, accepting, sink,
     lengths = np.diff(row_ptr)
     max_len = int(lengths.max())
     # per-row running sums, added left to right as `sample_successor` adds
-    # them, so a comparison count yields the sampled offset; padding
-    # repeats the row's total, which the clamp to the row's last offset
-    # absorbs
+    # them, so a comparison count yields the sampled offset (the padding
+    # repeats the row's total, and the clamp below absorbs it)
     edge_row = np.repeat(np.arange(n_rows), lengths)
     edge_pos = np.arange(len(probs)) - row_ptr[edge_row]
     cum2d = np.zeros((n_rows, max_len))

@@ -3,8 +3,9 @@
 `value_iteration` runs synchronous Bellman sweeps from the zero function
 (so iterates increase monotonically toward the maximal probability of
 reaching an accepting state), and `extract_policy` takes the greedy argmax
-with a fixed tie-breaking order.  `q_values` is the one Bellman backup:
-value iteration, policy extraction and policy evaluation all read it.  The
+with a fixed tie-breaking order.  `_backup` is the one Bellman backup:
+`q_values` applies it to every CSR row for value iteration and policy
+extraction, and policy evaluation to the rows its policy follows.  The
 tests check the sweeps against a scalar loop (`tests/_oracles.py::
 bellman_sweep_loop`) and the values against an independent finite-horizon
 oracle, `tests/_oracles.py::brute_force_reach`.
