@@ -237,12 +237,13 @@ class Formula:
     def __reduce__(self):
         # copies and unpickled nodes go through the constructor, so they
         # come back as the interned node itself
-        return type(self), _fields(self)
+        cls = type(self)
+        return cls, tuple(getattr(self, name) for name in cls.__slots__)
 
     def __repr__(self):
         cls = type(self)
-        body = ", ".join(f"{name}={value!r}"
-                         for name, value in zip(cls.__slots__, _fields(self)))
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in cls.__slots__)
         return f"{cls.__name__}({body})"
 
     def __str__(self):
@@ -321,25 +322,27 @@ def eventually(phi: Formula, interval: Interval | None = None) -> Until:
     return Until(TRUE, phi, interval)
 
 
-def _fields(f: Formula) -> tuple:
-    """The field values of `f`, in constructor order."""
-    return tuple(getattr(f, name) for name in type(f).__slots__)
-
-
 def subformulas(f: Formula):
     """Every node of `f` in pre-order: a parent before its children, and
     children in field order (left before right, as the text names them)."""
-    yield f
-    for v in _fields(f):
-        if isinstance(v, Formula):
-            yield from subformulas(v)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        for name in reversed(type(g).__slots__):
+            child = getattr(g, name)
+            if isinstance(child, Formula):
+                stack.append(child)
 
 
 def map_children(f: Formula, fn) -> Formula:
     """`f` rebuilt, through its interning constructor, with `fn` applied to
     each child; a leaf comes back as itself."""
-    return type(f)(*(fn(v) if isinstance(v, Formula) else v
-                     for v in _fields(f)))
+    fields = []
+    for name in type(f).__slots__:
+        value = getattr(f, name)
+        fields.append(fn(value) if isinstance(value, Formula) else value)
+    return type(f)(*fields)
 
 
 # ---------------------------------------------------------------------------
