@@ -11,6 +11,7 @@ from mitlplan.formula import (
 from mitlplan.game_model import GridWorldConfig, build_gridworld, load_game
 from mitlplan.product_mdp import STAY_ACTION, build_product
 from mitlplan.solver import (
+    Policy,
     ValueIterationResult,
     extract_policy,
     policy_evaluation,
@@ -181,6 +182,23 @@ def test_policy_matches_value(case2_T3):
     pol = extract_policy(m, res.values)
     pv = policy_evaluation(m, pol)
     assert np.abs(pv - res.values).max() < 1e-8
+
+
+def test_policy_evaluation_matches_the_full_backup_bit_for_bit(case2_T3):
+    # backing up only the policy's rows adds the same terms in the same
+    # order as backing up every row and keeping the policy's
+    m, _ = case2_T3
+    greedy = extract_policy(m, value_iteration(m).values)
+    drawn = np.random.default_rng(3).integers(m.n_actions, size=m.n_states)
+    for pol in (greedy, Policy(drawn, m.actions, m.absorbing.copy())):
+        values = np.zeros(m.n_states)
+        for _ in range(10_000):
+            new_values = q_values(m, values).ravel()[pol.rows()]
+            new_values[m.absorbing] = 0.0
+            if np.abs(new_values - values).max() < 1e-12:
+                break
+            values = new_values
+        assert policy_evaluation(m, pol).tobytes() == new_values.tobytes()
 
 
 def test_policy_tie_break_first_action():
