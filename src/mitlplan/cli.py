@@ -136,20 +136,15 @@ def load_environment(args, u):
 
 def truncation(f, u, uniform_T=None, eps=None):
     """A common truncation point if `uniform_T` is given, else per-event
-    points with tails below `eps`."""
+    points with tails below `eps` (default 0.01); not both."""
+    if uniform_T is not None and eps is not None:
+        _fail(EXIT_VALIDATION, "give one of --eps or --uniform-T, not both")
     try:
         if uniform_T is not None:
             return fm.uniform_truncation_vector(f, u, uniform_T)
-        return fm.truncation_vector(f, u, eps)
+        return fm.truncation_vector(f, u, 0.01 if eps is None else eps)
     except (fm.FormulaError, ValueError) as exc:
         _fail(EXIT_VALIDATION, f"truncation: {exc}")
-
-
-def make_truncation(args, f, u):
-    uniform_T, eps = getattr(args, "uniform_T", None), getattr(args, "eps", None)
-    if uniform_T is not None and eps is not None:
-        _fail(EXIT_VALIDATION, "give one of --eps or --uniform-T, not both")
-    return truncation(f, u, uniform_T, 0.01 if eps is None else eps)
 
 
 def build_automaton(f, cap):
@@ -190,7 +185,7 @@ class Built:
 def build_model(args):
     f, u = load_formula(args)
     game, env_text = load_environment(args, u)
-    trunc = make_truncation(args, f, u)
+    trunc = truncation(f, u, args.uniform_T, args.eps)
     _, dta = build_automaton(f, args.cap)
     product = validated_product(game, StaModel(dta, u, trunc))
     return Built(trunc, product, model_hash(pretty(f), env_text, trunc))
@@ -434,7 +429,7 @@ def cmd_bench(args):
             _fail(EXIT_SOLVER, f"no convergence at {kind}={value}")
         elapsed = time.perf_counter() - t0
         T_shown = value if kind == "T" else max(
-            T for name, T in trunc.points if name in u.names)
+            (T for _, T in trunc.events), default=0)
         rows.append((T_shown, trunc.eps_achieved, m.n_states,
                      satisfaction_probability(m, res.values),
                      res.iterations, elapsed))

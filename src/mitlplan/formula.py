@@ -771,22 +771,25 @@ def substitute_dist(f: Formula) -> Formula:
 
 @dataclass(frozen=True)
 class TruncationVector:
-    """Per-clock truncation points plus the achieved event-tail bound."""
+    """Truncation points of the event clocks, in event declaration order,
+    and of the window clocks ``win1, win2, ...`` of the bounded untils, in
+    pre-order, plus the achieved event-tail bound.  The two kinds are kept
+    apart, so an event may share a window clock's name."""
 
-    points: tuple[tuple[str, int], ...]
+    events: tuple[tuple[str, int], ...]
+    windows: tuple[tuple[str, int], ...]
     eps_achieved: float
+
+    @property
+    def points(self) -> tuple[tuple[str, int], ...]:
+        """Both kinds merged, sorted by name."""
+        return tuple(sorted(self.events + self.windows))
 
     def __getitem__(self, clock: str) -> int:
         for name, T in self.points:
             if name == clock:
                 return T
         raise KeyError(clock)
-
-    def __contains__(self, clock):
-        return any(name == clock for name, _ in self.points)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.points)
 
     def __str__(self):
         body = ", ".join(f"{name}={T}" for name, T in self.points)
@@ -806,32 +809,20 @@ def _minimal_T(d: DistributionSpec, eps: float) -> int:
     return T
 
 
-def _collect_clocks(f: Formula, event_T) -> dict[str, int]:
-    """Gather one truncation entry per clock.
-
-    Event clocks are keyed by the event name; each bounded until gets a
-    fresh window clock ``win<n>`` (numbered in pre-order) truncated at its
-    interval's upper bound.  A name met twice keeps the larger point.
-    """
-    clocks: dict[str, int] = {}
-    n_windows = 0
+def _truncation(f: Formula, u: EventSet, event_T) -> TruncationVector:
+    """The vector of `f`, in one walk: each event's clock truncated at
+    ``event_T(name)``, and each bounded until's window clock ``win<n>``
+    (numbered in pre-order) at its interval's upper bound.  The achieved
+    bound is the largest tail of an event clock."""
+    events: dict[str, int] = {}
+    windows = []
     for g in subformulas(f):
         if isinstance(g, DistEventually):
-            name, T = g.event, event_T(g.event)
+            events.setdefault(g.event, event_T(g.event))
         elif isinstance(g, Until) and g.interval is not None and g.interval.bounded:
-            n_windows += 1
-            name, T = f"win{n_windows}", g.interval.hi
-        else:
-            continue
-        clocks[name] = max(clocks.get(name, T), T)
-    return clocks
-
-
-def _truncation(clocks: dict[str, int], u: EventSet) -> TruncationVector:
-    """The vector of `clocks`, with the largest tail of an event clock."""
-    achieved = max((u.dist(n).tail(T) for n, T in clocks.items() if n in u),
-                   default=0.0)
-    return TruncationVector(tuple(sorted(clocks.items())), achieved)
+            windows.append((f"win{len(windows) + 1}", g.interval.hi))
+    achieved = max((u.dist(n).tail(T) for n, T in events.items()), default=0.0)
+    return TruncationVector(tuple(events.items()), tuple(windows), achieved)
 
 
 def truncation_vector(f: Formula, u: EventSet, eps: float) -> TruncationVector:
@@ -839,11 +830,11 @@ def truncation_vector(f: Formula, u: EventSet, eps: float) -> TruncationVector:
     if not (0.0 < eps < 1.0):
         raise ValueError(f"error bound must be in (0,1), got {eps}")
     per_event = {name: _minimal_T(u.dist(name), eps) for name in u.names}
-    return _truncation(_collect_clocks(f, lambda name: per_event[name]), u)
+    return _truncation(f, u, per_event.__getitem__)
 
 
 def uniform_truncation_vector(f: Formula, u: EventSet, T: int) -> TruncationVector:
     """Common truncation point T for every event clock."""
     if T < 0:
         raise ValueError("truncation point must be non-negative")
-    return _truncation(_collect_clocks(f, lambda name: T), u)
+    return _truncation(f, u, lambda name: T)

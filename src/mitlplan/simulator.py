@@ -75,10 +75,9 @@ def _state_text(ps) -> str:
 def default_max_steps(m: ProductMdp) -> int:
     """Step budget after which the bus-style missions are fully classified:
     every event clock is capped, and windows expire within their bounds."""
-    points = m.sta.points
-    max_win = max((T for name, T in m.sta.trunc.points if name not in points),
-                  default=0)
-    return max(points.values(), default=0) + max_win + 8
+    trunc = m.sta.trunc
+    return (max((T for _, T in trunc.events), default=0)
+            + max((T for _, T in trunc.windows), default=0) + 8)
 
 
 def sample_successor(cols, probs, u: float) -> int:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .game_model import concat_ranges
 from .product_mdp import STAY_ACTION, ProductMdp
 
 
@@ -109,8 +110,7 @@ def policy_evaluation(m: ProductMdp, policy: Policy, tol: float = 1e-12,
     rows = policy.rows()
     lengths = np.diff(m.row_ptr)[rows]
     starts = np.cumsum(lengths) - lengths
-    edges = (np.repeat(m.row_ptr[rows] - starts, lengths)
-             + np.arange(lengths.sum()))
+    edges = concat_ranges(m.row_ptr[rows], lengths)
     kernel = (m.reward_row[rows], starts, m.probs[edges], m.cols[edges])
     values = np.zeros(m.n_states)
     for _ in range(max_iter):

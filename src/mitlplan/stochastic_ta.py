@@ -80,11 +80,12 @@ class StaModel:
         self._reach: dict = {}
         self.points = {}
         if trunc is not None:
+            caps = dict(trunc.events)
             for name in self.event_names:
-                if name not in trunc:
+                if name not in caps:
                     raise StaError(
                         f"missing truncation entry for event {name!r}")
-                self.points[name] = trunc[name]
+                self.points[name] = caps[name]
 
     def initial(self, symbol) -> tuple[StaState, float]:
         """Zero-time move consuming the initial symbol.
@@ -161,6 +162,8 @@ class StaModel:
         product of the step probabilities of the observed event pattern.
         A word the model cannot produce, one in which an event occurs twice
         or after its law has no mass left, raises StaError naming the step.
+        states holds one state per symbol; the empty word is judged at the
+        initial location, with every event pending.
 
         Steps and the final reachability check go through the model's
         memos, which a call that raises leaves as they were.  A long-lived
@@ -168,15 +171,9 @@ class StaModel:
         most the states reachable within the longest word read, times
         2^|atoms and events|, entries.
         """
-        symbols = list(word)
-        if not symbols:
-            q, _ = self.initial(frozenset())
-            verdict = "accept" if self.dta.is_accepting(self.dta.initial_config()) \
-                else "inconclusive-prefix"
-            return verdict, 1.0, [q]
         succ, read = self._succ, self._read
         q, likelihood, states, accepted = None, 1.0, [], False
-        for symbol in symbols:
+        for symbol in word:
             key = (q, read.intersection(symbol))
             hit = succ.get(key)
             if hit is None:
@@ -191,7 +188,11 @@ class StaModel:
             likelihood *= p
             states.append(q)
             accepted = accepted or self.is_accepting(q)
-        if accepted:
+        if q is None:  # the empty word: the initial location, all pending
+            q = StaState(self.dta.initial_config(),
+                         (0,) * len(self.event_names),
+                         frozenset(self.event_names))
+        if accepted or self.is_accepting(q):
             return "accept", likelihood, states
         key = (q.config, q.pending)
         if not q.sink and key not in self._reach:

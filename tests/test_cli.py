@@ -8,6 +8,7 @@ import pytest
 
 import mitlplan
 from mitlplan.cli import build_model, build_parser, main
+from mitlplan.simulator import default_max_steps
 from mitlplan.solver import value_iteration
 
 from conftest import DATA, BUS_CASE1, BUS_CASE2, THREE_BUS
@@ -386,6 +387,18 @@ def test_monitor_empty_word_inconclusive(tmp_path, capsys):
     assert "verdict: inconclusive-prefix" in out
 
 
+@pytest.mark.parametrize("formula, verdict", [
+    ("false", "reject"), ("a & !a", "reject"), ("true", "accept")])
+def test_monitor_judges_the_empty_word_at_the_initial_location(
+        tmp_path, capsys, formula, verdict):
+    word = tmp_path / "w.txt"
+    word.write_text("")
+    code, out, _ = run(capsys, "monitor", "--formula", formula,
+                       "--word", str(word))
+    assert code == 0
+    assert f"verdict: {verdict}\n" in out
+
+
 def test_monitor_unknown_proposition(tmp_path, capsys):
     word = tmp_path / "w.txt"
     word.write_text("zz\n")
@@ -454,6 +467,51 @@ def test_plan_sees_every_station_on_a_shared_cell(tmp_path, capsys, stations,
     assert "satisfaction-probability: 0.984375\n" in out
 
 
+# 3x3 without slip: four moves from the start to the station s
+CORNER_GRID = ("width = 3\nheight = 3\nstart = (0,0)\nstations.s = (2,2)\n"
+               "slip = 1.0,0.0,0.0\n")
+
+
+@pytest.fixture
+def corner_grid(tmp_path):
+    path = tmp_path / "corner.grid"
+    path.write_text(CORNER_GRID)
+    return path
+
+
+def corner_mission(event):
+    return f"D{{geom:0.5}} {event} & F ({event} & F[0,2] s)"
+
+
+def test_plan_keeps_an_event_named_like_a_window_clock(tmp_path, capsys,
+                                                       corner_grid):
+    # the event win1 and the window clock of F[0,2] are two clocks: the
+    # mission plans as it does with the event named b
+    lines = {}
+    for event in ("win1", "b"):
+        code, out, _ = run(capsys, "plan", "--formula", corner_mission(event),
+                           "--grid", str(corner_grid), "--uniform-T", "1",
+                           "--out", str(tmp_path))
+        assert code == 0
+        lines[event] = dict(line.split(": ", 1) for line in out.splitlines())
+    got = lines["win1"]
+    assert got["satisfaction-probability"] == "0.0"
+    assert got["eps-achieved"] == "0.5"
+    assert got["truncation"] == "win1=1 win1=2"
+    assert got["states"] == "34"
+    for key in ("satisfaction-probability", "eps-achieved", "states", "edges"):
+        assert got[key] == lines["b"][key]
+
+
+def test_default_max_steps_counts_an_event_named_like_a_window_clock(
+        corner_grid):
+    args = build_parser().parse_args(
+        ["plan", "--formula", corner_mission("win1"),
+         "--grid", str(corner_grid), "--uniform-T", "1"])
+    # the event clock's cap, then the window's bound, then the margin
+    assert default_max_steps(build_model(args).product) == 1 + 2 + 8
+
+
 def test_policy_and_value_files_hold_python_floats(tmp_path, capsys):
     argv = ["--formula", BUS_CASE2, "--grid", str(DATA / "case2.grid"),
             "--uniform-T", "3"]
@@ -512,3 +570,11 @@ def test_bench_needs_sweep(capsys):
     code, _, err = run(capsys, "bench", "--formula", BUS_CASE2,
                        "--grid", str(DATA / "case2.grid"))
     assert code == 2
+
+
+def test_bench_eps_list_without_events(capsys, corner_grid):
+    # no event clock to truncate: the T column shows 0
+    code, out, _ = run(capsys, "bench", "--formula", "F[0,3] s",
+                       "--grid", str(corner_grid), "--eps-list", "0.1")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[:4] == ["0", "0.0", "18", "0.0"]

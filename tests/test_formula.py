@@ -377,7 +377,7 @@ def test_truncation_vector_bus_example():
 def test_truncation_window_only():
     f = parse("F[4,10] b")
     tv = truncation_vector(f, EventSet(()), 0.5)
-    assert tv.as_dict() == {"win1": 10}
+    assert dict(tv.points) == {"win1": 10}
     assert tv.eps_achieved == 0.0
 
 
@@ -425,4 +425,13 @@ def test_truncation_conjunction_max():
     # same window appears under both conjuncts with different bounds
     f = parse("F[0,2] a & F[0,4] a")
     tv = truncation_vector(f, EventSet(()), 0.5)
-    assert tv.as_dict() == {"win1": 2, "win2": 4}
+    assert dict(tv.points) == {"win1": 2, "win2": 4}
+
+
+def test_truncation_keeps_an_event_named_like_a_window_clock():
+    f = parse("D{geom:0.5} win1 & F (win1 & F[0,2] s)")
+    tv = uniform_truncation_vector(f, EventSet.from_formula(f), 1)
+    assert tv.events == (("win1", 1),)
+    assert tv.windows == (("win1", 2),)
+    assert tv.points == (("win1", 1), ("win1", 2))
+    assert tv.eps_achieved == 0.5

@@ -155,7 +155,9 @@ def test_word_monitor_verdicts(bus1_sta):
     w2 = TimedWord.from_sets([set(), {"b1"}] + [set()] * 7)
     verdict2, _, _ = bus1_sta.run_word(w2)
     assert verdict2 == "inconclusive-prefix"
-    assert bus1_sta.run_word(TimedWord.from_sets([]))[0] == "inconclusive-prefix"
+    # the empty word: judged at the initial location, no state read
+    assert bus1_sta.run_word(TimedWord.from_sets([])) == (
+        "inconclusive-prefix", 1.0, [])
 
 
 def test_monitor_layers_import_without_numpy():

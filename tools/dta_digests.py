@@ -10,10 +10,12 @@ substituted, and every tenth of the 1 000 random formulas that
 
 Under the key ``plans`` it records the sha256 of the ``policy.txt``,
 ``values.txt`` and ``product.txt`` that ``mitlplan plan --uniform-T 4
---dump-product`` writes for the two bus grids ``case1`` and ``case2`` of
+--dump-product`` writes, and of its stdout without the ``solve-time-s:``
+and ``wrote:`` lines, for the two bus grids ``case1`` and ``case2`` of
 the test suite, for the explicit game ``toy.game``, for the three-bus
 mission on the 5x5 grid ``three_bus.grid`` and for the two-bus mission on
-``no_slip.grid`` (no slip, a station on the start cell), of two
+``no_slip.grid`` (no slip, a station on the start cell); the same four
+for ``case1`` under ``--eps 0.05``; of two
 ``mitlplan bench`` CSVs without their ``wall_time_s`` column, of the
 ``dta.txt`` and ``dta.dot`` that ``mitlplan translate`` writes for the two-
 and three-bus missions, and of ``mitlplan monitor``'s stdout on the fixed
@@ -151,14 +153,21 @@ def plan_digests() -> dict:
     }
     benches = {"bench-case1-eps": ("case1", "--eps-list", "0.1,0.05"),
                "bench-case2-T": ("case2", "--uniform-T", "3,4,5")}
+    runs = {f"plan-{case}-T4": (*plan, "--uniform-T", "4")
+            for case, plan in plans.items()}
+    runs["plan-case1-eps0.05"] = (*plans["case1"], "--eps", "0.05")
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for case, (formula, env_flag, env_path) in plans.items():
-            _cli("plan", "--formula", formula, env_flag, str(env_path),
-                 "--uniform-T", "4", "--dump-product", "--out", tmp)
-            out[f"plan-{case}-T4"] = {
+        for run, (formula, env_flag, env_path, *setting) in runs.items():
+            stdout = _cli("plan", "--formula", formula, env_flag,
+                          str(env_path), *setting, "--dump-product",
+                          "--out", tmp)
+            out[run] = {
                 f"{name}_sha256": _sha256(Path(tmp, f"{name}.txt").read_text())
                 for name in ("policy", "values", "product")}
+            kept = [line for line in stdout.splitlines(keepends=True)
+                    if not line.startswith(("solve-time-s:", "wrote:"))]
+            out[run]["stdout_sha256"] = _sha256("".join(kept))
     for name, (case, *setting) in benches.items():
         csv = _cli("bench", "--formula", cases[case],
                    "--grid", str(DATA / f"{case}.grid"), *setting)
