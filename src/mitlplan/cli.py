@@ -37,6 +37,8 @@ from .product_mdp import (
 )
 from .simulator import estimate_success, rollout
 from .solver import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     Policy,
     extract_policy,
     satisfaction_probability,
@@ -44,6 +46,7 @@ from .solver import (
 )
 from .stochastic_ta import StaError, StaModel, TimedWord
 from .timed_automata import (
+    LOCATION_CAP,
     AutomatonError,
     ProgressionDta,
     dta_to_dot,
@@ -81,12 +84,7 @@ def _read(path, code=EXIT_VALIDATION):
 
 
 def load_formula(args):
-    if getattr(args, "formula", None):
-        text = args.formula
-    elif getattr(args, "formula_file", None):
-        text = _read(args.formula_file)
-    else:
-        _fail(EXIT_VALIDATION, "need --formula or --formula-file")
+    text = args.formula if args.formula_file is None else _read(args.formula_file)
     try:
         f = fm.parse(text)
         u = fm.EventSet.from_formula(f)
@@ -101,9 +99,7 @@ def load_formula(args):
 
 def load_environment(args, u):
     """Returns (game, canonical environment text)."""
-    if getattr(args, "grid", None) and getattr(args, "game", None):
-        _fail(EXIT_VALIDATION, "give exactly one of --grid or --game")
-    if getattr(args, "grid", None):
+    if args.grid is not None:
         try:
             cfg = parse_gridworld_config(_read(args.grid, EXIT_GAME))
             if cfg.events:
@@ -120,29 +116,25 @@ def load_environment(args, u):
             return game, cfg.canonical_text()
         except GameError as exc:
             _fail(EXIT_GAME, f"grid: {exc}")
-    if getattr(args, "game", None):
-        text = _read(args.game, EXIT_GAME)
-        try:
-            game = load_game(text)
-            if set(game.events) != set(u.names):
-                raise GameError(
-                    f"game events {sorted(game.events)} disagree with the "
-                    f"formula's {sorted(u.names)}")
-            return game, text
-        except GameError as exc:
-            _fail(EXIT_GAME, f"game: {exc}")
-    _fail(EXIT_VALIDATION, "need an environment: --grid or --game")
+    text = _read(args.game, EXIT_GAME)
+    try:
+        game = load_game(text)
+        if set(game.events) != set(u.names):
+            raise GameError(
+                f"game events {sorted(game.events)} disagree with the "
+                f"formula's {sorted(u.names)}")
+        return game, text
+    except GameError as exc:
+        _fail(EXIT_GAME, f"game: {exc}")
 
 
-def truncation(f, u, uniform_T=None, eps=None):
-    """A common truncation point if `uniform_T` is given, else per-event
-    points with tails below `eps` (default 0.01); not both."""
-    if uniform_T is not None and eps is not None:
-        _fail(EXIT_VALIDATION, "give one of --eps or --uniform-T, not both")
+def truncation(f, u, uniform_T, eps):
+    """A common truncation point if `uniform_T` is not None, else
+    per-event points with tails below `eps`."""
     try:
         if uniform_T is not None:
             return fm.uniform_truncation_vector(f, u, uniform_T)
-        return fm.truncation_vector(f, u, 0.01 if eps is None else eps)
+        return fm.truncation_vector(f, u, eps)
     except (fm.FormulaError, ValueError) as exc:
         _fail(EXIT_VALIDATION, f"truncation: {exc}")
 
@@ -413,15 +405,11 @@ def cmd_bench(args):
     f, u = load_formula(args)
     game, _ = load_environment(args, u)
     _, dta = build_automaton(f, args.cap)
-    if args.uniform_T:
-        settings = [("T", T, {"uniform_T": T}) for T in args.uniform_T]
-    elif args.eps_list:
-        settings = [("eps", e, {"eps": e}) for e in args.eps_list]
-    else:
-        _fail(EXIT_VALIDATION, "need --uniform-T or --eps-list")
+    settings = ([("T", T, (T, None)) for T in args.uniform_T] if args.uniform_T
+                else [("eps", e, (None, e)) for e in args.eps_list])
     rows = []
     for kind, value, setting in settings:
-        trunc = truncation(f, u, **setting)
+        trunc = truncation(f, u, *setting)
         t0 = time.perf_counter()
         m = validated_product(game, StaModel(dta, u, trunc))
         res = value_iteration(m, tol=args.tol, max_iter=args.max_iter)
@@ -470,26 +458,30 @@ def _positive_float(text):
 
 
 def _add_formula_args(p):
-    p.add_argument("--formula", help="formula text")
-    p.add_argument("--formula-file", help="file containing the formula")
-    p.add_argument("--cap", type=_at_least(1), default=20000,
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--formula", help="formula text")
+    source.add_argument("--formula-file", help="file containing the formula")
+    p.add_argument("--cap", type=_at_least(1), default=LOCATION_CAP,
                    help="most automaton locations a run may reach")
 
 
 def _add_env_args(p):
-    p.add_argument("--grid", help="grid world config file")
-    p.add_argument("--game", help="explicit game file")
+    env = p.add_mutually_exclusive_group(required=True)
+    env.add_argument("--grid", help="grid world config file")
+    env.add_argument("--game", help="explicit game file")
 
 
 def _add_trunc_args(p):
-    p.add_argument("--eps", type=float, help="requested error bound")
-    p.add_argument("--uniform-T", type=int, dest="uniform_T",
-                   help="common truncation point for all event clocks")
+    trunc = p.add_mutually_exclusive_group()
+    trunc.add_argument("--eps", type=float, default=0.01,
+                       help="requested error bound (default 0.01)")
+    trunc.add_argument("--uniform-T", type=int, dest="uniform_T",
+                       help="common truncation point for all event clocks")
 
 
 def _add_solver_args(p):
-    p.add_argument("--tol", type=_positive_float, default=1e-10)
-    p.add_argument("--max-iter", type=_at_least(1), default=100_000)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=_at_least(1), default=DEFAULT_MAX_ITER)
 
 
 def build_parser():
@@ -540,12 +532,13 @@ def build_parser():
     _add_formula_args(p)
     _add_env_args(p)
     _add_solver_args(p)
-    p.add_argument("--uniform-T", dest="uniform_T",
-                   type=lambda s: [int(x) for x in s.split(",")],
-                   help="comma-separated uniform truncation points")
-    p.add_argument("--eps-list", dest="eps_list",
-                   type=lambda s: [float(x) for x in s.split(",")],
-                   help="comma-separated error bounds")
+    sweep = p.add_mutually_exclusive_group(required=True)
+    sweep.add_argument("--uniform-T", dest="uniform_T",
+                       type=lambda s: [int(x) for x in s.split(",")],
+                       help="comma-separated uniform truncation points")
+    sweep.add_argument("--eps-list", dest="eps_list",
+                       type=lambda s: [float(x) for x in s.split(",")],
+                       help="comma-separated error bounds")
     p.set_defaults(func=cmd_bench)
     return ap
 

@@ -226,7 +226,8 @@ class GridWorldConfig:
 
 
 def parse_gridworld_config(text: str) -> GridWorldConfig:
-    """Key-value grid description; see canonical_text for the layout."""
+    """Key-value grid description; see canonical_text for the layout.
+    `stations.*` and `events.*` keys may repeat, the others may not."""
     fields: dict[str, str] = {}
     stations = []
     events = []
@@ -244,6 +245,10 @@ def parse_gridworld_config(text: str) -> GridWorldConfig:
                 events.append((key[len("events."):], parse_distribution(value)))
             except FormulaError as exc:
                 raise GameError(f"line {lineno}: {exc}") from None
+        elif key not in ("width", "height", "start", "slip"):
+            raise GameError(f"line {lineno}: unknown key {key!r}")
+        elif key in fields:
+            raise GameError(f"line {lineno}: repeated key {key!r}")
         else:
             fields[key] = value
     try:
@@ -554,13 +559,17 @@ def load_game(text: str) -> ExplicitGame:
 
     Every declared (state, action, outcome) row must sum to one; labels of
     successors must show exactly the outcome among the event propositions.
+    A name is declared once, a state labelled at most once, and `init` and
+    `label` name declared states.
     """
-    names: list[str] = []
-    actions: list[str] = []
-    events: list[str] = []
+    # declared names, in order
+    names: dict[str, None] = {}
+    actions: dict[str, None] = {}
+    events: dict[str, None] = {}
     init_name = None
     labels: dict[str, frozenset[str]] = {}
     kernel: dict[tuple, list] = {}
+    declared = {"states": names, "actions": actions, "events": events}
     trans_re = re.compile(
         r"^trans\s+(\S+)\s+(\S+)\s+\{(.*?)\}\s*->\s*(\S+)\s*:\s*(\S+)\s*$")
 
@@ -568,19 +577,23 @@ def load_game(text: str) -> ExplicitGame:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head = line.split()[0]
-        if head == "states":
-            names.extend(line.split()[1:])
-        elif head == "actions":
-            actions.extend(line.split()[1:])
-        elif head == "events":
-            events.extend(line.split()[1:])
+        head, *words = line.split()
+        if head in declared:
+            for name in words:
+                if name in declared[head]:
+                    raise GameError(f"line {lineno}: {name!r} declared twice")
+                declared[head][name] = None
         elif head == "init":
-            init_name = line.split()[1]
+            if len(words) != 1:
+                raise GameError(f"line {lineno}: expected 'init <state>'")
+            init_name = words[0]
         elif head == "label":
             rest = line[len("label"):].strip()
             state, _, props = rest.partition(":")
-            labels[state.strip()] = frozenset(props.split())
+            state = state.strip()
+            if state in labels:
+                raise GameError(f"line {lineno}: {state!r} labelled twice")
+            labels[state] = frozenset(props.split())
         elif head == "trans":
             m = trans_re.match(line)
             if not m:
@@ -597,12 +610,14 @@ def load_game(text: str) -> ExplicitGame:
 
     if init_name is None:
         raise GameError("missing init state")
+    for nm in [init_name, *labels]:
+        if nm not in names:
+            raise GameError(f"undeclared state {nm!r} in init or label")
     for name in names:
         labels.setdefault(name, frozenset())
-    declared = set(names)
     for (src, act, e), rows in kernel.items():
         for nm in [src] + [d for d, _ in rows]:
-            if nm not in declared:
+            if nm not in names:
                 raise GameError(f"undeclared state {nm!r} in transitions")
         if act not in actions:
             raise GameError(f"undeclared action {act!r}")

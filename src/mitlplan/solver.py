@@ -20,6 +20,9 @@ import numpy as np
 from .game_model import concat_ranges
 from .product_mdp import STAY_ACTION, ProductMdp
 
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 100_000
+
 
 class SolverError(ValueError):
     pass
@@ -37,8 +40,8 @@ class ValueIterationResult:
         return float(self.values[0])
 
 
-def value_iteration(m: ProductMdp, tol: float = 1e-10,
-                    max_iter: int = 100_000) -> ValueIterationResult:
+def value_iteration(m: ProductMdp, tol: float = DEFAULT_TOL,
+                    max_iter: int = DEFAULT_MAX_ITER) -> ValueIterationResult:
     """Iterate V <- max_a (R + sum P V) until the max-norm residual drops
     below tol; values stay pinned to zero on absorbing states."""
     if tol <= 0:

@@ -404,6 +404,9 @@ def run_dta(dta, word: TimedWord) -> RunResult:
 # Progression automaton
 # ---------------------------------------------------------------------------
 
+LOCATION_CAP = 20000
+
+
 class ProgressionDta:
     """Automaton whose locations are canonical residual formulas.
 
@@ -419,7 +422,7 @@ class ProgressionDta:
     AutomatonError when more than `cap` locations are reached.
     """
 
-    def __init__(self, phi_d: Formula, cap: int = 20000):
+    def __init__(self, phi_d: Formula, cap: int = LOCATION_CAP):
         self._memo = _Progression()
         init = self._memo.canonical(normalize(phi_d))
         self.atoms = tuple(sorted(formula_atoms(init)))
@@ -517,7 +520,7 @@ class ProgressionDta:
         return out
 
 
-def build_dta(phi_d: Formula, cap: int = 20000) -> ProgressionDta:
+def build_dta(phi_d: Formula, cap: int = LOCATION_CAP) -> ProgressionDta:
     """Closure of one-step progression from the canonicalized formula.
 
     The automaton is closed before it is returned, with locations numbered
@@ -804,6 +807,8 @@ def load_dta(text: str) -> ExplicitDta:
             elif head == "atoms":
                 atoms = line.split()[1:]
             elif head == "init":
+                if len(line.split()) != 2:
+                    raise AutomatonError("expected 'init <location>'")
                 init = line.split()[1]
             elif head == "accepting":
                 accepting.extend(line.split()[1:])

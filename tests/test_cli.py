@@ -20,6 +20,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def usage_error(capsys, *argv):
+    """stderr of a command line that argparse rejects with exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_translate_writes_outputs(tmp_path, capsys):
     code, out, _ = run(capsys, "translate", "--formula", BUS_CASE1,
                        "--out", str(tmp_path))
@@ -62,7 +70,10 @@ edge A [true] {a} -> A
     ("locations A\nclocks x1\ninit A\naccepting A\n"
      "invariant Q [x1 <= 3]\nedge A [true] {a} -> A\n",
      "oracle: invariant of undeclared location 'Q'"),
-], ids=["run-time-nondeterminism", "invariant-clock", "invariant-location"])
+    ("locations A\nclocks x1\ninit\naccepting A\nedge A [true] {a} -> A\n",
+     "oracle: line 3: expected 'init <location>'"),
+], ids=["run-time-nondeterminism", "invariant-clock", "invariant-location",
+        "bare-init"])
 def test_translate_faulty_oracle_exits_2(tmp_path, capsys, oracle, message):
     path = tmp_path / "oracle.dta"
     path.write_text(oracle)
@@ -194,11 +205,35 @@ def test_simulate_has_no_solver_options(tmp_path, capsys, case2_policy_lines,
 
 def test_plan_eps_zero_with_uniform_T_exits_2(tmp_path, capsys):
     # --eps 0 is given, so it conflicts with --uniform-T like any other value
-    code, _, err = run(capsys, "plan", "--formula", BUS_CASE2,
-                       "--grid", str(DATA / "case2.grid"),
-                       "--uniform-T", "3", "--eps", "0", "--out", str(tmp_path))
-    assert code == 2
-    assert "give one of --eps or --uniform-T, not both" in err
+    err = usage_error(capsys, "plan", "--formula", BUS_CASE2,
+                      "--grid", str(DATA / "case2.grid"),
+                      "--uniform-T", "3", "--eps", "0", "--out", str(tmp_path))
+    assert "argument --eps: not allowed with argument --uniform-T" in err
+
+
+def test_plan_formula_and_formula_file_conflict(tmp_path, capsys):
+    # the file was never read: plan ran on --formula and exited 0
+    err = usage_error(capsys, "plan", "--formula", BUS_CASE1,
+                      "--formula-file", str(tmp_path / "missing.mitl"),
+                      "--grid", str(DATA / "case1.grid"), "--uniform-T", "3",
+                      "--out", str(tmp_path))
+    assert "argument --formula-file: not allowed with argument --formula" \
+        in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["plan", "--grid", "case2.grid"],
+     "one of the arguments --formula --formula-file is required"),
+    (["simulate", "--formula", "F a", "--policy", "policy.txt"],
+     "one of the arguments --grid --game is required"),
+    (["bench", "--formula", "F a", "--grid", "case2.grid", "--game",
+      "toy.game", "--uniform-T", "3"],
+     "argument --game: not allowed with argument --grid"),
+    (["monitor", "--word", "word.txt"],
+     "one of the arguments --formula --formula-file is required"),
+], ids=["no-formula", "no-environment", "two-environments", "monitor"])
+def test_option_rules_name_both_options(capsys, argv, message):
+    assert message in usage_error(capsys, *argv)
 
 
 def test_plan_station_named_like_an_event_exits_3(tmp_path, capsys):
@@ -218,13 +253,36 @@ def test_plan_station_named_like_an_event_exits_3(tmp_path, capsys):
     ("slip = a,0.1,0.1", "slip"),
 ])
 def test_plan_malformed_grid_number_exits_3(tmp_path, capsys, line, key):
+    # the malformed line replaces the key's line: a key may not repeat
+    kept = [old for old in (DATA / "case2.grid").read_text().splitlines()
+            if not old.startswith(f"{key} =")]
     grid = tmp_path / "bad.grid"
-    grid.write_text((DATA / "case2.grid").read_text() + line + "\n")
+    grid.write_text("\n".join([*kept, line]) + "\n")
     code, _, err = run(capsys, "plan", "--formula", BUS_CASE2,
                        "--grid", str(grid), "--uniform-T", "3",
                        "--out", str(tmp_path))
     assert code == 3
     assert f"grid: grid key {key!r}: bad number" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    # a misspelt key used to fall back to the default start or slip
+    ("strat = (3,3)", "unknown key 'strat'"),
+    ("slipp = 1,0,0", "unknown key 'slipp'"),
+    # a repeated key used to keep its last value
+    ("start = (3,3)", "repeated key 'start'"),
+    ("width = 5", "repeated key 'width'"),
+])
+def test_plan_grid_unknown_or_repeated_key_exits_3(tmp_path, capsys, line,
+                                                   message):
+    text = (DATA / "case1.grid").read_text()
+    grid = tmp_path / "bad.grid"
+    grid.write_text(text + line + "\n")
+    code, _, err = run(capsys, "plan", "--formula", BUS_CASE1,
+                       "--grid", str(grid), "--uniform-T", "3",
+                       "--out", str(tmp_path))
+    assert code == 3
+    assert err == f"error: grid: line {len(text.splitlines()) + 1}: {message}\n"
 
 
 def test_plan_does_not_import_numpy_ma(tmp_path):
@@ -311,6 +369,28 @@ def test_plan_game_load_error(tmp_path, capsys):
     assert "sums to" in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("init h0", "init s9", "undeclared state 's9' in init or label"),
+    ("init h0", "init", "line 9: expected 'init <state>'"),
+    ("label t1: goal", "label t1: goal\nlabel zz: goal",
+     "undeclared state 'zz' in init or label"),
+    # every product row was doubled, and the policy file listed `go go`
+    ("actions go wait", "actions go go wait", "line 7: 'go' declared twice"),
+    ("label t1: goal", "label t1: goal\nlabel t1:",
+     "line 17: 't1' labelled twice"),
+], ids=["undeclared-init", "bare-init", "undeclared-label", "repeated-action",
+        "repeated-label"])
+def test_plan_malformed_game_exits_3(tmp_path, capsys, old, new, message):
+    bad = tmp_path / "bad.game"
+    bad.write_text((DATA / "toy.game").read_text().replace(old, new, 1))
+    code, _, err = run(capsys, "plan",
+                       "--formula", "D{geom:0.5} b & F (b & F[0,1] goal)",
+                       "--game", str(bad), "--uniform-T", "4",
+                       "--out", str(tmp_path))
+    assert code == 3
+    assert err == f"error: game: {message}\n"
+
+
 
 
 def test_plan_outputs_independent_of_hash_seed(tmp_path):
@@ -345,10 +425,10 @@ def test_plan_on_explicit_game(tmp_path, capsys):
 
 
 def test_plan_eps_and_T_conflict(tmp_path, capsys):
-    code, _, err = run(capsys, "plan", "--formula", BUS_CASE2,
-                       "--grid", str(DATA / "case2.grid"),
-                       "--uniform-T", "3", "--eps", "0.1")
-    assert code == 2
+    err = usage_error(capsys, "plan", "--formula", BUS_CASE2,
+                      "--grid", str(DATA / "case2.grid"),
+                      "--uniform-T", "3", "--eps", "0.1")
+    assert "argument --eps: not allowed with argument --uniform-T" in err
 
 
 def test_plan_grid_event_mismatch(tmp_path, capsys):
@@ -567,9 +647,17 @@ def test_bench_eps_list(capsys):
 
 
 def test_bench_needs_sweep(capsys):
-    code, _, err = run(capsys, "bench", "--formula", BUS_CASE2,
-                       "--grid", str(DATA / "case2.grid"))
-    assert code == 2
+    err = usage_error(capsys, "bench", "--formula", BUS_CASE2,
+                      "--grid", str(DATA / "case2.grid"))
+    assert "one of the arguments --uniform-T --eps-list is required" in err
+
+
+def test_bench_uniform_T_and_eps_list_conflict(capsys):
+    # bench used to print the T=3 row alone and exit 0
+    err = usage_error(capsys, "bench", "--formula", BUS_CASE2,
+                      "--grid", str(DATA / "case2.grid"),
+                      "--uniform-T", "3", "--eps-list", "0.1")
+    assert "argument --eps-list: not allowed with argument --uniform-T" in err
 
 
 def test_bench_eps_list_without_events(capsys, corner_grid):

@@ -20,7 +20,10 @@ for ``case1`` under ``--eps 0.05``; of two
 ``dta.txt`` and ``dta.dot`` that ``mitlplan translate`` writes for the two-
 and three-bus missions, and of ``mitlplan monitor``'s stdout on the fixed
 words of ``MONITOR_WORDS`` (the bus missions, and two table laws whose
-hazard reaches 1).
+hazard reaches 1).  For ``case1`` and ``toy.game`` at ``--uniform-T 4`` it
+also records ``mitlplan simulate``'s stdout, with the `` -> path``
+suffixes of its trajectory lines cut, and its ``trajectory_000.log``, at
+the fixed ``SIMULATE_ARGS``.
 
 A change keeps automata and planner outputs identical when this script
 prints the same file on the change as on its parent::
@@ -73,6 +76,9 @@ MONITOR_WORDS = {
     "table-hazard-one": [("-", "-", "-", "-")],
     "table-hazard-below-one": [("-", "-", "-", "-")],
 }
+
+# rollouts of the `mitlplan simulate` digests
+SIMULATE_ARGS = ("-n", "1000", "--seed", "7", "--logs", "1")
 
 # the draw of test_criterion_9_progression_soundness, words included, so
 # that formula i here is formula i there
@@ -168,6 +174,20 @@ def plan_digests() -> dict:
             kept = [line for line in stdout.splitlines(keepends=True)
                     if not line.startswith(("solve-time-s:", "wrote:"))]
             out[run]["stdout_sha256"] = _sha256("".join(kept))
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in ("case1", "toy"):
+            formula, env_flag, env_path = plans[case]
+            model = ("--formula", formula, env_flag, str(env_path),
+                     "--uniform-T", "4")
+            _cli("plan", *model, "--out", tmp)
+            stdout = _cli("simulate", *model, "--policy",
+                          str(Path(tmp, "policy.txt")), *SIMULATE_ARGS,
+                          "--out", tmp)
+            kept = [line.split(" -> ", 1)[0] for line in stdout.splitlines()]
+            out[f"simulate-{case}-T4"] = {
+                "stdout_sha256": _sha256("\n".join(kept) + "\n"),
+                "trajectory_000_sha256": _sha256(
+                    Path(tmp, "trajectory_000.log").read_text())}
     for name, (case, *setting) in benches.items():
         csv = _cli("bench", "--formula", cases[case],
                    "--grid", str(DATA / f"{case}.grid"), *setting)
