@@ -212,7 +212,7 @@ def test_plan_eps_zero_with_uniform_T_exits_2(tmp_path, capsys):
 
 
 def test_plan_formula_and_formula_file_conflict(tmp_path, capsys):
-    # the file was never read: plan ran on --formula and exited 0
+    # neither source may win silently; the file does not exist
     err = usage_error(capsys, "plan", "--formula", BUS_CASE1,
                       "--formula-file", str(tmp_path / "missing.mitl"),
                       "--grid", str(DATA / "case1.grid"), "--uniform-T", "3",
@@ -266,10 +266,10 @@ def test_plan_malformed_grid_number_exits_3(tmp_path, capsys, line, key):
 
 
 @pytest.mark.parametrize("line, message", [
-    # a misspelt key used to fall back to the default start or slip
+    # a misspelt key must not fall back to the default start or slip
     ("strat = (3,3)", "unknown key 'strat'"),
     ("slipp = 1,0,0", "unknown key 'slipp'"),
-    # a repeated key used to keep its last value
+    # a repeated key must not keep its last value
     ("start = (3,3)", "repeated key 'start'"),
     ("width = 5", "repeated key 'width'"),
 ])
@@ -374,7 +374,7 @@ def test_plan_game_load_error(tmp_path, capsys):
     ("init h0", "init", "line 9: expected 'init <state>'"),
     ("label t1: goal", "label t1: goal\nlabel zz: goal",
      "undeclared state 'zz' in init or label"),
-    # every product row was doubled, and the policy file listed `go go`
+    # a repeated action would double every product row
     ("actions go wait", "actions go go wait", "line 7: 'go' declared twice"),
     ("label t1: goal", "label t1: goal\nlabel t1:",
      "line 17: 't1' labelled twice"),
@@ -653,7 +653,7 @@ def test_bench_needs_sweep(capsys):
 
 
 def test_bench_uniform_T_and_eps_list_conflict(capsys):
-    # bench used to print the T=3 row alone and exit 0
+    # a sweep over one of the two would drop the other silently
     err = usage_error(capsys, "bench", "--formula", BUS_CASE2,
                       "--grid", str(DATA / "case2.grid"),
                       "--uniform-T", "3", "--eps-list", "0.1")
