@@ -446,6 +446,17 @@ def _at_least(minimum):
     return parse
 
 
+def _comma_list(kind, what):
+    """An argparse type for comma-separated values of `kind`."""
+    def parse(text):
+        try:
+            return [kind(x) for x in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from None
+    return parse
+
+
 def _positive_float(text):
     try:
         value = float(text)
@@ -534,10 +545,10 @@ def build_parser():
     _add_solver_args(p)
     sweep = p.add_mutually_exclusive_group(required=True)
     sweep.add_argument("--uniform-T", dest="uniform_T",
-                       type=lambda s: [int(x) for x in s.split(",")],
+                       type=_comma_list(int, "integers"),
                        help="comma-separated uniform truncation points")
     sweep.add_argument("--eps-list", dest="eps_list",
-                       type=lambda s: [float(x) for x in s.split(",")],
+                       type=_comma_list(float, "numbers"),
                        help="comma-separated error bounds")
     p.set_defaults(func=cmd_bench)
     return ap

@@ -227,10 +227,11 @@ class GridWorldConfig:
 
 def parse_gridworld_config(text: str) -> GridWorldConfig:
     """Key-value grid description; see canonical_text for the layout.
-    `stations.*` and `events.*` keys may repeat, the others may not."""
+    `stations.*` keys may repeat, the others may not."""
     fields: dict[str, str] = {}
     stations = []
-    events = []
+    events = {}
+    start = (0, 0)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -240,23 +241,25 @@ def parse_gridworld_config(text: str) -> GridWorldConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("stations."):
             stations.append((key[len("stations."):], _parse_cell(value, lineno)))
-        elif key.startswith("events."):
-            try:
-                events.append((key[len("events."):], parse_distribution(value)))
-            except FormulaError as exc:
-                raise GameError(f"line {lineno}: {exc}") from None
-        elif key not in ("width", "height", "start", "slip"):
+        elif key not in ("width", "height", "start", "slip") \
+                and not key.startswith("events."):
             raise GameError(f"line {lineno}: unknown key {key!r}")
         elif key in fields:
             raise GameError(f"line {lineno}: repeated key {key!r}")
         else:
             fields[key] = value
+            if key == "start":
+                start = _parse_cell(value, lineno)
+            elif key.startswith("events."):
+                try:
+                    events[key[len("events."):]] = parse_distribution(value)
+                except FormulaError as exc:
+                    raise GameError(f"line {lineno}: {exc}") from None
     try:
         width, height = fields["width"], fields["height"]
     except KeyError as exc:
         raise GameError(f"missing grid key {exc.args[0]!r}") from None
     width, height = _number("width", width, int), _number("height", height, int)
-    start = _parse_cell(fields.get("start", "(0,0)"), 0)
     slip = (0.8, 0.1, 0.1)
     if "slip" in fields:
         parts = fields["slip"].split(",")
@@ -264,7 +267,7 @@ def parse_gridworld_config(text: str) -> GridWorldConfig:
             raise GameError("slip needs three components: forward,left,right")
         slip = tuple(_number("slip", p, float) for p in parts)
     return GridWorldConfig(width, height, start, tuple(stations),
-                           tuple(events), slip)
+                           tuple(events.items()), slip)
 
 
 def _number(key, text, kind):

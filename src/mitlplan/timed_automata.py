@@ -18,7 +18,9 @@ later symbol advances all clocks by one before guards are checked.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import product
 
 from .formula import (
     FALSE,
@@ -46,44 +48,8 @@ class AutomatonError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Clock vectors and constraints
+# Clock constraints
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClockVector:
-    """Integer clock values, one per named clock."""
-
-    clocks: tuple[str, ...]
-    values: tuple[int, ...]
-
-    def index(self, clock: str) -> int:
-        try:
-            return self.clocks.index(clock)
-        except ValueError:
-            raise AutomatonError(f"unknown clock {clock!r}") from None
-
-    def value(self, clock: str) -> int:
-        return self.values[self.index(clock)]
-
-    def advance(self, t: int) -> "ClockVector":
-        """Advance every clock by t."""
-        if t == 0:
-            return self
-        return ClockVector(self.clocks, tuple(v + t for v in self.values))
-
-    def reset(self, zero=()) -> "ClockVector":
-        """Zero the clocks in `zero`."""
-        zero = set(zero)
-        for c in zero:
-            self.index(c)
-        vals = tuple(0 if c in zero else v
-                     for c, v in zip(self.clocks, self.values))
-        return ClockVector(self.clocks, vals)
-
-    def __str__(self):
-        body = ", ".join(f"{c}={v}" for c, v in zip(self.clocks, self.values))
-        return f"[{body}]"
-
 
 _OPS = {
     "=": lambda a, b: a == b,
@@ -131,16 +97,18 @@ class OrC(ClockConstraint):
     right: ClockConstraint
 
 
-def eval_constraint(c: ClockConstraint | None, v: ClockVector) -> bool:
-    """Evaluate a clock constraint; None is the trivially true guard."""
+def eval_constraint(c: ClockConstraint | None,
+                    v: Mapping[str, int]) -> bool:
+    """Evaluate a clock constraint on clock values by name; None is the
+    trivially true guard."""
     if c is None:
         return True
     if isinstance(c, FalseC):
         return False
     if isinstance(c, Compare):
-        return _OPS[c.op](v.value(c.clock), c.k)
+        return _OPS[c.op](v[c.clock], c.k)
     if isinstance(c, DiffCompare):
-        return _OPS[c.op](v.value(c.clock_a) - v.value(c.clock_b), c.k)
+        return _OPS[c.op](v[c.clock_a] - v[c.clock_b], c.k)
     if isinstance(c, AndC):
         return eval_constraint(c.left, v) and eval_constraint(c.right, v)
     if isinstance(c, OrC):
@@ -695,32 +663,33 @@ class ExplicitDta:
 
     def _validate_determinism(self):
         """Enumerate symbol masks and clock vectors over the bounded box
-        [0, K+1]^M; two simultaneously enabled edges are an error."""
-        k = self.clock_bound
-        n_vectors = (k + 1) ** len(self.clocks)
+        [0, K+1]^M, first clock fastest; two simultaneously enabled edges
+        are an error."""
+        box = range(self.clock_bound + 1)
         masks = mask_subsets(self.atoms)
-        if n_vectors * len(masks) > DETERMINISM_BOX_CAP:
-            n_vectors = 0  # box too large; rely on the run-time check
+        if len(box) ** len(self.clocks) * len(masks) > DETERMINISM_BOX_CAP:
+            return  # box too large; rely on the run-time check
         for loc in self.locations:
-            for vec_id in range(n_vectors):
-                vals = []
-                rest = vec_id
-                for _ in self.clocks:
-                    vals.append(rest % (k + 1))
-                    rest //= k + 1
-                v = ClockVector(self.clocks, tuple(vals))
+            for last_first in product(box, repeat=len(self.clocks)):
+                values = last_first[::-1]
+                named = dict(zip(self.clocks, values))
                 for symbol in masks:
-                    enabled = self._enabled(loc, symbol, v)
+                    enabled = self._enabled(loc, symbol, named)
                     if len(enabled) > 1:
                         raise AutomatonError(
                             f"nondeterministic edges from {loc!r} on "
-                            f"{set(symbol) or '{}'} at {v}: "
+                            f"{set(symbol) or '{}'} at "
+                            f"{self._clock_text(values)}: "
                             f"{enabled[0].target!r} vs {enabled[1].target!r}")
 
-    def _enabled(self, loc, symbol, v) -> list[ExplicitEdge]:
+    def _enabled(self, loc, symbol, named) -> list[ExplicitEdge]:
         return [e for e in self._by_source.get(loc, [])
                 if eval_symbol_predicate(e.predicate, symbol)
-                and eval_constraint(e.guard, v)]
+                and eval_constraint(e.guard, named)]
+
+    def _clock_text(self, values) -> str:
+        body = ", ".join(f"{c}={v}" for c, v in zip(self.clocks, values))
+        return f"[{body}]"
 
     @property
     def location_count(self):
@@ -733,26 +702,29 @@ class ExplicitDta:
         loc, values = config
         if loc == REJECT_LOCATION:
             return config
-        v = ClockVector(self.clocks, values)
         if tau > 0:
             # invariant must hold while time elapses in the source location
             inv = self.invariants.get(loc)
-            if inv is not None and not eval_constraint(inv, v):
+            if inv is not None and not eval_constraint(
+                    inv, dict(zip(self.clocks, values))):
                 return (REJECT_LOCATION, values)
-        v = v.advance(tau)
+            values = tuple(v + tau for v in values)
         symbol = frozenset(symbol) & set(self.atoms)
-        enabled = self._enabled(loc, symbol, v)
+        enabled = self._enabled(loc, symbol, dict(zip(self.clocks, values)))
         if len(enabled) > 1:
             raise AutomatonError(
-                f"nondeterministic step from {loc!r} on {set(symbol)} at {v}")
+                f"nondeterministic step from {loc!r} on {set(symbol)} at "
+                f"{self._clock_text(values)}")
         if not enabled:
-            return (REJECT_LOCATION, v.values)
+            return (REJECT_LOCATION, values)
         e = enabled[0]
-        v = v.reset(zero=e.resets)
+        values = tuple(0 if c in e.resets else v
+                       for c, v in zip(self.clocks, values))
         inv2 = self.invariants.get(e.target)
-        if inv2 is not None and not eval_constraint(inv2, v):
-            return (REJECT_LOCATION, v.values)
-        return (e.target, v.values)
+        if inv2 is not None and not eval_constraint(
+                inv2, dict(zip(self.clocks, values))):
+            return (REJECT_LOCATION, values)
+        return (e.target, values)
 
     def is_accepting(self, config):
         return config[0] in self.accepting

@@ -285,6 +285,26 @@ def test_plan_grid_unknown_or_repeated_key_exits_3(tmp_path, capsys, line,
     assert err == f"error: grid: line {len(text.splitlines()) + 1}: {message}\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    # two laws for one event: sorting them crashed the canonical text
+    ("width = 4\nheight = 4\nevents.b1 = geom:0.3\nevents.b1 = geom:0.8\n",
+     "line 4: repeated key 'events.b1'"),
+    ("width = 4\nheight = 4\nevents.b1 = geom:0.8\nevents.b1 = geom:0.8\n",
+     "line 4: repeated key 'events.b1'"),
+    # `start` is reported at its own line
+    ("width = 4\nheight = 4\nstart = (9,x)\nevents.b1 = geom:0.8\n",
+     "line 3: bad cell '(9,x)'"),
+], ids=["event-two-laws", "event-same-law", "bad-start"])
+def test_plan_grid_error_names_its_line(tmp_path, capsys, text, message):
+    grid = tmp_path / "bad.grid"
+    grid.write_text(text)
+    code, _, err = run(capsys, "plan", "--formula", "D{geom:0.8} b1 & F b1",
+                       "--grid", str(grid), "--uniform-T", "3",
+                       "--out", str(tmp_path))
+    assert code == 3
+    assert err == f"error: grid: {message}\n"
+
+
 def test_plan_does_not_import_numpy_ma(tmp_path):
     # plain `np.unique` imports `numpy.ma` on its first call, which costs
     # every `plan` process 10-15 ms
@@ -658,6 +678,17 @@ def test_bench_uniform_T_and_eps_list_conflict(capsys):
                       "--grid", str(DATA / "case2.grid"),
                       "--uniform-T", "3", "--eps-list", "0.1")
     assert "argument --eps-list: not allowed with argument --uniform-T" in err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--uniform-T", "3,x", "expected comma-separated integers, got '3,x'"),
+    ("--eps-list", "0.1,abc",
+     "expected comma-separated numbers, got '0.1,abc'"),
+], ids=["uniform-T", "eps-list"])
+def test_bench_malformed_sweep_list_exits_2(capsys, option, value, message):
+    err = usage_error(capsys, "bench", "--formula", BUS_CASE2,
+                      "--grid", str(DATA / "case2.grid"), option, value)
+    assert f"argument {option}: {message}" in err
 
 
 def test_bench_eps_list_without_events(capsys, corner_grid):

@@ -20,7 +20,6 @@ from mitlplan.formula import (
 )
 from mitlplan.timed_automata import (
     AutomatonError,
-    ClockVector,
     Compare,
     DiffCompare,
     FalseC,
@@ -44,12 +43,11 @@ from conftest import BUS_CASE1, DATA
 
 
 # ---------------------------------------------------------------------------
-# clock vectors and constraints
+# clock constraints and clock stepping
 # ---------------------------------------------------------------------------
 
-def vec(values, clocks=None):
-    clocks = tuple(clocks or (f"x{i+1}" for i in range(len(values))))
-    return ClockVector(clocks, tuple(values))
+def vec(values):
+    return {f"x{i+1}": v for i, v in enumerate(values)}
 
 
 def test_eval_compare():
@@ -69,8 +67,12 @@ def test_eval_diff_compare():
 
 
 def test_eval_unknown_clock():
-    with pytest.raises(AutomatonError):
-        eval_constraint(Compare("zz", "<", 1), vec([0]))
+    # clock names are checked once, when the automaton is loaded
+    for line in ("edge a [x - zz > 1] {p} -> a reset{}",
+                 "edge a [true] {p} -> a reset{zz}",
+                 "invariant a [zz <= 1]"):
+        with pytest.raises(AutomatonError, match="unknown clock 'zz'"):
+            load_dta(f"locations a\nclocks x\ninit a\n{line}\n")
 
 
 def test_eval_bool_combinations():
@@ -79,41 +81,58 @@ def test_eval_bool_combinations():
     assert eval_constraint(c, v)
 
 
-def test_advance_uniform():
-    assert vec([0, 0, 0, 0]).advance(1).values == (1, 1, 1, 1)
+@pytest.fixture(scope="module")
+def resetter():
+    """One location; reading `r` zeroes x1 and x3, anything else nothing."""
+    return load_dta("""
+locations a
+clocks x1 x2 x3 x4
+init a
+edge a [true] {!r} -> a reset{}
+edge a [true] {r} -> a reset{x1,x3}
+""")
 
 
-def test_advance_zero_identity():
-    v = vec([3, 1])
-    assert v.advance(0) is v
+def test_advance_uniform(resetter):
+    assert resetter.step_config(("a", (0, 0, 0, 0)), frozenset(), 1) == \
+        ("a", (1, 1, 1, 1))
 
 
-def test_reset():
-    v = vec([2, 1, 3, 1])
-    r = v.reset(zero={"x1", "x3"})
-    assert r.values == (0, 1, 0, 1)
+def test_advance_zero_identity(resetter):
+    # the first symbol is read with no time elapsed
+    config = ("a", (3, 1, 0, 2))
+    assert resetter.step_config(config, frozenset(), 0) == config
+    r = run_dta(resetter, TimedWord.from_sets([set()]))
+    assert [values for _, values in r.trace] == [(0, 0, 0, 0)] * 2
 
 
-def test_reset_empty_identity():
-    v = vec([4, 2])
-    assert v.reset().values == v.values
+def test_reset(resetter):
+    config = resetter.step_config(("a", (2, 1, 3, 1)), frozenset({"r"}), 0)
+    assert resetter.clock_values(config) == (0, 1, 0, 1)
 
 
-def test_reset_idempotent():
-    v = vec([5, 5])
-    once = v.reset(zero={"x1"})
-    twice = once.reset(zero={"x1"})
-    assert once == twice
+def test_reset_empty_identity(resetter):
+    config = ("a", (4, 2, 0, 7))
+    assert resetter.step_config(config, frozenset(), 0) == config
 
 
-def test_advance_additive():
-    v = vec([1, 2])
-    assert v.advance(2).advance(3) == v.advance(5)
+def test_reset_idempotent(resetter):
+    once = resetter.step_config(("a", (5, 5, 5, 5)), frozenset({"r"}), 0)
+    twice = resetter.step_config(once, frozenset({"r"}), 0)
+    assert once == twice == ("a", (0, 5, 0, 5))
 
 
-def test_reset_after_advance():
-    v = vec([1, 1]).advance(2).reset(zero={"x1"})
-    assert v.values == (0, 3)
+def test_advance_additive(resetter):
+    # each symbol after the first adds one to every clock
+    r = run_dta(resetter, TimedWord.from_sets([set()] * 6))
+    assert [values for _, values in r.trace] == \
+        [(0, 0, 0, 0)] + [(t,) * 4 for t in range(6)]
+
+
+def test_reset_after_advance(resetter):
+    # time elapses before the edge's resets apply
+    config = resetter.step_config(("a", (1, 1, 1, 1)), frozenset({"r"}), 2)
+    assert config == ("a", (0, 3, 0, 3))
 
 
 def test_parse_clock_constraint_forms():
@@ -372,6 +391,23 @@ edge a [x <= 2] {p} -> c reset{}
     with pytest.raises(AutomatonError) as exc:
         load_dta(text)
     assert "nondeterministic" in str(exc.value)
+
+
+def test_load_names_the_first_conflict_first_clock_fastest():
+    # the edges overlap wherever x >= 1 or y >= 1; clock vectors are
+    # enumerated with the first clock varying fastest, so x=1, y=0 comes
+    # before x=0, y=1
+    text = """
+locations a b c
+clocks x y
+init a
+edge a [x >= 1 | y >= 1] {p} -> b reset{}
+edge a [true] {p} -> c reset{}
+"""
+    with pytest.raises(AutomatonError) as exc:
+        load_dta(text)
+    assert str(exc.value) == ("nondeterministic edges from 'a' on {'p'} "
+                              "at [x=1, y=0]: 'b' vs 'c'")
 
 
 def test_load_rejects_dangling_location():
