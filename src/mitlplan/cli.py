@@ -5,7 +5,9 @@ simulate (roll out a stored policy), monitor (verdict and likelihood of an
 observed word), bench (truncation sweep as CSV).  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 2 parse/validation, 3 environment
 load, 4 automaton or product build, 5 solver non-convergence, 6 stale
-policy.
+policy.  Exit 2 also covers an input file that cannot be read or decoded
+(3 for a --grid or --game file) and an --out that cannot be made a
+directory.
 """
 
 from __future__ import annotations
@@ -79,8 +81,18 @@ def _fail(code, message):
 def _read(path, code=EXIT_VALIDATION):
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail(code, f"cannot read {path}: {exc}")
+
+
+def _out_dir(path):
+    """The output directory `path`, made if it is missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(EXIT_VALIDATION, f"cannot write to {path}: {exc}")
+    return out
 
 
 def load_formula(args):
@@ -260,8 +272,7 @@ def cmd_translate(args):
     phid, dta = build_automaton(f, args.cap)
     with stepping():
         dta.close()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     dump = ["# progression automaton",
             f"# formula: {pretty(f)}",
             f"# substituted: {pretty(phid)}",
@@ -330,8 +341,7 @@ def cmd_plan(args):
               f"value iteration hit {res.iterations} iterations with "
               f"residual {res.residual!r} >= {args.tol!r}")
     policy = extract_policy(m, res.values)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     write_policy(out / "policy.txt", built, policy, res.values)
     write_values(out / "values.txt", built, res.values)
     print(f"satisfaction-probability: {satisfaction_probability(m, res.values)!r}")
@@ -359,8 +369,7 @@ def cmd_simulate(args):
     built = build_model(args)
     m = built.product
     policy = read_policy(args.policy, built)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     n_logs = min(args.n, 5) if args.logs is None else args.logs
     for i in range(n_logs):
         traj = rollout(m, policy, seed=args.seed + i,

@@ -243,8 +243,32 @@ def test_plan_station_named_like_an_event_exits_3(tmp_path, capsys):
                        "--grid", str(grid), "--uniform-T", "3",
                        "--out", str(tmp_path))
     assert code == 3
-    assert "grid: label of ((2, 2), {}, {b1,b2}) shows ['b1'], outcome was []" \
-        in err
+    assert err == "error: grid: station 'b1' is named like an event\n"
+
+
+@pytest.mark.parametrize("grid, formula, message", [
+    # the events come from the formula alone
+    ("width = 3\nheight = 3\nstations.b1 = (2,2)\n", BUS_CASE2,
+     "station 'b1' is named like an event"),
+    ("width = 3\nheight = 3\nstart = (1,1)\nstations.b2 = (1,1)\n",
+     BUS_CASE2, "station 'b2' is named like an event"),
+    # the clash is found before the events are compared with the formula's
+    ((DATA / "case2.grid").read_text() + "stations.b1 = (2,2)\n", BUS_CASE1,
+     "station 'b1' is named like an event"),
+    ((DATA / "case2.grid").read_text().replace("slip = 0.8,0.1,0.1",
+                                               "slip = nan,0.5,0.5"),
+     BUS_CASE2, "slip probabilities (nan, 0.5, 0.5) must be >= 0 and sum to 1"),
+], ids=["station-formula-event", "station-on-the-start",
+        "station-and-events-disagree", "nan-slip"])
+def test_plan_grid_rejected_by_its_config_exits_3(tmp_path, capsys, grid,
+                                                  formula, message):
+    path = tmp_path / "bad.grid"
+    path.write_text(grid)
+    code, _, err = run(capsys, "plan", "--formula", formula,
+                       "--grid", str(path), "--uniform-T", "3",
+                       "--out", str(tmp_path))
+    assert code == 3
+    assert err == f"error: grid: {message}\n"
 
 
 @pytest.mark.parametrize("line, key", [
@@ -398,8 +422,15 @@ def test_plan_game_load_error(tmp_path, capsys):
     ("actions go wait", "actions go go wait", "line 7: 'go' declared twice"),
     ("label t1: goal", "label t1: goal\nlabel t1:",
      "line 17: 't1' labelled twice"),
+    ("trans h0 wait {} -> h0 : 1.0", "trans h0 wait {} -> h0 : nan",
+     "line 22: bad probability 'nan'"),
+    ("trans h0 go {} -> h0 : 0.3", "trans h0 go {} -> h0 : 0",
+     "line 19: bad probability '0'"),
+    ("trans h0 wait {} -> h0 : 1.0", "trans h0 wait {} -> h0 : 1.5",
+     "line 22: bad probability '1.5'"),
 ], ids=["undeclared-init", "bare-init", "undeclared-label", "repeated-action",
-        "repeated-label"])
+        "repeated-label", "nan-probability", "zero-probability",
+        "probability-above-one"])
 def test_plan_malformed_game_exits_3(tmp_path, capsys, old, new, message):
     bad = tmp_path / "bad.game"
     bad.write_text((DATA / "toy.game").read_text().replace(old, new, 1))
@@ -411,6 +442,48 @@ def test_plan_malformed_game_exits_3(tmp_path, capsys, old, new, message):
     assert err == f"error: game: {message}\n"
 
 
+
+
+CASE2_MODEL = ["--formula", BUS_CASE2, "--grid", str(DATA / "case2.grid"),
+               "--uniform-T", "3"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["translate", "--formula-file", "BAD", "--out", "OUT"], 2),
+    (["translate", "--formula", "F a", "--oracle", "BAD", "--out", "OUT"], 2),
+    (["monitor", "--formula", "F a", "--word", "BAD"], 2),
+    (["plan", "--formula", BUS_CASE2, "--grid", "BAD", "--uniform-T", "3"], 3),
+    (["plan", "--formula", BUS_CASE2, "--game", "BAD", "--uniform-T", "3"], 3),
+    (["simulate", *CASE2_MODEL, "--policy", "BAD", "--out", "OUT"], 2),
+], ids=["formula-file", "oracle", "word", "grid", "game", "policy"])
+def test_undecodable_input_file_exits_with_its_code(tmp_path, capsys, argv,
+                                                    code):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    argv = [{"BAD": str(bad), "OUT": str(tmp_path)}.get(a, a) for a in argv]
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert "codec can't decode byte" in err
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("translate", ["--formula", BUS_CASE2]),
+    ("plan", CASE2_MODEL),
+    ("simulate", [*CASE2_MODEL, "--policy", "POLICY", "-n", "10"]),
+], ids=["translate", "plan", "simulate"])
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_unusable_out_exits_2(tmp_path, capsys, case2_policy_lines, command,
+                              argv, under):
+    policy = tmp_path / "policy.txt"
+    policy.write_text("\n".join(case2_policy_lines) + "\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    argv = [str(policy) if a == "POLICY" else a for a in argv]
+    code, _, err = run(capsys, command, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: cannot write to {out}: ")
 
 
 def test_plan_outputs_independent_of_hash_seed(tmp_path):
