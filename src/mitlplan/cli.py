@@ -6,8 +6,8 @@ observed word), bench (truncation sweep as CSV).  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 2 parse/validation, 3 environment
 load, 4 automaton or product build, 5 solver non-convergence, 6 stale
 policy.  Exit 2 also covers an input file that cannot be read or decoded
-(3 for a --grid or --game file) and an --out that cannot be made a
-directory.
+(3 for a --grid or --game file), an --out that cannot be made a
+directory, and an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -93,6 +93,13 @@ def _out_dir(path):
     except OSError as exc:
         _fail(EXIT_VALIDATION, f"cannot write to {path}: {exc}")
     return out
+
+
+def _write(path, text):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _fail(EXIT_VALIDATION, f"cannot write to {path}: {exc}")
 
 
 def load_formula(args):
@@ -206,14 +213,14 @@ def write_policy(path, built, policy, values):
              f"# actions: {' '.join(m.actions)}"]
     for z, v in enumerate(values.tolist()):
         lines.append(f"{z} {policy.action_name(z)} {v!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def write_values(path, built, values):
     lines = ["# mitlplan-values", f"# model-hash: {built.hash}"]
     for z, v in enumerate(values.tolist()):
         lines.append(f"{z} {v!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def read_policy(path, built):
@@ -283,13 +290,13 @@ def cmd_translate(args):
             f"reject q{dta.reject_index}"]
     for src, masks, dst in dta.edges():
         dump.append(f"edge q{src} masks={sorted(masks)} -> q{dst}")
-    (out / "dta.txt").write_text("\n".join(dump) + "\n")
-    (out / "dta.dot").write_text(dta_to_dot(dta))
+    _write(out / "dta.txt", "\n".join(dump) + "\n")
+    _write(out / "dta.dot", dta_to_dot(dta))
     sta_lines = ["# stochastic automaton skeleton",
                  f"events {' '.join(u.names)}"]
     for name, d in u:
         sta_lines.append(f"dist {name} {d}")
-    (out / "sta.txt").write_text("\n".join(sta_lines) + "\n")
+    _write(out / "sta.txt", "\n".join(sta_lines) + "\n")
     print(f"substituted: {pretty(phid)}")
     print(f"locations: {dta.location_count}")
     print(f"atoms: {' '.join(dta.atoms)}")
@@ -357,10 +364,10 @@ def cmd_plan(args):
     print(f"model-hash: {built.hash}")
     print(f"wrote: {out / 'policy.txt'} {out / 'values.txt'}")
     if args.dump_product:
-        (out / "product.txt").write_text(m.to_text(header=built.hash))
+        _write(out / "product.txt", m.to_text(header=built.hash))
         print(f"wrote: {out / 'product.txt'}")
         if m.n_states <= DOT_MAX_STATES:
-            (out / "product.dot").write_text(m.to_dot())
+            _write(out / "product.dot", m.to_dot())
             print(f"wrote: {out / 'product.dot'}")
     return 0
 
@@ -375,7 +382,7 @@ def cmd_simulate(args):
         traj = rollout(m, policy, seed=args.seed + i,
                        max_steps=args.max_steps)
         path = out / f"trajectory_{i:03d}.log"
-        path.write_text(traj.render())
+        _write(path, traj.render())
         print(f"trajectory {i}: {traj.outcome} ({traj.steps} steps) -> {path}")
     est = estimate_success(m, policy, args.n, seed=args.seed,
                            max_steps=args.max_steps)

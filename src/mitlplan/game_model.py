@@ -44,11 +44,6 @@ class GameState:
         return f"({self.robot}, {occ}, {pend})"
 
 
-def event_mask(names, events) -> int:
-    """`events` as a bit mask in which bit i stands for names[i]."""
-    return sum(1 << i for i, name in enumerate(names) if name in events)
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledGame:
     """The reachable states of a game as integer tables.
@@ -59,13 +54,15 @@ class CompiledGame:
     and event masks.  Row ``s * n_actions + a`` of the CSR arrays lists
     the successors of state s under action a: for each outcome e in
     `env_subsets` order, the rows of `Game.transitions` in their order.
+    Its entries are positive and each row sums to one; a successor reached
+    with outcome e has pending set ``s.pending - e`` and a label that shows
+    exactly e among the events.  The loader or the config of each game
+    makes these hold; `Game._compile` checks only the labels.
     """
 
     states: Sequence[GameState]          # state id -> state
     labels: tuple[frozenset[str], ...]   # label id -> label
     label_of: np.ndarray                 # state id -> label id
-    events: tuple[str, ...]              # bit i of an event mask: events[i]
-    pending: np.ndarray                  # state id -> pending events' mask
     row_ptr: np.ndarray
     succ: np.ndarray                     # successor state ids
     prob: np.ndarray
@@ -102,13 +99,16 @@ class Game:
         return list(self.compiled().states)
 
     def validate(self):
-        """Exhaustively check kernel normalization, labeling consistency,
-        and pending monotonicity over all reachable (s, a, e) triples."""
+        """Compile the game.  For an explicit game this checks that every
+        reachable (s, a, e) has a kernel row and that each successor's
+        label shows exactly e among the events; `load_game` and
+        `ExplicitGame` have already checked the probabilities and the
+        pending sets.  A grid's config leaves nothing to check."""
         self.compiled()
 
     def compiled(self) -> CompiledGame:
-        """The reachable game as integer tables, built and validated on
-        the first call and cached on the game."""
+        """The reachable game as integer tables, built on the first call
+        and cached on the game."""
         if self._compiled is None:
             self._compiled = self._compile()
         return self._compiled
@@ -135,16 +135,7 @@ class Game:
             for a in self.actions:
                 start = len(succ)
                 for e in outcomes:
-                    rows = self.transitions(s, a, e)
-                    total = sum(p for _, p in rows)
-                    if abs(total - 1.0) > KERNEL_TOL:
-                        raise GameError(
-                            f"kernel row ({s.brief()}, {a}, {set(e) or '{}'}) "
-                            f"sums to {total!r}")
-                    rest = s.pending - e
-                    for s2, p in rows:
-                        if p <= 0.0:
-                            raise GameError("non-positive transition probability")
+                    for s2, p in self.transitions(s, a, e):
                         j = index.get(s2)
                         if j is None:
                             j = index[s2] = len(states)
@@ -154,20 +145,14 @@ class Game:
                             raise GameError(
                                 f"label of {s2.brief()} shows "
                                 f"{sorted(shown[j])}, outcome was {sorted(e)}")
-                        if s2.pending != rest:
-                            raise GameError(f"pending of {s2.brief()} is not "
-                                            f"{sorted(rest)}")
                         succ.append(j)
                         prob.append(p)
                 row_len.append(len(succ) - start)
         row_ptr = np.zeros(len(row_len) + 1, dtype=np.int64)
         np.cumsum(row_len, out=row_ptr[1:])
-        names = tuple(sorted(events))
         return CompiledGame(
             states=tuple(states), labels=tuple(label_index),
-            label_of=np.array(label_of, dtype=np.int64), events=names,
-            pending=np.array([event_mask(names, s.pending) for s in states],
-                             dtype=np.int64),
+            label_of=np.array(label_of, dtype=np.int64),
             row_ptr=row_ptr, succ=np.array(succ, dtype=np.int64),
             prob=np.array(prob, dtype=np.float64))
 
@@ -323,7 +308,7 @@ class GridWorld(Game):
         are positive and sum to 1 up to rounding; with no station named like
         an event, a label shows exactly the occurred events, which are the
         outcome; and a successor's pending mask is its pair's by
-        construction.
+        construction.  The pending masks serve only to decode `GameState`s.
         """
         cfg = self.cfg
         n_cells, n_actions = cfg.width * cfg.height, len(self.actions)
@@ -372,8 +357,7 @@ class GridWorld(Game):
         row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(move_len[move_row] * row_outs, out=row_ptr[1:])
         return CompiledGame(states=states, labels=labels, label_of=label_of,
-                            events=names, pending=pending, row_ptr=row_ptr,
-                            succ=succ, prob=prob)
+                            row_ptr=row_ptr, succ=succ, prob=prob)
 
     def _motion_table(self):
         """The successor cell distribution of every (cell, action), wall

@@ -43,7 +43,8 @@ class ValueIterationResult:
 def value_iteration(m: ProductMdp, tol: float = DEFAULT_TOL,
                     max_iter: int = DEFAULT_MAX_ITER) -> ValueIterationResult:
     """Iterate V <- max_a (R + sum P V) until the max-norm residual drops
-    below tol; values stay pinned to zero on absorbing states."""
+    below tol.  An absorbing state's rows are unit self-loops with no
+    reward, so its value stays 0.0 exactly."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
@@ -51,7 +52,6 @@ def value_iteration(m: ProductMdp, tol: float = DEFAULT_TOL,
     values = np.zeros(m.n_states)
     for it in range(1, max_iter + 1):
         new_values = q_values(m, values).max(axis=1)
-        new_values[m.absorbing] = 0.0
         residual = float(np.abs(new_values - values).max())
         values = new_values
         if residual < tol:
@@ -118,7 +118,6 @@ def policy_evaluation(m: ProductMdp, policy: Policy, tol: float = 1e-12,
     values = np.zeros(m.n_states)
     for _ in range(max_iter):
         new_values = _backup(values, *kernel)
-        new_values[m.absorbing] = 0.0
         if np.abs(new_values - values).max() < tol:
             return new_values
         values = new_values

@@ -486,6 +486,24 @@ def test_unusable_out_exits_2(tmp_path, capsys, case2_policy_lines, command,
     assert err.startswith(f"error: cannot write to {out}: ")
 
 
+@pytest.mark.parametrize("command, argv, name", [
+    ("translate", ["--formula", BUS_CASE2], "dta.txt"),
+    ("plan", CASE2_MODEL, "policy.txt"),
+    ("simulate", [*CASE2_MODEL, "--policy", "POLICY", "-n", "10"],
+     "trajectory_000.log"),
+], ids=["translate", "plan", "simulate"])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, case2_policy_lines,
+                                        command, argv, name):
+    policy = tmp_path / "policy.txt"
+    policy.write_text("\n".join(case2_policy_lines) + "\n")
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = [str(policy) if a == "POLICY" else a for a in argv]
+    code, _, err = run(capsys, command, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: cannot write to {out / name}: ")
+
+
 def test_plan_outputs_independent_of_hash_seed(tmp_path):
     # outcome probabilities multiply per-event hazards; in the iteration
     # order of a set of event names the last digits of this mission's

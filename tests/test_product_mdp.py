@@ -14,6 +14,7 @@ from mitlplan.formula import (
 from mitlplan.game_model import GridWorldConfig, build_gridworld, load_game
 from mitlplan.product_mdp import (
     DOT_MAX_STATES,
+    ROW_SUM_TOL,
     ProductError,
     build_product,
     model_hash,
@@ -23,6 +24,7 @@ from mitlplan.timed_automata import ProgressionDta, build_dta
 
 from _oracles import ReferenceGrid, reference_grid, reference_product
 from conftest import DATA, BUS_CASE1, BUS_CASE2, THREE_BUS, build_case
+from test_game_model import config_with_events, random_grid_config
 
 
 def test_initial_state(case1_T3):
@@ -37,14 +39,6 @@ def test_rows_normalized(case1_T3):
     m, _ = case1_T3
     sums = np.add.reduceat(m.probs, m.row_ptr[:-1])
     assert np.abs(sums - 1.0).max() <= 1e-12
-
-
-def test_pending_synchronized(case1_T3):
-    m, _ = case1_T3
-    m.validate()
-    for ps in m.states:
-        if not ps.spec.sink and not m.sta.is_rejecting(ps.spec):
-            assert ps.game.pending == ps.spec.pending
 
 
 def test_motion_times_outcome_factor(case1_T3):
@@ -272,6 +266,54 @@ def test_build_matches_reference(case):
     for name in ("row_ptr", "cols", "accepting", "sink"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.probs.tobytes() == want.probs.tobytes()
+
+
+def grid_file_inputs(name, formula_text, T=3):
+    cfg = config_with_events((DATA / name).read_text(), formula_text)
+    return build_gridworld(cfg), truncated(formula_text, T)[1]
+
+
+def random_config_inputs(seed, T=3):
+    # one bus mission per event of the config, to a station it may lack
+    cfg = random_grid_config(seed)
+    formula_text = " | ".join(
+        f"D{{{d}}} {name} & F ({name} & F[0,2] s{i})"
+        for i, (name, d) in enumerate(cfg.events))
+    return build_gridworld(cfg), truncated(formula_text, T)[1]
+
+
+SYNC_CASES = {
+    "case1": lambda: grid_file_inputs("case1.grid", BUS_CASE1),
+    "case2": lambda: grid_file_inputs("case2.grid", BUS_CASE2),
+    "three-bus": lambda: grid_file_inputs("three_bus.grid", THREE_BUS),
+    "no-slip": lambda: grid_file_inputs("no_slip.grid", BUS_CASE1),
+    "toy": lambda: toy_inputs(3),
+    **{f"random-{seed}": (lambda seed=seed: random_config_inputs(seed))
+       for seed in range(12)},
+}
+
+
+@pytest.mark.parametrize("case", SYNC_CASES)
+def test_pending_synchronized(case):
+    # both hold by construction; no run-time check reads the pending sets
+    m = build_product(*SYNC_CASES[case]())
+    sums = np.add.reduceat(m.probs, m.row_ptr[:-1])
+    assert np.abs(sums - 1.0).max() <= ROW_SUM_TOL
+    live = np.flatnonzero(~m.sink)
+    assert live.size > 1
+    for z in live.tolist():
+        ps = m.states[z]
+        assert ps.game.pending == ps.spec.pending, z
+
+
+def test_validate_rejects_a_row_that_does_not_sum_to_one(case1_T3):
+    m, _ = case1_T3
+    m2 = build_product(m.game, m.sta)
+    m2.validate()
+    r = m2.n_actions * 5 + 1
+    m2.probs[m2.row_ptr[r]:m2.row_ptr[r + 1]] *= 1.0 + 1e-6
+    with pytest.raises(ProductError, match=f"^row {r} sums to "):
+        m2.validate()
 
 
 def test_cap_is_the_exact_state_count(case1_T3):
