@@ -10,9 +10,11 @@ i one draw later.  `splitmix_init` and `splitmix_next` work on Python
 integers, for `walk`, the one scalar rollout that `rollout` and the test
 suite's loop reference (`tests/_oracles.py::rollout_batch_loop`) share;
 `rollout_batch_numpy` runs the same arithmetic on uint64 arrays, one lane
-per rollout, and the tests check it against that loop decision for
+per live rollout, and the tests check it against that loop decision for
 decision.  Batch stream 0 is therefore the stream of `rollout` with the
-same seed.
+same seed.  The batch samples a successor by a binary search of the
+running sums of the row the policy follows, built once per call for
+those rows only, so a step allocates a few arrays of one entry per lane.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .game_model import concat_ranges
 from .product_mdp import ProductMdp, describe_spec_state
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -115,39 +118,56 @@ def rollout_batch_numpy(row_ptr, cols, probs, policy_row, accepting, sink,
                         z0, n_rollouts, seed, max_steps):
     """Outcome codes of `n_rollouts` lockstep rollouts from z0, rollout i
     on stream ``splitmix_init(seed, i)``: decision for decision those of
-    `walk`."""
-    n_rows = len(row_ptr) - 1
-    lengths = np.diff(row_ptr)
-    max_len = int(lengths.max())
-    # per-row running sums, added left to right as `sample_successor` adds
-    # them, so a comparison count yields the sampled offset (the padding
-    # repeats the row's total, and the clamp below absorbs it)
-    edge_row = np.repeat(np.arange(n_rows), lengths)
-    edge_pos = np.arange(len(probs)) - row_ptr[edge_row]
-    cum2d = np.zeros((n_rows, max_len))
-    cum2d[edge_row, edge_pos] = probs
-    np.cumsum(cum2d, axis=1, out=cum2d)
+    `walk`.
 
-    states = np.full(n_rollouts, z0, dtype=np.int64)
+    Row z of the threshold table holds the running sums of the row that
+    the policy follows at state z, added left to right as
+    `sample_successor` adds them, so they are bit for bit its
+    accumulators, padded with the row's total to ``width = 2**k - 1``
+    entries.  `sample_successor` takes the first entry whose running sum
+    exceeds u; a row is nondecreasing, so that entry's offset is the count
+    of sums ``<= u``, which a binary search over the row finds.  Past the
+    row's end (u at or above its total) both take the last entry.  Only
+    live lanes are kept, and draw k of a lane is the mix of its stream's
+    start plus k gammas, so a finished lane leaves nothing to advance."""
+    starts = row_ptr[policy_row]
+    lengths = row_ptr[policy_row + 1] - starts
+    n_states = len(lengths)
+    width = (1 << int(lengths.max()).bit_length()) - 1
+    table = np.zeros((n_states, width))
+    flat = table.ravel()
+    flat[concat_ranges(width * np.arange(n_states), lengths)] = \
+        probs[concat_ranges(starts, lengths)]
+    np.cumsum(table, axis=1, out=table)
+    last = lengths - 1
+    # walk's outcome code at each state: accepting before sink
+    code = np.where(accepting, 1, np.where(sink, 2, 0)).astype(np.int8)
+
     outcomes = np.zeros(n_rollouts, dtype=np.int8)
-    rng_state = _mix64(np.uint64(int(seed) & _U64)
-                       + np.arange(1, n_rollouts + 1, dtype=np.uint64)
-                       * np.uint64(_GOLDEN))
-    active = np.ones(n_rollouts, dtype=bool)
+    lanes = np.arange(n_rollouts)
+    states = np.full(n_rollouts, z0, dtype=np.int64)
+    stream = _mix64(np.uint64(int(seed) & _U64)
+                    + np.arange(1, n_rollouts + 1, dtype=np.uint64)
+                    * np.uint64(_GOLDEN))
     for t in range(max_steps + 1):
-        acc_now = active & accepting[states]
-        outcomes[acc_now] = 1
-        sink_now = active & sink[states]
-        outcomes[sink_now] = 2
-        active &= ~(acc_now | sink_now)
-        if t == max_steps or not active.any():
+        now = code[states]
+        done = now != 0
+        if done.any():
+            outcomes[lanes[done]] = now[done]
+            live = ~done
+            lanes, states, stream = lanes[live], states[live], stream[live]
+        if t == max_steps or not len(lanes):
             break
-        rng_state = rng_state + np.uint64(_GOLDEN)
-        u = (_mix64(rng_state) >> 11).astype(np.float64) * _INV53
-        rows = policy_row[states[active]]
-        offsets = (cum2d[rows] <= u[active, None]).sum(axis=1)
-        offsets = np.minimum(offsets, lengths[rows] - 1)
-        states[active] = cols[row_ptr[rows] + offsets]
+        draw = stream + np.uint64((t + 1) * _GOLDEN & _U64)
+        u = (_mix64(draw) >> 11).astype(np.float64) * _INV53
+        base = states * width
+        pos = base
+        step = (width + 1) // 2
+        while step:
+            pos = pos + step * (flat[pos + (step - 1)] <= u)
+            step //= 2
+        offsets = np.minimum(pos - base, last[states])
+        states = cols[starts[states] + offsets]
     return outcomes
 
 

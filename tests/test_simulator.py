@@ -25,6 +25,22 @@ def planned_case2():
     return m, extract_policy(m, res.values), res
 
 
+@pytest.fixture(scope="module")
+def planned_8x8():
+    # the two-bus 8x8 mission at T=8 that the end-to-end simulate workload
+    # runs: 2 541 states, rows of up to 12 successors
+    f = parse("D{geom:0.4} b1 & F (b1 & F[0,3] s1) | "
+              "D{geom:0.7} b2 & F (b2 & F[0,3] s2)")
+    u = EventSet.from_formula(f)
+    ts = truncate(StaModel(build_dta(substitute_dist(f)), u),
+                  uniform_truncation_vector(f, u, 8))
+    game = build_gridworld(GridWorldConfig(
+        8, 8, (0, 0), (("s1", (0, 7)), ("s2", (7, 0))), tuple(u.entries),
+        (0.8, 0.1, 0.1)))
+    m = build_product(game, ts)
+    return m, extract_policy(m, value_iteration(m).values)
+
+
 def test_rollout_reproducible(planned_case2):
     m, pol, _ = planned_case2
     one = rollout(m, pol, seed=42)
@@ -111,13 +127,58 @@ def loop_estimate(m, pol, n, seed, max_steps=None):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_estimate_backends_identical(planned_case2):
+def test_estimate_backends_identical(planned_case2, planned_8x8):
     # the numpy kernel against its scalar reference kernel
     m, pol, _ = planned_case2
     a = estimate_success(m, pol, 5000, seed=3)
     b = loop_estimate(m, pol, 5000, seed=3)
     assert a.rate == b.rate
     assert a.outcomes == b.outcomes
+    m, pol = planned_8x8
+    a = estimate_success(m, pol, 1500, seed=4)
+    b = loop_estimate(m, pol, 1500, seed=4)
+    assert a.outcomes == b.outcomes
+    assert min(a.outcomes.values()) > 0
+
+
+def random_csr(rng, longest, n_states):
+    """A random CSR kernel of two rows per state, with 1 to `longest`
+    entries each; row 0 has `longest` entries and sums to 0.75, so a draw
+    of u >= 0.75 there counts every entry and is clamped to the last."""
+    n_rows = 2 * n_states
+    lengths = rng.integers(1, longest + 1, n_rows)
+    lengths[0] = longest
+    row_ptr = np.concatenate(([0], np.cumsum(lengths)))
+    cols = rng.integers(0, n_states, row_ptr[-1])
+    probs = np.empty(row_ptr[-1])
+    for r in range(n_rows):
+        w = rng.random(lengths[r]) + 0.01
+        probs[row_ptr[r]:row_ptr[r + 1]] = w / w.sum()
+    probs[:longest] *= 0.75
+    return row_ptr, cols, probs
+
+
+# longest rows of 2**k - 1 entries fill a search table of that width;
+# 2**k and 2**k + 1 are the first two lengths that need the next width
+@pytest.mark.parametrize("longest", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17])
+def test_batch_matches_loop_on_random_kernels(longest):
+    rng = np.random.default_rng(longest)
+    n_states = 40
+    row_ptr, cols, probs = random_csr(rng, longest, n_states)
+    policy_row = rng.integers(0, len(row_ptr) - 1, n_states)
+    policy_row[:4] = 0      # four states follow the short-summed longest row
+    accepting = rng.random(n_states) < 0.05
+    sink = rng.random(n_states) < 0.05
+    accepting[[5, 6]] = True
+    sink[[6, 7]] = True     # state 6 is both: walk checks acceptance first
+    accepting[:4] = sink[:4] = False
+    for z0 in (0, 5, 6, 7):  # neither, accepting, both, sink
+        for max_steps in (0, 1, 7, 40):
+            for n in (1, 300):
+                args = (row_ptr, cols, probs, policy_row, accepting, sink,
+                        z0, n, 11 * longest + max_steps, max_steps)
+                batch = rollout_batch_numpy(*args)
+                assert np.array_equal(batch, rollout_batch_loop(*args))
 
 
 def test_batch_thresholds_are_per_row_running_sums():

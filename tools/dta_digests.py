@@ -20,10 +20,10 @@ for ``case1`` under ``--eps 0.05``; of two
 ``dta.txt`` and ``dta.dot`` that ``mitlplan translate`` writes for the two-
 and three-bus missions, and of ``mitlplan monitor``'s stdout on the fixed
 words of ``MONITOR_WORDS`` (the bus missions, and two table laws whose
-hazard reaches 1).  For ``case1`` and ``toy.game`` at ``--uniform-T 4`` it
-also records ``mitlplan simulate``'s stdout, with the `` -> path``
-suffixes of its trajectory lines cut, and its ``trajectory_000.log``, at
-the fixed ``SIMULATE_ARGS``.
+hazard reaches 1).  For ``case1``, ``toy.game`` and ``three_bus.grid``
+at ``--uniform-T 4`` it also records ``mitlplan simulate``'s stdout, with
+the `` -> path`` suffixes of its trajectory lines cut, and its
+``trajectory_000.log``, at the fixed ``SIMULATE_RUNS``.
 
 A change keeps automata and planner outputs identical when this script
 prints the same file on the change as on its parent::
@@ -79,6 +79,13 @@ MONITOR_WORDS = {
 
 # rollouts of the `mitlplan simulate` digests
 SIMULATE_ARGS = ("-n", "1000", "--seed", "7", "--logs", "1")
+SIMULATE_RUNS = {
+    "case1": SIMULATE_ARGS,
+    "toy": SIMULATE_ARGS,
+    # the bundled model with the longest rows (24 successors), so that the
+    # batch samples from a wide threshold table
+    "three-bus": ("-n", "20000", "--seed", "7", "--logs", "1"),
+}
 
 # the draw of test_criterion_9_progression_soundness, words included, so
 # that formula i here is formula i there
@@ -175,13 +182,13 @@ def plan_digests() -> dict:
                     if not line.startswith(("solve-time-s:", "wrote:"))]
             out[run]["stdout_sha256"] = _sha256("".join(kept))
     with tempfile.TemporaryDirectory() as tmp:
-        for case in ("case1", "toy"):
+        for case, simulate_args in SIMULATE_RUNS.items():
             formula, env_flag, env_path = plans[case]
             model = ("--formula", formula, env_flag, str(env_path),
                      "--uniform-T", "4")
             _cli("plan", *model, "--out", tmp)
             stdout = _cli("simulate", *model, "--policy",
-                          str(Path(tmp, "policy.txt")), *SIMULATE_ARGS,
+                          str(Path(tmp, "policy.txt")), *simulate_args,
                           "--out", tmp)
             kept = [line.split(" -> ", 1)[0] for line in stdout.splitlines()]
             out[f"simulate-{case}-T4"] = {
