@@ -3,16 +3,19 @@
 Subcommands: translate (formula to automaton), plan (synthesize a policy),
 simulate (roll out a stored policy), monitor (verdict and likelihood of an
 observed word), bench (truncation sweep as CSV).  Data goes to stdout,
-diagnostics to stderr.  Exit codes: 2 parse/validation, 3 environment
-load, 4 automaton or product build, 5 solver non-convergence, 6 stale
-policy.  Exit 2 also covers an input file that cannot be read or decoded
-(3 for a --grid or --game file), an --out that cannot be made a
-directory, and an output file that cannot be written.
+diagnostics to stderr.  Exit codes: 1 `translate --oracle` disagreement,
+2 parse/validation, 3 environment load, 4 automaton or product build,
+5 solver non-convergence, 6 stale policy, 141 stdout closed by its reader
+(128 + SIGPIPE).  Exit 2 also covers an input file that cannot be read or
+decoded (3 for a --grid or --game file), an --out that cannot be made a
+directory, and an output file that cannot be written.  `failing` maps a
+stage's error types to its code.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -62,6 +65,7 @@ EXIT_GAME = 3
 EXIT_PRODUCT = 4
 EXIT_SOLVER = 5
 EXIT_STALE = 6
+EXIT_CLOSED_STDOUT = 141
 
 
 class CliError(Exception):
@@ -74,42 +78,44 @@ def _fail(code, message):
     raise CliError(code, message)
 
 
+@contextmanager
+def failing(code, prefix, *errors):
+    """An error of the listed types exits with `code` and its text after
+    `prefix`."""
+    try:
+        yield
+    except errors as exc:
+        _fail(code, f"{prefix}{exc}")
+
+
 # ---------------------------------------------------------------------------
 # Shared pipeline
 # ---------------------------------------------------------------------------
 
 def _read(path, code=EXIT_VALIDATION):
-    try:
+    with failing(code, f"cannot read {path}: ", OSError, UnicodeDecodeError):
         return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        _fail(code, f"cannot read {path}: {exc}")
 
 
 def _out_dir(path):
     """The output directory `path`, made if it is missing."""
     out = Path(path)
-    try:
+    with failing(EXIT_VALIDATION, f"cannot write to {path}: ", OSError):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _fail(EXIT_VALIDATION, f"cannot write to {path}: {exc}")
     return out
 
 
 def _write(path, text):
-    try:
+    with failing(EXIT_VALIDATION, f"cannot write to {path}: ", OSError):
         Path(path).write_text(text)
-    except OSError as exc:
-        _fail(EXIT_VALIDATION, f"cannot write to {path}: {exc}")
 
 
 def load_formula(args):
     text = args.formula if args.formula_file is None else _read(args.formula_file)
-    try:
+    with failing(EXIT_VALIDATION, "formula: ", fm.FormulaError):
         f = fm.parse(text)
         u = fm.EventSet.from_formula(f)
         report = fm.validate_fragment(f, u)
-    except fm.FormulaError as exc:
-        _fail(EXIT_VALIDATION, f"formula: {exc}")
     if not report.ok:
         _fail(EXIT_VALIDATION,
               "formula rejected:\n  " + "\n  ".join(report.violations))
@@ -119,7 +125,7 @@ def load_formula(args):
 def load_environment(args, u):
     """Returns (game, canonical environment text)."""
     if args.grid is not None:
-        try:
+        with failing(EXIT_GAME, "grid: ", GameError):
             cfg = parse_gridworld_config(_read(args.grid, EXIT_GAME))
             if cfg.events:
                 declared = {n: str(d) for n, d in cfg.events}
@@ -131,58 +137,36 @@ def load_environment(args, u):
             else:
                 cfg = GridWorldConfig(cfg.width, cfg.height, cfg.start,
                                       cfg.stations, tuple(u.entries), cfg.slip)
-            game = build_gridworld(cfg)
-            return game, cfg.canonical_text()
-        except GameError as exc:
-            _fail(EXIT_GAME, f"grid: {exc}")
+            return build_gridworld(cfg), cfg.canonical_text()
     text = _read(args.game, EXIT_GAME)
-    try:
+    with failing(EXIT_GAME, "game: ", GameError):
         game = load_game(text)
         if set(game.events) != set(u.names):
             raise GameError(
                 f"game events {sorted(game.events)} disagree with the "
                 f"formula's {sorted(u.names)}")
         return game, text
-    except GameError as exc:
-        _fail(EXIT_GAME, f"game: {exc}")
 
 
 def truncation(f, u, uniform_T, eps):
     """A common truncation point if `uniform_T` is not None, else
     per-event points with tails below `eps`."""
-    try:
+    with failing(EXIT_VALIDATION, "truncation: ", ValueError):
         if uniform_T is not None:
             return fm.uniform_truncation_vector(f, u, uniform_T)
         return fm.truncation_vector(f, u, eps)
-    except (fm.FormulaError, ValueError) as exc:
-        _fail(EXIT_VALIDATION, f"truncation: {exc}")
 
 
-def build_automaton(f, cap):
-    """The distribution-substituted formula and its progression DTA, whose
-    table entries are computed as steps read them; run every step under
-    `stepping`."""
-    phid = fm.substitute_dist(f)
-    return phid, ProgressionDta(phid, cap=cap)
-
-
-@contextmanager
 def stepping():
-    """Steps of an automaton that may reach more than its `--cap`
-    locations exit with code 4."""
-    try:
-        yield
-    except AutomatonError as exc:
-        _fail(EXIT_PRODUCT, f"automaton: {exc}")
+    """Steps of a progression automaton, which computes its table entries
+    as steps read them, exit with code 4 past its `--cap` locations."""
+    return failing(EXIT_PRODUCT, "automaton: ", AutomatonError)
 
 
 def validated_product(game, tsta):
-    try:
-        with stepping():
-            product = build_product(game, tsta)
+    with failing(EXIT_PRODUCT, "product: ", ProductError), stepping():
+        product = build_product(game, tsta)
         product.validate()
-    except ProductError as exc:
-        _fail(EXIT_PRODUCT, f"product: {exc}")
     return product
 
 
@@ -197,7 +181,7 @@ def build_model(args):
     f, u = load_formula(args)
     game, env_text = load_environment(args, u)
     trunc = truncation(f, u, args.uniform_T, args.eps)
-    _, dta = build_automaton(f, args.cap)
+    dta = ProgressionDta(fm.substitute_dist(f), cap=args.cap)
     product = validated_product(game, StaModel(dta, u, trunc))
     return Built(trunc, product, model_hash(pretty(f), env_text, trunc))
 
@@ -276,7 +260,8 @@ def read_policy(path, built):
 
 def cmd_translate(args):
     f, u = load_formula(args)
-    phid, dta = build_automaton(f, args.cap)
+    phid = fm.substitute_dist(f)
+    dta = ProgressionDta(phid, cap=args.cap)
     with stepping():
         dta.close()
     out = _out_dir(args.out)
@@ -304,12 +289,10 @@ def cmd_translate(args):
     if args.oracle:
         # the closed progression automaton raises nothing while it steps:
         # an error here is the oracle's, at load or at run time
-        try:
+        with failing(EXIT_VALIDATION, "oracle: ", AutomatonError):
             oracle = load_dta(_read(args.oracle))
             agree = _equivalence_trials(dta, oracle, u.names, args.words,
                                         args.max_len, args.seed)
-        except AutomatonError as exc:
-            _fail(EXIT_VALIDATION, f"oracle: {exc}")
         print(f"oracle-agreement: {agree}/{args.words}")
         if agree != args.words:
             _fail(1, "oracle disagreement")
@@ -397,7 +380,7 @@ def cmd_simulate(args):
 
 def cmd_monitor(args):
     f, u = load_formula(args)
-    _, dta = build_automaton(f, args.cap)
+    dta = ProgressionDta(fm.substitute_dist(f), cap=args.cap)
     sta = StaModel(dta, u)
     word = TimedWord.from_text(_read(args.word))
     known = set(dta.atoms) | set(u.names)
@@ -407,11 +390,8 @@ def cmd_monitor(args):
             _fail(EXIT_VALIDATION,
                   f"word step {i} references unknown propositions "
                   f"{sorted(unknown)}")
-    try:
-        with stepping():
-            verdict, likelihood, _states = sta.run_word(word)
-    except StaError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    with failing(EXIT_VALIDATION, "", StaError), stepping():
+        verdict, likelihood, _states = sta.run_word(word)
     print(f"verdict: {verdict}")
     print(f"likelihood: {likelihood!r}")
     return 0
@@ -420,7 +400,7 @@ def cmd_monitor(args):
 def cmd_bench(args):
     f, u = load_formula(args)
     game, _ = load_environment(args, u)
-    _, dta = build_automaton(f, args.cap)
+    dta = ProgressionDta(fm.substitute_dist(f), cap=args.cap)
     settings = ([("T", T, (T, None)) for T in args.uniform_T] if args.uniform_T
                 else [("eps", e, (None, e)) for e in args.eps_list])
     rows = []
@@ -571,13 +551,20 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        try:
+            code = args.func(args)
+        except CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the interpreter's last flush goes to
+        # the null device, as the Python `signal` docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
 
 
 if __name__ == "__main__":

@@ -36,6 +36,9 @@ _Z95 = 1.959963984540054
 
 # the outcome named by each outcome code of `walk` and the batch
 _OUTCOMES = ("step-limit", "accept", "sink")
+# rollouts per batch of `estimate_success`: its per-lane arrays take a
+# few MB at most
+_CHUNK = 1 << 16
 
 
 def _mix64(z):
@@ -223,19 +226,22 @@ def estimate_success(m: ProductMdp, policy, n: int, seed: int,
                      max_steps: int | None = None) -> SuccessEstimate:
     """Fraction of n independent rollouts ending in acceptance, with a
     Wilson score 95% confidence interval.  Rollout i follows stream
-    ``splitmix_init(seed, i)``."""
+    ``splitmix_init(seed, i)``.  The rollouts run in batches of at most
+    `_CHUNK`, so memory does not grow with n: the batch from rollout
+    `first` on starts its streams at ``seed + first * gamma``."""
     if n < 1:
         raise ValueError("need at least one rollout")
     if max_steps is None:
         max_steps = default_max_steps(m)
-    outcomes = rollout_batch_numpy(m.row_ptr, m.cols, m.probs,
-                                   policy.rows(), m.accepting,
-                                   m.sink, m.z0, n, seed, max_steps)
-    successes = int((outcomes == 1).sum())
-    tally = {
-        "accept": successes,
-        "sink": int((outcomes == 2).sum()),
-        "step-limit": int((outcomes == 0).sum()),
-    }
+    rows = policy.rows()
+    counts = np.zeros(3, dtype=np.int64)
+    for first in range(0, n, _CHUNK):
+        outcomes = rollout_batch_numpy(
+            m.row_ptr, m.cols, m.probs, rows, m.accepting, m.sink, m.z0,
+            min(_CHUNK, n - first), (seed + first * _GOLDEN) & _U64,
+            max_steps)
+        counts += np.bincount(outcomes, minlength=3)
+    tally = dict(zip(_OUTCOMES, counts.tolist()))
+    successes = tally["accept"]
     return SuccessEstimate(successes / n, *wilson_interval(successes, n),
                            successes, n, tally)

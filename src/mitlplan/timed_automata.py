@@ -703,12 +703,12 @@ class ExplicitDta:
         if loc == REJECT_LOCATION:
             return config
         if tau > 0:
-            # invariant must hold while time elapses in the source location
+            # the source invariant must still hold when the delay ends
+            values = tuple(v + tau for v in values)
             inv = self.invariants.get(loc)
             if inv is not None and not eval_constraint(
                     inv, dict(zip(self.clocks, values))):
                 return (REJECT_LOCATION, values)
-            values = tuple(v + tau for v in values)
         symbol = frozenset(symbol) & set(self.atoms)
         enabled = self._enabled(loc, symbol, dict(zip(self.clocks, values)))
         if len(enabled) > 1:

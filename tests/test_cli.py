@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import mitlplan
+from mitlplan import cli
 from mitlplan.cli import build_model, build_parser, main
+from mitlplan.product_mdp import ProductError
 from mitlplan.simulator import default_max_steps
 from mitlplan.solver import value_iteration
 
@@ -502,6 +504,79 @@ def test_unwritable_output_file_exits_2(tmp_path, capsys, case2_policy_lines,
     code, _, err = run(capsys, command, *argv, "--out", str(out))
     assert code == 2
     assert err.startswith(f"error: cannot write to {out / name}: ")
+
+
+def _product_over_cap(game, sta):
+    # no bundled input reaches the product's state cap in test time
+    raise ProductError("product exceeded 2000000 states")
+
+
+CASE2_UNCONVERGED = [*CASE2_MODEL, "--max-iter", "2", "--tol", "1e-14"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["translate", "--formula", "( a", "--out", "OUT"], 2,
+     "formula: 1:4: expected ')', found ''"),
+    (["translate", "--formula", "!F a", "--out", "OUT"], 2,
+     "formula rejected:\n  negation over Until leaves the co-safety fragment"),
+    (["translate", "--formula", "F a", "--out", "OUT",
+      "--oracle", str(DATA / "bus_oracle.dta"), "--words", "20"], 1,
+     "oracle disagreement"),
+    (["plan", *CASE2_UNCONVERGED, "--out", "OUT"], 5,
+     "value iteration hit 2 iterations with residual 0.7200000000000002 "
+     ">= 1e-14"),
+    (["bench", *CASE2_UNCONVERGED], 5, "no convergence at T=3"),
+    (["plan", *CASE2_MODEL, "--out", "OUT"], 4,
+     "product: product exceeded 2000000 states"),
+], ids=["parse", "fragment", "oracle-disagreement", "plan-nonconvergence",
+        "bench-nonconvergence", "product"])
+def test_error_line_and_exit_code(tmp_path, capsys, monkeypatch, argv, code,
+                                  message):
+    if code == 4:
+        monkeypatch.setattr(cli, "build_product", _product_over_cap)
+    argv = [str(tmp_path) if a == "OUT" else a for a in argv]
+    got, _, err = run(capsys, *argv)
+    assert (got, err) == (code, f"error: {message}\n")
+
+
+PRINTING_RUNS = {
+    "translate": ["translate", "--formula", BUS_CASE2, "--out", "OUT"],
+    "plan": ["plan", *CASE2_MODEL, "--out", "OUT"],
+    "simulate": ["simulate", *CASE2_MODEL, "--policy", "POLICY", "-n", "10",
+                 "--out", "OUT"],
+    "monitor": ["monitor", "--formula", BUS_CASE1, "--word", "WORD"],
+    "bench": ["bench", *CASE2_MODEL],
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", PRINTING_RUNS)
+def test_closed_stdout_exits_141(tmp_path, case2_policy_lines, command,
+                                 unbuffered):
+    # buffered, the first write to the closed pipe is the final flush;
+    # unbuffered, it is the first print
+    policy = tmp_path / "policy.txt"
+    policy.write_text("\n".join(case2_policy_lines) + "\n")
+    word = tmp_path / "word.txt"
+    word.write_text("-\nb1\n")
+    names = {"OUT": str(tmp_path), "POLICY": str(policy), "WORD": str(word)}
+    argv = [names.get(a, a) for a in PRINTING_RUNS[command]]
+    src = str(Path(mitlplan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "mitlplan.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 def test_plan_outputs_independent_of_hash_seed(tmp_path):

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mitlplan import simulator
 from mitlplan.simulator import splitmix_init, splitmix_next
 from mitlplan.formula import EventSet, parse, substitute_dist, uniform_truncation_vector
 from mitlplan.game_model import GridWorldConfig, build_gridworld
@@ -230,6 +231,21 @@ def test_estimate_matches_single_rollouts(planned_case2):
         else {"accept": 0, "sink": 1, "step-limit": 0} if single.outcome == "sink" \
         else {"accept": 0, "sink": 0, "step-limit": 1}
     assert batch.outcomes == got
+
+
+@pytest.mark.parametrize("seed", [1, -5, 2**64 - 3])
+def test_estimate_chunks_match_one_batch(planned_case2, monkeypatch, seed):
+    # stream i depends on (seed, i) only, so chunks of 7 rollouts, the last
+    # one short, reproduce one batch of all 100 rollout for rollout
+    m, pol, _ = planned_case2
+    codes = rollout_batch_numpy(m.row_ptr, m.cols, m.probs, pol.rows(),
+                                m.accepting, m.sink, m.z0, 100, seed,
+                                default_max_steps(m))
+    monkeypatch.setattr(simulator, "_CHUNK", 7)
+    est = estimate_success(m, pol, 100, seed=seed)
+    assert est.outcomes == {"accept": int((codes == 1).sum()),
+                            "sink": int((codes == 2).sum()),
+                            "step-limit": int((codes == 0).sum())}
 
 
 def test_estimate_validates_n(planned_case2):

@@ -474,6 +474,8 @@ edge a [true] {p} -> c reset{}
 """
     d = load_dta(text)
     assert run_dta(d, TimedWord.from_sets([set(), {"p"}])).accepted
+    # p comes at x = 2: the run stayed in a past its bound during the delay
+    assert not run_dta(d, TimedWord.from_sets([set(), set(), {"p"}])).accepted
     late = TimedWord.from_sets([set(), set(), set(), {"p"}])
     assert not run_dta(d, late).accepted
 
