@@ -175,14 +175,21 @@ class TimedWord:
 class _Progression:
     """Memo tables of one automaton build.
 
-    Canonical forms and one-step progressions are memoized per
-    (subformula, symbol) for as long as the context lives, and so is the
-    clause set of every canonical conjunction and disjunction, which is
-    what canonicalizing a parent reads instead of walking the child again.
-    Clauses are interned in a pool, so a clause shared by many clause sets
-    is stored once.  An automaton owns one context and drops it once its
-    table is closed, so nothing at module level outlives a build; sort
-    keys are the ``pretty`` text cached on each node.
+    Residuals are built by one step on canonical operands, `_combine`:
+    the conjunction or disjunction of two canonical formulas is the
+    product or union of their clause sets, absorbed and built as a
+    canonical node once, with no intermediate node to canonicalize.
+    Canonicalizing a conjunction or disjunction is the same step on its
+    canonicalized operands.  Canonical forms, one-step progressions per
+    (subformula, symbol) and combine steps per (connective, left, right)
+    are memoized for as long as the context lives, and so is the clause
+    set of every conjunction and disjunction the step builds, which is
+    what a later step reads instead of walking the node again.  Clauses
+    are interned in a pool, with the conjunction node of each, so a clause
+    shared by many clause sets is stored and built once.  An automaton
+    owns one context and drops it once its table is closed, so nothing at
+    module level outlives a build; sort keys are the ``pretty`` text
+    cached on each node.
     """
 
     def __init__(self):
@@ -190,8 +197,11 @@ class _Progression:
         # symbol -> subformula -> progression; one table per symbol
         # keeps a key tuple from being allocated for every entry
         self.progressed: dict[frozenset, dict[Formula, Formula]] = {}
+        self.combined: dict[tuple[bool, Formula, Formula], Formula] = {}
         self.clause_sets: dict[Formula, tuple[frozenset[Formula], ...]] = {}
-        self.clause_pool: dict[frozenset[Formula], frozenset[Formula]] = {}
+        # clause -> (the pooled clause, its conjunction node)
+        self.clause_pool: dict[frozenset[Formula],
+                               tuple[frozenset[Formula], Formula]] = {}
 
     def canonical(self, f: Formula) -> Formula:
         got = self.canonical_forms.get(f)
@@ -207,8 +217,8 @@ class _Progression:
         A formula maps to its clauses (disjuncts); each clause is a set of
         unit formulas (conjuncts): atoms, literals and untils.  True is
         the single empty clause, False has no clause.  A canonical
-        conjunction or disjunction was built from its clause set, which is
-        read back from the memo.
+        conjunction or disjunction was built by `_combine` from its clause
+        set, which is read back from the memo.
         """
         if isinstance(g, (And, Or)):
             return self.clause_sets[g]
@@ -232,61 +242,101 @@ class _Progression:
                 return g.operand
             return Not(g)
         if isinstance(f, Until):
-            left = canonical(f.left)
-            right = canonical(f.right)
-            if isinstance(right, FalseF):
-                return FALSE
-            iv = f.interval
-            if isinstance(right, TrueF) and (iv is None or iv.lo == 0):
-                return TRUE
-            if isinstance(left, FalseF) and (iv is not None and iv.lo > 0):
-                return FALSE
-            return Until(left, right, iv)
+            return _until(canonical(f.left), canonical(f.right), f.interval)
         if isinstance(f, (And, Or)):
-            left = self.clauses(canonical(f.left))
-            right = self.clauses(canonical(f.right))
-            if isinstance(f, And):
-                clauses = {a | b for a in left for b in right}
-            else:
-                clauses = {*left, *right}
-            # absorption: a clause implied by a smaller one is redundant
-            kept = [c for c in clauses
-                    if not any(other < c for other in clauses)]
-            if not kept:
-                return FALSE
-            if frozenset() in kept:
-                return TRUE
-            disjuncts = []
-            for clause in kept:
-                units = sorted(clause, key=pretty)
-                acc = units[0]
-                for g in units[1:]:
-                    acc = And(acc, g)
-                disjuncts.append(acc)
-            disjuncts.sort(key=pretty)
-            acc = disjuncts[0]
-            for g in disjuncts[1:]:
-                acc = Or(acc, g)
-            if isinstance(acc, (And, Or)):
-                pool = self.clause_pool
-                self.clause_sets[acc] = tuple(pool.setdefault(c, c)
-                                              for c in kept)
-            return acc
+            return self._combine(isinstance(f, And), canonical(f.left),
+                                 canonical(f.right))
+        if isinstance(f, Formula):
+            raise FormulaError(f"cannot canonicalize {type(f).__name__}")
         raise TypeError(f"not a formula: {f!r}")
 
+    def _combine(self, conj: bool, left: Formula, right: Formula) -> Formula:
+        """Canonical form of ``left & right`` (`conj`) or ``left | right``
+        of two canonical formulas: the product (conjunction) or union
+        (disjunction) of their clause sets, absorbed, built as a node."""
+        # both connectives are idempotent, the unit of the connective
+        # leaves the other operand, and its zero wins
+        if left is right:
+            return left
+        unit, zero = (TRUE, FALSE) if conj else (FALSE, TRUE)
+        if left is unit or right is zero:
+            return right
+        if right is unit or left is zero:
+            return left
+        key = (conj, left, right)
+        got = self.combined.get(key)
+        if got is None:
+            got = self.combined[key] = self._combine_clauses(
+                conj, self.clauses(left), self.clauses(right))
+        return got
+
+    def _combine_clauses(self, conj: bool, left, right) -> Formula:
+        if conj:
+            clauses = {a | b for a in left for b in right}
+        else:
+            clauses = {*left, *right}
+        # absorption: a clause implied by a smaller one is redundant; only
+        # a shorter clause can be smaller, and one that a kept clause
+        # absorbs absorbs nothing that clause does not
+        kept = []
+        for c in sorted(clauses, key=len):
+            if not any(k < c for k in kept):
+                kept.append(c)
+        if not kept:
+            return FALSE
+        if not kept[0]:
+            return TRUE
+        pool = self.clause_pool
+        kept = [pool.get(c) or self._conjunction(c) for c in kept]
+        disjuncts = sorted((node for _, node in kept), key=pretty)
+        acc = disjuncts[0]
+        for g in disjuncts[1:]:
+            acc = Or(acc, g)
+        if isinstance(acc, (And, Or)):
+            self.clause_sets[acc] = tuple(c for c, _ in kept)
+        return acc
+
+    def _conjunction(self, clause):
+        """Pool `clause` with its units, sorted, as a left-nested
+        conjunction."""
+        units = sorted(clause, key=pretty)
+        acc = units[0]
+        for g in units[1:]:
+            acc = And(acc, g)
+        self.clause_pool[clause] = entry = (clause, acc)
+        return entry
+
     def progress(self, f: Formula, symbol: frozenset) -> Formula:
+        """One-step progression of a canonical formula; canonical."""
         memo = self.progressed.get(symbol)
         if memo is None:
             memo = self.progressed[symbol] = {}
         got = memo.get(f)
         if got is None:
-            got = memo[f] = self.canonical(self._progress_node(f, symbol))
+            got = memo[f] = self._progress_node(f, symbol)
         return got
 
     def _progress_node(self, g: Formula, symbol: frozenset) -> Formula:
-        progress = self.progress
-        if isinstance(g, TrueF) or isinstance(g, FalseF):
-            return g
+        progress, combine = self.progress, self._combine
+        # the most frequent node kinds first
+        if isinstance(g, (Or, And)):
+            return combine(isinstance(g, And), progress(g.left, symbol),
+                           progress(g.right, symbol))
+        if isinstance(g, Until):
+            iv = g.interval
+            if iv is None:
+                # the right operand now, or the left now and g again
+                return combine(False, progress(g.right, symbol),
+                               combine(True, progress(g.left, symbol), g))
+            if iv.lo > 0:
+                nxt = Interval(iv.lo - 1, None if iv.hi is None else iv.hi - 1)
+                return combine(True, progress(g.left, symbol),
+                               _until(g.left, g.right, nxt))
+            if iv.hi == 0:
+                return progress(g.right, symbol)
+            nxt = _until(g.left, g.right, Interval(0, iv.hi - 1))
+            return combine(False, progress(g.right, symbol),
+                           combine(True, progress(g.left, symbol), nxt))
         if isinstance(g, Atom):
             return TRUE if g.name in symbol else FALSE
         if isinstance(g, Not):
@@ -294,24 +344,20 @@ class _Progression:
                 raise FormulaError(
                     f"cannot progress negation over {type(g.operand).__name__}")
             return TRUE if g.operand.name not in symbol else FALSE
-        if isinstance(g, And):
-            return And(progress(g.left, symbol), progress(g.right, symbol))
-        if isinstance(g, Or):
-            return Or(progress(g.left, symbol), progress(g.right, symbol))
-        if isinstance(g, Until):
-            iv = g.interval
-            if iv is None:
-                return Or(progress(g.right, symbol),
-                          And(progress(g.left, symbol), g))
-            if iv.lo > 0:
-                nxt = Interval(iv.lo - 1, None if iv.hi is None else iv.hi - 1)
-                return And(progress(g.left, symbol), Until(g.left, g.right, nxt))
-            if iv.hi == 0:
-                return progress(g.right, symbol)
-            nxt = Interval(0, iv.hi - 1)
-            return Or(progress(g.right, symbol),
-                      And(progress(g.left, symbol), Until(g.left, g.right, nxt)))
+        if isinstance(g, (TrueF, FalseF)):
+            return g
         raise FormulaError(f"cannot progress {type(g).__name__}")
+
+
+def _until(left: Formula, right: Formula, iv: Interval | None) -> Formula:
+    """Canonical form of ``left U_iv right`` of canonical operands."""
+    if isinstance(right, FalseF):
+        return FALSE
+    if isinstance(right, TrueF) and (iv is None or iv.lo == 0):
+        return TRUE
+    if isinstance(left, FalseF) and (iv is not None and iv.lo > 0):
+        return FALSE
+    return Until(left, right, iv)
 
 
 def canonical(f: Formula) -> Formula:
@@ -320,8 +366,10 @@ def canonical(f: Formula) -> Formula:
     a total structural order and constants absorbed.  Keeping residuals in
     this shape is what makes the progression closure finite.
 
-    Memoized only within this call; a `ProgressionDta` keeps one memo
-    until its table is closed.
+    A conjunction or disjunction is canonicalized by the combine step of
+    progression on its canonicalized operands, so residuals and canonical
+    forms have one definition.  Memoized only within this call; a
+    `ProgressionDta` keeps one memo until its table is closed.
     """
     return _Progression().canonical(f)
 
@@ -331,13 +379,17 @@ def progress(f: Formula, symbol) -> Formula:
 
     TRUE means the prefix already satisfies the formula, FALSE that it
     already violates it.  The input must be distribution-free and in
-    negation normal form.  Results are canonical.  They are memoized per
-    (subformula, symbol) within one automaton, which is what keeps closure
-    construction cheap; this function memoizes only within the call.
+    negation normal form; it is canonicalized first, since progression
+    combines the canonical residuals of canonical operands.  Results are
+    canonical.  They are memoized per (subformula, symbol), and combine
+    steps per (connective, left, right), within one automaton, which is
+    what keeps closure construction cheap; this function memoizes only
+    within the call.
     """
     if not isinstance(symbol, frozenset):
         symbol = frozenset(symbol)
-    return _Progression().progress(f, symbol)
+    memo = _Progression()
+    return memo.progress(memo.canonical(f), symbol)
 
 
 def formula_atoms(f: Formula) -> set[str]:
@@ -595,6 +647,12 @@ REJECT_LOCATION = "__reject__"
 DETERMINISM_BOX_CAP = 200_000
 
 
+def _symbol_text(symbol) -> str:
+    """A symbol as a set of its sorted names, so that a message does not
+    depend on the string hash seed: ``{'p', 'q'}``, or ``{}``."""
+    return "{" + ", ".join(map(repr, sorted(symbol))) + "}"
+
+
 @dataclass
 class ExplicitEdge:
     source: str
@@ -678,7 +736,7 @@ class ExplicitDta:
                     if len(enabled) > 1:
                         raise AutomatonError(
                             f"nondeterministic edges from {loc!r} on "
-                            f"{set(symbol) or '{}'} at "
+                            f"{_symbol_text(symbol)} at "
                             f"{self._clock_text(values)}: "
                             f"{enabled[0].target!r} vs {enabled[1].target!r}")
 
@@ -713,8 +771,8 @@ class ExplicitDta:
         enabled = self._enabled(loc, symbol, dict(zip(self.clocks, values)))
         if len(enabled) > 1:
             raise AutomatonError(
-                f"nondeterministic step from {loc!r} on {set(symbol)} at "
-                f"{self._clock_text(values)}")
+                f"nondeterministic step from {loc!r} on "
+                f"{_symbol_text(symbol)} at {self._clock_text(values)}")
         if not enabled:
             return (REJECT_LOCATION, values)
         e = enabled[0]

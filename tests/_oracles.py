@@ -3,6 +3,10 @@
 - a brute-force discrete-time satisfaction checker (witness enumeration,
   no progression machinery) and random generators for fragment formulas
   and words;
+- node-level progression (`ReferenceProgression`): the residual is built
+  as a formula and then put in a canonical form computed from clause sets
+  directly, which the progression memo of `ProgressionDta` must
+  reproduce;
 - the grid world one state at a time (`ReferenceGrid`), which
   `Game._compile` walks to check the array compile of `GridWorld`;
 - the state-at-a-time product construction that the array-based one must
@@ -20,11 +24,13 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from mitlplan.simulator import splitmix_init, walk, wilson_interval
 from mitlplan.formula import (
+    FALSE,
     TRUE,
     And,
     Atom,
@@ -40,6 +46,7 @@ from mitlplan.formula import (
     Until,
     Until as until,
     env_subsets,
+    pretty,
 )
 from mitlplan.game_model import (
     _DIRS,
@@ -115,6 +122,123 @@ def random_word(rng: random.Random, atoms, max_len: int):
     length = rng.randint(0, max_len)
     return [frozenset(a for a in atoms if rng.random() < 0.4)
             for _ in range(length)]
+
+
+class ReferenceProgression:
+    """One-step progression (Bacchus & Kabanza, AIJ 2000) one node at a
+    time: the residual of a node is built as an ``And``, ``Or`` or
+    ``Until`` of its children's residuals, and only the whole residual is
+    put in canonical form.  The canonical form is computed here from
+    clause sets (sets of sets of units, absorbed) with none of the memo
+    tables or shortcuts of `mitlplan.timed_automata`.  Memoized per
+    instance."""
+
+    def __init__(self):
+        self._clauses: dict[Formula, frozenset] = {}
+        self._nodes: dict[frozenset, Formula] = {}
+        self._residuals: dict[tuple[Formula, frozenset], Formula] = {}
+
+    def canonical(self, f: Formula) -> Formula:
+        clauses = self.clauses(f)
+        got = self._nodes.get(clauses)
+        if got is None:
+            got = self._nodes[clauses] = self._node(clauses)
+        return got
+
+    @staticmethod
+    def _node(clauses: frozenset) -> Formula:
+        """Disjunction of conjunctions, each sorted by printed text and
+        nested to the left."""
+        if not clauses:
+            return FALSE
+        if frozenset() in clauses:
+            return TRUE
+        disjuncts = [reduce(And, sorted(c, key=pretty)) for c in clauses]
+        return reduce(Or, sorted(disjuncts, key=pretty))
+
+    def progress(self, f: Formula, symbol: frozenset) -> Formula:
+        """Canonical residual of `f` after `symbol`."""
+        return self.canonical(self.residual(f, symbol))
+
+    def clauses(self, f: Formula) -> frozenset:
+        """Disjuncts of `f`, each the set of its conjuncts (canonical
+        atoms, literals and untils), none a superset of another."""
+        got = self._clauses.get(f)
+        if got is None:
+            got = self._clauses[f] = self._clauses_of(f)
+        return got
+
+    def _clauses_of(self, f: Formula) -> frozenset:
+        if isinstance(f, TrueF):
+            return frozenset([frozenset()])
+        if isinstance(f, FalseF):
+            return frozenset()
+        if isinstance(f, (And, Or)):
+            left, right = self.clauses(f.left), self.clauses(f.right)
+            if isinstance(f, And):
+                every = {a | b for a in left for b in right}
+            else:
+                every = left | right
+            return frozenset(c for c in every
+                             if not any(other < c for other in every))
+        unit = f
+        if isinstance(f, Not):
+            g = self.canonical(f.operand)
+            if isinstance(g, TrueF):
+                return frozenset()
+            if isinstance(g, FalseF):
+                return frozenset([frozenset()])
+            if isinstance(g, Not):
+                return self.clauses(g.operand)
+            unit = Not(g)
+        elif isinstance(f, Until):
+            left, right = self.canonical(f.left), self.canonical(f.right)
+            iv = f.interval
+            if isinstance(right, FalseF) or (
+                    isinstance(left, FalseF) and iv is not None and iv.lo > 0):
+                return frozenset()
+            if isinstance(right, TrueF) and (iv is None or iv.lo == 0):
+                return frozenset([frozenset()])
+            unit = Until(left, right, iv)
+        return frozenset([frozenset([unit])])
+
+    def residual(self, g: Formula, symbol: frozenset) -> Formula:
+        """The residual of `g` after `symbol`, not canonicalized."""
+        key = (g, symbol)
+        got = self._residuals.get(key)
+        if got is None:
+            got = self._residuals[key] = self._residual_of(g, symbol)
+        return got
+
+    def _residual_of(self, g: Formula, symbol: frozenset) -> Formula:
+        def step(h):
+            return self.residual(h, symbol)
+
+        if isinstance(g, (TrueF, FalseF)):
+            return g
+        if isinstance(g, Atom):
+            return TRUE if g.name in symbol else FALSE
+        if isinstance(g, Not):
+            assert isinstance(g.operand, Atom)
+            return FALSE if g.operand.name in symbol else TRUE
+        if isinstance(g, And):
+            return And(step(g.left), step(g.right))
+        if isinstance(g, Or):
+            return Or(step(g.left), step(g.right))
+        if isinstance(g, Until):
+            iv = g.interval
+            if iv is None:
+                return Or(step(g.right), And(step(g.left), g))
+            if iv.lo > 0:
+                hi = None if iv.hi is None else iv.hi - 1
+                return And(step(g.left),
+                           Until(g.left, g.right, Interval(iv.lo - 1, hi)))
+            if iv.hi == 0:
+                return step(g.right)
+            return Or(step(g.right),
+                      And(step(g.left),
+                          Until(g.left, g.right, Interval(0, iv.hi - 1))))
+        raise TypeError(f"unsupported node {type(g).__name__}")
 
 
 def reference_product(game, tsta, cap: int = 2_000_000) -> ProductMdp:

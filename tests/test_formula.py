@@ -35,7 +35,7 @@ from mitlplan.formula import (
     uniform_truncation_vector,
     validate_fragment,
 )
-from mitlplan.timed_automata import build_dta
+from mitlplan.timed_automata import ProgressionDta, build_dta
 
 from _oracles import random_fragment_formula
 
@@ -160,10 +160,22 @@ def test_nodes_are_immutable():
     assert repr(Not(Atom("p"))) == "Not(operand=Atom(name='p'))"
 
 
-def _build_and_drop(text):
-    """Build an automaton from text nothing else refers to; return weak
-    references to its locations."""
-    dta = build_dta(parse(text))
+LEAK_FORMULA = "F[0,3] (x1 & F[1,4] x2) | x3 U[0,5] !x1"
+
+
+def _build_and_drop(text, word=None):
+    """Build an automaton from text nothing else refers to and drop it;
+    return weak references to its locations.  Given a word, only the
+    entries the word reads are filled, so the automaton is dropped with
+    its progression memo alive and its table partly filled."""
+    if word is None:
+        dta = build_dta(parse(text))
+    else:
+        dta = ProgressionDta(parse(text))
+        config = dta.initial_config()
+        for symbol in word:
+            config = dta.step_config(config, symbol, 1)
+        assert any(j < 0 for row in dta.table for j in row)
     return [weakref.ref(f) for f in dta.locations
             if f is not TRUE and f is not FALSE]
 
@@ -174,9 +186,22 @@ def test_build_leaves_no_formulas_behind():
     # build made is freed
     gc.collect()
     before = len(formula._NODES)
-    refs = _build_and_drop("F[0,3] (x1 & F[1,4] x2) | x3 U[0,5] !x1")
+    refs = _build_and_drop(LEAK_FORMULA)
     gc.collect()
     assert len(refs) > 10
+    assert all(r() is None for r in refs)
+    assert len(formula._NODES) == before
+
+
+def test_dropped_on_demand_automaton_leaves_no_formulas_behind():
+    # an automaton that is dropped before its table is closed still holds
+    # its progression memo; dropping it frees every formula the steps made
+    gc.collect()
+    before = len(formula._NODES)
+    refs = _build_and_drop(LEAK_FORMULA,
+                           [{"x1", "x3"}, {"x1", "x3"}, {"x1", "x3"}, {"x1"}])
+    gc.collect()
+    assert len(refs) > 3
     assert all(r() is None for r in refs)
     assert len(formula._NODES) == before
 

@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,10 +13,15 @@ from mitlplan.formula import (
     TRUE,
     And,
     Atom,
+    DistEventually,
+    FormulaError,
+    Geometric,
     Interval,
     Or,
     Until as until,
     eventually,
+    mask_subsets,
+    normalize,
     parse,
     pretty,
     substitute_dist,
@@ -37,9 +45,15 @@ from mitlplan.timed_automata import (
     run_dta,
 )
 
-from _oracles import random_fragment_formula, random_word, word_satisfies
+import mitlplan
+from _oracles import (
+    ReferenceProgression,
+    random_fragment_formula,
+    random_word,
+    word_satisfies,
+)
 
-from conftest import BUS_CASE1, DATA
+from conftest import BUS_CASE1, DATA, THREE_BUS
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +194,15 @@ def test_canonical_sorts_and_dedupes():
     assert canonical(And(a, TRUE)) == a
     assert canonical(And(a, FALSE)) == FALSE
     assert canonical(Or(a, TRUE)) == TRUE
+    # an until whose right operand fails, or that must wait on a false
+    # left operand, fails; one whose right operand holds now holds
+    assert canonical(until(a, And(b, FALSE), Interval(0, 2))) == FALSE
+    assert canonical(until(FALSE, a, Interval(1, 3))) == FALSE
+    assert canonical(until(FALSE, a, Interval(0, 3))) == until(FALSE, a,
+                                                               Interval(0, 3))
+    assert canonical(until(a, Or(b, TRUE))) == TRUE
+    assert canonical(until(a, TRUE, Interval(1, 3))) == until(a, TRUE,
+                                                              Interval(1, 3))
 
 
 def test_canonical_confluence_under_progress():
@@ -190,6 +213,50 @@ def test_canonical_confluence_under_progress():
         symbol = frozenset(a for a in ("p", "q") if rng.random() < 0.5)
         assert progress(g, symbol) == progress(canonical(g), symbol)
         assert canonical(g) == g  # canonical is idempotent
+
+
+def test_progress_canonicalizes_its_input():
+    # the operands of an until are canonical in the residual even where
+    # they were not in the input
+    a = Atom("a")
+    assert progress(eventually(And(a, a), Interval(0, 2)), set()) is \
+        eventually(a, Interval(0, 1))
+    assert progress(eventually(And(a, a)), set()) is eventually(a)
+    assert progress(Or(a, And(a, Atom("b"))), {"a"}) is TRUE
+    # a distribution eventuality must be substituted first
+    with pytest.raises(FormulaError):
+        progress(Or(a, DistEventually("b", Geometric(0.5))), set())
+
+
+def _criterion_9_formulas(n):
+    """The first `n` formulas of the draw of
+    `test_criterion_9_progression_soundness`, words drawn in between."""
+    rng = random.Random(20260808)
+    atoms = ["p", "q", "r"]
+    out = []
+    for _ in range(n):
+        out.append(random_fragment_formula(rng, atoms, max_temporal=3,
+                                           max_bound=5))
+        for _ in range(3):
+            random_word(rng, atoms, 12)
+    return out
+
+
+def test_progression_matches_node_level_reference():
+    # every entry of the closure is the residual that building the
+    # And/Or/Until node and canonicalizing it afterwards gives, and the
+    # initial location is the reference canonical form of the formula
+    missions = [substitute_dist(parse(text))
+                for text in (BUS_CASE1, THREE_BUS)]
+    for f in missions + _criterion_9_formulas(200):
+        d = build_dta(f)
+        ref = ReferenceProgression()
+        assert d.locations[d.init_index] is ref.canonical(normalize(f))
+        symbols = mask_subsets(d.atoms)
+        for i, row in enumerate(d.table):
+            for mask, j in enumerate(row):
+                got = ref.progress(d.locations[i], symbols[mask])
+                assert d.locations[j] is got, (pretty(f), i, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +475,44 @@ edge a [true] {p} -> c reset{}
         load_dta(text)
     assert str(exc.value) == ("nondeterministic edges from 'a' on {'p'} "
                               "at [x=1, y=0]: 'b' vs 'c'")
+
+
+NONDETERMINISTIC_THREE_ATOMS = """
+locations A B C
+clocks x
+init C
+edge C [true] {p & q} -> B reset{}
+edge C [true] {p & q & r} -> A reset{}
+"""
+
+
+def test_nondeterminism_messages_do_not_depend_on_the_hash_seed():
+    # both messages print the symbol's names sorted; printed as a set,
+    # their order followed the string hash seed.  A box cap of 0 skips the
+    # load-time check, so that the step meets the conflict
+    script = ("import sys\n"
+              "from mitlplan import timed_automata as ta\n"
+              "text = sys.stdin.read()\n"
+              "for cap in (ta.DETERMINISM_BOX_CAP, 0):\n"
+              "    ta.DETERMINISM_BOX_CAP = cap\n"
+              "    try:\n"
+              "        d = ta.load_dta(text)\n"
+              "        d.step_config(d.initial_config(), {'r', 'q', 'p'}, 0)\n"
+              "    except ta.AutomatonError as exc:\n"
+              "        print(exc)\n")
+    src = str(Path(mitlplan.__file__).resolve().parent.parent)
+    expected = ("nondeterministic edges from 'C' on {'p', 'q', 'r'} at [x=0]: "
+                "'B' vs 'A'\n"
+                "nondeterministic step from 'C' on {'p', 'q', 'r'} at [x=0]\n")
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script],
+                              input=NONDETERMINISTIC_THREE_ATOMS, env=env,
+                              check=True, capture_output=True, text=True,
+                              timeout=300)
+        assert done.stdout == expected, seed
 
 
 def test_load_rejects_dangling_location():
