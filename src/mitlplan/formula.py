@@ -701,17 +701,14 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self):
-        return self.ok
-
 
 def validate_fragment(f: Formula, u: EventSet) -> ValidationReport:
     """Check membership in the supported co-safety fragment.
 
     Violations reported: negation applied to a temporal operator or a
     distribution eventuality, a distribution eventuality whose operand is
-    not a declared external event, duplicated or missing event references,
-    and degenerate intervals.
+    not a declared external event, and duplicated or missing event
+    references.  `parse` has already rejected singular or empty intervals.
     """
     report = ValidationReport()
     nf = normalize(f)
@@ -734,9 +731,6 @@ def validate_fragment(f: Formula, u: EventSet) -> ValidationReport:
             walk(g.left, negated)
             walk(g.right, negated)
         elif isinstance(g, Until):
-            iv = g.interval
-            if iv is not None and iv.bounded and iv.lo >= iv.hi:
-                report.violations.append(f"singular interval {iv}")
             walk(g.left, negated)
             walk(g.right, negated)
         elif isinstance(g, DistEventually):

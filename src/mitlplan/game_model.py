@@ -98,14 +98,6 @@ class Game:
     def enumerate_states(self) -> list[GameState]:
         return list(self.compiled().states)
 
-    def validate(self):
-        """Compile the game.  For an explicit game this checks that every
-        reachable (s, a, e) has a kernel row and that each successor's
-        label shows exactly e among the events; `load_game` and
-        `ExplicitGame` have already checked the probabilities and the
-        pending sets.  A grid's config leaves nothing to check."""
-        self.compiled()
-
     def compiled(self) -> CompiledGame:
         """The reachable game as integer tables, built on the first call
         and cached on the game."""
@@ -445,7 +437,7 @@ class _GridStates(Sequence):
 
 def build_gridworld(cfg: GridWorldConfig) -> GridWorld:
     g = GridWorld(cfg)
-    g.validate()
+    g.compiled()
     return g
 
 
@@ -454,8 +446,7 @@ def build_gridworld(cfg: GridWorldConfig) -> GridWorld:
 # ---------------------------------------------------------------------------
 
 class ExplicitGame(Game):
-    def __init__(self, names, actions, events, init_name, labels, kernel):
-        self.state_names = list(names)
+    def __init__(self, actions, events, init_name, labels, kernel):
         self.actions = tuple(actions)
         self.events = tuple(events)
         self._labels = labels
@@ -464,7 +455,7 @@ class ExplicitGame(Game):
         self.initial = self._mk(init_name)
         if self._labels[init_name] & set(self.events):
             raise GameError("initial label may not contain external events")
-        self.validate()
+        self.compiled()
 
     def _derive_pending(self, init_name) -> dict[str, frozenset[str]]:
         by_src: dict[str, list] = {}
@@ -593,4 +584,4 @@ def load_game(text: str) -> ExplicitGame:
             raise GameError(
                 f"row ({src!r}, {act!r}, {set(e) or '{}'}) sums to {total!r}")
     actions = sorted(actions)
-    return ExplicitGame(names, actions, events, init_name, labels, kernel)
+    return ExplicitGame(actions, events, init_name, labels, kernel)

@@ -310,13 +310,10 @@ def build_product(game: Game, tsta: StaModel,
         p = np.concatenate([p, np.ones(len(dead) * n_actions)])
         order = np.lexsort((succ, row))
         row, succ, p = _sum_repeats(row[order], succ[order], p[order])
+        # no row is empty: a live row holds a non-empty game row of positive
+        # weights per outcome, and the likeliest outcome keeps its weight
         counts = np.bincount(row - lo * n_actions,
                              minlength=(hi - lo) * n_actions)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size:
-            bad, a = divmod(lo * n_actions + int(empty[0]), n_actions)
-            raise ProductError(
-                f"state {bad} action {game.actions[a]!r} has no successors")
         cols.append(succ)
         probs.append(p)
         row_len.append(counts)

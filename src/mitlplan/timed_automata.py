@@ -215,17 +215,13 @@ class _Progression:
         """Disjunctive normal form of a canonical formula.
 
         A formula maps to its clauses (disjuncts); each clause is a set of
-        unit formulas (conjuncts): atoms, literals and untils.  True is
-        the single empty clause, False has no clause.  A canonical
+        unit formulas (conjuncts): atoms, literals and untils.  A canonical
         conjunction or disjunction was built by `_combine` from its clause
-        set, which is read back from the memo.
+        set, which is read back from the memo.  Never called on a constant:
+        `_combine`, the only caller, returns first on `true` or `false`.
         """
         if isinstance(g, (And, Or)):
             return self.clause_sets[g]
-        if isinstance(g, TrueF):
-            return (frozenset(),)
-        if isinstance(g, FalseF):
-            return ()
         return (frozenset([g]),)
 
     def _canonical_node(self, f: Formula) -> Formula:
@@ -233,14 +229,8 @@ class _Progression:
         if isinstance(f, (TrueF, FalseF, Atom)):
             return f
         if isinstance(f, Not):
-            g = canonical(f.operand)
-            if isinstance(g, TrueF):
-                return FALSE
-            if isinstance(g, FalseF):
-                return TRUE
-            if isinstance(g, Not):
-                return g.operand
-            return Not(g)
+            # `normalize` has folded negated constants and double negations
+            return Not(canonical(f.operand))
         if isinstance(f, Until):
             return _until(canonical(f.left), canonical(f.right), f.interval)
         if isinstance(f, (And, Or)):
@@ -277,15 +267,11 @@ class _Progression:
             clauses = {*left, *right}
         # absorption: a clause implied by a smaller one is redundant; only
         # a shorter clause can be smaller, and one that a kept clause
-        # absorbs absorbs nothing that clause does not
+        # absorbs absorbs nothing that clause does not; no clause is empty
         kept = []
         for c in sorted(clauses, key=len):
             if not any(k < c for k in kept):
                 kept.append(c)
-        if not kept:
-            return FALSE
-        if not kept[0]:
-            return TRUE
         pool = self.clause_pool
         kept = [pool.get(c) or self._conjunction(c) for c in kept]
         disjuncts = sorted((node for _, node in kept), key=pretty)
@@ -366,30 +352,31 @@ def canonical(f: Formula) -> Formula:
     a total structural order and constants absorbed.  Keeping residuals in
     this shape is what makes the progression closure finite.
 
-    A conjunction or disjunction is canonicalized by the combine step of
-    progression on its canonicalized operands, so residuals and canonical
-    forms have one definition.  Memoized only within this call; a
-    `ProgressionDta` keeps one memo until its table is closed.
+    The formula is normalized first (`normalize`).  A conjunction or
+    disjunction is canonicalized by the combine step of progression on its
+    canonicalized operands, so residuals and canonical forms have one
+    definition.  Memoized only within this call; a `ProgressionDta` keeps
+    one memo until its table is closed.
     """
-    return _Progression().canonical(f)
+    return _Progression().canonical(normalize(f))
 
 
 def progress(f: Formula, symbol) -> Formula:
     """Residual obligation after consuming `symbol` at the current step.
 
     TRUE means the prefix already satisfies the formula, FALSE that it
-    already violates it.  The input must be distribution-free and in
-    negation normal form; it is canonicalized first, since progression
-    combines the canonical residuals of canonical operands.  Results are
-    canonical.  They are memoized per (subformula, symbol), and combine
-    steps per (connective, left, right), within one automaton, which is
-    what keeps closure construction cheap; this function memoizes only
-    within the call.
+    already violates it.  The input must be distribution-free; it is
+    normalized and canonicalized first, since progression combines the
+    canonical residuals of canonical operands.  Results are canonical.
+    They are memoized per (subformula, symbol), and combine steps per
+    (connective, left, right), within one automaton, which is what keeps
+    closure construction cheap; this function memoizes only within the
+    call.
     """
     if not isinstance(symbol, frozenset):
         symbol = frozenset(symbol)
     memo = _Progression()
-    return memo.progress(memo.canonical(f), symbol)
+    return memo.progress(memo.canonical(normalize(f)), symbol)
 
 
 def formula_atoms(f: Formula) -> set[str]:
@@ -403,21 +390,21 @@ def formula_atoms(f: Formula) -> set[str]:
 @dataclass
 class RunResult:
     accepted: bool
-    trace: list
+    configs: list
 
 
 def run_dta(dta, word: TimedWord) -> RunResult:
-    """Run a finite word on a `ProgressionDta` or an `ExplicitDta`;
-    accepted iff an accepting location is visited."""
+    """Run a finite word on a `ProgressionDta` or an `ExplicitDta`: the
+    configurations visited, initial first, and whether one accepts."""
     config = dta.initial_config()
-    trace = [(dta.location_label(config), dta.clock_values(config))]
+    configs = [config]
     accepted = dta.is_accepting(config)
     for i, symbol in enumerate(word):
         # the first symbol is read at time 0, each later one a step after
         config = dta.step_config(config, frozenset(symbol), min(i, 1))
-        trace.append((dta.location_label(config), dta.clock_values(config)))
+        configs.append(config)
         accepted = accepted or dta.is_accepting(config)
-    return RunResult(accepted, trace)
+    return RunResult(accepted, configs)
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +507,6 @@ class ProgressionDta:
 
     def is_rejecting(self, config):
         return config == self.reject_index
-
-    def location_label(self, config):
-        return pretty(self.locations[config])
-
-    def clock_values(self, config):
-        return ()
 
     def edges(self):
         """Symbol-predicate edges of the closed automaton: (src, frozenset
@@ -704,9 +685,12 @@ class ExplicitDta:
                 raise AutomatonError(f"edge from undeclared location {e.source!r}")
             if e.target not in self.locations:
                 raise AutomatonError(f"edge to undeclared location {e.target!r}")
-            self._check_clocks(e.guard, e.resets,
-                               f"on edge {e.source}->{e.target}")
+            where = f"on edge {e.source}->{e.target}"
+            self._check_clocks(e.guard, e.resets, where)
             _check_boolean(e.predicate)
+            unknown = sorted(formula_atoms(e.predicate) - set(self.atoms))
+            if unknown:
+                raise AutomatonError(f"unknown atom {unknown[0]!r} {where}")
         for loc, inv in self.invariants.items():
             if loc not in self.locations:
                 raise AutomatonError(f"invariant of undeclared location {loc!r}")
@@ -787,15 +771,6 @@ class ExplicitDta:
     def is_accepting(self, config):
         return config[0] in self.accepting
 
-    def is_rejecting(self, config):
-        return config[0] == REJECT_LOCATION
-
-    def location_label(self, config):
-        return config[0]
-
-    def clock_values(self, config):
-        return config[1]
-
 
 def load_dta(text: str) -> ExplicitDta:
     """Parse the explicit automaton format.
@@ -810,7 +785,7 @@ def load_dta(text: str) -> ExplicitDta:
         invariant l1 [x3 <= 10]
         edge l1 [x3 <= 3] {!b2 & b3} -> l3 reset{x1,x2}
 
-    '#' starts a comment.
+    '#' starts a comment.  An `atoms` line names every predicate atom.
     """
     locations: list[str] = []
     clocks: list[str] = []

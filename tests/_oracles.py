@@ -366,7 +366,7 @@ class ReferenceGrid(GridWorld):
 def reference_grid(cfg) -> ReferenceGrid:
     """`build_gridworld` for a `ReferenceGrid`."""
     g = ReferenceGrid(cfg)
-    g.validate()
+    g.compiled()
     return g
 
 

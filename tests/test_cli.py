@@ -654,7 +654,8 @@ def test_monitor_empty_word_inconclusive(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("formula, verdict", [
-    ("false", "reject"), ("a & !a", "reject"), ("true", "accept")])
+    ("false", "reject"), ("a & !a", "reject"), ("true", "accept"),
+    ("!false", "accept")])
 def test_monitor_judges_the_empty_word_at_the_initial_location(
         tmp_path, capsys, formula, verdict):
     word = tmp_path / "w.txt"
@@ -863,3 +864,216 @@ def test_bench_eps_list_without_events(capsys, corner_grid):
                        "--grid", str(corner_grid), "--eps-list", "0.1")
     assert code == 0
     assert out.splitlines()[1].split(",")[:4] == ["0", "0.0", "18", "0.0"]
+
+
+# ---------------------------------------------------------------------------
+# one row per input branch: the command line, the text of its input file
+# IN, the exit code, and the line it prints (stderr on failure)
+# ---------------------------------------------------------------------------
+
+TOY_GAME = (DATA / "toy.game").read_text()
+# accepts F a: stays in A until a, then accepting B
+F_A_ORACLE = ("locations A B\nclocks x y z\ninit A\naccepting B\n"
+              "edge A [true] {!a} -> A\nedge A [true] {a} -> B\n")
+TRANSLATE_F_A = ["translate", "--formula", "F a", "--out", "OUT",
+                 "--oracle", "IN", "--words", "200"]
+PLAN_GRID = ["plan", "--formula", "F s", "--grid", "IN", "--uniform-T", "1",
+             "--out", "OUT"]
+PLAN_TOY = ["plan", "--formula", "D{geom:0.5} b & F goal", "--game", "IN",
+            "--uniform-T", "3", "--out", "OUT"]
+
+
+def translate_formula(text):
+    return ["translate", "--formula", text, "--out", "OUT"]
+
+
+def toy_game(old, new):
+    assert old in TOY_GAME
+    return TOY_GAME.replace(old, new, 1)
+
+
+def f_a_oracle(old, new):
+    assert old in F_A_ORACLE
+    return F_A_ORACLE.replace(old, new, 1)
+
+
+INPUT_BRANCHES = {
+    # command line
+    "game-events-disagree": (
+        ["plan", "--formula", "F goal", "--game", "IN", "--uniform-T", "3"],
+        TOY_GAME, 3,
+        "error: game: game events ['b'] disagree with the formula's []"),
+    "cap-not-a-number": (
+        ["translate", "--formula", "F a", "--cap", "abc"], None, 2,
+        "mitlplan translate: error: argument --cap: expected an integer, "
+        "got 'abc'"),
+    "tol-not-a-number": (
+        ["plan", "--formula", "F s", "--grid", "IN", "--tol", "abc"], None, 2,
+        "mitlplan plan: error: argument --tol: expected a number, got 'abc'"),
+    "negative-uniform-T": (
+        ["plan", "--formula", "F s", "--grid", "IN", "--uniform-T", "-1"],
+        CORNER_GRID, 2,
+        "error: truncation: truncation point must be non-negative"),
+    # formulas
+    "unexpected-character": (
+        translate_formula("a $ b"), None, 2,
+        "error: formula: 1:3: unexpected character '$'"),
+    "bad-geometric-parameter": (
+        translate_formula("D{geom:x} b"), None, 2,
+        "error: formula: 1:1: bad geometric parameter 'x'"),
+    "table-entry-arity": (
+        translate_formula("D{table:1} b"), None, 2,
+        "error: formula: 1:1: bad table entry '1'"),
+    "table-entry-not-a-number": (
+        translate_formula("D{table:1:x} b"), None, 2,
+        "error: formula: 1:1: bad table entry '1:x'"),
+    "table-mass-above-one": (
+        translate_formula("D{table:1:1.5} b"), None, 2,
+        "error: formula: 1:1: table mass 1.5 outside [0,1]"),
+    "trailing-input": (
+        translate_formula("a )"), None, 2,
+        "error: formula: 1:3: unexpected trailing input ')'"),
+    "upper-bound-not-an-integer": (
+        translate_formula("F[0,x] a"), None, 2,
+        "error: formula: 1:5: expected integer or inf, found 'x'"),
+    "lower-bound-not-an-integer": (
+        translate_formula("F[x,2] a"), None, 2,
+        "error: formula: 1:3: expected integer, found 'x'"),
+    "distribution-on-a-keyword": (
+        translate_formula("D{geom:0.5} true"), None, 2,
+        "error: formula: 1:13: distribution eventuality must apply to an "
+        "event name"),
+    "until-without-left-operand": (
+        translate_formula("U a"), None, 2,
+        "error: formula: 1:1: until operator needs a left operand"),
+    "negated-true-plans-to-zero": (
+        ["plan", "--formula", "!true", "--grid", "IN", "--uniform-T", "1",
+         "--out", "OUT"], CORNER_GRID, 0, "satisfaction-probability: 0.0"),
+    # grids
+    "grid-line-without-equals": (
+        PLAN_GRID, "width 3\n", 3,
+        "error: grid: line 1: expected key = value"),
+    "grid-bad-event-law": (
+        PLAN_GRID, CORNER_GRID + "events.b = geom:2\n", 3,
+        "error: grid: line 6: geometric parameter must be in (0,1], got 2.0"),
+    "grid-missing-width": (
+        PLAN_GRID, CORNER_GRID.replace("width = 3\n", ""), 3,
+        "error: grid: missing grid key 'width'"),
+    "grid-two-part-slip": (
+        PLAN_GRID, CORNER_GRID.replace("1.0,0.0,0.0", "1.0,0.0"), 3,
+        "error: grid: slip needs three components: forward,left,right"),
+    "initial-goal-plans-to-one": (
+        PLAN_GRID, CORNER_GRID.replace("(2,2)", "(0,0)"), 0,
+        "satisfaction-probability: 1.0"),
+    # explicit games
+    "game-initial-label-holds-an-event": (
+        PLAN_TOY, toy_game("label h0:", "label h0: b"), 3,
+        "error: game: initial label may not contain external events"),
+    "game-malformed-trans": (
+        PLAN_TOY, toy_game("wait {} -> h0 : 1.0", "wait {} h0 : 1.0"), 3,
+        "error: game: line 22: bad trans line"),
+    "game-unknown-directive": (
+        PLAN_TOY, TOY_GAME + "teleport h0 t1\n", 3,
+        "error: game: line 45: unknown directive 'teleport'"),
+    "game-missing-init": (
+        PLAN_TOY, toy_game("init h0\n", ""), 3,
+        "error: game: missing init state"),
+    "game-undeclared-target": (
+        PLAN_TOY, toy_game("wait {} -> h0 : 1.0", "wait {} -> h9 : 1.0"), 3,
+        "error: game: undeclared state 'h9' in transitions"),
+    "game-undeclared-action": (
+        PLAN_TOY, toy_game("h0 wait {} -> h0", "h0 hop {} -> h0"), 3,
+        "error: game: undeclared action 'hop'"),
+    "game-undeclared-event": (
+        PLAN_TOY, toy_game("h0 wait {b} -> hb", "h0 wait {c} -> hb"), 3,
+        "error: game: undeclared event 'c'"),
+    # oracles that fail to load
+    "oracle-bad-invariant-line": (
+        TRANSLATE_F_A, F_A_ORACLE + "invariant A x <= 1\n", 2,
+        "error: oracle: line 7: bad invariant line"),
+    "oracle-bad-edge-line": (
+        TRANSLATE_F_A, F_A_ORACLE + "edge A {a} B\n", 2,
+        "error: oracle: line 7: bad edge line"),
+    "oracle-unknown-directive": (
+        TRANSLATE_F_A, F_A_ORACLE + "final B\n", 2,
+        "error: oracle: line 7: unknown directive 'final'"),
+    "oracle-missing-init": (
+        TRANSLATE_F_A, f_a_oracle("init A\n", ""), 2,
+        "error: oracle: missing init location"),
+    "oracle-undeclared-init": (
+        TRANSLATE_F_A, f_a_oracle("init A", "init C"), 2,
+        "error: oracle: initial location 'C' not declared"),
+    "oracle-undeclared-accepting": (
+        TRANSLATE_F_A, f_a_oracle("accepting B", "accepting B C"), 2,
+        "error: oracle: accepting location 'C' not declared"),
+    "oracle-undeclared-edge-source": (
+        TRANSLATE_F_A, F_A_ORACLE + "edge C [true] {a} -> B\n", 2,
+        "error: oracle: edge from undeclared location 'C'"),
+    "oracle-unparsable-guard": (
+        TRANSLATE_F_A, F_A_ORACLE + "edge B [x <> 1] {a} -> B\n", 2,
+        "error: oracle: line 7: cannot parse clock constraint 'x <> 1'"),
+    "oracle-temporal-predicate": (
+        TRANSLATE_F_A, F_A_ORACLE + "edge B [true] {F a} -> B\n", 2,
+        "error: oracle: symbol predicate must be boolean: F a"),
+    # an atom left out of the atoms line used to read false on every step
+    "oracle-undeclared-atom": (
+        ["translate", "--formula", "F q", "--out", "OUT", "--oracle", "IN",
+         "--words", "200"],
+        "locations A B\nclocks x\natoms p\ninit A\naccepting B\n"
+        "edge A [true] {q} -> B\nedge A [true] {!q} -> A\n", 2,
+        "error: oracle: unknown atom 'q' on edge A->B"),
+    # oracles that load and agree with F a, or F[0,1] a
+    "oracle-false-guard": (
+        TRANSLATE_F_A, F_A_ORACLE + "edge A [false] {a} -> A\n", 0,
+        "oracle-agreement: 200/200"),
+    "oracle-parenthesized-guard": (
+        TRANSLATE_F_A,
+        F_A_ORACLE + "edge A [(x <= 1 | y > 2) & z < 3] {a & !a} -> B\n"
+        "edge B [true & false] {a} -> B\n", 0,
+        "oracle-agreement: 200/200"),
+    "oracle-false-predicate": (
+        TRANSLATE_F_A, F_A_ORACLE + "edge A [true] {false} -> B\n", 0,
+        "oracle-agreement: 200/200"),
+    # a late a enters B past its invariant: the run is rejected there
+    "oracle-target-invariant-fails": (
+        ["translate", "--formula", "F[0,1] a", "--out", "OUT",
+         "--oracle", "IN", "--words", "200"],
+        F_A_ORACLE + "invariant B [x <= 1]\n", 0,
+        "oracle-agreement: 200/200"),
+    # words
+    "word-with-comments-and-blank-lines": (
+        ["monitor", "--formula", "F[0,1] a", "--word", "IN"],
+        "# one symbol a line\n\n-   # nothing yet\n\na\n", 0,
+        "verdict: accept"),
+}
+
+
+@pytest.mark.parametrize("argv, text, code, line", INPUT_BRANCHES.values(),
+                         ids=INPUT_BRANCHES)
+def test_input_branch_exit_code_and_line(tmp_path, capsys, argv, text, code,
+                                         line):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    argv = [{"IN": str(path), "OUT": str(tmp_path)}.get(a, a) for a in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:      # argparse rejected the command line
+        got = exc.code
+    out = capsys.readouterr()
+    assert got == code
+    assert line in (out.out if code == 0 else out.err).splitlines()
+
+
+def test_translate_dot_leaves_out_edges_into_the_reject_location(tmp_path,
+                                                                  capsys):
+    code, _, _ = run(capsys, "translate", "--formula", "F[0,2] goal",
+                     "--out", str(tmp_path))
+    assert code == 0
+    dump = (tmp_path / "dta.txt").read_text()
+    reject = dump.split("\nreject ")[1].split()[0]
+    assert reject != "q-1"
+    assert f"-> {reject}\n" in dump
+    dot = (tmp_path / "dta.dot").read_text()
+    assert f"{reject} [shape=circle" in dot
+    assert f"-> {reject} " not in dot

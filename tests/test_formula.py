@@ -112,6 +112,7 @@ def test_roundtrip_with_distributions():
     for text in [BUS_CASE1, "D{table:1:0.5,2:0.5} b", "D{geom:1.0} e & F e"]:
         f = parse(text)
         assert parse(pretty(f)) == f
+        assert str(f) == pretty(f)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +322,13 @@ def test_geometric_hazard_constant():
 
 def test_hazard_geometric_example():
     assert Geometric(0.8).hazard(7) == 0.8
+    assert Geometric(0.8).hazard(0) == 0.0      # no step before the first
 
 
 def test_hazard_table():
     d = FiniteTable(((1, 0.5), (2, 0.5)))
     assert d.hazard(2) == pytest.approx(1.0, abs=1e-12)
+    assert d.hazard(0) == 0.0
 
 
 def test_hazard_of_a_full_table_stays_in_unit_interval():
@@ -392,6 +395,7 @@ def test_table_validation():
 def test_truncation_vector_bus_example():
     f = parse(BUS_CASE1)
     u = EventSet.from_formula(f)
+    assert len(u) == 2
     tv = truncation_vector(f, u, 0.35)
     assert tv["b1"] == 1        # 0.2^1 = 0.2 < 0.35
     assert tv["b2"] == 3        # 0.7^3 = 0.343 < 0.35

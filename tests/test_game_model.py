@@ -82,7 +82,7 @@ def test_grid_transitions_track_outcomes(grid):
 
 
 def test_grid_validate_passes(grid):
-    grid.validate()
+    grid.compiled()
 
 
 def test_enabled_env_actions(grid):
@@ -260,7 +260,7 @@ def test_load_toy_game():
     assert g.events == ("b",)
     assert g.initial.robot == "h0"
     assert g.initial.pending == {"b"}
-    g.validate()
+    g.compiled()
 
 
 def test_load_game_bad_row_sum():

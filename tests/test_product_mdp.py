@@ -299,6 +299,9 @@ def test_pending_synchronized(case):
     m = build_product(*SYNC_CASES[case]())
     sums = np.add.reduceat(m.probs, m.row_ptr[:-1])
     assert np.abs(sums - 1.0).max() <= ROW_SUM_TOL
+    # no row is empty, which `reduceat` cannot see: it reads an empty
+    # row's sum off the next row's first entry
+    assert (np.diff(m.row_ptr) > 0).all()
     live = np.flatnonzero(~m.sink)
     assert live.size > 1
     for z in live.tolist():
@@ -319,6 +322,7 @@ def test_validate_rejects_a_row_that_does_not_sum_to_one(case1_T3):
 def test_cap_is_the_exact_state_count(case1_T3):
     m, _ = case1_T3
     n = m.n_states
+    assert len(m.states) == n
     assert build_product(m.game, m.sta, cap=n).n_states == n
     with pytest.raises(ProductError, match=f"product exceeded {n - 1} states"):
         build_product(m.game, m.sta, cap=n - 1)

@@ -12,6 +12,7 @@ from mitlplan.game_model import GridWorldConfig, build_gridworld, load_game
 from mitlplan.product_mdp import STAY_ACTION, build_product
 from mitlplan.solver import (
     Policy,
+    SolverError,
     ValueIterationResult,
     extract_policy,
     policy_evaluation,
@@ -182,6 +183,13 @@ def test_policy_matches_value(case2_T3):
     pol = extract_policy(m, res.values)
     pv = policy_evaluation(m, pol)
     assert np.abs(pv - res.values).max() < 1e-8
+
+
+def test_policy_evaluation_that_does_not_converge_raises(case2_T3):
+    m, _ = case2_T3
+    pol = extract_policy(m, value_iteration(m).values)
+    with pytest.raises(SolverError, match="did not converge"):
+        policy_evaluation(m, pol, max_iter=1)
 
 
 def test_policy_evaluation_matches_the_full_backup_bit_for_bit(case2_T3):

@@ -17,6 +17,7 @@ from mitlplan.formula import (
     FormulaError,
     Geometric,
     Interval,
+    Not,
     Or,
     Until as until,
     eventually,
@@ -117,12 +118,12 @@ def test_advance_zero_identity(resetter):
     config = ("a", (3, 1, 0, 2))
     assert resetter.step_config(config, frozenset(), 0) == config
     r = run_dta(resetter, TimedWord.from_sets([set()]))
-    assert [values for _, values in r.trace] == [(0, 0, 0, 0)] * 2
+    assert [values for _, values in r.configs] == [(0, 0, 0, 0)] * 2
 
 
 def test_reset(resetter):
     config = resetter.step_config(("a", (2, 1, 3, 1)), frozenset({"r"}), 0)
-    assert resetter.clock_values(config) == (0, 1, 0, 1)
+    assert config == ("a", (0, 1, 0, 1))
 
 
 def test_reset_empty_identity(resetter):
@@ -139,7 +140,7 @@ def test_reset_idempotent(resetter):
 def test_advance_additive(resetter):
     # each symbol after the first adds one to every clock
     r = run_dta(resetter, TimedWord.from_sets([set()] * 6))
-    assert [values for _, values in r.trace] == \
+    assert [values for _, values in r.configs] == \
         [(0, 0, 0, 0)] + [(t,) * 4 for t in range(6)]
 
 
@@ -203,6 +204,10 @@ def test_canonical_sorts_and_dedupes():
     assert canonical(until(a, Or(b, TRUE))) == TRUE
     assert canonical(until(a, TRUE, Interval(1, 3))) == until(a, TRUE,
                                                               Interval(1, 3))
+    # the input is put in negation normal form first
+    assert canonical(Not(TRUE)) is FALSE
+    assert canonical(Not(Not(a))) is a
+    assert canonical(Not(And(a, Not(b)))) is Or(Not(a), b)
 
 
 def test_canonical_confluence_under_progress():
@@ -226,6 +231,9 @@ def test_progress_canonicalizes_its_input():
     # a distribution eventuality must be substituted first
     with pytest.raises(FormulaError):
         progress(Or(a, DistEventually("b", Geometric(0.5))), set())
+    # and a negation may stand only on an atom
+    with pytest.raises(FormulaError, match="negation over Until"):
+        progress(Not(eventually(a)), set())
 
 
 def _criterion_9_formulas(n):
@@ -348,7 +356,10 @@ def test_on_demand_automaton_runs_like_the_closure():
         d = ProgressionDta(f)
         for _ in range(4):
             w = TimedWord.from_sets(random_word(rng, atoms, 12))
-            assert run_dta(d, w) == run_dta(full, w), (pretty(f), w)
+            got, want = run_dta(d, w), run_dta(full, w)
+            assert got.accepted == want.accepted, (pretty(f), w)
+            assert [d.locations[c] for c in got.configs] == \
+                [full.locations[c] for c in want.configs], (pretty(f), w)
         assert d.location_count <= full.location_count
         d.close()
         assert sorted(map(pretty, d.locations)) == \
@@ -420,8 +431,8 @@ def test_oracle_reference_run(oracle):
     w = TimedWord.from_sets([set(), {"b1"}, set(), {"b3"}])
     r = run_dta(oracle, w)
     assert r.accepted
-    assert [loc for loc, _ in r.trace] == ["Init", "Init", "L1", "L1", "L3"]
-    assert r.trace[2] == ("L1", (0, 1, 0, 1))
+    assert [loc for loc, _ in r.configs] == ["Init", "Init", "L1", "L1", "L3"]
+    assert r.configs[2] == ("L1", (0, 1, 0, 1))
 
 
 def test_oracle_rejects_late_b3(oracle):
@@ -564,7 +575,7 @@ edge a [true] {p} -> c reset{}
     r = run_dta(d, TimedWord.from_sets([{"q"}, {"p"}]))
     # first symbol lacks p: falls into the reject location and stays there
     assert not r.accepted
-    assert r.trace[1][0] == "__reject__"
+    assert r.configs[1][0] == "__reject__"
 
 
 def test_invariant_forces_leave():
@@ -593,3 +604,4 @@ def test_dot_export(bus1_dta):
 def test_word_text_roundtrip():
     w = TimedWord.from_sets([set(), {"b1"}, {"b1", "b3"}])
     assert TimedWord.from_text(w.to_text()) == w
+    assert len(w) == 3
