@@ -7,8 +7,10 @@ robot component, the pending-event set, and the events that fired on entry
 (the latter feeds the labeling: the label of a successor reached with
 outcome e must show exactly e among the external events).
 
-Two concrete models: the grid world with slip dynamics and bouncing walls,
-and a generic explicit game read from a text file.
+A game is the integer tables of its reachable states (`Game`), compiled
+from one of two models: the grid world with slip dynamics and bouncing
+walls (`build_gridworld`), and a generic explicit game read from a text
+file (`load_game`).
 """
 
 from __future__ import annotations
@@ -45,27 +47,36 @@ class GameState:
 
 
 @dataclass(frozen=True, eq=False)
-class CompiledGame:
-    """The reachable states of a game as integer tables.
+class Game:
+    """A game as the integer tables of its reachable states.
 
     State ids are internal: the initial state has id 0, and nothing else
-    may depend on the numbering.  `Game._compile` numbers states in
-    breadth-first discovery order; the grid compile numbers them by cell
-    and event masks.  Row ``s * n_actions + a`` of the CSR arrays lists
+    may depend on the numbering.  `load_game` numbers states in
+    breadth-first discovery order; `build_gridworld` numbers them by cell
+    and event masks.  Row ``s * len(actions) + a`` of the CSR arrays lists
     the successors of state s under action a: for each outcome e in
-    `env_subsets` order, the rows of `Game.transitions` in their order.
-    Its entries are positive and each row sums to one; a successor reached
-    with outcome e has pending set ``s.pending - e`` and a label that shows
-    exactly e among the events.  The loader or the config of each game
-    makes these hold; `Game._compile` checks only the labels.
+    `env_subsets` order, the kernel's successors for (s, a, e) in their
+    order.  Its entries are positive and each row sums to one; a successor
+    reached with outcome e has pending set ``s.pending - e`` and a label
+    that shows exactly e among the events.  The loader or the config of
+    each game makes these hold; `load_game` checks only the labels.
     """
 
+    actions: tuple[str, ...]
+    events: tuple[str, ...]
     states: Sequence[GameState]          # state id -> state
     labels: tuple[frozenset[str], ...]   # label id -> label
     label_of: np.ndarray                 # state id -> label id
     row_ptr: np.ndarray
     succ: np.ndarray                     # successor state ids
     prob: np.ndarray
+
+    @property
+    def initial(self) -> GameState:
+        return self.states[0]
+
+    def enumerate_states(self) -> list[GameState]:
+        return list(self.states)
 
 
 def concat_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -77,76 +88,6 @@ def concat_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 KERNEL_TOL = 1e-12
-
-
-class Game:
-    """Interface for the product construction and the validators."""
-
-    actions: tuple[str, ...]
-    events: tuple[str, ...]
-    initial: GameState
-    _compiled: CompiledGame | None = None
-
-    def label(self, s: GameState) -> frozenset[str]:
-        raise NotImplementedError
-
-    def transitions(self, s: GameState, action: str, e: frozenset[str]):
-        """Successor distribution for (s, action, outcome e), as an ordered
-        list of (GameState, probability) with positive probabilities."""
-        raise NotImplementedError
-
-    def enumerate_states(self) -> list[GameState]:
-        return list(self.compiled().states)
-
-    def compiled(self) -> CompiledGame:
-        """The reachable game as integer tables, built on the first call
-        and cached on the game."""
-        if self._compiled is None:
-            self._compiled = self._compile()
-        return self._compiled
-
-    def _compile(self) -> CompiledGame:
-        events = set(self.events)
-        index = {self.initial: 0}
-        states = [self.initial]
-        label_index: dict[frozenset[str], int] = {}
-        label_of = []
-        shown = []          # the events each state's label shows
-
-        def add_label(s):
-            label = self.label(s)
-            label_of.append(label_index.setdefault(label, len(label_index)))
-            shown.append(label & events)
-
-        add_label(self.initial)
-        succ: list[int] = []
-        prob: list[float] = []
-        row_len: list[int] = []
-        for s in states:        # grows while it is walked: breadth first
-            outcomes = env_subsets(s.pending)
-            for a in self.actions:
-                start = len(succ)
-                for e in outcomes:
-                    for s2, p in self.transitions(s, a, e):
-                        j = index.get(s2)
-                        if j is None:
-                            j = index[s2] = len(states)
-                            states.append(s2)
-                            add_label(s2)
-                        if shown[j] != e:
-                            raise GameError(
-                                f"label of {s2.brief()} shows "
-                                f"{sorted(shown[j])}, outcome was {sorted(e)}")
-                        succ.append(j)
-                        prob.append(p)
-                row_len.append(len(succ) - start)
-        row_ptr = np.zeros(len(row_len) + 1, dtype=np.int64)
-        np.cumsum(row_len, out=row_ptr[1:])
-        return CompiledGame(
-            states=tuple(states), labels=tuple(label_index),
-            label_of=np.array(label_of, dtype=np.int64),
-            row_ptr=row_ptr, succ=np.array(succ, dtype=np.int64),
-            prob=np.array(prob, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -258,132 +199,111 @@ def _parse_cell(text, lineno):
     return (int(m.group(1)), int(m.group(2)))
 
 
-class GridWorld(Game):
-    """Slip-motion grid: intended direction with probability slip[0],
-    perpendicular left/right with slip[1]/slip[2]; hitting a wall stays.
-    It is compiled from arrays only; its `transitions`, the reference the
-    tests check `_compile` against, are in `tests/_oracles.py`."""
+def build_gridworld(cfg: GridWorldConfig) -> Game:
+    """The slip-motion grid of `cfg` as tables, compiled from arrays.
 
-    def __init__(self, cfg: GridWorldConfig):
-        self.cfg = cfg
-        self.actions = GRID_ACTIONS
-        self.events = tuple(name for name, _ in cfg.events)
-        # cell -> its stations, cells in order of first mention
-        self.station_at: dict[tuple[int, int], frozenset[str]] = {}
-        for atom, cell in cfg.stations:
-            self.station_at[cell] = self.base_label(cell) | {atom}
-        self.initial = GameState(cfg.start, frozenset(self.events),
-                                 frozenset())
+    The robot moves the intended way with probability slip[0], and to the
+    left or right of it with slip[1] or slip[2]; hitting a wall stays.  A
+    state is a cell ``x * height + y`` and a (pending, occurred) pair of
+    event masks.  The motion table over cells x actions is crossed with the
+    table of mask pairs, which depends only on the number of events.  Every
+    cell x pair is reachable from the start: outcomes lead from pair 0 (all
+    pending, none occurred) to every pair whatever the motion; the grid is
+    4-connected; and forward, left and right sum to 1, so for each
+    direction some action moves that way with positive probability.  So
+    state id i is ``pair * n_cells + cell`` minus the start's, modulo the
+    state count, and the start has id 0.  Each row lists the successors of
+    the state-at-a-time kernel in `tests/_oracles.py`, in its order, with
+    the same probabilities.  Nothing is checked, because the config leaves
+    nothing to fail: a row holds the slip parts, folded, zeros dropped, so
+    its entries are positive and sum to 1 up to rounding; with no station
+    named like an event, a label shows exactly the occurred events, which
+    are the outcome; and a successor's pending mask is its pair's by
+    construction.  The pending masks serve only to decode `GameState`s.
+    """
+    events = tuple(name for name, _ in cfg.events)
+    n_cells, n_actions = cfg.width * cfg.height, len(GRID_ACTIONS)
+    names = tuple(sorted(set(events)))
+    sets = mask_subsets(names)
+    move_cell, move_prob, move_len = _motion_table(cfg)
+    pair_pending, pair_occurred, out_ptr, out_len, out_pair = (
+        _event_mask_table(sets))
 
-    def base_label(self, cell) -> frozenset[str]:
-        return self.station_at.get(cell, frozenset())
+    n_states = len(pair_pending) * n_cells
+    start = cfg.start[0] * cfg.height + cfg.start[1]    # pair 0
+    pair, cell = np.divmod((np.arange(n_states) + start) % n_states,
+                           n_cells)
+    pending, occurred = pair_pending[pair], pair_occurred[pair]
+    states = _GridStates(cfg.height, cell, pending, occurred, sets)
 
-    def label(self, s: GameState) -> frozenset[str]:
-        return self.base_label(s.robot) | s.occurred
+    # labels: one id per (station label, occurred events), reached or not;
+    # station labels in order of the first mention of their cell
+    station_at: dict[tuple[int, int], frozenset[str]] = {}
+    for atom, at in cfg.stations:
+        station_at[at] = station_at.get(at, frozenset()) | {atom}
+    base_index = {frozenset(): 0}
+    station = np.zeros(n_cells, dtype=np.int64)
+    for (x, y), base in station_at.items():
+        station[x * cfg.height + y] = base_index.setdefault(
+            base, len(base_index))
+    labels = tuple(base | events for base in base_index for events in sets)
+    label_of = station[cell] << len(names) | occurred
 
-    def _compile(self) -> CompiledGame:
-        """`Game._compile` on whole arrays.
+    # rows: one block per (state, action, outcome), which holds the
+    # motion row of the (cell, action); filled one motion slot at a time
+    n_rows = n_states * n_actions
+    move_row = (cell[:, None] * n_actions + np.arange(n_actions)).ravel()
+    row_outs = out_len[np.repeat(pair, n_actions)]
+    block_row = np.repeat(np.arange(n_rows), row_outs)
+    block_out = concat_ranges(out_ptr[np.repeat(pair, n_actions)], row_outs)
+    block_move = move_row[block_row]
+    block_len = move_len[block_move]
+    block_start = np.cumsum(block_len) - block_len
+    block_pair = out_pair[block_out] * n_cells
+    succ = np.empty(block_start[-1] + block_len[-1], dtype=np.int64)
+    prob = np.empty(len(succ))
+    for k in range(move_cell.shape[1]):
+        has = np.flatnonzero(block_len > k)
+        at = block_start[has] + k
+        succ[at] = (block_pair[has] + move_cell[block_move[has], k]
+                    - start) % n_states
+        prob[at] = move_prob[block_move[has], k]
+    row_ptr = np.concatenate(([0], np.cumsum(move_len[move_row] * row_outs)))
+    return Game(GRID_ACTIONS, events, states, labels, label_of, row_ptr,
+                succ, prob)
 
-        A state is a cell ``x * height + y`` and a (pending, occurred) pair
-        of event masks.  The motion table over cells x actions is crossed
-        with the table of mask pairs, which depends only on the number of
-        events.  Every cell x pair is reachable from the start: outcomes
-        lead from pair 0 (all pending, none occurred) to every pair whatever
-        the motion; the grid is 4-connected; and forward, left and right
-        sum to 1, so for each direction some action moves that way with
-        positive probability.  So state id i is ``pair * n_cells + cell``
-        minus the start's, modulo the state count, and the start has id 0.
-        Each row lists the successors `Game._compile` lists over the
-        reference `transitions`, in its order, with the same probabilities.
-        It checks none of them, because its config leaves nothing to fail:
-        a row holds the slip parts, folded, zeros dropped, so its entries
-        are positive and sum to 1 up to rounding; with no station named like
-        an event, a label shows exactly the occurred events, which are the
-        outcome; and a successor's pending mask is its pair's by
-        construction.  The pending masks serve only to decode `GameState`s.
-        """
-        cfg = self.cfg
-        n_cells, n_actions = cfg.width * cfg.height, len(self.actions)
-        names = tuple(sorted(set(self.events)))
-        sets = mask_subsets(names)
-        move_cell, move_prob, move_len = self._motion_table()
-        pair_pending, pair_occurred, out_ptr, out_len, out_pair = (
-            _event_mask_table(sets))
 
-        n_states = len(pair_pending) * n_cells
-        start = cfg.start[0] * cfg.height + cfg.start[1]    # pair 0
-        pair, cell = np.divmod((np.arange(n_states) + start) % n_states,
-                               n_cells)
-        pending, occurred = pair_pending[pair], pair_occurred[pair]
-        states = _GridStates(cfg.height, cell, pending, occurred, sets)
-
-        # labels: one id per (station label, occurred events), reached or not
-        base_index = {frozenset(): 0}
-        station = np.zeros(n_cells, dtype=np.int64)
-        for (x, y), base in self.station_at.items():
-            station[x * cfg.height + y] = base_index.setdefault(
-                base, len(base_index))
-        labels = tuple(base | events for base in base_index for events in sets)
-        label_of = station[cell] << len(names) | occurred
-
-        # rows: one block per (state, action, outcome), which holds the
-        # motion row of the (cell, action); filled one motion slot at a time
-        n_rows = n_states * n_actions
-        move_row = (cell[:, None] * n_actions + np.arange(n_actions)).ravel()
-        row_outs = out_len[np.repeat(pair, n_actions)]
-        block_row = np.repeat(np.arange(n_rows), row_outs)
-        block_out = concat_ranges(out_ptr[np.repeat(pair, n_actions)],
-                                  row_outs)
-        block_move = move_row[block_row]
-        block_len = move_len[block_move]
-        block_start = np.cumsum(block_len) - block_len
-        block_pair = out_pair[block_out] * n_cells
-        succ = np.empty(block_start[-1] + block_len[-1], dtype=np.int64)
-        prob = np.empty(len(succ))
-        for k in range(move_cell.shape[1]):
-            has = np.flatnonzero(block_len > k)
-            at = block_start[has] + k
-            succ[at] = (block_pair[has] + move_cell[block_move[has], k]
-                        - start) % n_states
-            prob[at] = move_prob[block_move[has], k]
-        row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(move_len[move_row] * row_outs, out=row_ptr[1:])
-        return CompiledGame(states=states, labels=labels, label_of=label_of,
-                            row_ptr=row_ptr, succ=succ, prob=prob)
-
-    def _motion_table(self):
-        """The successor cell distribution of every (cell, action), wall
-        bounces folded in, in row ``cell * n_actions + a``:
-        up to three successor cells by increasing id, padded with -1, their
-        probabilities, and how many there are."""
-        cfg = self.cfg
-        n_cells = cfg.width * cfg.height
-        x, y = np.divmod(np.arange(n_cells), cfg.height)
-        dest = []
-        for a in self.actions:
-            for direction in (a, _LEFT[a], _RIGHT[a]):
-                dx, dy = _DIRS[direction]
-                nx, ny = x + dx, y + dy
-                inside = ((0 <= nx) & (nx < cfg.width)
-                          & (0 <= ny) & (ny < cfg.height))
-                dest.append(np.where(inside, nx * cfg.height + ny,
-                                     x * cfg.height + y))
-        dest = np.stack(dest, axis=1).reshape(-1, 3)
-        prob = np.tile(np.array(cfg.slip, dtype=np.float64), (len(dest), 1))
-        live = prob != 0.0
-        # a part that lands where an earlier part did adds its mass to that
-        # one, forward, left, right in turn
-        for k in (1, 2):
-            for j in range(k):
-                fold = live[:, j] & live[:, k] & (dest[:, j] == dest[:, k])
-                prob[fold, j] += prob[fold, k]
-                live[fold, k] = False
-        dest[~live] = -1
-        prob[~live] = 0.0
-        order = np.argsort(np.where(live, dest, n_cells), axis=1,
-                           kind="stable")
-        return (np.take_along_axis(dest, order, axis=1),
-                np.take_along_axis(prob, order, axis=1), live.sum(axis=1))
+def _motion_table(cfg: GridWorldConfig):
+    """The successor cell distribution of every (cell, action), wall
+    bounces folded in, in row ``cell * n_actions + a``:
+    up to three successor cells by increasing id, padded with -1, their
+    probabilities, and how many there are."""
+    n_cells = cfg.width * cfg.height
+    x, y = np.divmod(np.arange(n_cells), cfg.height)
+    dest = []
+    for a in GRID_ACTIONS:
+        for direction in (a, _LEFT[a], _RIGHT[a]):
+            dx, dy = _DIRS[direction]
+            nx, ny = x + dx, y + dy
+            inside = ((0 <= nx) & (nx < cfg.width)
+                      & (0 <= ny) & (ny < cfg.height))
+            dest.append(np.where(inside, nx * cfg.height + ny,
+                                 x * cfg.height + y))
+    dest = np.stack(dest, axis=1).reshape(-1, 3)
+    prob = np.tile(np.array(cfg.slip, dtype=np.float64), (len(dest), 1))
+    live = prob != 0.0
+    # a part that lands where an earlier part did adds its mass to that
+    # one, forward, left, right in turn
+    for k in (1, 2):
+        for j in range(k):
+            fold = live[:, j] & live[:, k] & (dest[:, j] == dest[:, k])
+            prob[fold, j] += prob[fold, k]
+            live[fold, k] = False
+    dest[~live] = -1
+    prob[~live] = 0.0
+    order = np.argsort(np.where(live, dest, n_cells), axis=1, kind="stable")
+    return (np.take_along_axis(dest, order, axis=1),
+            np.take_along_axis(prob, order, axis=1), live.sum(axis=1))
 
 
 def _event_mask_table(sets):
@@ -435,69 +355,85 @@ class _GridStates(Sequence):
         return s
 
 
-def build_gridworld(cfg: GridWorldConfig) -> GridWorld:
-    g = GridWorld(cfg)
-    g.compiled()
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Explicit games
 # ---------------------------------------------------------------------------
 
-class ExplicitGame(Game):
-    def __init__(self, actions, events, init_name, labels, kernel):
-        self.actions = tuple(actions)
-        self.events = tuple(events)
-        self._labels = labels
-        self._kernel = kernel
-        self._pending = self._derive_pending(init_name)
-        self.initial = self._mk(init_name)
-        if self._labels[init_name] & set(self.events):
-            raise GameError("initial label may not contain external events")
-        self.compiled()
+def _derive_pending(kernel, events, init_name) -> dict[str, frozenset[str]]:
+    """The pending set of each state the kernel reaches from `init_name`;
+    a state reached with two, or an outcome no longer pending, is an error."""
+    by_src: dict[str, list] = {}
+    for (src, _a, e), rows in kernel.items():
+        by_src.setdefault(src, []).append((e, rows))
+    pending = {init_name: frozenset(events)}
+    frontier = [init_name]
+    while frontier:
+        name = frontier.pop()
+        for e, rows in by_src.get(name, ()):
+            if not e <= pending[name]:
+                raise GameError(
+                    f"transition from {name!r} uses outcome {sorted(e)} "
+                    f"with events already occurred")
+            nxt = pending[name] - e
+            for dst, _p in rows:
+                if dst in pending:
+                    if pending[dst] != nxt:
+                        raise GameError(
+                            f"state {dst!r} reachable with conflicting "
+                            f"pending sets")
+                else:
+                    pending[dst] = nxt
+                    frontier.append(dst)
+    return pending
 
-    def _derive_pending(self, init_name) -> dict[str, frozenset[str]]:
-        by_src: dict[str, list] = {}
-        for (src, _a, e), rows in self._kernel.items():
-            by_src.setdefault(src, []).append((e, rows))
-        pending = {init_name: frozenset(self.events)}
-        frontier = [init_name]
-        while frontier:
-            name = frontier.pop()
-            for e, rows in by_src.get(name, ()):
-                if not e <= pending[name]:
+
+def _compile_explicit(actions, events, init_name, labels, kernel) -> Game:
+    """The states the kernel reaches from `init_name` as tables, numbered
+    breadth first: a state's successors are found action by action, outcome
+    by outcome (`env_subsets`), then in the order of the kernel's rows."""
+    pending = _derive_pending(kernel, events, init_name)
+    event_set = set(events)
+    if labels[init_name] & event_set:
+        raise GameError("initial label may not contain external events")
+
+    def state(name) -> GameState:
+        return GameState(name, pending[name], labels[name] & event_set)
+
+    index = {init_name: 0}
+    names = [init_name]
+    succ: list[int] = []
+    prob: list[float] = []
+    row_ptr = [0]
+    for name in names:      # grows while it is walked: breadth first
+        outcomes = env_subsets(pending[name])
+        for a in actions:
+            for e in outcomes:
+                rows = kernel.get((name, a, e))
+                if rows is None:
                     raise GameError(
-                        f"transition from {name!r} uses outcome {sorted(e)} "
-                        f"with events already occurred")
-                nxt = pending[name] - e
-                for dst, _p in rows:
-                    if dst in pending:
-                        if pending[dst] != nxt:
-                            raise GameError(
-                                f"state {dst!r} reachable with conflicting "
-                                f"pending sets")
-                    else:
-                        pending[dst] = nxt
-                        frontier.append(dst)
-        return pending
-
-    def _mk(self, name) -> GameState:
-        occurred = self._labels[name] & set(self.events)
-        return GameState(name, self._pending[name], occurred)
-
-    def label(self, s):
-        return frozenset(self._labels[s.robot])
-
-    def transitions(self, s, action, e):
-        rows = self._kernel.get((s.robot, action, e))
-        if rows is None:
-            raise GameError(
-                f"no transitions for ({s.robot!r}, {action!r}, {sorted(e)})")
-        return [(self._mk(dst), p) for dst, p in rows]
+                        f"no transitions for ({name!r}, {a!r}, {sorted(e)})")
+                for dst, p in rows:
+                    j = index.setdefault(dst, len(names))
+                    if j == len(names):
+                        names.append(dst)
+                    shown = labels[dst] & event_set
+                    if shown != e:
+                        raise GameError(
+                            f"label of {state(dst).brief()} shows "
+                            f"{sorted(shown)}, outcome was {sorted(e)}")
+                    succ.append(j)
+                    prob.append(p)
+            row_ptr.append(len(succ))
+    label_index: dict[frozenset[str], int] = {}
+    label_of = [label_index.setdefault(labels[name], len(label_index))
+                for name in names]
+    return Game(actions, events, tuple(map(state, names)),
+                tuple(label_index), np.array(label_of, dtype=np.int64),
+                np.array(row_ptr, dtype=np.int64),
+                np.array(succ, dtype=np.int64), np.array(prob))
 
 
-def load_game(text: str) -> ExplicitGame:
+def load_game(text: str) -> Game:
     """Parse the explicit game format.
 
     Directives::
@@ -583,5 +519,5 @@ def load_game(text: str) -> ExplicitGame:
         if abs(total - 1.0) > KERNEL_TOL:
             raise GameError(
                 f"row ({src!r}, {act!r}, {set(e) or '{}'}) sums to {total!r}")
-    actions = sorted(actions)
-    return ExplicitGame(actions, events, init_name, labels, kernel)
+    return _compile_explicit(tuple(sorted(actions)), tuple(events),
+                             init_name, labels, kernel)

@@ -17,19 +17,19 @@ then the order of the game's transition rows; each CSR row lists its
 successors by increasing index, a successor reached more than once
 carrying the sum of its weights in discovery order.
 
-`build_product` keeps that numbering with whole-array steps.  The game is
-compiled once to integer tables (`Game.compiled`) and the automaton is
-stepped once per (state, label) pair (`StepTable`, below); a progression
-automaton computes only the table entries those steps read, so its
-locations, the ``q<n>`` of `describe_spec_state`, are numbered in the
-order the product reaches them.  No product index depends on that
-numbering: `StepTable` ids follow first sight.  The search then
-expands one breadth-first layer at a time: every successor of the layer
-is packed into an int64 key ``sta_id * n_game + game_id``, looked up
-among the sorted keys of the known states, and the new keys get indices
-in order of first occurrence.  States are stored as the two id arrays
-`game_of` and `spec_of`; `ProductMdp.states` decodes a `ProductState`
-on access.
+`build_product` keeps that numbering with whole-array steps.  The game
+comes as integer tables (`Game`, what both loaders of `game_model`
+return) and the automaton is stepped once per (state, label) pair
+(`StepTable`, below); a progression automaton computes only the table
+entries those steps read, so its locations, the ``q<n>`` of
+`describe_spec_state`, are numbered in the order the product reaches
+them.  No product index depends on that numbering: `StepTable` ids
+follow first sight.  The search then expands one breadth-first layer at
+a time: every successor of the layer is packed into an int64 key
+``sta_id * n_game + game_id``, looked up among the sorted keys of the
+known states, and the new keys get indices in order of first
+occurrence.  States are stored as the two id arrays `game_of` and
+`spec_of`; `ProductMdp.states` decodes a `ProductState` on access.
 """
 
 from __future__ import annotations
@@ -73,14 +73,14 @@ class ProductStates(Sequence):
 
     def __getitem__(self, z: int) -> ProductState:
         m = self._m
-        return ProductState(m.compiled.states[m.game_of[z]],
+        return ProductState(m.game.states[m.game_of[z]],
                             m.spec_states[m.spec_of[z]])
 
 
 class ProductMdp:
     """Explicit reachable product with CSR transition storage.
 
-    State z pairs game state ``compiled.states[game_of[z]]`` with automaton
+    State z pairs game state ``game.states[game_of[z]]`` with automaton
     state ``spec_states[spec_of[z]]``.  Row r = z * n_actions + a holds the
     successor distribution of state z under action a.  `accepting` and
     `sink` are disjoint absorbing classes; each of their rows is a unit
@@ -92,7 +92,6 @@ class ProductMdp:
                  spec_of, row_ptr, cols, probs, accepting, sink):
         self.game = game
         self.sta = sta
-        self.compiled = game.compiled()
         self.spec_states = tuple(spec_states)
         self.game_of = game_of
         self.spec_of = spec_of
@@ -154,7 +153,7 @@ class ProductMdp:
         lines.append(f"# states {self.n_states} actions {self.n_actions} "
                      f"edges {self.n_edges}")
         lines.append(f"init {self.z0}")
-        game_text = [s.brief() for s in self.compiled.states]
+        game_text = [s.brief() for s in self.game.states]
         spec_text = [describe_spec_state(q) for q in self.spec_states]
         for z, (g, q, acc, sink) in enumerate(zip(
                 self.game_of.tolist(), self.spec_of.tolist(),
@@ -277,12 +276,11 @@ def build_product(game: Game, tsta: StaModel,
         raise ProductError(
             f"event sets differ: game {sorted(game.events)} vs "
             f"automaton {sorted(tsta.event_names)}")
-    g = game.compiled()
     # the initial label holds no event, so `initial` has probability one
-    q0, _ = tsta.initial(g.labels[g.label_of[0]])
-    table = StepTable(tsta, g.labels)
+    q0, _ = tsta.initial(game.labels[game.label_of[0]])
+    table = StepTable(tsta, game.labels)
     table.intern(q0)
-    n_game = len(g.states)
+    n_game = len(game.states)
     n_actions = len(game.actions)
     index = _KeyIndex()
     game_of = [np.zeros(1, dtype=np.int64)]
@@ -295,7 +293,7 @@ def build_product(game: Game, tsta: StaModel,
         # expand states lo..hi-1, the last ones numbered
         z = np.arange(lo, hi)
         live = ~(table.accepting | table.sink)[spec_of[-1]]
-        row, s2, q2, p = _live_successors(g, table, n_actions, z[live],
+        row, s2, q2, p = _live_successors(game, table, n_actions, z[live],
                                           game_of[-1][live],
                                           spec_of[-1][live])
         succ, new_keys = index.number(q2 * n_game + s2, hi)

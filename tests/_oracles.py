@@ -7,8 +7,10 @@
   as a formula and then put in a canonical form computed from clause sets
   directly, which the progression memo of `ProgressionDta` must
   reproduce;
-- the grid world one state at a time (`ReferenceGrid`), which
-  `Game._compile` walks to check the array compile of `GridWorld`;
+- the grid world one state at a time (`ReferenceGrid`), and the
+  breadth-first compile of such a kernel (`compile_one_at_a_time`) that
+  the array compile `build_gridworld` and the explicit compile of
+  `load_game` must reproduce;
 - the state-at-a-time product construction that the array-based one must
   reproduce;
 - scalar loops that the numpy Bellman sweep of `mitlplan.solver` and the
@@ -52,9 +54,11 @@ from mitlplan.game_model import (
     _DIRS,
     _LEFT,
     _RIGHT,
+    GRID_ACTIONS,
+    Game,
     GameError,
     GameState,
-    GridWorld,
+    build_gridworld,
 )
 from mitlplan.product_mdp import ProductError, ProductMdp, ProductState
 from mitlplan.stochastic_ta import StaError, StaModel
@@ -241,20 +245,22 @@ class ReferenceProgression:
         raise TypeError(f"unsupported node {type(g).__name__}")
 
 
-def reference_product(game, tsta, cap: int = 2_000_000) -> ProductMdp:
+def reference_product(kernel, tsta, cap: int = 2_000_000) -> ProductMdp:
     """Forward-reachable product construction, one state at a time: the
-    dictionary-keyed search that `build_product` must agree with.
+    dictionary-keyed search that `build_product` must agree with.  It
+    walks a state-at-a-time `kernel` (`ReferenceGrid` or `TableKernel`)
+    and numbers game states as the tables ``kernel.game`` do.
 
     The automaton consumes the label of the successor game state with a
     unit advance; the initial automaton state consumes the initial label
     with zero elapsed time and probability one.
     """
-    if set(game.events) != set(tsta.event_names):
+    if set(kernel.events) != set(tsta.event_names):
         raise ProductError(
-            f"event sets differ: game {sorted(game.events)} vs "
+            f"event sets differ: game {sorted(kernel.events)} vs "
             f"automaton {sorted(tsta.event_names)}")
-    s0 = game.initial
-    q0, p0 = tsta.initial(game.label(s0))
+    s0 = kernel.initial
+    q0, p0 = tsta.initial(kernel.label(s0))
     if p0 != 1.0:
         raise ProductError("initial label claims an external event")
     z0 = ProductState(s0, q0)
@@ -281,14 +287,14 @@ def reference_product(game, tsta, cap: int = 2_000_000) -> ProductMdp:
         expanded += 1
         if (ps.spec.sink or tsta.is_accepting(ps.spec)
                 or tsta.is_rejecting(ps.spec)):
-            for _ in game.actions:
+            for _ in kernel.actions:
                 rows.append([(z, 1.0)])
             continue
-        for action in game.actions:
+        for action in kernel.actions:
             acc: dict[int, float] = {}
             for e in env_subsets(ps.game.pending):
-                for s2, pg in game.transitions(ps.game, action, e):
-                    q2, pq = tsta.step(ps.spec, game.label(s2))
+                for s2, pg in kernel.transitions(ps.game, action, e):
+                    q2, pq = tsta.step(ps.spec, kernel.label(s2))
                     p = pg * pq
                     if p <= 0.0:
                         continue
@@ -299,7 +305,7 @@ def reference_product(game, tsta, cap: int = 2_000_000) -> ProductMdp:
                     f"state {z} action {action!r} has no successors")
             rows.append(sorted(acc.items()))
 
-    n_actions = len(game.actions)
+    n_actions = len(kernel.actions)
     n_rows = len(states) * n_actions
     assert len(rows) == n_rows
     row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
@@ -319,24 +325,36 @@ def reference_product(game, tsta, cap: int = 2_000_000) -> ProductMdp:
             sink[z] = True
         elif tsta.is_accepting(ps.spec):
             accepting[z] = True
-    compiled = game.compiled()
-    game_id = {s: i for i, s in enumerate(compiled.states)}
+    game_id = {s: i for i, s in enumerate(kernel.game.states)}
     spec_states = list(dict.fromkeys(ps.spec for ps in states))
     spec_id = {q: i for i, q in enumerate(spec_states)}
     game_of = np.array([game_id[ps.game] for ps in states], dtype=np.int64)
     spec_of = np.array([spec_id[ps.spec] for ps in states], dtype=np.int64)
-    return ProductMdp(game, tsta, spec_states, game_of, spec_of, row_ptr,
-                      cols, probs, accepting, sink)
+    return ProductMdp(kernel.game, tsta, spec_states, game_of, spec_of,
+                      row_ptr, cols, probs, accepting, sink)
 
 
 # ---------------------------------------------------------------------------
 # The grid world one state at a time
 # ---------------------------------------------------------------------------
 
-class ReferenceGrid(GridWorld):
-    """`GridWorld` with the state-at-a-time kernel that its array compile
-    must reproduce: `Game._compile` over `transitions` gives the same
-    states, labels and rows as `GridWorld._compile`, up to the ids."""
+class ReferenceGrid:
+    """The grid of a `GridWorldConfig` one state at a time: the kernel
+    whose breadth-first compile (`compile_one_at_a_time`) gives the same
+    states, labels and rows as `build_gridworld`, up to the ids.  `game`
+    is that array compile."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.actions = GRID_ACTIONS
+        self.events = tuple(name for name, _ in cfg.events)
+        self.initial = GameState(cfg.start, frozenset(self.events),
+                                 frozenset())
+        self.game = build_gridworld(cfg)
+
+    def label(self, s: GameState) -> frozenset[str]:
+        return frozenset(atom for atom, cell in self.cfg.stations
+                         if cell == s.robot) | s.occurred
 
     def motion(self, cell, action):
         """Successor cell distribution, wall bounces folded in."""
@@ -354,6 +372,8 @@ class ReferenceGrid(GridWorld):
         return sorted(accum.items())
 
     def transitions(self, s, action, e):
+        """Successor distribution for (s, action, outcome e), as an ordered
+        list of (GameState, probability) with positive probabilities."""
         if action not in self.actions:
             raise GameError(f"unknown action {action!r}")
         if not e <= s.pending:
@@ -363,11 +383,76 @@ class ReferenceGrid(GridWorld):
                 for cell, p in self.motion(s.robot, action)]
 
 
-def reference_grid(cfg) -> ReferenceGrid:
-    """`build_gridworld` for a `ReferenceGrid`."""
-    g = ReferenceGrid(cfg)
-    g.compiled()
-    return g
+class TableKernel:
+    """The tables of a game read one state at a time: the successors of
+    (s, action, outcome e) are the entries of the row of (s, action) whose
+    state shows e as its occurred events."""
+
+    def __init__(self, game: Game):
+        self.game = game
+        self.actions, self.events = game.actions, game.events
+        self.initial = game.initial
+        self._id = {s: i for i, s in enumerate(game.states)}
+
+    def label(self, s: GameState) -> frozenset[str]:
+        return self.game.labels[self.game.label_of[self._id[s]]]
+
+    def transitions(self, s, action, e):
+        g = self.game
+        r = self._id[s] * len(self.actions) + self.actions.index(action)
+        entries = range(g.row_ptr[r], g.row_ptr[r + 1])
+        return [(g.states[g.succ[k]], float(g.prob[k])) for k in entries
+                if g.states[g.succ[k]].occurred == e]
+
+
+def compile_one_at_a_time(kernel) -> Game:
+    """The states a state-at-a-time kernel reaches, as tables: numbered in
+    breadth-first discovery order, a state's successors listed action by
+    action, outcome by outcome (`env_subsets`), then in the order of
+    `kernel.transitions`; it checks that each successor's label shows
+    exactly the outcome among the events."""
+    events = set(kernel.events)
+    index = {kernel.initial: 0}
+    states = [kernel.initial]
+    label_index: dict[frozenset[str], int] = {}
+    label_of = []
+    shown = []          # the events each state's label shows
+
+    def add_label(s):
+        label = kernel.label(s)
+        label_of.append(label_index.setdefault(label, len(label_index)))
+        shown.append(label & events)
+
+    add_label(kernel.initial)
+    succ: list[int] = []
+    prob: list[float] = []
+    row_len: list[int] = []
+    for s in states:        # grows while it is walked: breadth first
+        outcomes = env_subsets(s.pending)
+        for a in kernel.actions:
+            start = len(succ)
+            for e in outcomes:
+                for s2, p in kernel.transitions(s, a, e):
+                    j = index.get(s2)
+                    if j is None:
+                        j = index[s2] = len(states)
+                        states.append(s2)
+                        add_label(s2)
+                    if shown[j] != e:
+                        raise GameError(
+                            f"label of {s2.brief()} shows "
+                            f"{sorted(shown[j])}, outcome was {sorted(e)}")
+                    succ.append(j)
+                    prob.append(p)
+            row_len.append(len(succ) - start)
+    row_ptr = np.zeros(len(row_len) + 1, dtype=np.int64)
+    np.cumsum(row_len, out=row_ptr[1:])
+    return Game(
+        actions=tuple(kernel.actions), events=tuple(kernel.events),
+        states=tuple(states), labels=tuple(label_index),
+        label_of=np.array(label_of, dtype=np.int64),
+        row_ptr=row_ptr, succ=np.array(succ, dtype=np.int64),
+        prob=np.array(prob, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

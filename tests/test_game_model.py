@@ -5,7 +5,6 @@ import pytest
 
 from mitlplan.formula import EventSet, Geometric, env_subsets, parse
 from mitlplan.game_model import (
-    Game,
     GameError,
     GameState,
     GridWorldConfig,
@@ -15,29 +14,37 @@ from mitlplan.game_model import (
     parse_gridworld_config,
 )
 
-from _oracles import reference_grid
+from _oracles import ReferenceGrid, compile_one_at_a_time
 from conftest import DATA, THREE_BUS, grid_config
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return reference_grid(grid_config(
+    return ReferenceGrid(grid_config(
         (("b1", Geometric(0.8)), ("b2", Geometric(0.3)))))
 
 
+def label_of(game, s):
+    ids = {t: i for i, t in enumerate(game.states)}
+    return game.labels[game.label_of[ids[s]]]
+
+
 def test_grid_basics(grid):
-    assert grid.actions == ("N", "W", "E", "S")
-    assert grid.events == ("b1", "b2")
-    assert grid.initial.robot == (0, 0)
-    assert grid.initial.pending == {"b1", "b2"}
-    assert grid.label(grid.initial) == frozenset()
+    game = grid.game
+    assert game.actions == grid.actions == ("N", "W", "E", "S")
+    assert game.events == grid.events == ("b1", "b2")
+    assert game.initial == grid.initial
+    assert game.initial.robot == (0, 0)
+    assert game.initial.pending == {"b1", "b2"}
+    assert label_of(game, game.initial) == frozenset() == \
+        grid.label(grid.initial)
 
 
 def test_grid_station_labels(grid):
     s = GameState((0, 3), frozenset(), frozenset())
-    assert grid.label(s) == {"b3"}
+    assert label_of(grid.game, s) == grid.label(s) == {"b3"}
     s2 = GameState((0, 3), frozenset(), frozenset({"b1"}))
-    assert grid.label(s2) == {"b3", "b1"}
+    assert label_of(grid.game, s2) == grid.label(s2) == {"b3", "b1"}
 
 
 def test_grid_motion_interior(grid):
@@ -68,7 +75,7 @@ def test_grid_rows_sum_to_one(grid):
 def test_deterministic_slip_singleton():
     cfg = GridWorldConfig(4, 4, (0, 0), (("b3", (0, 3)),),
                           (("b1", Geometric(0.5)),), (1.0, 0.0, 0.0))
-    g = reference_grid(cfg)
+    g = ReferenceGrid(cfg)
     assert g.motion((1, 1), "N") == [((1, 2), 1.0)]
 
 
@@ -82,7 +89,8 @@ def test_grid_transitions_track_outcomes(grid):
 
 
 def test_grid_validate_passes(grid):
-    grid.compiled()
+    # the reference compile checks every successor's label
+    assert len(compile_one_at_a_time(grid).states) == 16 * 9
 
 
 def test_enabled_env_actions(grid):
@@ -141,22 +149,26 @@ def test_parse_grid_config_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# the array compile of a grid against the state-at-a-time `Game._compile`
+# the array compile of a grid against the state-at-a-time compile
 # ---------------------------------------------------------------------------
 
-def assert_same_compile(grid):
-    got = grid.compiled()
-    want = Game._compile(grid)
-    n, n_actions = len(want.states), len(grid.actions)
-    assert got.states[0] == want.states[0] == grid.initial
+def assert_same_compile(got, want, key=lambda s: s):
+    """`got` and `want` hold the same states, labels and rows, up to the
+    state ids and the order of the actions; `key` maps a state of `got`
+    to the state of `want` it stands for."""
+    n = len(want.states)
+    assert got.events == want.events
+    assert key(got.states[0]) == want.states[0]
     assert len(got.states) == n
-    got_id = {s: i for i, s in enumerate(got.states)}
+    got_id = {key(s): i for i, s in enumerate(got.states)}
     assert set(got_id) == set(want.states)
     perm = np.array([got_id[s] for s in want.states])   # want id -> got id
     assert ([got.labels[i] for i in got.label_of[perm]]
             == [want.labels[i] for i in want.label_of])
     # the rows of `got` in the order of the rows of `want`
-    rows = (perm[:, None] * n_actions + np.arange(n_actions)).ravel()
+    assert sorted(got.actions) == sorted(want.actions)
+    act = np.array([got.actions.index(a) for a in want.actions])
+    rows = (perm[:, None] * len(act) + act).ravel()
     count = np.diff(got.row_ptr)[rows]
     assert np.array_equal(count, np.diff(want.row_ptr))
     entry = concat_ranges(got.row_ptr[rows], count)
@@ -216,12 +228,14 @@ COMPILE_CASES = {
 
 @pytest.mark.parametrize("case", COMPILE_CASES)
 def test_array_compile_matches_game_compile(case):
-    assert_same_compile(reference_grid(COMPILE_CASES[case]()))
+    grid = ReferenceGrid(COMPILE_CASES[case]())
+    assert_same_compile(grid.game, compile_one_at_a_time(grid))
 
 
 def test_grid_reaches_every_cell_and_event_pair():
     # the array compile numbers all cells x 3^k (pending, occurred) pairs
-    # without a search; `Game._compile` searches and must find as many
+    # without a search; `compile_one_at_a_time` searches and must find as
+    # many
     rng = random.Random(5)
     shapes = [(1, 1), (1, 6), (6, 1), (1, 2), (2, 2), (3, 4), (5, 3)]
     slips = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
@@ -235,19 +249,50 @@ def test_grid_reaches_every_cell_and_event_pair():
         events = tuple((f"b{j}", Geometric(0.5)) for j in range(k))
         cfg = GridWorldConfig(width, height, rng.choice(cells), stations,
                               events, rng.choice(slips))
-        grid = reference_grid(cfg)
-        n = len(grid.compiled().states)
+        grid = ReferenceGrid(cfg)
+        n = len(grid.game.states)
         assert n == width * height * 3 ** k, cfg
-        assert n == len(Game._compile(grid).states), cfg
+        assert n == len(compile_one_at_a_time(grid).states), cfg
 
 
 def test_grid_states_decode_once():
     grid = build_gridworld(COMPILE_CASES["case1"]())
-    states = grid.compiled().states
+    states = grid.states
     assert states[5] is states[5]
     assert grid.enumerate_states() == list(states)
     with pytest.raises(IndexError):
         states[len(states)]
+
+
+def explicit_text(grid, states):
+    """`grid` written out as an explicit game over `states`, state i
+    named ``s<i>``."""
+    name = {s: f"s{i}" for i, s in enumerate(states)}
+    lines = [f"states {' '.join(name.values())}",
+             f"actions {' '.join(grid.actions)}",
+             f"events {' '.join(grid.events)}",
+             f"init {name[grid.initial]}"]
+    for s in states:
+        lines.append(f"label {name[s]}: {' '.join(sorted(grid.label(s)))}")
+        for a in grid.actions:
+            for e in env_subsets(s.pending):
+                for s2, p in grid.transitions(s, a, e):
+                    lines.append(f"trans {name[s]} {a} {{{','.join(sorted(e))}}}"
+                                 f" -> {name[s2]} : {p!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("case", COMPILE_CASES)
+def test_explicit_compile_matches_game_compile(case):
+    grid = ReferenceGrid(COMPILE_CASES[case]())
+    want = compile_one_at_a_time(grid)
+    got = load_game(explicit_text(grid, want.states))
+
+    def key(s):     # the grid state that s<i> stands for
+        return GameState(want.states[int(s.robot[1:])].robot, s.pending,
+                         s.occurred)
+
+    assert_same_compile(got, want, key)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +305,9 @@ def test_load_toy_game():
     assert g.events == ("b",)
     assert g.initial.robot == "h0"
     assert g.initial.pending == {"b"}
-    g.compiled()
+    assert g.initial is g.states[0]
+    assert len(g.row_ptr) == len(g.states) * len(g.actions) + 1
+    assert (np.diff(g.row_ptr) > 0).all()
 
 
 def test_load_game_bad_row_sum():

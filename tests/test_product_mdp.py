@@ -22,8 +22,15 @@ from mitlplan.product_mdp import (
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import ProgressionDta, build_dta
 
-from _oracles import ReferenceGrid, reference_grid, reference_product
-from conftest import DATA, BUS_CASE1, BUS_CASE2, THREE_BUS, build_case
+from _oracles import ReferenceGrid, TableKernel, reference_product
+from conftest import (
+    DATA,
+    BUS_CASE1,
+    BUS_CASE2,
+    THREE_BUS,
+    build_case,
+    grid_config,
+)
 from test_game_model import config_with_events, random_grid_config
 
 
@@ -79,7 +86,7 @@ def test_reward_on_entry_only(case1_T3):
 
 def test_marginalization_recovers_game_kernel(case1_T3):
     m, _ = case1_T3
-    game, sta = ReferenceGrid(m.game.cfg), m.sta
+    game, sta = ReferenceGrid(grid_config(m.sta.events.entries)), m.sta
     checked = 0
     for z in range(m.n_states):
         if m.absorbing[z]:
@@ -130,9 +137,9 @@ def test_no_pending_events_reduces_to_game_kernel():
     u = EventSet.from_formula(f)
     ts = truncate(StaModel(build_dta(substitute_dist(f)), u),
                   uniform_truncation_vector(f, u, 0))
-    game = reference_grid(GridWorldConfig(
+    game = ReferenceGrid(GridWorldConfig(
         2, 2, (0, 0), (("goal", (1, 1)),), ()))
-    m = build_product(game, ts)
+    m = build_product(game.game, ts)
     for z in range(m.n_states):
         if m.absorbing[z]:
             continue
@@ -207,14 +214,15 @@ def truncated(formula_text, T):
 
 def grid_inputs(formula_text, T, width, height, start, stations, slip):
     u, tsta = truncated(formula_text, T)
-    game = reference_grid(GridWorldConfig(width, height, start, stations,
-                                          tuple(u.entries), slip))
-    return game, tsta
+    grid = ReferenceGrid(GridWorldConfig(width, height, start, stations,
+                                         tuple(u.entries), slip))
+    return grid, tsta
 
 
 def toy_inputs(T, game_text=None):
     _, tsta = truncated(TOY, T)
-    return load_game(game_text or (DATA / "toy.game").read_text()), tsta
+    game = load_game(game_text or (DATA / "toy.game").read_text())
+    return TableKernel(game), tsta
 
 
 def random_grid_inputs(seed, max_bus=2):
@@ -259,9 +267,9 @@ PRODUCT_CASES = {
 
 @pytest.mark.parametrize("case", PRODUCT_CASES)
 def test_build_matches_reference(case):
-    game, tsta = PRODUCT_CASES[case]()
-    got = build_product(game, tsta)
-    want = reference_product(game, tsta)
+    kernel, tsta = PRODUCT_CASES[case]()
+    got = build_product(kernel.game, tsta)
+    want = reference_product(kernel, tsta)
     assert got.to_text() == want.to_text()
     for name in ("row_ptr", "cols", "accepting", "sink"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -287,7 +295,8 @@ SYNC_CASES = {
     "case2": lambda: grid_file_inputs("case2.grid", BUS_CASE2),
     "three-bus": lambda: grid_file_inputs("three_bus.grid", THREE_BUS),
     "no-slip": lambda: grid_file_inputs("no_slip.grid", BUS_CASE1),
-    "toy": lambda: toy_inputs(3),
+    "toy": lambda: (load_game((DATA / "toy.game").read_text()),
+                    truncated(TOY, 3)[1]),
     **{f"random-{seed}": (lambda seed=seed: random_config_inputs(seed))
        for seed in range(12)},
 }
@@ -351,7 +360,8 @@ def _spec_formulas(m):
 
 @pytest.mark.parametrize("case", ON_DEMAND_CASES)
 def test_on_demand_automaton_gives_the_same_product(case):
-    game, tsta = ON_DEMAND_CASES[case]()
+    kernel, tsta = ON_DEMAND_CASES[case]()
+    game = kernel.game
     want = build_product(game, tsta)
     init = tsta.dta.locations[tsta.dta.init_index]
     lazy = truncate(StaModel(ProgressionDta(init), tsta.events), tsta.trunc)
