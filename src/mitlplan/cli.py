@@ -461,6 +461,8 @@ def _positive_float(text):
             f"expected a number, got {text!r}") from None
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if value == float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 

@@ -416,6 +416,12 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"true", "false", "U", "F"}
 
+# the deepest nesting `parse` accepts: parenthesized or operand levels, and
+# nodes on a path of the formula; the parser spends up to 4 stack frames per
+# level, `pretty` 3, and the other walks over formulas at most 2
+MAX_FORMULA_DEPTH = 200
+_TOO_DEEP = f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
+
 
 class _Token:
     __slots__ = ("kind", "text", "line", "col")
@@ -495,34 +501,39 @@ class _Parser:
         return tok
 
     def parse(self):
-        f = self.parse_or()
+        f = self.parse_or(0)
         tok = self.peek()
         if tok.kind != "eof":
             self.error(f"unexpected trailing input {tok.text!r}")
+        if _height(f) > MAX_FORMULA_DEPTH:
+            raise FormulaError(_TOO_DEEP)
         return f
 
-    def parse_or(self):
-        f = self.parse_and()
+    # `depth` counts the operands and parentheses the text has opened
+    # around the one being parsed; past MAX_FORMULA_DEPTH it is refused
+    # before this parser recurses any further
+    def parse_or(self, depth):
+        f = self.parse_and(depth)
         while self.peek().kind == "sym" and self.peek().text == "|":
             self.next()
-            f = Or(f, self.parse_and())
+            f = Or(f, self.parse_and(depth))
         return f
 
-    def parse_and(self):
-        f = self.parse_until()
+    def parse_and(self, depth):
+        f = self.parse_until(depth)
         while self.peek().kind == "sym" and self.peek().text == "&":
             self.next()
-            f = And(f, self.parse_until())
+            f = And(f, self.parse_until(depth))
         return f
 
-    def parse_until(self):
-        f = self.parse_unary()
+    def parse_until(self, depth):
+        f = self.parse_unary(depth)
         tok = self.peek()
         if tok.kind == "ident" and tok.text == "U":
             self.next()
             interval = self.parse_bound_opt()
             # right associative: a U b U c == a U (b U c)
-            return Until(f, self.parse_until(), interval)
+            return Until(f, self.parse_until(depth + 1), interval)
         return f
 
     def parse_bound_opt(self):
@@ -550,14 +561,16 @@ class _Parser:
             self.error(f"expected integer, found {tok.text!r}", tok)
         return int(tok.text)
 
-    def parse_unary(self):
+    def parse_unary(self, depth):
         tok = self.peek()
+        if depth > MAX_FORMULA_DEPTH:
+            self.error(_TOO_DEEP)
         if tok.kind == "sym" and tok.text == "!":
             self.next()
-            return Not(self.parse_unary())
+            return Not(self.parse_unary(depth + 1))
         if tok.kind == "sym" and tok.text == "(":
             self.next()
-            f = self.parse_or()
+            f = self.parse_or(depth + 1)
             self.expect_sym(")")
             return f
         if tok.kind == "dist":
@@ -581,7 +594,7 @@ class _Parser:
                 self.next()
                 interval = self.parse_bound_opt()
                 # the operand may chain an until: F a U b == F (a U b)
-                return eventually(self.parse_until(), interval)
+                return eventually(self.parse_until(depth + 1), interval)
             if tok.text == "U":
                 self.error("until operator needs a left operand", tok)
             self.next()
@@ -590,8 +603,23 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text into an AST.  Inverse of :func:`pretty`."""
+    """Parse formula text into an AST.  Inverse of :func:`pretty`.
+
+    A formula nested deeper than `MAX_FORMULA_DEPTH` is refused, so that
+    no walk of the parser or of the modules that read formulas recurses
+    past Python's default recursion limit of 1000 frames."""
     return _Parser(_tokenize(text)).parse()
+
+
+def _height(f: Formula) -> int:
+    """The number of nodes on the longest path from `f` to a leaf, found
+    without recursion: in reversed pre-order, children precede parents."""
+    height: dict[Formula, int] = {}
+    for g in reversed(list(subformulas(f))):
+        children = (getattr(g, name) for name in type(g).__slots__)
+        height[g] = 1 + max((height[c] for c in children
+                             if isinstance(c, Formula)), default=0)
+    return height[f]
 
 
 # ---------------------------------------------------------------------------
@@ -714,33 +742,34 @@ def validate_fragment(f: Formula, u: EventSet) -> ValidationReport:
     nf = normalize(f)
     event_uses: dict[str, int] = {}
 
+    def use(d):
+        if d.event not in u:
+            report.violations.append(
+                f"distribution eventuality operand {d.event!r} is not a declared event")
+        event_uses[d.event] = event_uses.get(d.event, 0) + 1
+
     def walk(g, negated):
         if isinstance(g, Not):
             inner = g.operand
             if isinstance(inner, Atom):
                 return
             if isinstance(inner, DistEventually):
+                # one fault, reported once: not again as "under negation"
                 report.violations.append(
                     f"negated distribution eventuality on {inner.event!r}")
-                walk(inner, True)
+                use(inner)
                 return
             report.violations.append(
                 f"negation over {type(inner).__name__} leaves the co-safety fragment")
             walk(inner, True)
-        elif isinstance(g, (And, Or)):
-            walk(g.left, negated)
-            walk(g.right, negated)
-        elif isinstance(g, Until):
+        elif isinstance(g, (And, Or, Until)):
             walk(g.left, negated)
             walk(g.right, negated)
         elif isinstance(g, DistEventually):
             if negated:
                 report.violations.append(
                     f"distribution eventuality on {g.event!r} under negation")
-            if g.event not in u:
-                report.violations.append(
-                    f"distribution eventuality operand {g.event!r} is not a declared event")
-            event_uses[g.event] = event_uses.get(g.event, 0) + 1
+            use(g)
 
     walk(nf, False)
     for name in u.names:

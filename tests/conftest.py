@@ -21,6 +21,15 @@ THREE_BUS = ("D{geom:0.6} b1 & F (b1 & F[0,2] s1) | "
              "D{geom:0.62} b2 & F (b2 & F[0,4] s2) | "
              "D{geom:0.6} b3 & F (b3 & F[0,3] s3)")
 
+# formula texts nested exactly n levels deep (`formula.MAX_FORMULA_DEPTH`)
+DEEP_FORMULAS = {
+    # `a` inside n - 1 parentheses and the F
+    "parentheses": lambda n: ("(" * (n - 1) + "F a" + ")" * (n - 1)
+                              + " & D{geom:0.5} b"),
+    # n - 2 conjunctions over `F a`, so n nodes from the root to `a`
+    "conjunction": lambda n: "F a & " * (n - 2) + "D{geom:0.5} b",
+}
+
 
 def grid_config(events):
     return GridWorldConfig(4, 4, (0, 0),

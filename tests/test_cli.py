@@ -9,11 +9,12 @@ import pytest
 import mitlplan
 from mitlplan import cli
 from mitlplan.cli import build_model, build_parser, main
+from mitlplan.formula import MAX_FORMULA_DEPTH
 from mitlplan.product_mdp import ProductError
 from mitlplan.simulator import default_max_steps
 from mitlplan.solver import value_iteration
 
-from conftest import DATA, BUS_CASE1, BUS_CASE2, THREE_BUS
+from conftest import DATA, BUS_CASE1, BUS_CASE2, DEEP_FORMULAS, THREE_BUS
 
 
 def run(capsys, *argv):
@@ -168,6 +169,10 @@ def test_simulate_rejects_malformed_policy(tmp_path, capsys,
 @pytest.mark.parametrize("command, option, value", [
     ("simulate", "-n", "0"),
     ("plan", "--tol", "0"),
+    # one sweep would pass any residual, for a value of 0.0
+    ("plan", "--tol", "inf"),
+    ("plan", "--tol", "1e309"),
+    ("bench", "--tol", "inf"),
     ("plan", "--max-iter", "0"),
     ("simulate", "--max-steps", "-3"),
     ("simulate", "--logs", "-2"),
@@ -203,6 +208,31 @@ def test_simulate_has_no_solver_options(tmp_path, capsys, case2_policy_lines,
               "--policy", str(policy), option, "1", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["translate", "plan", "monitor"])
+@pytest.mark.parametrize("shape", DEEP_FORMULAS)
+def test_formula_at_the_depth_limit_runs_and_one_past_exits_2(
+        tmp_path, capsys, shape, command):
+    grid = tmp_path / "a.grid"
+    grid.write_text("width = 2\nheight = 2\nstations.a = (1,1)\n")
+    word = tmp_path / "w.txt"
+    word.write_text("-\na\nb\n")
+    rest = {"translate": ["--out", str(tmp_path)],
+            "plan": ["--grid", str(grid), "--uniform-T", "2",
+                     "--out", str(tmp_path)],
+            "monitor": ["--word", str(word)]}[command]
+    deep = DEEP_FORMULAS[shape]
+    code, _, err = run(capsys, command, "--formula", deep(MAX_FORMULA_DEPTH),
+                       *rest)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, command, "--formula",
+                         deep(MAX_FORMULA_DEPTH + 1), *rest)
+    assert code == 2 and out == ""
+    assert err.startswith("error: formula: ")
+    assert err.endswith(
+        f"formula nested deeper than {MAX_FORMULA_DEPTH} levels\n")
+    assert err.count("\n") == 1
 
 
 def test_plan_eps_zero_with_uniform_T_exits_2(tmp_path, capsys):

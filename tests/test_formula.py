@@ -8,6 +8,7 @@ import pytest
 
 from mitlplan import formula
 from mitlplan.formula import (
+    MAX_FORMULA_DEPTH,
     FALSE,
     TRUE,
     And,
@@ -35,11 +36,11 @@ from mitlplan.formula import (
     uniform_truncation_vector,
     validate_fragment,
 )
-from mitlplan.timed_automata import ProgressionDta, build_dta
+from mitlplan.timed_automata import ProgressionDta, build_dta, canonical
 
 from _oracles import random_fragment_formula
 
-from conftest import BUS_CASE1
+from conftest import BUS_CASE1, DEEP_FORMULAS
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +100,31 @@ def test_parse_until_right_associative():
 def test_parse_unbounded_interval_normalized():
     assert parse("F[0,inf] b") == parse("F b")
     assert parse("a U[2,inf] b").interval == Interval(2, None)
+
+
+DEEP_SHAPES = {
+    **DEEP_FORMULAS,
+    "negations": lambda n: "!" * (n - 1) + "a",
+    "eventualities": lambda n: "F " * (n - 1) + "a",
+    "untils": lambda n: "a U " * (n - 1) + "a",
+    "disjunction": lambda n: "a | " * (n - 1) + "a",
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_parse_refuses_a_formula_past_the_depth_limit(shape):
+    text = DEEP_SHAPES[shape](MAX_FORMULA_DEPTH)
+    f = parse(text)
+    # at the limit every walk over the formula stays within the default
+    # recursion limit, with this test's own frames below it
+    printed = pretty(f)
+    if shape != "negations":    # printed as !(!(...)), two levels a node
+        assert parse(printed) is f
+    canonical(normalize(substitute_dist(f)))
+    validate_fragment(f, EventSet.from_formula(f))
+    with pytest.raises(FormulaError, match=(
+            f"formula nested deeper than {MAX_FORMULA_DEPTH} levels$")):
+        parse(DEEP_SHAPES[shape](MAX_FORMULA_DEPTH + 1))
 
 
 def test_roundtrip_random_formulas():
@@ -238,6 +264,28 @@ def test_validate_negated_until_outside_fragment():
     f = Not(eventually(Atom("a")))
     report = validate_fragment(f, EventSet(()))
     assert any("co-safety" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("text, declared, violations", [
+    ("!D{geom:0.5} b & F b", None,
+     ["negated distribution eventuality on 'b'"]),
+    # a D under a negated temporal operator is reported under negation
+    ("!(F (D{geom:0.5} b))", None,
+     ["negation over Until leaves the co-safety fragment",
+      "distribution eventuality on 'b' under negation"]),
+    ("!D{geom:0.5} b | !D{geom:0.5} b", None,
+     ["negated distribution eventuality on 'b'",
+      "negated distribution eventuality on 'b'",
+      "event 'b' referenced 2 times"]),
+    ("!D{geom:0.5} b3", EventSet((("b1", Geometric(0.5)),)),
+     ["negated distribution eventuality on 'b3'",
+      "distribution eventuality operand 'b3' is not a declared event",
+      "declared event 'b1' never referenced"]),
+], ids=["negated-D", "D-under-negated-F", "two-negated-D", "negated-undeclared"])
+def test_validate_reports_each_fault_once(text, declared, violations):
+    f = parse(text)
+    u = EventSet.from_formula(f) if declared is None else declared
+    assert validate_fragment(f, u).violations == violations
 
 
 def test_validate_duplicate_event_reference():
