@@ -562,9 +562,9 @@ class _Parser:
         return int(tok.text)
 
     def parse_unary(self, depth):
-        tok = self.peek()
         if depth > MAX_FORMULA_DEPTH:
             self.error(_TOO_DEEP)
+        tok = self.peek()
         if tok.kind == "sym" and tok.text == "!":
             self.next()
             return Not(self.parse_unary(depth + 1))
@@ -762,7 +762,10 @@ def validate_fragment(f: Formula, u: EventSet) -> ValidationReport:
             report.violations.append(
                 f"negation over {type(inner).__name__} leaves the co-safety fragment")
             walk(inner, True)
-        elif isinstance(g, (And, Or, Until)):
+        elif isinstance(g, (And, Or)):
+            walk(g.left, negated)
+            walk(g.right, negated)
+        elif isinstance(g, Until):
             walk(g.left, negated)
             walk(g.right, negated)
         elif isinstance(g, DistEventually):
