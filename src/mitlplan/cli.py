@@ -158,9 +158,18 @@ def truncation(f, u, uniform_T, eps):
 
 
 def stepping():
-    """Steps of a progression automaton, which computes its table entries
-    as steps read them, exit with code 4 past its `--cap` locations."""
+    """A progression automaton's errors exit with code 4: a formula over
+    more than `MAX_ATOMS` propositions when it is built, and more than
+    `--cap` locations as its steps, which compute its table entries as
+    they read them, reach new ones."""
     return failing(EXIT_PRODUCT, "automaton: ", AutomatonError)
+
+
+def progression(f, args):
+    """The progression automaton of formula f with its distribution
+    eventualities substituted, capped at `--cap` locations."""
+    with stepping():
+        return ProgressionDta(fm.substitute_dist(f), cap=args.cap)
 
 
 def validated_product(game, tsta):
@@ -181,7 +190,7 @@ def build_model(args):
     f, u = load_formula(args)
     game, env_text = load_environment(args, u)
     trunc = truncation(f, u, args.uniform_T, args.eps)
-    dta = ProgressionDta(fm.substitute_dist(f), cap=args.cap)
+    dta = progression(f, args)
     product = validated_product(game, StaModel(dta, u, trunc))
     return Built(trunc, product, model_hash(pretty(f), env_text, trunc))
 
@@ -261,9 +270,8 @@ def read_policy(path, built):
 def cmd_translate(args):
     f, u = load_formula(args)
     phid = fm.substitute_dist(f)
-    dta = ProgressionDta(phid, cap=args.cap)
     with stepping():
-        dta.close()
+        dta = ProgressionDta(phid, cap=args.cap).close()
     out = _out_dir(args.out)
     dump = ["# progression automaton",
             f"# formula: {pretty(f)}",
@@ -380,7 +388,7 @@ def cmd_simulate(args):
 
 def cmd_monitor(args):
     f, u = load_formula(args)
-    dta = ProgressionDta(fm.substitute_dist(f), cap=args.cap)
+    dta = progression(f, args)
     sta = StaModel(dta, u)
     word = TimedWord.from_text(_read(args.word))
     known = set(dta.atoms) | set(u.names)
@@ -400,7 +408,7 @@ def cmd_monitor(args):
 def cmd_bench(args):
     f, u = load_formula(args)
     game, _ = load_environment(args, u)
-    dta = ProgressionDta(fm.substitute_dist(f), cap=args.cap)
+    dta = progression(f, args)
     settings = ([("T", T, (T, None)) for T in args.uniform_T] if args.uniform_T
                 else [("eps", e, (None, e)) for e in args.eps_list])
     rows = []

@@ -30,6 +30,9 @@ a time: every successor of the layer is packed into an int64 key
 known states, and the new keys get indices in order of first
 occurrence.  States are stored as the two id arrays `game_of` and
 `spec_of`; `ProductMdp.states` decodes a `ProductState` on access.
+Product files and trajectory logs print a state as the texts of its two
+ids, which `ProductMdp.game_text` and `ProductMdp.spec_text` format once
+per id.
 """
 
 from __future__ import annotations
@@ -106,6 +109,11 @@ class ProductMdp:
         self.sink = sink
         self.absorbing = accepting | sink
         self.reward_row = self._reward_rows()
+        # texts of game and automaton states by id, each formatted when it
+        # is first read
+        self._game_text: list[tuple[str, str] | None] = \
+            [None] * len(game.states)
+        self._spec_text: list[str | None] = [None] * len(self.spec_states)
 
     def _reward_rows(self) -> np.ndarray:
         acc = self.accepting[self.cols] * self.probs
@@ -132,6 +140,24 @@ class ProductMdp:
         cols, probs = self.row(z, a)
         return list(zip(cols.tolist(), probs.tolist()))
 
+    def game_text(self, g: int) -> tuple[str, str]:
+        """The ``brief()`` text of game state g and its occurred events,
+        sorted and joined by commas."""
+        text = self._game_text[g]
+        if text is None:
+            s = self.game.states[g]
+            text = self._game_text[g] = (s.brief(),
+                                         ",".join(sorted(s.occurred)))
+        return text
+
+    def spec_text(self, q: int) -> str:
+        """`describe_spec_state` of automaton state q."""
+        text = self._spec_text[q]
+        if text is None:
+            text = self._spec_text[q] = describe_spec_state(
+                self.spec_states[q])
+        return text
+
     def validate(self):
         """Check that every row sums to one within `ROW_SUM_TOL`.
 
@@ -153,12 +179,11 @@ class ProductMdp:
         lines.append(f"# states {self.n_states} actions {self.n_actions} "
                      f"edges {self.n_edges}")
         lines.append(f"init {self.z0}")
-        game_text = [s.brief() for s in self.game.states]
-        spec_text = [describe_spec_state(q) for q in self.spec_states]
         for z, (g, q, acc, sink) in enumerate(zip(
                 self.game_of.tolist(), self.spec_of.tolist(),
                 self.accepting.tolist(), self.sink.tolist())):
-            lines.append(f"state {z} {game_text[g]} {spec_text[q]}"
+            lines.append(f"state {z} {self.game_text(g)[0]} "
+                         f"{self.spec_text(q)}"
                          + " accepting" * acc + " sink" * sink)
         row_of_edge = np.repeat(np.arange(len(self.row_ptr) - 1),
                                 np.diff(self.row_ptr))

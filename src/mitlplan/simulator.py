@@ -13,8 +13,9 @@ suite's loop reference (`tests/_oracles.py::rollout_batch_loop`) share;
 per live rollout, and the tests check it against that loop decision for
 decision.  Batch stream 0 is therefore the stream of `rollout` with the
 same seed.  The batch samples a successor by a binary search of the
-running sums of the row the policy follows, built once per call for
-those rows only, so a step allocates a few arrays of one entry per lane.
+running sums of the row the policy follows (`threshold_table`), built
+once per `estimate_success` call for those rows only, so a step allocates
+a few arrays of one entry per lane.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game_model import concat_ranges
-from .product_mdp import ProductMdp, describe_spec_state
+from .product_mdp import ProductMdp
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -74,10 +75,6 @@ class Trajectory:
         return len(self.actions)
 
 
-def _state_text(ps) -> str:
-    return f"({ps.game.brief()}, {describe_spec_state(ps.spec)})"
-
-
 def default_max_steps(m: ProductMdp) -> int:
     """Step budget after which the bus-style missions are fully classified:
     every event clock is capped, and windows expire within their bounds."""
@@ -117,22 +114,15 @@ def walk(row_ptr, cols, probs, policy_row, accepting, sink, z, state,
         visited.append(z)
 
 
-def rollout_batch_numpy(row_ptr, cols, probs, policy_row, accepting, sink,
-                        z0, n_rollouts, seed, max_steps):
-    """Outcome codes of `n_rollouts` lockstep rollouts from z0, rollout i
-    on stream ``splitmix_init(seed, i)``: decision for decision those of
-    `walk`.
+def threshold_table(row_ptr, probs, policy_row):
+    """The search table of `rollout_batch_numpy` for the policy rows:
+    the flat table, its row width, and the start and last offset of the
+    row the policy follows at each state.
 
-    Row z of the threshold table holds the running sums of the row that
-    the policy follows at state z, added left to right as
-    `sample_successor` adds them, so they are bit for bit its
-    accumulators, padded with the row's total to ``width = 2**k - 1``
-    entries.  `sample_successor` takes the first entry whose running sum
-    exceeds u; a row is nondecreasing, so that entry's offset is the count
-    of sums ``<= u``, which a binary search over the row finds.  Past the
-    row's end (u at or above its total) both take the last entry.  Only
-    live lanes are kept, and draw k of a lane is the mix of its stream's
-    start plus k gammas, so a finished lane leaves nothing to advance."""
+    Row z of the table holds the running sums of the row that the policy
+    follows at state z, added left to right as `sample_successor` adds
+    them, so they are bit for bit its accumulators, padded with the row's
+    total to ``width = 2**k - 1`` entries."""
     starts = row_ptr[policy_row]
     lengths = row_ptr[policy_row + 1] - starts
     n_states = len(lengths)
@@ -142,7 +132,27 @@ def rollout_batch_numpy(row_ptr, cols, probs, policy_row, accepting, sink,
     flat[concat_ranges(width * np.arange(n_states), lengths)] = \
         probs[concat_ranges(starts, lengths)]
     np.cumsum(table, axis=1, out=table)
-    last = lengths - 1
+    return flat, width, starts, lengths - 1
+
+
+def rollout_batch_numpy(row_ptr, cols, probs, policy_row, accepting, sink,
+                        z0, n_rollouts, seed, max_steps, thresholds=None):
+    """Outcome codes of `n_rollouts` lockstep rollouts from z0, rollout i
+    on stream ``splitmix_init(seed, i)``: decision for decision those of
+    `walk`.
+
+    `thresholds` is ``threshold_table(row_ptr, probs, policy_row)``, built
+    here when not given, so that a caller running many batches of one
+    policy builds it once.  `sample_successor` takes the first entry whose
+    running sum exceeds u; a table row is nondecreasing, so that entry's
+    offset is the count of sums ``<= u``, which a binary search over the
+    row finds.  Past the row's end (u at or above its total) both take the
+    last entry.  Only live lanes are kept, and draw k of a lane is the mix
+    of its stream's start plus k gammas, so a finished lane leaves nothing
+    to advance."""
+    if thresholds is None:
+        thresholds = threshold_table(row_ptr, probs, policy_row)
+    flat, width, starts, last = thresholds
     # walk's outcome code at each state: accepting before sink
     code = np.where(accepting, 1, np.where(sink, 2, 0)).astype(np.int8)
 
@@ -191,21 +201,25 @@ def wilson_interval(hits: int, n: int) -> tuple[float, float]:
 
 def rollout(m: ProductMdp, policy, seed: int, max_steps: int | None = None
             ) -> Trajectory:
-    """Sample one trajectory following `policy` from the initial state."""
+    """Sample one trajectory following `policy` from the initial state.
+
+    Its log prints each visited state from the texts of its game and
+    automaton ids, which the model formats once per id."""
     if max_steps is None:
         max_steps = default_max_steps(m)
     code, visited = walk(m.row_ptr, m.cols, m.probs, policy.rows(),
                          m.accepting, m.sink, m.z0, splitmix_init(seed),
                          max_steps)
     actions = [policy.action_name(z) for z in visited[:-1]]
-    z_text = _state_text(m.states[m.z0])
+    game_ids = m.game_of[visited].tolist()
+    spec_ids = m.spec_of[visited].tolist()
+    z_text = f"({m.game_text(game_ids[0])[0]}, {m.spec_text(spec_ids[0])})"
     lines = [z_text]
-    for a_name, nxt in zip(actions, visited[1:]):
-        ps = m.states[nxt]
-        nxt_text = _state_text(ps)
+    for a_name, g, q in zip(actions, game_ids[1:], spec_ids[1:]):
+        brief, occurred = m.game_text(g)
+        nxt_text = f"({brief}, {m.spec_text(q)})"
         lines.append(f"--{a_name}--> ({z_text}, {a_name})")
-        lines.append(f"--e={{{','.join(sorted(ps.game.occurred))}}}--> "
-                     f"{nxt_text}")
+        lines.append(f"--e={{{occurred}}}--> {nxt_text}")
         z_text = nxt_text
     outcome = _OUTCOMES[code]
     lines.append(f"terminal: {outcome}")
@@ -228,18 +242,20 @@ def estimate_success(m: ProductMdp, policy, n: int, seed: int,
     Wilson score 95% confidence interval.  Rollout i follows stream
     ``splitmix_init(seed, i)``.  The rollouts run in batches of at most
     `_CHUNK`, so memory does not grow with n: the batch from rollout
-    `first` on starts its streams at ``seed + first * gamma``."""
+    `first` on starts its streams at ``seed + first * gamma``.  The
+    batches share one threshold table."""
     if n < 1:
         raise ValueError("need at least one rollout")
     if max_steps is None:
         max_steps = default_max_steps(m)
     rows = policy.rows()
+    thresholds = threshold_table(m.row_ptr, m.probs, rows)
     counts = np.zeros(3, dtype=np.int64)
     for first in range(0, n, _CHUNK):
         outcomes = rollout_batch_numpy(
             m.row_ptr, m.cols, m.probs, rows, m.accepting, m.sink, m.z0,
             min(_CHUNK, n - first), (seed + first * _GOLDEN) & _U64,
-            max_steps)
+            max_steps, thresholds)
         counts += np.bincount(outcomes, minlength=3)
     tally = dict(zip(_OUTCOMES, counts.tolist()))
     successes = tally["accept"]

@@ -412,6 +412,10 @@ def run_dta(dta, word: TimedWord) -> RunResult:
 # ---------------------------------------------------------------------------
 
 LOCATION_CAP = 20000
+# most propositions a progression automaton tracks: it holds 2**atoms
+# symbols and a table row of 2**atoms entries per location, and at 16
+# atoms `translate` of a disjunction of atoms already peaks at 157 MB
+MAX_ATOMS = 16
 
 
 class ProgressionDta:
@@ -426,13 +430,19 @@ class ProgressionDta:
     on-the-fly construction of Couvreur, FM 1999).  Locations are numbered
     in the order steps first reach them, and the table holds -1 where an
     entry is not computed yet.  `close` computes every entry.  Raises
-    AutomatonError when more than `cap` locations are reached.
+    AutomatonError when the formula has more than `MAX_ATOMS`
+    propositions, before anything of their size is allocated, and when
+    more than `cap` locations are reached.
     """
 
     def __init__(self, phi_d: Formula, cap: int = LOCATION_CAP):
         self._memo = _Progression()
         init = self._memo.canonical(normalize(phi_d))
         self.atoms = tuple(sorted(formula_atoms(init)))
+        if len(self.atoms) > MAX_ATOMS:
+            raise AutomatonError(
+                f"formula has {len(self.atoms)} propositions, more than "
+                f"the {MAX_ATOMS} a progression automaton tracks")
         self._atom_bit = {a: 1 << i for i, a in enumerate(self.atoms)}
         # symbol i holds the atoms of bit mask i
         self._symbols = mask_subsets(self.atoms)

@@ -16,6 +16,8 @@
 - scalar loops that the numpy Bellman sweep of `mitlplan.solver` and the
   batch rollouts of `mitlplan.simulator` must reproduce, and a
   finite-horizon reachability oracle for the solver;
+- a trajectory log renderer that decodes every visited product state,
+  which the logs of `mitlplan.simulator.rollout` must reproduce;
 - a Monte Carlo check of the truncation error bound.
 
 None of this runs in the command line tool.
@@ -30,7 +32,8 @@ from functools import reduce
 
 import numpy as np
 
-from mitlplan.simulator import splitmix_init, walk, wilson_interval
+from mitlplan.simulator import (default_max_steps, splitmix_init, walk,
+                                wilson_interval)
 from mitlplan.formula import (
     FALSE,
     TRUE,
@@ -60,7 +63,8 @@ from mitlplan.game_model import (
     GameState,
     build_gridworld,
 )
-from mitlplan.product_mdp import ProductError, ProductMdp, ProductState
+from mitlplan.product_mdp import (ProductError, ProductMdp, ProductState,
+                                  describe_spec_state)
 from mitlplan.stochastic_ta import StaError, StaModel
 
 
@@ -493,6 +497,33 @@ def rollout_batch_loop(row_ptr, cols, probs, policy_row, accepting, sink,
         outcomes[i], _ = walk(row_ptr, cols, probs, policy_row, accepting,
                               sink, z0, splitmix_init(seed, i), max_steps)
     return outcomes
+
+
+def reference_log(m: ProductMdp, policy, seed: int,
+                  max_steps: int | None = None) -> str:
+    """The trajectory log of ``rollout(m, policy, seed, max_steps)``,
+    rendered from a `ProductState` decoded at every visited state."""
+    if max_steps is None:
+        max_steps = default_max_steps(m)
+    code, visited = walk(m.row_ptr, m.cols, m.probs, policy.rows(),
+                         m.accepting, m.sink, m.z0, splitmix_init(seed),
+                         max_steps)
+
+    def text(ps):
+        return f"({ps.game.brief()}, {describe_spec_state(ps.spec)})"
+
+    z_text = text(m.states[m.z0])
+    lines = [z_text]
+    for z, nxt in zip(visited, visited[1:]):
+        a_name = policy.action_name(z)
+        ps = m.states[nxt]
+        nxt_text = text(ps)
+        lines.append(f"--{a_name}--> ({z_text}, {a_name})")
+        lines.append(f"--e={{{','.join(sorted(ps.game.occurred))}}}--> "
+                     f"{nxt_text}")
+        z_text = nxt_text
+    lines.append(f"terminal: {('step-limit', 'accept', 'sink')[code]}")
+    return "\n".join(lines) + "\n"
 
 
 def brute_force_reach(m: ProductMdp, horizon: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from mitlplan.cli import build_model, build_parser, main
 from mitlplan.formula import MAX_FORMULA_DEPTH
 from mitlplan.product_mdp import ProductError
 from mitlplan.simulator import default_max_steps
+from mitlplan.timed_automata import MAX_ATOMS
 from mitlplan.solver import value_iteration
 
 from conftest import DATA, BUS_CASE1, BUS_CASE2, DEEP_FORMULAS, THREE_BUS
@@ -233,6 +234,26 @@ def test_formula_at_the_depth_limit_runs_and_one_past_exits_2(
     assert err.endswith(
         f"formula nested deeper than {MAX_FORMULA_DEPTH} levels\n")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["translate", "plan", "monitor", "bench"])
+def test_formula_past_the_atom_limit_exits_4(tmp_path, capsys, command):
+    # MAX_ATOMS atoms a<i>, a0 a station of the grid, and the event b
+    formula = " | ".join(f"a{i}" for i in range(MAX_ATOMS)) + " | D{geom:0.5} b"
+    grid = tmp_path / "a.grid"
+    grid.write_text("width = 2\nheight = 2\nstations.a0 = (1,1)\n")
+    word = tmp_path / "w.txt"
+    word.write_text("-\nb\n")
+    rest = {"translate": ["--out", str(tmp_path)],
+            "plan": ["--grid", str(grid), "--uniform-T", "2",
+                     "--out", str(tmp_path)],
+            "monitor": ["--word", str(word)],
+            "bench": ["--grid", str(grid), "--uniform-T", "2"]}[command]
+    code, out, err = run(capsys, command, "--formula", formula, *rest)
+    assert (code, out) == (4, "")
+    assert err == (f"error: automaton: formula has {MAX_ATOMS + 1} "
+                   f"propositions, more than the {MAX_ATOMS} a progression "
+                   f"automaton tracks\n")
 
 
 def test_plan_eps_zero_with_uniform_T_exits_2(tmp_path, capsys):

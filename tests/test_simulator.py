@@ -11,12 +11,13 @@ from mitlplan.game_model import GridWorldConfig, build_gridworld
 from mitlplan.product_mdp import build_product
 from mitlplan.simulator import (default_max_steps, estimate_success, rollout,
                                 rollout_batch_numpy)
-from mitlplan.solver import extract_policy, value_iteration
+from mitlplan.solver import Policy, extract_policy, value_iteration
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import build_dta
 
-from _oracles import rollout_batch_loop
+from _oracles import reference_log, rollout_batch_loop
 from conftest import BUS_CASE2, build_case
+from test_product_mdp import SYNC_CASES
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,33 @@ def test_rollout_accepting_initial():
     assert rollout(m, pol, seed=0, max_steps=0).outcome == "accept"
     est = estimate_success(m, pol, 50, seed=0)
     assert est.rate == 1.0
+
+
+@pytest.mark.parametrize("case", SYNC_CASES)
+def test_logs_match_reference_renderer(case):
+    # the optimal policy and a random one, 128 seeds each, at the default
+    # step limit and at 0, 1 and 3 steps; the second half of the seeds runs
+    # after `to_text` has formatted every state of the model
+    m = build_product(*SYNC_CASES[case]())
+    rng = np.random.default_rng(len(case))
+    policies = [extract_policy(m, value_iteration(m).values),
+                Policy(rng.integers(0, m.n_actions, m.n_states), m.actions,
+                       m.absorbing.copy())]
+    logs = []
+    for seed in range(128):
+        if seed == 64:
+            m.to_text()
+        max_steps = (None, 0, 1, 3)[seed % 4]
+        for policy in policies:
+            text = rollout(m, policy, seed, max_steps).render()
+            assert text == reference_log(m, policy, seed, max_steps)
+            if max_steps == 0:
+                assert text.count("\n") == 2
+            logs.append(text)
+    if case in ("case1", "toy", "random-1"):
+        # logs that pass through or end in the truncation sink
+        assert any("(sink)" in log for log in logs)
+        assert any(log.endswith("(sink))\nterminal: sink\n") for log in logs)
 
 
 def test_estimate_consistent_with_value(planned_case2):

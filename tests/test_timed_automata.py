@@ -28,6 +28,7 @@ from mitlplan.formula import (
     substitute_dist,
 )
 from mitlplan.timed_automata import (
+    MAX_ATOMS,
     AutomatonError,
     Compare,
     DiffCompare,
@@ -47,6 +48,7 @@ from mitlplan.timed_automata import (
 )
 
 import mitlplan
+from mitlplan import timed_automata
 from _oracles import (
     ReferenceProgression,
     random_fragment_formula,
@@ -382,6 +384,20 @@ def test_on_demand_cap_counts_reached_locations():
     d.step_config(d.initial_config(), {"b1"}, 0)
     with pytest.raises(AutomatonError, match="closure exceeded 2 locations"):
         d.step_config(d.initial_config(), {"b1", "b2"}, 0)
+
+
+def test_atom_limit_refuses_before_building_symbols(monkeypatch):
+    # at the limit the automaton steps; one past it, the error comes
+    # before the 2**atoms symbols are built
+    atoms = [f"a{i}" for i in range(MAX_ATOMS + 1)]
+    d = ProgressionDta(parse(" | ".join(atoms[:MAX_ATOMS])))
+    assert len(d.atoms) == MAX_ATOMS
+    assert d.is_accepting(d.step_config(d.initial_config(), {"a3"}, 0))
+    monkeypatch.setattr(timed_automata, "mask_subsets", None)
+    with pytest.raises(AutomatonError, match=(
+            f"formula has {MAX_ATOMS + 1} propositions, more than the "
+            f"{MAX_ATOMS} a progression automaton tracks")):
+        ProgressionDta(parse(" | ".join(atoms)))
 
 
 def _digest_tool():

@@ -22,8 +22,8 @@ and three-bus missions, and of ``mitlplan monitor``'s stdout on the fixed
 words of ``MONITOR_WORDS`` (the bus missions, and two table laws whose
 hazard reaches 1).  For ``case1``, ``toy.game`` and ``three_bus.grid``
 at ``--uniform-T 4`` it also records ``mitlplan simulate``'s stdout, with
-the `` -> path`` suffixes of its trajectory lines cut, and its
-``trajectory_000.log``, at the fixed ``SIMULATE_RUNS``.
+the `` -> path`` suffixes of its trajectory lines cut, and every
+trajectory log those lines name, at the fixed ``SIMULATE_RUNS``.
 
 A change keeps automata and planner outputs identical when this script
 prints the same file on the change as on its parent::
@@ -78,7 +78,7 @@ MONITOR_WORDS = {
 }
 
 # rollouts of the `mitlplan simulate` digests
-SIMULATE_ARGS = ("-n", "1000", "--seed", "7", "--logs", "1")
+SIMULATE_ARGS = ("-n", "1000", "--seed", "7", "--logs", "5")
 SIMULATE_RUNS = {
     "case1": SIMULATE_ARGS,
     "toy": SIMULATE_ARGS,
@@ -190,11 +190,12 @@ def plan_digests() -> dict:
             stdout = _cli("simulate", *model, "--policy",
                           str(Path(tmp, "policy.txt")), *simulate_args,
                           "--out", tmp)
-            kept = [line.split(" -> ", 1)[0] for line in stdout.splitlines()]
+            lines = [line.split(" -> ", 1) for line in stdout.splitlines()]
             out[f"simulate-{case}-T4"] = {
-                "stdout_sha256": _sha256("\n".join(kept) + "\n"),
-                "trajectory_000_sha256": _sha256(
-                    Path(tmp, "trajectory_000.log").read_text())}
+                "stdout_sha256": _sha256(
+                    "".join(line[0] + "\n" for line in lines)),
+                **{f"{Path(log).stem}_sha256": _sha256(Path(log).read_text())
+                   for _, log in (line for line in lines if len(line) == 2)}}
     for name, (case, *setting) in benches.items():
         csv = _cli("bench", "--formula", cases[case],
                    "--grid", str(DATA / f"{case}.grid"), *setting)
