@@ -32,7 +32,9 @@ occurrence.  States are stored as the two id arrays `game_of` and
 `spec_of`; `ProductMdp.states` decodes a `ProductState` on access.
 Product files and trajectory logs print a state as the texts of its two
 ids, which `ProductMdp.game_text` and `ProductMdp.spec_text` format once
-per id.
+per id.  `ProductMdp.log_state` and `ProductMdp.log_row` keep, per state
+and per row a log reaches, what the memo walk `simulator.rollout` reads;
+its test reference is `tests/_oracles.py::walk` on the CSR arrays.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -114,6 +117,9 @@ class ProductMdp:
         self._game_text: list[tuple[str, str] | None] = \
             [None] * len(game.states)
         self._spec_text: list[str | None] = [None] * len(self.spec_states)
+        # log memos by product state and by CSR row, filled on first read
+        self._log_state: dict[int, tuple[int, str, str]] = {}
+        self._log_row: dict[int, tuple[list[int], list[float]]] = {}
 
     def _reward_rows(self) -> np.ndarray:
         acc = self.accepting[self.cols] * self.probs
@@ -157,6 +163,27 @@ class ProductMdp:
             text = self._spec_text[q] = describe_spec_state(
                 self.spec_states[q])
         return text
+
+    def log_state(self, z: int) -> tuple[int, str, str]:
+        """State z as a log reads it: its outcome code (1 accepting, 2
+        sink, else 0), ``(brief, spec)`` text and occurred-events text."""
+        entry = self._log_state.get(z)
+        if entry is None:
+            brief, occurred = self.game_text(int(self.game_of[z]))
+            code = 1 if self.accepting[z] else 2 if self.sink[z] else 0
+            spec = self.spec_text(int(self.spec_of[z]))
+            entry = self._log_state[z] = (code, f"({brief}, {spec})", occurred)
+        return entry
+
+    def log_row(self, r: int) -> tuple[list[int], list[float]]:
+        """The successors of CSR row r and their running sums, added left
+        to right; they hold nothing of a policy."""
+        entry = self._log_row.get(r)
+        if entry is None:
+            lo, hi = self.row_ptr[r:r + 2].tolist()
+            sums = list(accumulate(self.probs[lo:hi].tolist()))
+            entry = self._log_row[r] = (self.cols[lo:hi].tolist(), sums)
+        return entry
 
     def validate(self):
         """Check that every row sums to one within `ROW_SUM_TOL`.

@@ -7,20 +7,22 @@ state per draw and outputs the mix of the new state (Steele, Lea & Flood,
 OOPSLA 2014).  Stream i of a batch starts from the mix of
 ``seed + (i + 1) * gamma``: without that mix, stream i + 1 would be stream
 i one draw later.  `splitmix_init` and `splitmix_next` work on Python
-integers, for `walk`, the one scalar rollout that `rollout` and the test
-suite's loop reference (`tests/_oracles.py::rollout_batch_loop`) share;
-`rollout_batch_numpy` runs the same arithmetic on uint64 arrays, one lane
-per live rollout, and the tests check it against that loop decision for
-decision.  Batch stream 0 is therefore the stream of `rollout` with the
+integers, for `rollout`, the one scalar rollout: a memo walk over the
+model's `log_state` and `log_row`, so a step draws once, reads the policy
+once and bisects a list of running sums.  `rollout_batch_numpy` runs the
+same arithmetic on uint64 arrays, one lane per live rollout.  The tests
+check both decision for decision against `tests/_oracles.py::walk`, a walk
+over the CSR arrays; batch stream 0 is the stream of `rollout` with the
 same seed.  The batch samples a successor by a binary search of the
-running sums of the row the policy follows (`threshold_table`), built
-once per `estimate_success` call for those rows only, so a step allocates
-a few arrays of one entry per lane.
+running sums of the row the policy follows (`threshold_table`, built once
+per `estimate_success` call), so a step allocates a few arrays of one
+entry per lane.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +37,7 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _INV53 = 1.0 / float(1 << 53)
 _Z95 = 1.959963984540054
 
-# the outcome named by each outcome code of `walk` and the batch
+# the outcome named by each outcome code of `rollout` and the batch
 _OUTCOMES = ("step-limit", "accept", "sink")
 # rollouts per batch of `estimate_success`: its per-lane arrays take a
 # few MB at most
@@ -83,46 +85,15 @@ def default_max_steps(m: ProductMdp) -> int:
             + max((T for _, T in trunc.windows), default=0) + 8)
 
 
-def sample_successor(cols, probs, u: float) -> int:
-    """The successor of a CSR row that the uniform `u` selects: the first
-    whose cumulative probability exceeds `u`, else the last."""
-    acc = 0.0
-    for c, p in zip(cols.tolist(), probs.tolist()):
-        acc += p
-        if u < acc:
-            return c
-    return int(cols[-1])
-
-
-def walk(row_ptr, cols, probs, policy_row, accepting, sink, z, state,
-         max_steps) -> tuple[int, list[int]]:
-    """One rollout from state z that follows CSR row ``policy_row[z]`` at
-    each state and draws from the splitmix64 stream at `state`: its outcome
-    code and the states it visits, z first."""
-    visited = [z]
-    while True:
-        if accepting[z]:
-            return 1, visited
-        if sink[z]:
-            return 2, visited
-        if len(visited) > max_steps:
-            return 0, visited
-        u, state = splitmix_next(state)
-        r = policy_row[z]
-        row = slice(row_ptr[r], row_ptr[r + 1])
-        z = sample_successor(cols[row], probs[row], u)
-        visited.append(z)
-
-
 def threshold_table(row_ptr, probs, policy_row):
     """The search table of `rollout_batch_numpy` for the policy rows:
     the flat table, its row width, and the start and last offset of the
     row the policy follows at each state.
 
     Row z of the table holds the running sums of the row that the policy
-    follows at state z, added left to right as `sample_successor` adds
-    them, so they are bit for bit its accumulators, padded with the row's
-    total to ``width = 2**k - 1`` entries."""
+    follows at state z, added left to right as `ProductMdp.log_row` adds
+    them, so they are bit for bit its sums, padded with the row's total
+    to ``width = 2**k - 1`` entries."""
     starts = row_ptr[policy_row]
     lengths = row_ptr[policy_row + 1] - starts
     n_states = len(lengths)
@@ -139,21 +110,21 @@ def rollout_batch_numpy(row_ptr, cols, probs, policy_row, accepting, sink,
                         z0, n_rollouts, seed, max_steps, thresholds=None):
     """Outcome codes of `n_rollouts` lockstep rollouts from z0, rollout i
     on stream ``splitmix_init(seed, i)``: decision for decision those of
-    `walk`.
+    the memo walk `rollout` and of the test reference `walk`.
 
     `thresholds` is ``threshold_table(row_ptr, probs, policy_row)``, built
     here when not given, so that a caller running many batches of one
-    policy builds it once.  `sample_successor` takes the first entry whose
-    running sum exceeds u; a table row is nondecreasing, so that entry's
-    offset is the count of sums ``<= u``, which a binary search over the
-    row finds.  Past the row's end (u at or above its total) both take the
-    last entry.  Only live lanes are kept, and draw k of a lane is the mix
+    policy builds it once.  Both walks take the first entry whose running
+    sum exceeds u; a table row is nondecreasing, so that entry's offset is
+    the count of sums ``<= u``, which a binary search over the row finds.
+    Past the row's end (u at or above its total) all take the last
+    entry.  Only live lanes are kept, and draw k of a lane is the mix
     of its stream's start plus k gammas, so a finished lane leaves nothing
     to advance."""
     if thresholds is None:
         thresholds = threshold_table(row_ptr, probs, policy_row)
     flat, width, starts, last = thresholds
-    # walk's outcome code at each state: accepting before sink
+    # the outcome code at each state: accepting before sink
     code = np.where(accepting, 1, np.where(sink, 2, 0)).astype(np.int8)
 
     outcomes = np.zeros(n_rollouts, dtype=np.int8)
@@ -201,23 +172,25 @@ def wilson_interval(hits: int, n: int) -> tuple[float, float]:
 
 def rollout(m: ProductMdp, policy, seed: int, max_steps: int | None = None
             ) -> Trajectory:
-    """Sample one trajectory following `policy` from the initial state.
-
-    Its log prints each visited state from the texts of its game and
-    automaton ids, which the model formats once per id."""
+    """Sample one trajectory following `policy` from the initial state:
+    each step takes the first successor of the policy's row whose running
+    sum exceeds the draw, else the row's last.  Only states of outcome
+    code 0 (`ProductMdp.log_state`) take an action; none is absorbing."""
     if max_steps is None:
         max_steps = default_max_steps(m)
-    code, visited = walk(m.row_ptr, m.cols, m.probs, policy.rows(),
-                         m.accepting, m.sink, m.z0, splitmix_init(seed),
-                         max_steps)
-    actions = [policy.action_name(z) for z in visited[:-1]]
-    game_ids = m.game_of[visited].tolist()
-    spec_ids = m.spec_of[visited].tolist()
-    z_text = f"({m.game_text(game_ids[0])[0]}, {m.spec_text(spec_ids[0])})"
-    lines = [z_text]
-    for a_name, g, q in zip(actions, game_ids[1:], spec_ids[1:]):
-        brief, occurred = m.game_text(g)
-        nxt_text = f"({brief}, {m.spec_text(q)})"
+    state = splitmix_init(seed)
+    z = m.z0
+    code, z_text, _ = m.log_state(z)
+    visited, actions, lines = [z], [], [z_text]
+    while not code and len(visited) <= max_steps:
+        u, state = splitmix_next(state)
+        a = policy.action_index.item(z)
+        cols, sums = m.log_row(z * m.n_actions + a)
+        z = cols[min(bisect_right(sums, u), len(cols) - 1)]
+        code, nxt_text, occurred = m.log_state(z)
+        a_name = policy.actions[a]
+        visited.append(z)
+        actions.append(a_name)
         lines.append(f"--{a_name}--> ({z_text}, {a_name})")
         lines.append(f"--e={{{occurred}}}--> {nxt_text}")
         z_text = nxt_text

@@ -13,8 +13,9 @@
   `load_game` must reproduce;
 - the state-at-a-time product construction that the array-based one must
   reproduce;
-- scalar loops that the numpy Bellman sweep of `mitlplan.solver` and the
-  batch rollouts of `mitlplan.simulator` must reproduce, and a
+- scalar loops that the numpy Bellman sweep of `mitlplan.solver`, the
+  memo walk `mitlplan.simulator.rollout` and its batch rollouts must
+  reproduce (`walk` samples from the plain CSR arrays), and a
   finite-horizon reachability oracle for the solver;
 - a trajectory log renderer that decodes every visited product state,
   which the logs of `mitlplan.simulator.rollout` must reproduce;
@@ -32,8 +33,8 @@ from functools import reduce
 
 import numpy as np
 
-from mitlplan.simulator import (default_max_steps, splitmix_init, walk,
-                                wilson_interval)
+from mitlplan.simulator import (default_max_steps, splitmix_init,
+                                splitmix_next, wilson_interval)
 from mitlplan.formula import (
     FALSE,
     TRUE,
@@ -487,6 +488,38 @@ def bellman_sweep_loop(row_ptr, cols, probs, reward_row, absorbing, values,
         if diff > residual:
             residual = diff
     return new_values, float(residual)
+
+
+def sample_successor(cols, probs, u: float) -> int:
+    """The successor of a CSR row that the uniform `u` selects: the first
+    whose cumulative probability exceeds `u`, else the last."""
+    acc = 0.0
+    for c, p in zip(cols.tolist(), probs.tolist()):
+        acc += p
+        if u < acc:
+            return c
+    return int(cols[-1])
+
+
+def walk(row_ptr, cols, probs, policy_row, accepting, sink, z, state,
+         max_steps) -> tuple[int, list[int]]:
+    """Scalar reference for `simulator.rollout`, on the plain CSR arrays:
+    one rollout from state z that follows CSR row ``policy_row[z]`` at
+    each state and draws from the splitmix64 stream at `state`, its
+    outcome code and the states it visits, z first."""
+    visited = [z]
+    while True:
+        if accepting[z]:
+            return 1, visited
+        if sink[z]:
+            return 2, visited
+        if len(visited) > max_steps:
+            return 0, visited
+        u, state = splitmix_next(state)
+        r = policy_row[z]
+        row = slice(row_ptr[r], row_ptr[r + 1])
+        z = sample_successor(cols[row], probs[row], u)
+        visited.append(z)
 
 
 def rollout_batch_loop(row_ptr, cols, probs, policy_row, accepting, sink,

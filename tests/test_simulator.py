@@ -15,7 +15,7 @@ from mitlplan.solver import Policy, extract_policy, value_iteration
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import build_dta
 
-from _oracles import reference_log, rollout_batch_loop
+from _oracles import reference_log, rollout_batch_loop, walk
 from conftest import BUS_CASE2, build_case
 from test_product_mdp import SYNC_CASES
 
@@ -132,6 +132,68 @@ def test_logs_match_reference_renderer(case):
         # logs that pass through or end in the truncation sink
         assert any("(sink)" in log for log in logs)
         assert any(log.endswith("(sink))\nterminal: sink\n") for log in logs)
+
+
+@pytest.mark.parametrize("case", SYNC_CASES)
+def test_rollout_matches_reference_walk(case):
+    # the memo walk against the CSR walk of the reference: states, actions
+    # and outcome, with the optimal and a random policy taking turns on one
+    # model, so that a memo holding anything of a policy would fail
+    m = build_product(*SYNC_CASES[case]())
+    rng = np.random.default_rng(len(case) + 1)
+    policies = [extract_policy(m, value_iteration(m).values),
+                Policy(rng.integers(0, m.n_actions, m.n_states), m.actions,
+                       m.absorbing.copy())]
+    for seed in range(64):
+        max_steps = (None, 0, 1, 3)[seed % 4]
+        limit = default_max_steps(m) if max_steps is None else max_steps
+        for policy in policies:
+            traj = rollout(m, policy, seed, max_steps)
+            code, visited = walk(m.row_ptr, m.cols, m.probs, policy.rows(),
+                                 m.accepting, m.sink, m.z0,
+                                 splitmix_init(seed), limit)
+            assert traj.state_indices == visited
+            assert traj.actions == [policy.action_name(z)
+                                    for z in visited[:-1]]
+            assert traj.outcome == ("step-limit", "accept", "sink")[code]
+
+
+def test_rollout_takes_the_last_successor_past_the_row_total():
+    # rows scaled to sum to 0.75: a quarter of the draws exceed every
+    # running sum, and both walks then take the row's last successor
+    m, _ = build_case(BUS_CASE2, 3)
+    pol = extract_policy(m, value_iteration(m).values)
+    m.probs *= 0.75
+    for seed in range(100):
+        _, visited = walk(m.row_ptr, m.cols, m.probs, pol.rows(), m.accepting,
+                          m.sink, m.z0, splitmix_init(seed),
+                          default_max_steps(m))
+        assert rollout(m, pol, seed).state_indices == visited
+
+
+def test_rollout_memos_hold_what_the_logs_visited(monkeypatch):
+    # a log reads no array over all states: `Policy.rows` is never called,
+    # and the model's log memos hold exactly the states the logs visited
+    # and the rows they followed
+    m, _ = build_case(BUS_CASE2, 3)
+    pol = extract_policy(m, value_iteration(m).values)
+    first = walk(m.row_ptr, m.cols, m.probs, pol.rows(), m.accepting, m.sink,
+                 m.z0, splitmix_init(0), default_max_steps(m))[1]
+
+    def no_rows(self):
+        raise AssertionError("rollout read Policy.rows")
+    monkeypatch.setattr(Policy, "rows", no_rows)
+    states, rows = set(), set()
+    for seed in range(2000):
+        traj = rollout(m, pol, seed)
+        if seed == 0:
+            assert traj.state_indices == first
+        states.update(traj.state_indices)
+        rows.update(z * m.n_actions + m.actions.index(a)
+                    for z, a in zip(traj.state_indices, traj.actions))
+    assert set(m._log_state) == states
+    assert set(m._log_row) == rows
+    assert len(states) < m.n_states
 
 
 def test_estimate_consistent_with_value(planned_case2):
