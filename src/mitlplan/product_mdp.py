@@ -91,7 +91,8 @@ class ProductMdp:
     successor distribution of state z under action a.  `accepting` and
     `sink` are disjoint absorbing classes; each of their rows is a unit
     self-loop with reward 0 (reward is earned on entry), so values stay
-    zero there.  The initial state is state 0.
+    zero there.  `outcome_code` gives each state's code (`outcome_codes`).
+    The initial state is state 0.
     """
 
     def __init__(self, game: Game, sta: StaModel, spec_states, game_of,
@@ -111,6 +112,7 @@ class ProductMdp:
         self.accepting = accepting
         self.sink = sink
         self.absorbing = accepting | sink
+        self.outcome_code = outcome_codes(accepting, sink)
         self.reward_row = self._reward_rows()
         # texts of game and automaton states by id, each formatted when it
         # is first read
@@ -120,6 +122,11 @@ class ProductMdp:
         # log memos by product state and by CSR row, filled on first read
         self._log_state: dict[int, tuple[int, str, str]] = {}
         self._log_row: dict[int, tuple[list[int], list[float]]] = {}
+        # memos of `simulator`: its default step budget, and the search
+        # table of the last policy `estimate_success` ran, keyed by that
+        # policy's rows (one entry, so a new policy replaces it)
+        self._max_steps: int | None = None
+        self._batch_table: tuple[np.ndarray, tuple] | None = None
 
     def _reward_rows(self) -> np.ndarray:
         acc = self.accepting[self.cols] * self.probs
@@ -165,12 +172,12 @@ class ProductMdp:
         return text
 
     def log_state(self, z: int) -> tuple[int, str, str]:
-        """State z as a log reads it: its outcome code (1 accepting, 2
-        sink, else 0), ``(brief, spec)`` text and occurred-events text."""
+        """State z as a log reads it: its `outcome_code`, ``(brief, spec)``
+        text and occurred-events text."""
         entry = self._log_state.get(z)
         if entry is None:
             brief, occurred = self.game_text(int(self.game_of[z]))
-            code = 1 if self.accepting[z] else 2 if self.sink[z] else 0
+            code = self.outcome_code.item(z)
             spec = self.spec_text(int(self.spec_of[z]))
             entry = self._log_state[z] = (code, f"({brief}, {spec})", occurred)
         return entry
@@ -237,6 +244,13 @@ class ProductMdp:
                     lines.append(f'  z{z} -> z{z2} [label="{name}:{p:.4g}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def outcome_codes(accepting: np.ndarray, sink: np.ndarray) -> np.ndarray:
+    """The outcome code of each state, as int8: 1 where accepting, else 2
+    where a sink, else 0.  A rollout ends at the first state of a nonzero
+    code; accepting comes before sink."""
+    return np.where(accepting, 1, np.where(sink, 2, 0)).astype(np.int8)
 
 
 def _grown(a: np.ndarray, fill) -> np.ndarray:

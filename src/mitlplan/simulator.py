@@ -14,9 +14,12 @@ same arithmetic on uint64 arrays, one lane per live rollout.  The tests
 check both decision for decision against `tests/_oracles.py::walk`, a walk
 over the CSR arrays; batch stream 0 is the stream of `rollout` with the
 same seed.  The batch samples a successor by a binary search of the
-running sums of the row the policy follows (`threshold_table`, built once
-per `estimate_success` call), so a step allocates a few arrays of one
-entry per lane.
+running sums of the row the policy follows (`threshold_table`), whose
+last entry is inf, so the search stops inside the row and a flat table
+of successors beside the sums gives the next state in one gather.  A
+step allocates a few arrays of one entry per lane.  The model keeps the
+table of the last policy `estimate_success` ran, keyed by the contents
+of its rows, and its default step budget (`default_max_steps`).
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN_U = np.uint64(_GOLDEN)
+_MIX1_U = np.uint64(_MIX1)
+_MIX2_U = np.uint64(_MIX2)
 _INV53 = 1.0 / float(1 << 53)
 _Z95 = 1.959963984540054
 
@@ -44,11 +50,22 @@ _OUTCOMES = ("step-limit", "accept", "sink")
 _CHUNK = 1 << 16
 
 
-def _mix64(z):
-    """splitmix64's output function, on a Python int or a uint64 array."""
+def _mix64(z: int) -> int:
+    """splitmix64's output function on a Python int."""
     z = ((z ^ (z >> 30)) * _MIX1) & _U64
     z = ((z ^ (z >> 27)) * _MIX2) & _U64
     return z ^ (z >> 31)
+
+
+def _mix64_lanes(z: np.ndarray) -> np.ndarray:
+    """`_mix64` on a uint64 array, in place: its products wrap modulo
+    2**64 by themselves."""
+    z ^= z >> 30
+    z *= _MIX1_U
+    z ^= z >> 27
+    z *= _MIX2_U
+    z ^= z >> 31
+    return z
 
 
 def splitmix_init(seed: int, index: int = 0) -> int:
@@ -79,60 +96,63 @@ class Trajectory:
 
 def default_max_steps(m: ProductMdp) -> int:
     """Step budget after which the bus-style missions are fully classified:
-    every event clock is capped, and windows expire within their bounds."""
-    trunc = m.sta.trunc
-    return (max((T for _, T in trunc.events), default=0)
-            + max((T for _, T in trunc.windows), default=0) + 8)
+    every event clock is capped, and windows expire within their bounds.
+    Computed once per model."""
+    if m._max_steps is None:
+        trunc = m.sta.trunc
+        m._max_steps = (max((T for _, T in trunc.events), default=0)
+                        + max((T for _, T in trunc.windows), default=0) + 8)
+    return m._max_steps
 
 
-def threshold_table(row_ptr, probs, policy_row):
+def threshold_table(row_ptr, cols, probs, policy_row):
     """The search table of `rollout_batch_numpy` for the policy rows:
-    the flat table, its row width, and the start and last offset of the
-    row the policy follows at each state.
+    the flat running sums, the flat successors beside them, and the row
+    width.
 
     Row z of the table holds the running sums of the row that the policy
     follows at state z, added left to right as `ProductMdp.log_row` adds
-    them, so they are bit for bit its sums, padded with the row's total
-    to ``width = 2**k - 1`` entries."""
+    them, so they are bit for bit its sums.  The row's last entry, and
+    every entry after it up to ``width = 2**k - 1``, is inf, so no draw
+    passes it.  Row z of the successors holds the columns of that CSR row
+    at the same offsets, and 0 after them."""
     starts = row_ptr[policy_row]
     lengths = row_ptr[policy_row + 1] - starts
     n_states = len(lengths)
     width = (1 << int(lengths.max()).bit_length()) - 1
     table = np.zeros((n_states, width))
     flat = table.ravel()
-    flat[concat_ranges(width * np.arange(n_states), lengths)] = \
-        probs[concat_ranges(starts, lengths)]
+    row_starts = width * np.arange(n_states)
+    entries = concat_ranges(row_starts, lengths)
+    edges = concat_ranges(starts, lengths)
+    flat[entries] = probs[edges]
+    flat[row_starts + lengths - 1] = np.inf
     np.cumsum(table, axis=1, out=table)
-    return flat, width, starts, lengths - 1
+    succ = np.zeros(n_states * width, dtype=cols.dtype)
+    succ[entries] = cols[edges]
+    return flat, succ, width
 
 
-def rollout_batch_numpy(row_ptr, cols, probs, policy_row, accepting, sink,
-                        z0, n_rollouts, seed, max_steps, thresholds=None):
+def rollout_batch_numpy(table, code, z0, n_rollouts, seed, max_steps):
     """Outcome codes of `n_rollouts` lockstep rollouts from z0, rollout i
     on stream ``splitmix_init(seed, i)``: decision for decision those of
     the memo walk `rollout` and of the test reference `walk`.
 
-    `thresholds` is ``threshold_table(row_ptr, probs, policy_row)``, built
-    here when not given, so that a caller running many batches of one
-    policy builds it once.  Both walks take the first entry whose running
-    sum exceeds u; a table row is nondecreasing, so that entry's offset is
-    the count of sums ``<= u``, which a binary search over the row finds.
-    Past the row's end (u at or above its total) all take the last
-    entry.  Only live lanes are kept, and draw k of a lane is the mix
-    of its stream's start plus k gammas, so a finished lane leaves nothing
-    to advance."""
-    if thresholds is None:
-        thresholds = threshold_table(row_ptr, probs, policy_row)
-    flat, width, starts, last = thresholds
-    # the outcome code at each state: accepting before sink
-    code = np.where(accepting, 1, np.where(sink, 2, 0)).astype(np.int8)
-
+    `table` is ``threshold_table(row_ptr, cols, probs, policy_row)`` and
+    `code` the `ProductMdp.outcome_code` of each state.  Both walks take
+    the first entry whose running sum exceeds u, else the row's last; a
+    table row is nondecreasing and ends in inf, so that entry's offset is
+    the count of sums ``<= u``, which a binary search over the row finds
+    and which never passes the row's last entry.  Only live lanes are
+    kept, and draw k of a lane is the mix of its stream's start plus k
+    gammas, so a finished lane leaves nothing to advance."""
+    flat, succ, width = table
     outcomes = np.zeros(n_rollouts, dtype=np.int8)
     lanes = np.arange(n_rollouts)
     states = np.full(n_rollouts, z0, dtype=np.int64)
-    stream = _mix64(np.uint64(int(seed) & _U64)
-                    + np.arange(1, n_rollouts + 1, dtype=np.uint64)
-                    * np.uint64(_GOLDEN))
+    stream = _mix64_lanes(np.uint64(int(seed) & _U64)
+                          + np.arange(1, n_rollouts + 1, dtype=np.uint64)
+                          * _GOLDEN_U)
     for t in range(max_steps + 1):
         now = code[states]
         done = now != 0
@@ -142,16 +162,16 @@ def rollout_batch_numpy(row_ptr, cols, probs, policy_row, accepting, sink,
             lanes, states, stream = lanes[live], states[live], stream[live]
         if t == max_steps or not len(lanes):
             break
-        draw = stream + np.uint64((t + 1) * _GOLDEN & _U64)
-        u = (_mix64(draw) >> 11).astype(np.float64) * _INV53
-        base = states * width
-        pos = base
+        draw = _mix64_lanes(stream + np.uint64((t + 1) * _GOLDEN & _U64))
+        u = (draw >> 11).astype(np.float64) * _INV53
+        pos = states * width
         step = (width + 1) // 2
-        while step:
-            pos = pos + step * (flat[pos + (step - 1)] <= u)
+        while step > 1:
+            pos += step * (flat.take(pos + (step - 1)) <= u)
             step //= 2
-        offsets = np.minimum(pos - base, last[states])
-        states = cols[starts[states] + offsets]
+        # the last level, of step 1, probes pos itself
+        pos += flat.take(pos) <= u
+        states = succ.take(pos)
     return outcomes
 
 
@@ -216,19 +236,23 @@ def estimate_success(m: ProductMdp, policy, n: int, seed: int,
     ``splitmix_init(seed, i)``.  The rollouts run in batches of at most
     `_CHUNK`, so memory does not grow with n: the batch from rollout
     `first` on starts its streams at ``seed + first * gamma``.  The
-    batches share one threshold table."""
+    batches share one search table, which the model keeps for the next
+    call until a policy with other rows replaces it."""
     if n < 1:
         raise ValueError("need at least one rollout")
     if max_steps is None:
         max_steps = default_max_steps(m)
     rows = policy.rows()
-    thresholds = threshold_table(m.row_ptr, m.probs, rows)
+    memo = m._batch_table
+    if memo is None or not np.array_equal(memo[0], rows):
+        memo = m._batch_table = (
+            rows, threshold_table(m.row_ptr, m.cols, m.probs, rows))
+    table = memo[1]
     counts = np.zeros(3, dtype=np.int64)
     for first in range(0, n, _CHUNK):
         outcomes = rollout_batch_numpy(
-            m.row_ptr, m.cols, m.probs, rows, m.accepting, m.sink, m.z0,
-            min(_CHUNK, n - first), (seed + first * _GOLDEN) & _U64,
-            max_steps, thresholds)
+            table, m.outcome_code, m.z0, min(_CHUNK, n - first),
+            (seed + first * _GOLDEN) & _U64, max_steps)
         counts += np.bincount(outcomes, minlength=3)
     tally = dict(zip(_OUTCOMES, counts.tolist()))
     successes = tally["accept"]

@@ -8,9 +8,9 @@ from mitlplan import simulator
 from mitlplan.simulator import splitmix_init, splitmix_next
 from mitlplan.formula import EventSet, parse, substitute_dist, uniform_truncation_vector
 from mitlplan.game_model import GridWorldConfig, build_gridworld
-from mitlplan.product_mdp import build_product
+from mitlplan.product_mdp import build_product, outcome_codes
 from mitlplan.simulator import (default_max_steps, estimate_success, rollout,
-                                rollout_batch_numpy)
+                                rollout_batch_numpy, threshold_table)
 from mitlplan.solver import Policy, extract_policy, value_iteration
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import build_dta
@@ -232,6 +232,68 @@ def test_estimate_backends_identical(planned_case2, planned_8x8):
     assert min(a.outcomes.values()) > 0
 
 
+def test_estimate_builds_one_table_per_policy(monkeypatch):
+    # the model keeps the search table of the last policy, keyed by the
+    # contents of its rows: the same rows again build nothing, even from
+    # another object, and another policy, or one changed in place, builds
+    # a new table
+    m, _ = build_case(BUS_CASE2, 3)
+    opt = extract_policy(m, value_iteration(m).values)
+    rng = np.random.default_rng(5)
+    other = Policy(rng.integers(0, m.n_actions, m.n_states), m.actions,
+                   m.absorbing.copy())
+    same = Policy(opt.action_index.copy(), m.actions, m.absorbing.copy())
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return threshold_table(*args)
+    monkeypatch.setattr(simulator, "threshold_table", counted)
+    tallies = {}
+    for name, pol, n_built in (("opt", opt, 1), ("opt", opt, 1),
+                               ("other", other, 2), ("opt", opt, 3),
+                               ("opt", same, 3), ("other", same, 4),
+                               ("other", same, 4)):
+        if pol is same and name == "other":
+            same.action_index[:] = other.action_index
+        est = estimate_success(m, pol, 400, seed=8)
+        assert est.outcomes == loop_estimate(m, pol, 400, seed=8).outcomes
+        assert len(builds) == n_built
+        tallies.setdefault(name, est.outcomes)
+        assert est.outcomes == tallies[name]
+    assert tallies["opt"] != tallies["other"]
+
+
+def test_threshold_table_rows_end_in_inf():
+    # row z: the running sums of `log_row` but the last, bit for bit, then
+    # inf to the end; its successors are the CSR row's columns
+    m, _ = build_case(BUS_CASE2, 3)
+    rng = np.random.default_rng(3)
+    for action_index in (extract_policy(m, value_iteration(m).values)
+                         .action_index,
+                         rng.integers(0, m.n_actions, m.n_states)):
+        rows = m.n_actions * np.arange(m.n_states) + action_index
+        flat, succ, width = threshold_table(m.row_ptr, m.cols, m.probs, rows)
+        assert flat.shape == succ.shape == (m.n_states * width,)
+        for z, r in enumerate(rows.tolist()):
+            cols, sums = m.log_row(r)
+            row = flat[z * width:(z + 1) * width]
+            k = len(cols) - 1
+            assert row[:k].view(np.uint64).tolist() == \
+                np.array(sums[:k]).view(np.uint64).tolist()
+            assert np.isposinf(row[k:]).all()
+            assert succ[z * width:z * width + k + 1].tolist() == cols
+        assert width == (1 << int(np.diff(m.row_ptr).max()).bit_length()) - 1
+
+
+def batch_on_arrays(row_ptr, cols, probs, policy_row, accepting, sink,
+                    z0, n_rollouts, seed, max_steps):
+    """`rollout_batch_numpy` on the arguments of `rollout_batch_loop`."""
+    return rollout_batch_numpy(
+        threshold_table(row_ptr, cols, probs, policy_row),
+        outcome_codes(accepting, sink), z0, n_rollouts, seed, max_steps)
+
+
 def random_csr(rng, longest, n_states):
     """A random CSR kernel of two rows per state, with 1 to `longest`
     entries each; row 0 has `longest` entries and sums to 0.75, so a draw
@@ -268,7 +330,7 @@ def test_batch_matches_loop_on_random_kernels(longest):
             for n in (1, 300):
                 args = (row_ptr, cols, probs, policy_row, accepting, sink,
                         z0, n, 11 * longest + max_steps, max_steps)
-                batch = rollout_batch_numpy(*args)
+                batch = batch_on_arrays(*args)
                 assert np.array_equal(batch, rollout_batch_loop(*args))
 
 
@@ -282,7 +344,7 @@ def test_batch_thresholds_are_per_row_running_sums():
     accepting = np.array([False, True, False])
     sink = np.array([False, False, True])
     args = (row_ptr, cols, probs, policy_row, accepting, sink, 0, 100_000, 9, 1)
-    batch = rollout_batch_numpy(*args)
+    batch = batch_on_arrays(*args)
     loop = rollout_batch_loop(*args)
     assert int((batch != loop).sum()) == 0
 
@@ -328,9 +390,9 @@ def test_estimate_chunks_match_one_batch(planned_case2, monkeypatch, seed):
     # stream i depends on (seed, i) only, so chunks of 7 rollouts, the last
     # one short, reproduce one batch of all 100 rollout for rollout
     m, pol, _ = planned_case2
-    codes = rollout_batch_numpy(m.row_ptr, m.cols, m.probs, pol.rows(),
-                                m.accepting, m.sink, m.z0, 100, seed,
-                                default_max_steps(m))
+    codes = batch_on_arrays(m.row_ptr, m.cols, m.probs, pol.rows(),
+                            m.accepting, m.sink, m.z0, 100, seed,
+                            default_max_steps(m))
     monkeypatch.setattr(simulator, "_CHUNK", 7)
     est = estimate_success(m, pol, 100, seed=seed)
     assert est.outcomes == {"accept": int((codes == 1).sum()),
