@@ -3,20 +3,19 @@
 Subcommands: translate (formula to automaton), plan (synthesize a policy),
 simulate (roll out a stored policy), monitor (verdict and likelihood of an
 observed word), bench (truncation sweep as CSV).  Data goes to stdout,
-diagnostics to stderr.  Exit codes: 1 `translate --oracle` disagreement,
-2 parse/validation, 3 environment load, 4 automaton or product build,
-5 solver non-convergence, 6 stale policy, 141 stdout closed by its reader
-(128 + SIGPIPE).  Exit 2 also covers an input file that cannot be read or
-decoded (3 for a --grid or --game file), an --out that cannot be made a
-directory, and an output file that cannot be written.  `failing` maps a
-stage's error types to its code.
+diagnostics to stderr.  Exit codes: 2 parse/validation, 3 environment
+load, 4 automaton or product build, 5 solver non-convergence, 6 stale
+policy, 141 stdout closed by its reader (128 + SIGPIPE).  Exit 2 also
+covers an input file that cannot be read or decoded (3 for a --grid or
+--game file), an --out that cannot be made a directory, and an output
+file that cannot be written.  `failing` maps a stage's error types to its
+code.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 import time
 from contextlib import contextmanager
@@ -40,7 +39,6 @@ from .product_mdp import (
     build_product,
     model_hash,
 )
-from .simulator import estimate_success, rollout
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -55,9 +53,7 @@ from .timed_automata import (
     AutomatonError,
     ProgressionDta,
     dta_to_dot,
-    load_dta,
     pretty,
-    run_dta,
 )
 
 EXIT_VALIDATION = 2
@@ -294,38 +290,7 @@ def cmd_translate(args):
     print(f"locations: {dta.location_count}")
     print(f"atoms: {' '.join(dta.atoms)}")
     print(f"wrote: {out / 'dta.txt'} {out / 'dta.dot'} {out / 'sta.txt'}")
-    if args.oracle:
-        # the closed progression automaton raises nothing while it steps:
-        # an error here is the oracle's, at load or at run time
-        with failing(EXIT_VALIDATION, "oracle: ", AutomatonError):
-            oracle = load_dta(_read(args.oracle))
-            agree = _equivalence_trials(dta, oracle, u.names, args.words,
-                                        args.max_len, args.seed)
-        print(f"oracle-agreement: {agree}/{args.words}")
-        if agree != args.words:
-            _fail(1, "oracle disagreement")
     return 0
-
-
-def _equivalence_trials(dta, oracle, events, n_words, max_len, seed):
-    """Acceptance agreement on random words; external events fire at most
-    once per word (the model's domain), other propositions freely."""
-    rng = random.Random(seed)
-    atoms = sorted(set(dta.atoms) | set(oracle.atoms))
-    agent_atoms = [a for a in atoms if a not in events]
-    agree = 0
-    for _ in range(n_words):
-        length = rng.randint(0, max_len)
-        occurrence = {ev: rng.randint(0, max_len + 4) for ev in events}
-        word = []
-        for i in range(length):
-            sym = {ev for ev in events if occurrence[ev] == i}
-            sym |= {a for a in agent_atoms if rng.random() < 0.3}
-            word.append(sym)
-        tw = TimedWord.from_sets(word)
-        if run_dta(dta, tw).accepted == run_dta(oracle, tw).accepted:
-            agree += 1
-    return agree
 
 
 def cmd_plan(args):
@@ -364,6 +329,9 @@ def cmd_plan(args):
 
 
 def cmd_simulate(args):
+    # the one subcommand that runs the simulator is the one that loads it
+    from .simulator import estimate_success, rollout
+
     built = build_model(args)
     m = built.product
     policy = read_policy(args.policy, built)
@@ -511,10 +479,6 @@ def build_parser():
     p = sub.add_parser("translate", help="compile a formula to an automaton")
     _add_formula_args(p)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--oracle", help="explicit automaton file to check against")
-    p.add_argument("--words", type=_at_least(1), default=10000)
-    p.add_argument("--max-len", type=_at_least(0), default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("plan", help="synthesize the optimal policy")

@@ -22,8 +22,9 @@ from mitlplan.formula import (
 from mitlplan.simulator import estimate_success
 from mitlplan.solver import extract_policy, policy_evaluation, value_iteration
 from mitlplan.stochastic_ta import StaModel, truncate
-from mitlplan.timed_automata import TimedWord, build_dta, canonical, load_dta, run_dta
+from mitlplan.timed_automata import TimedWord, build_dta, canonical, run_dta
 
+from _explicit_dta import load_dta
 from _oracles import (
     brute_force_reach,
     random_fragment_formula,

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +10,24 @@ import pytest
 import mitlplan
 from mitlplan import cli
 from mitlplan.cli import build_model, build_parser, main
-from mitlplan.formula import MAX_FORMULA_DEPTH
+from mitlplan.formula import (
+    MAX_FORMULA_DEPTH,
+    EventSet,
+    parse,
+    substitute_dist,
+)
 from mitlplan.product_mdp import ProductError
 from mitlplan.simulator import default_max_steps
-from mitlplan.timed_automata import MAX_ATOMS
+from mitlplan.timed_automata import (
+    MAX_ATOMS,
+    AutomatonError,
+    TimedWord,
+    build_dta,
+    run_dta,
+)
 from mitlplan.solver import value_iteration
 
+from _explicit_dta import load_dta
 from conftest import DATA, BUS_CASE1, BUS_CASE2, DEEP_FORMULAS, THREE_BUS
 
 
@@ -43,13 +56,53 @@ def test_translate_writes_outputs(tmp_path, capsys):
     assert "digraph" in (tmp_path / "dta.dot").read_text()
 
 
-def test_translate_oracle_agreement(tmp_path, capsys):
-    code, out, _ = run(capsys, "translate", "--formula", BUS_CASE1,
-                       "--out", str(tmp_path),
-                       "--oracle", str(DATA / "bus_oracle.dta"),
-                       "--words", "500", "--seed", "1")
-    assert code == 0
-    assert "oracle-agreement: 500/500" in out
+# ---------------------------------------------------------------------------
+# explicit-clock oracles (tests/_explicit_dta.py) against the automaton
+# `translate` builds
+# ---------------------------------------------------------------------------
+
+def equivalence_trials(dta, oracle, events, n_words, max_len, seed):
+    """Acceptance agreement on random words; external events fire at most
+    once per word (the model's domain), other propositions freely."""
+    rng = random.Random(seed)
+    atoms = sorted(set(dta.atoms) | set(oracle.atoms))
+    agent_atoms = [a for a in atoms if a not in events]
+    agree = 0
+    for _ in range(n_words):
+        length = rng.randint(0, max_len)
+        occurrence = {ev: rng.randint(0, max_len + 4) for ev in events}
+        word = []
+        for i in range(length):
+            sym = {ev for ev in events if occurrence[ev] == i}
+            sym |= {a for a in agent_atoms if rng.random() < 0.3}
+            word.append(sym)
+        tw = TimedWord.from_sets(word)
+        if run_dta(dta, tw).accepted == run_dta(oracle, tw).accepted:
+            agree += 1
+    return agree
+
+
+def oracle_line(formula, text, words=200, seed=0):
+    """The explicit automaton `text` checked against the progression
+    automaton of `formula` on `words` random words of at most 20 symbols:
+    the agreement count, or the `AutomatonError` of its load or a run."""
+    f = parse(formula)
+    dta = build_dta(substitute_dist(f))
+    try:
+        agree = equivalence_trials(dta, load_dta(text),
+                                   EventSet.from_formula(f).names, words,
+                                   20, seed)
+    except AutomatonError as exc:
+        return str(exc)
+    return f"oracle-agreement: {agree}/{words}"
+
+
+def test_translate_oracle_agreement():
+    # the automaton `translate` builds for the two-bus mission accepts the
+    # words the hand-built oracle accepts
+    text = (DATA / "bus_oracle.dta").read_text()
+    assert oracle_line(BUS_CASE1, text, 500, seed=1) == \
+        "oracle-agreement: 500/500"
 
 
 NONDETERMINISTIC_BEYOND_THE_BOX = """
@@ -66,26 +119,21 @@ edge A [true] {a} -> A
     # 12**5 clock vectors times 2 symbols exceed the load-time box, so the
     # overlap is found only when a word steps it
     (NONDETERMINISTIC_BEYOND_THE_BOX,
-     "oracle: nondeterministic step from 'A' on {'a'} at [x1=0, x2=0, "
+     "nondeterministic step from 'A' on {'a'} at [x1=0, x2=0, "
      "x3=0, x4=0, x5=0]"),
     ("locations A\nclocks x1\ninit A\naccepting A\n"
      "invariant A [zz <= 3]\nedge A [true] {a} -> A\n",
-     "oracle: unknown clock 'zz' in invariant of 'A'"),
+     "unknown clock 'zz' in invariant of 'A'"),
     ("locations A\nclocks x1\ninit A\naccepting A\n"
      "invariant Q [x1 <= 3]\nedge A [true] {a} -> A\n",
-     "oracle: invariant of undeclared location 'Q'"),
+     "invariant of undeclared location 'Q'"),
     ("locations A\nclocks x1\ninit\naccepting A\nedge A [true] {a} -> A\n",
-     "oracle: line 3: expected 'init <location>'"),
+     "line 3: expected 'init <location>'"),
 ], ids=["run-time-nondeterminism", "invariant-clock", "invariant-location",
         "bare-init"])
-def test_translate_faulty_oracle_exits_2(tmp_path, capsys, oracle, message):
-    path = tmp_path / "oracle.dta"
-    path.write_text(oracle)
-    code, _, err = run(capsys, "translate", "--formula", "F a",
-                       "--out", str(tmp_path), "--oracle", str(path),
-                       "--words", "50", "--seed", "1")
-    assert code == 2
-    assert err == f"error: {message}\n"
+def test_translate_faulty_oracle_exits_2(oracle, message):
+    # an oracle that fails to load, or to step a word, raises its message
+    assert oracle_line("F a", oracle, 50, seed=1) == message
 
 
 def test_translate_malformed_formula(tmp_path, capsys):
@@ -179,20 +227,15 @@ def test_simulate_rejects_malformed_policy(tmp_path, capsys,
     ("simulate", "--logs", "-2"),
     ("plan", "--cap", "0"),
     ("plan", "--cap", "-4"),
-    ("translate", "--words", "-5"),
-    ("translate", "--words", "0"),
-    ("translate", "--max-len", "-1"),
 ])
 def test_out_of_range_option_exits_2(tmp_path, capsys, case2_policy_lines,
                                      command, option, value):
     policy = tmp_path / "policy.txt"
     policy.write_text("\n".join(case2_policy_lines) + "\n")
     rollouts = ["--policy", str(policy), "-n", "10"] * (command == "simulate")
-    model = ["--grid", str(DATA / "case2.grid"),
-             "--uniform-T", "3"] * (command != "translate")
-    oracle = ["--oracle", str(DATA / "bus_oracle.dta")] * (command == "translate")
     with pytest.raises(SystemExit) as exc:
-        main([command, "--formula", BUS_CASE2, *model, *rollouts, *oracle,
+        main([command, "--formula", BUS_CASE2, "--grid",
+              str(DATA / "case2.grid"), "--uniform-T", "3", *rollouts,
               option, value, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"error: argument {option}: must be" in capsys.readouterr().err
@@ -401,6 +444,58 @@ def test_plan_does_not_import_numpy_ma(tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+IMPORT_RUNS = {
+    "plan": ["plan", "--formula", BUS_CASE1, "--grid",
+             str(DATA / "case1.grid"), "--uniform-T", "4", "--out", "OUT"],
+    "simulate": ["simulate", "--formula", BUS_CASE1, "--grid",
+                 str(DATA / "case1.grid"), "--uniform-T", "4",
+                 "--policy", "OUT/policy.txt", "-n", "10", "--out", "OUT"],
+    "translate": ["translate", "--formula", BUS_CASE1, "--out", "OUT"],
+    "monitor": ["monitor", "--formula", BUS_CASE1, "--word",
+                str(DATA / "case1.word")],
+    "bench": ["bench", "--formula", BUS_CASE1, "--grid",
+              str(DATA / "case1.grid"), "--uniform-T", "3"],
+}
+
+
+@pytest.mark.parametrize("command", IMPORT_RUNS)
+def test_only_simulate_imports_the_simulator(tmp_path, capsys, command):
+    # every CLI process compiles the modules it imports from source, and
+    # only `simulate` runs the simulator
+    def argv(command):
+        return [a.replace("OUT", str(tmp_path)) for a in IMPORT_RUNS[command]]
+
+    if command == "simulate":
+        assert main(argv("plan")) == 0
+        capsys.readouterr()
+    src = str(Path(mitlplan.__file__).resolve().parent.parent)
+    script = ("import sys\n"
+              "from mitlplan.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "assert code == 0, code\n"
+              "print('mitlplan.simulator' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script, *argv(command)],
+                          env=env, check=True, capture_output=True, text=True,
+                          timeout=300)
+    assert done.stdout.splitlines()[-1] == str(command == "simulate")
+
+
+def test_cli_names_the_benchmark_reads(capsys):
+    # e2ebench builds and checks plans through these names of mitlplan.cli
+    for name in ("build_model", "build_parser", "read_policy",
+                 "write_policy", "write_values", "main"):
+        assert callable(getattr(cli, name)), name
+    # the explicit-clock oracle is a test module now, not a translate option
+    err = usage_error(capsys, "translate", "--formula", "F a",
+                      "--oracle", str(DATA / "bus_oracle.dta"))
+    assert err.splitlines() == [
+        "usage: mitlplan [-h] {translate,plan,simulate,monitor,bench} ...",
+        "mitlplan: error: unrecognized arguments: --oracle "
+        f"{DATA / 'bus_oracle.dta'}"]
+
+
 CAP_OVERFLOW_RUNS = {
     "translate": ("translate", "--formula", THREE_BUS),
     "plan": ("plan", "--formula", THREE_BUS, "--grid",
@@ -503,12 +598,11 @@ CASE2_MODEL = ["--formula", BUS_CASE2, "--grid", str(DATA / "case2.grid"),
 
 @pytest.mark.parametrize("argv, code", [
     (["translate", "--formula-file", "BAD", "--out", "OUT"], 2),
-    (["translate", "--formula", "F a", "--oracle", "BAD", "--out", "OUT"], 2),
     (["monitor", "--formula", "F a", "--word", "BAD"], 2),
     (["plan", "--formula", BUS_CASE2, "--grid", "BAD", "--uniform-T", "3"], 3),
     (["plan", "--formula", BUS_CASE2, "--game", "BAD", "--uniform-T", "3"], 3),
     (["simulate", *CASE2_MODEL, "--policy", "BAD", "--out", "OUT"], 2),
-], ids=["formula-file", "oracle", "word", "grid", "game", "policy"])
+], ids=["formula-file", "word", "grid", "game", "policy"])
 def test_undecodable_input_file_exits_with_its_code(tmp_path, capsys, argv,
                                                     code):
     bad = tmp_path / "bad.bin"
@@ -570,17 +664,14 @@ CASE2_UNCONVERGED = [*CASE2_MODEL, "--max-iter", "2", "--tol", "1e-14"]
      "formula: 1:4: expected ')', found ''"),
     (["translate", "--formula", "!F a", "--out", "OUT"], 2,
      "formula rejected:\n  negation over Until leaves the co-safety fragment"),
-    (["translate", "--formula", "F a", "--out", "OUT",
-      "--oracle", str(DATA / "bus_oracle.dta"), "--words", "20"], 1,
-     "oracle disagreement"),
     (["plan", *CASE2_UNCONVERGED, "--out", "OUT"], 5,
      "value iteration hit 2 iterations with residual 0.7200000000000002 "
      ">= 1e-14"),
     (["bench", *CASE2_UNCONVERGED], 5, "no convergence at T=3"),
     (["plan", *CASE2_MODEL, "--out", "OUT"], 4,
      "product: product exceeded 2000000 states"),
-], ids=["parse", "fragment", "oracle-disagreement", "plan-nonconvergence",
-        "bench-nonconvergence", "product"])
+], ids=["parse", "fragment", "plan-nonconvergence", "bench-nonconvergence",
+        "product"])
 def test_error_line_and_exit_code(tmp_path, capsys, monkeypatch, argv, code,
                                   message):
     if code == 4:
@@ -919,15 +1010,16 @@ def test_bench_eps_list_without_events(capsys, corner_grid):
 
 # ---------------------------------------------------------------------------
 # one row per input branch: the command line, the text of its input file
-# IN, the exit code, and the line it prints (stderr on failure)
+# IN, the exit code, and the line it prints (stderr on failure).  An oracle
+# row names a formula instead, and IN is an explicit automaton checked
+# against its progression automaton: the line is what `oracle_line` gives
 # ---------------------------------------------------------------------------
 
 TOY_GAME = (DATA / "toy.game").read_text()
 # accepts F a: stays in A until a, then accepting B
 F_A_ORACLE = ("locations A B\nclocks x y z\ninit A\naccepting B\n"
               "edge A [true] {!a} -> A\nedge A [true] {a} -> B\n")
-TRANSLATE_F_A = ["translate", "--formula", "F a", "--out", "OUT",
-                 "--oracle", "IN", "--words", "200"]
+ORACLE_F_A = ("oracle", "F a")
 PLAN_GRID = ["plan", "--formula", "F s", "--grid", "IN", "--uniform-T", "1",
              "--out", "OUT"]
 PLAN_TOY = ["plan", "--formula", "D{geom:0.5} b & F goal", "--game", "IN",
@@ -1040,56 +1132,54 @@ INPUT_BRANCHES = {
         "error: game: undeclared event 'c'"),
     # oracles that fail to load
     "oracle-bad-invariant-line": (
-        TRANSLATE_F_A, F_A_ORACLE + "invariant A x <= 1\n", 2,
-        "error: oracle: line 7: bad invariant line"),
+        ORACLE_F_A, F_A_ORACLE + "invariant A x <= 1\n", None,
+        "line 7: bad invariant line"),
     "oracle-bad-edge-line": (
-        TRANSLATE_F_A, F_A_ORACLE + "edge A {a} B\n", 2,
-        "error: oracle: line 7: bad edge line"),
+        ORACLE_F_A, F_A_ORACLE + "edge A {a} B\n", None,
+        "line 7: bad edge line"),
     "oracle-unknown-directive": (
-        TRANSLATE_F_A, F_A_ORACLE + "final B\n", 2,
-        "error: oracle: line 7: unknown directive 'final'"),
+        ORACLE_F_A, F_A_ORACLE + "final B\n", None,
+        "line 7: unknown directive 'final'"),
     "oracle-missing-init": (
-        TRANSLATE_F_A, f_a_oracle("init A\n", ""), 2,
-        "error: oracle: missing init location"),
+        ORACLE_F_A, f_a_oracle("init A\n", ""), None,
+        "missing init location"),
     "oracle-undeclared-init": (
-        TRANSLATE_F_A, f_a_oracle("init A", "init C"), 2,
-        "error: oracle: initial location 'C' not declared"),
+        ORACLE_F_A, f_a_oracle("init A", "init C"), None,
+        "initial location 'C' not declared"),
     "oracle-undeclared-accepting": (
-        TRANSLATE_F_A, f_a_oracle("accepting B", "accepting B C"), 2,
-        "error: oracle: accepting location 'C' not declared"),
+        ORACLE_F_A, f_a_oracle("accepting B", "accepting B C"), None,
+        "accepting location 'C' not declared"),
     "oracle-undeclared-edge-source": (
-        TRANSLATE_F_A, F_A_ORACLE + "edge C [true] {a} -> B\n", 2,
-        "error: oracle: edge from undeclared location 'C'"),
+        ORACLE_F_A, F_A_ORACLE + "edge C [true] {a} -> B\n", None,
+        "edge from undeclared location 'C'"),
     "oracle-unparsable-guard": (
-        TRANSLATE_F_A, F_A_ORACLE + "edge B [x <> 1] {a} -> B\n", 2,
-        "error: oracle: line 7: cannot parse clock constraint 'x <> 1'"),
+        ORACLE_F_A, F_A_ORACLE + "edge B [x <> 1] {a} -> B\n", None,
+        "line 7: cannot parse clock constraint 'x <> 1'"),
     "oracle-temporal-predicate": (
-        TRANSLATE_F_A, F_A_ORACLE + "edge B [true] {F a} -> B\n", 2,
-        "error: oracle: symbol predicate must be boolean: F a"),
+        ORACLE_F_A, F_A_ORACLE + "edge B [true] {F a} -> B\n", None,
+        "symbol predicate must be boolean: F a"),
     # an atom left out of the atoms line used to read false on every step
     "oracle-undeclared-atom": (
-        ["translate", "--formula", "F q", "--out", "OUT", "--oracle", "IN",
-         "--words", "200"],
+        ("oracle", "F q"),
         "locations A B\nclocks x\natoms p\ninit A\naccepting B\n"
-        "edge A [true] {q} -> B\nedge A [true] {!q} -> A\n", 2,
-        "error: oracle: unknown atom 'q' on edge A->B"),
+        "edge A [true] {q} -> B\nedge A [true] {!q} -> A\n", None,
+        "unknown atom 'q' on edge A->B"),
     # oracles that load and agree with F a, or F[0,1] a
     "oracle-false-guard": (
-        TRANSLATE_F_A, F_A_ORACLE + "edge A [false] {a} -> A\n", 0,
+        ORACLE_F_A, F_A_ORACLE + "edge A [false] {a} -> A\n", None,
         "oracle-agreement: 200/200"),
     "oracle-parenthesized-guard": (
-        TRANSLATE_F_A,
+        ORACLE_F_A,
         F_A_ORACLE + "edge A [(x <= 1 | y > 2) & z < 3] {a & !a} -> B\n"
-        "edge B [true & false] {a} -> B\n", 0,
+        "edge B [true & false] {a} -> B\n", None,
         "oracle-agreement: 200/200"),
     "oracle-false-predicate": (
-        TRANSLATE_F_A, F_A_ORACLE + "edge A [true] {false} -> B\n", 0,
+        ORACLE_F_A, F_A_ORACLE + "edge A [true] {false} -> B\n", None,
         "oracle-agreement: 200/200"),
     # a late a enters B past its invariant: the run is rejected there
     "oracle-target-invariant-fails": (
-        ["translate", "--formula", "F[0,1] a", "--out", "OUT",
-         "--oracle", "IN", "--words", "200"],
-        F_A_ORACLE + "invariant B [x <= 1]\n", 0,
+        ("oracle", "F[0,1] a"),
+        F_A_ORACLE + "invariant B [x <= 1]\n", None,
         "oracle-agreement: 200/200"),
     # words
     "word-with-comments-and-blank-lines": (
@@ -1103,6 +1193,9 @@ INPUT_BRANCHES = {
                          ids=INPUT_BRANCHES)
 def test_input_branch_exit_code_and_line(tmp_path, capsys, argv, text, code,
                                          line):
+    if argv[0] == "oracle":
+        assert oracle_line(argv[1], text) == line
+        return
     path = tmp_path / "input"
     if text is not None:
         path.write_text(text)

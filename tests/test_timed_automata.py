@@ -30,25 +30,27 @@ from mitlplan.formula import (
 from mitlplan.timed_automata import (
     MAX_ATOMS,
     AutomatonError,
-    Compare,
-    DiffCompare,
-    FalseC,
-    AndC,
-    OrC,
     ProgressionDta,
     TimedWord,
     build_dta,
     canonical,
     dta_to_dot,
-    eval_constraint,
-    load_dta,
-    parse_clock_constraint,
     progress,
     run_dta,
 )
 
 import mitlplan
 from mitlplan import timed_automata
+from _explicit_dta import (
+    AndC,
+    Compare,
+    DiffCompare,
+    FalseC,
+    OrC,
+    eval_constraint,
+    load_dta,
+    parse_clock_constraint,
+)
 from _oracles import (
     ReferenceProgression,
     random_fragment_formula,
@@ -60,7 +62,8 @@ from conftest import BUS_CASE1, DATA, THREE_BUS
 
 
 # ---------------------------------------------------------------------------
-# clock constraints and clock stepping
+# clock constraints and clock stepping of the explicit-clock oracle
+# (tests/_explicit_dta.py)
 # ---------------------------------------------------------------------------
 
 def vec(values):
@@ -429,7 +432,7 @@ def test_golden_plan_digests():
 
 
 # ---------------------------------------------------------------------------
-# explicit automata
+# explicit automata (tests/_explicit_dta.py)
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -518,23 +521,24 @@ def test_nondeterminism_messages_do_not_depend_on_the_hash_seed():
     # their order followed the string hash seed.  A box cap of 0 skips the
     # load-time check, so that the step meets the conflict
     script = ("import sys\n"
-              "from mitlplan import timed_automata as ta\n"
+              "import _explicit_dta as xd\n"
               "text = sys.stdin.read()\n"
-              "for cap in (ta.DETERMINISM_BOX_CAP, 0):\n"
-              "    ta.DETERMINISM_BOX_CAP = cap\n"
+              "for cap in (xd.DETERMINISM_BOX_CAP, 0):\n"
+              "    xd.DETERMINISM_BOX_CAP = cap\n"
               "    try:\n"
-              "        d = ta.load_dta(text)\n"
+              "        d = xd.load_dta(text)\n"
               "        d.step_config(d.initial_config(), {'r', 'q', 'p'}, 0)\n"
-              "    except ta.AutomatonError as exc:\n"
+              "    except xd.AutomatonError as exc:\n"
               "        print(exc)\n")
     src = str(Path(mitlplan.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
     expected = ("nondeterministic edges from 'C' on {'p', 'q', 'r'} at [x=0]: "
                 "'B' vs 'A'\n"
                 "nondeterministic step from 'C' on {'p', 'q', 'r'} at [x=0]\n")
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join(
-                       [src, os.environ.get("PYTHONPATH", "")]))
+                       [src, tests, os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run([sys.executable, "-c", script],
                               input=NONDETERMINISTIC_THREE_ATOMS, env=env,
                               check=True, capture_output=True, text=True,
