@@ -811,12 +811,6 @@ class TruncationVector:
         """Both kinds merged, sorted by name."""
         return tuple(sorted(self.events + self.windows))
 
-    def __getitem__(self, clock: str) -> int:
-        for name, T in self.points:
-            if name == clock:
-                return T
-        raise KeyError(clock)
-
     def __str__(self):
         body = ", ".join(f"{name}={T}" for name, T in self.points)
         return f"{{{body}}} (eps_achieved={self.eps_achieved!r})"

@@ -29,10 +29,10 @@ a time: every successor of the layer is packed into an int64 key
 ``sta_id * n_game + game_id``, looked up among the sorted keys of the
 known states, and the new keys get indices in order of first
 occurrence.  States are stored as the two id arrays `game_of` and
-`spec_of`; `ProductMdp.states` decodes a `ProductState` on access.
-Product files and trajectory logs print a state as the texts of its two
-ids, which `ProductMdp.game_text` and `ProductMdp.spec_text` format once
-per id.  `ProductMdp.log_state` and `ProductMdp.log_row` keep, per state
+`spec_of`, and each state's class as one int8 `outcome_code` (`OUTCOMES`
+names its values).  Product files and trajectory logs print a state as
+the texts of its two ids, which `ProductMdp.game_text` and
+`ProductMdp.spec_text` format once per id.  `ProductMdp.log_state` and `ProductMdp.log_row` keep, per state
 and per row a log reaches, what the memo walk `simulator.rollout` reads;
 its test reference is `tests/_oracles.py::walk` on the CSR arrays.
 """
@@ -40,13 +40,11 @@ its test reference is `tests/_oracles.py::walk` on the CSR arrays.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .game_model import Game, GameState, concat_ranges
+from .game_model import Game, concat_ranges
 from .stochastic_ta import StaModel, StaState
 
 
@@ -59,28 +57,9 @@ STAY_ACTION = "stay"
 ROW_SUM_TOL = 1e-10
 # `to_dot` refuses products with more states than this
 DOT_MAX_STATES = 200
-
-
-@dataclass(frozen=True)
-class ProductState:
-    game: GameState
-    spec: StaState
-
-
-class ProductStates(Sequence):
-    """The states of a product, each decoded from its game and automaton
-    ids when it is read."""
-
-    def __init__(self, m: ProductMdp):
-        self._m = m
-
-    def __len__(self) -> int:
-        return len(self._m.game_of)
-
-    def __getitem__(self, z: int) -> ProductState:
-        m = self._m
-        return ProductState(m.game.states[m.game_of[z]],
-                            m.spec_states[m.spec_of[z]])
+# the name of each outcome code, as rollouts report it: a rollout that
+# ends at a live state (code 0) ran out of steps
+OUTCOMES = ("step-limit", "accept", "sink")
 
 
 class ProductMdp:
@@ -88,31 +67,31 @@ class ProductMdp:
 
     State z pairs game state ``game.states[game_of[z]]`` with automaton
     state ``spec_states[spec_of[z]]``.  Row r = z * n_actions + a holds the
-    successor distribution of state z under action a.  `accepting` and
-    `sink` are disjoint absorbing classes; each of their rows is a unit
-    self-loop with reward 0 (reward is earned on entry), so values stay
-    zero there.  `outcome_code` gives each state's code (`outcome_codes`).
-    The initial state is state 0.
+    successor distribution of state z under action a.  `outcome_code`
+    (int8) is the one record of each state's class: 0 live, 1 accepting,
+    2 sink, named by `OUTCOMES`; `accepting`, `sink` and `absorbing` (not
+    live) are read off it once.  An absorbing state's rows are unit
+    self-loops with reward 0 (reward is earned on entry), so values stay
+    zero there.  The initial state is state 0.
     """
 
     def __init__(self, game: Game, sta: StaModel, spec_states, game_of,
-                 spec_of, row_ptr, cols, probs, accepting, sink):
+                 spec_of, row_ptr, cols, probs, outcome_code):
         self.game = game
         self.sta = sta
         self.spec_states = tuple(spec_states)
         self.game_of = game_of
         self.spec_of = spec_of
-        self.states = ProductStates(self)
         self.z0 = 0
         self.actions = tuple(game.actions)
         self.n_actions = len(self.actions)
         self.row_ptr = row_ptr
         self.cols = cols
         self.probs = probs
-        self.accepting = accepting
-        self.sink = sink
-        self.absorbing = accepting | sink
-        self.outcome_code = outcome_codes(accepting, sink)
+        self.outcome_code = outcome_code
+        self.accepting = outcome_code == 1
+        self.sink = outcome_code == 2
+        self.absorbing = outcome_code != 0
         self.reward_row = self._reward_rows()
         # texts of game and automaton states by id, each formatted when it
         # is first read
@@ -233,8 +212,7 @@ class ProductMdp:
                 f"refusing DOT export beyond {DOT_MAX_STATES} states")
         lines = ["digraph product {", "  rankdir=LR;"]
         for z in range(self.n_states):
-            shape = ("doublecircle" if self.accepting[z]
-                     else "box" if self.sink[z] else "circle")
+            shape = ("circle", "doublecircle", "box")[self.outcome_code[z]]
             lines.append(f'  z{z} [shape={shape}];')
         for z in range(self.n_states):
             if self.absorbing[z]:
@@ -244,13 +222,6 @@ class ProductMdp:
                     lines.append(f'  z{z} -> z{z2} [label="{name}:{p:.4g}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def outcome_codes(accepting: np.ndarray, sink: np.ndarray) -> np.ndarray:
-    """The outcome code of each state, as int8: 1 where accepting, else 2
-    where a sink, else 0.  A rollout ends at the first state of a nonzero
-    code; accepting comes before sink."""
-    return np.where(accepting, 1, np.where(sink, 2, 0)).astype(np.int8)
 
 
 def _grown(a: np.ndarray, fill) -> np.ndarray:
@@ -265,9 +236,9 @@ class StepTable:
     States get ids as they are first seen; `labels` fixes the label ids.
     Entries are filled on demand, one `sta.step` call per pair; the table
     is the product's own memo of the steps, so `StaModel.step` itself
-    stores nothing.  Per state id the table also holds whether the state
-    is accepting or a sink (the truncation sink or a rejecting location);
-    a state is absorbing when it is either.
+    stores nothing.  Per state id the table also holds the state's
+    outcome code (`OUTCOMES`): 2 for a sink (the truncation sink or a
+    rejecting location), else 1 if accepting, else 0.
     """
 
     def __init__(self, sta: StaModel, labels):
@@ -277,15 +248,11 @@ class StepTable:
         self._index: dict[StaState, int] = {}
         self._next = np.full((0, len(self.labels)), -1, dtype=np.int64)
         self._prob = np.zeros((0, len(self.labels)))
-        self._flags = np.zeros((0, 2), dtype=bool)
+        self._code = np.zeros(0, dtype=np.int8)
 
     @property
-    def accepting(self) -> np.ndarray:
-        return self._flags[:len(self.states), 0]
-
-    @property
-    def sink(self) -> np.ndarray:
-        return self._flags[:len(self.states), 1]
+    def code(self) -> np.ndarray:
+        return self._code[:len(self.states)]
 
     def intern(self, q: StaState) -> int:
         j = self._index.get(q)
@@ -296,9 +263,11 @@ class StepTable:
         if j == len(self._next):
             self._next = _grown(self._next, -1)
             self._prob = _grown(self._prob, 0.0)
-            self._flags = _grown(self._flags, False)
-        sink = q.sink or self.sta.is_rejecting(q)
-        self._flags[j] = (not sink and self.sta.is_accepting(q), sink)
+            self._code = _grown(self._code, 0)
+        if q.sink or self.sta.is_rejecting(q):
+            self._code[j] = 2
+        elif self.sta.is_accepting(q):
+            self._code[j] = 1
         return j
 
     def step(self, q_ids: np.ndarray, label_ids: np.ndarray):
@@ -358,7 +327,7 @@ def build_product(game: Game, tsta: StaModel,
     while lo < hi:
         # expand states lo..hi-1, the last ones numbered
         z = np.arange(lo, hi)
-        live = ~(table.accepting | table.sink)[spec_of[-1]]
+        live = table.code[spec_of[-1]] == 0
         row, s2, q2, p = _live_successors(game, table, n_actions, z[live],
                                           game_of[-1][live],
                                           spec_of[-1][live])
@@ -389,7 +358,7 @@ def build_product(game: Game, tsta: StaModel,
     np.cumsum(np.concatenate(row_len), out=row_ptr[1:])
     return ProductMdp(game, tsta, table.states, game_of, spec_of, row_ptr,
                       np.concatenate(cols), np.concatenate(probs),
-                      table.accepting[spec_of], table.sink[spec_of])
+                      table.code[spec_of])
 
 
 def _rows(z: np.ndarray, n_actions: int) -> np.ndarray:

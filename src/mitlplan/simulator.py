@@ -19,7 +19,10 @@ last entry is inf, so the search stops inside the row and a flat table
 of successors beside the sums gives the next state in one gather.  A
 step allocates a few arrays of one entry per lane.  The model keeps the
 table of the last policy `estimate_success` ran, keyed by the contents
-of its rows, and its default step budget (`default_max_steps`).
+of its rows, and its default step budget (`default_max_steps`).  A
+rollout stops at the first state whose `ProductMdp.outcome_code` is not
+0, or when its step budget runs out, and reports the name `OUTCOMES`
+gives the code of the state it stops at.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game_model import concat_ranges
-from .product_mdp import ProductMdp
+from .product_mdp import OUTCOMES, ProductMdp
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -43,8 +46,6 @@ _MIX2_U = np.uint64(_MIX2)
 _INV53 = 1.0 / float(1 << 53)
 _Z95 = 1.959963984540054
 
-# the outcome named by each outcome code of `rollout` and the batch
-_OUTCOMES = ("step-limit", "accept", "sink")
 # rollouts per batch of `estimate_success`: its per-lane arrays take a
 # few MB at most
 _CHUNK = 1 << 16
@@ -81,7 +82,7 @@ def splitmix_next(state: int) -> tuple[float, int]:
 
 @dataclass
 class Trajectory:
-    outcome: str                      # "accept" | "sink" | "step-limit"
+    outcome: str                      # an entry of `OUTCOMES`
     state_indices: list[int]
     actions: list[str]
     lines: list[str] = field(default_factory=list)
@@ -214,7 +215,7 @@ def rollout(m: ProductMdp, policy, seed: int, max_steps: int | None = None
         lines.append(f"--{a_name}--> ({z_text}, {a_name})")
         lines.append(f"--e={{{occurred}}}--> {nxt_text}")
         z_text = nxt_text
-    outcome = _OUTCOMES[code]
+    outcome = OUTCOMES[code]
     lines.append(f"terminal: {outcome}")
     return Trajectory(outcome, visited, actions, lines)
 
@@ -254,7 +255,7 @@ def estimate_success(m: ProductMdp, policy, n: int, seed: int,
             table, m.outcome_code, m.z0, min(_CHUNK, n - first),
             (seed + first * _GOLDEN) & _U64, max_steps)
         counts += np.bincount(outcomes, minlength=3)
-    tally = dict(zip(_OUTCOMES, counts.tolist()))
+    tally = dict(zip(OUTCOMES, counts.tolist()))
     successes = tally["accept"]
     return SuccessEstimate(successes / n, *wilson_interval(successes, n),
                            successes, n, tally)

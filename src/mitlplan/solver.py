@@ -35,10 +35,6 @@ class ValueIterationResult:
     residual: float
     converged: bool
 
-    @property
-    def initial_value(self) -> float:
-        return float(self.values[0])
-
 
 def value_iteration(m: ProductMdp, tol: float = DEFAULT_TOL,
                     max_iter: int = DEFAULT_MAX_ITER) -> ValueIterationResult:

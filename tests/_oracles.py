@@ -12,7 +12,7 @@
   the array compile `build_gridworld` and the explicit compile of
   `load_game` must reproduce;
 - the state-at-a-time product construction that the array-based one must
-  reproduce;
+  reproduce, and `product_state`, which decodes a state of a product;
 - scalar loops that the numpy Bellman sweep of `mitlplan.solver`, the
   memo walk `mitlplan.simulator.rollout` and its batch rollouts must
   reproduce (`walk` samples from the plain CSR arrays), and a
@@ -64,9 +64,8 @@ from mitlplan.game_model import (
     GameState,
     build_gridworld,
 )
-from mitlplan.product_mdp import (ProductError, ProductMdp, ProductState,
-                                  describe_spec_state)
-from mitlplan.stochastic_ta import StaError, StaModel
+from mitlplan.product_mdp import ProductError, ProductMdp, describe_spec_state
+from mitlplan.stochastic_ta import StaError, StaModel, StaState
 
 
 def word_satisfies(f: Formula, word, i: int = 0) -> bool:
@@ -250,6 +249,11 @@ class ReferenceProgression:
         raise TypeError(f"unsupported node {type(g).__name__}")
 
 
+def product_state(m: ProductMdp, z: int) -> tuple[GameState, StaState]:
+    """The game state and the automaton state that product state z pairs."""
+    return m.game.states[m.game_of[z]], m.spec_states[m.spec_of[z]]
+
+
 def reference_product(kernel, tsta, cap: int = 2_000_000) -> ProductMdp:
     """Forward-reachable product construction, one state at a time: the
     dictionary-keyed search that `build_product` must agree with.  It
@@ -268,42 +272,41 @@ def reference_product(kernel, tsta, cap: int = 2_000_000) -> ProductMdp:
     q0, p0 = tsta.initial(kernel.label(s0))
     if p0 != 1.0:
         raise ProductError("initial label claims an external event")
-    z0 = ProductState(s0, q0)
-    index: dict[ProductState, int] = {z0: 0}
-    states: list[ProductState] = [z0]
+    z0 = (s0, q0)
+    index: dict[tuple[GameState, StaState], int] = {z0: 0}
+    states: list[tuple[GameState, StaState]] = [z0]
     rows: list[list[tuple[int, float]]] = []
     frontier = deque([0])
     expanded = 0
 
-    def state_id(ps: ProductState) -> int:
-        j = index.get(ps)
+    def state_id(pair: tuple[GameState, StaState]) -> int:
+        j = index.get(pair)
         if j is None:
             if len(states) >= cap:
                 raise ProductError(f"product exceeded {cap} states")
             j = len(states)
-            index[ps] = j
-            states.append(ps)
+            index[pair] = j
+            states.append(pair)
             frontier.append(j)
         return j
 
     while frontier:
         z = frontier.popleft()
-        ps = states[z]
+        s, q = states[z]
         expanded += 1
-        if (ps.spec.sink or tsta.is_accepting(ps.spec)
-                or tsta.is_rejecting(ps.spec)):
+        if q.sink or tsta.is_accepting(q) or tsta.is_rejecting(q):
             for _ in kernel.actions:
                 rows.append([(z, 1.0)])
             continue
         for action in kernel.actions:
             acc: dict[int, float] = {}
-            for e in env_subsets(ps.game.pending):
-                for s2, pg in kernel.transitions(ps.game, action, e):
-                    q2, pq = tsta.step(ps.spec, kernel.label(s2))
+            for e in env_subsets(s.pending):
+                for s2, pg in kernel.transitions(s, action, e):
+                    q2, pq = tsta.step(q, kernel.label(s2))
                     p = pg * pq
                     if p <= 0.0:
                         continue
-                    j = state_id(ProductState(s2, q2))
+                    j = state_id((s2, q2))
                     acc[j] = acc.get(j, 0.0) + p
             if not acc:
                 raise ProductError(
@@ -323,20 +326,20 @@ def reference_product(kernel, tsta, cap: int = 2_000_000) -> ProductMdp:
         for k, (j, p) in enumerate(row):
             cols[base + k] = j
             probs[base + k] = p
-    accepting = np.zeros(len(states), dtype=bool)
-    sink = np.zeros(len(states), dtype=bool)
-    for z, ps in enumerate(states):
-        if ps.spec.sink or tsta.is_rejecting(ps.spec):
-            sink[z] = True
-        elif tsta.is_accepting(ps.spec):
-            accepting[z] = True
+    # outcome codes: 2 for a sink, else 1 if accepting, else 0
+    code = np.zeros(len(states), dtype=np.int8)
+    for z, (_, q) in enumerate(states):
+        if q.sink or tsta.is_rejecting(q):
+            code[z] = 2
+        elif tsta.is_accepting(q):
+            code[z] = 1
     game_id = {s: i for i, s in enumerate(kernel.game.states)}
-    spec_states = list(dict.fromkeys(ps.spec for ps in states))
+    spec_states = list(dict.fromkeys(q for _, q in states))
     spec_id = {q: i for i, q in enumerate(spec_states)}
-    game_of = np.array([game_id[ps.game] for ps in states], dtype=np.int64)
-    spec_of = np.array([spec_id[ps.spec] for ps in states], dtype=np.int64)
+    game_of = np.array([game_id[s] for s, _ in states], dtype=np.int64)
+    spec_of = np.array([spec_id[q] for _, q in states], dtype=np.int64)
     return ProductMdp(kernel.game, tsta, spec_states, game_of, spec_of,
-                      row_ptr, cols, probs, accepting, sink)
+                      row_ptr, cols, probs, code)
 
 
 # ---------------------------------------------------------------------------
@@ -535,24 +538,25 @@ def rollout_batch_loop(row_ptr, cols, probs, policy_row, accepting, sink,
 def reference_log(m: ProductMdp, policy, seed: int,
                   max_steps: int | None = None) -> str:
     """The trajectory log of ``rollout(m, policy, seed, max_steps)``,
-    rendered from a `ProductState` decoded at every visited state."""
+    rendered from a state decoded by `product_state` at every visited
+    state."""
     if max_steps is None:
         max_steps = default_max_steps(m)
     code, visited = walk(m.row_ptr, m.cols, m.probs, policy.rows(),
                          m.accepting, m.sink, m.z0, splitmix_init(seed),
                          max_steps)
 
-    def text(ps):
-        return f"({ps.game.brief()}, {describe_spec_state(ps.spec)})"
+    def text(s, q):
+        return f"({s.brief()}, {describe_spec_state(q)})"
 
-    z_text = text(m.states[m.z0])
+    z_text = text(*product_state(m, m.z0))
     lines = [z_text]
     for z, nxt in zip(visited, visited[1:]):
         a_name = policy.action_name(z)
-        ps = m.states[nxt]
-        nxt_text = text(ps)
+        s, q = product_state(m, nxt)
+        nxt_text = text(s, q)
         lines.append(f"--{a_name}--> ({z_text}, {a_name})")
-        lines.append(f"--e={{{','.join(sorted(ps.game.occurred))}}}--> "
+        lines.append(f"--e={{{','.join(sorted(s.occurred))}}}--> "
                      f"{nxt_text}")
         z_text = nxt_text
     lines.append(f"terminal: {('step-limit', 'accept', 'sink')[code]}")

@@ -20,13 +20,15 @@ from mitlplan.formula import (
     uniform_truncation_vector,
 )
 from mitlplan.simulator import estimate_success
-from mitlplan.solver import extract_policy, policy_evaluation, value_iteration
+from mitlplan.solver import (extract_policy, policy_evaluation,
+                             satisfaction_probability, value_iteration)
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import TimedWord, build_dta, canonical, run_dta
 
 from _explicit_dta import load_dta
 from _oracles import (
     brute_force_reach,
+    product_state,
     random_fragment_formula,
     random_word,
     truncation_error_estimate,
@@ -185,10 +187,11 @@ def test_criterion_6_probability_normalization():
             sums = np.add.reduceat(m.probs, m.row_ptr[:-1])
             assert np.abs(sums - 1.0).max() <= 1e-10
             checked_rows += len(sums)
-            for ps in m.states:
-                if ps.spec.sink or m.sta.is_rejecting(ps.spec):
+            for z in range(m.n_states):
+                _, q = product_state(m, z)
+                if q.sink or m.sta.is_rejecting(q):
                     continue
-                total = sum(m.sta.env_outcome_dist(ps.spec).values())
+                total = sum(m.sta.env_outcome_dist(q).values())
                 assert abs(total - 1.0) <= 1e-12
                 checked_env += 1
     _report(6, f"{checked_env} outcome distributions within 1e-12 and "
@@ -222,7 +225,7 @@ def test_criterion_8_simulation_consistency(case2_T3):
     res = value_iteration(m, tol=1e-10)
     pol = extract_policy(m, res.values)
     est = estimate_success(m, pol, 100_000, seed=88)
-    v = res.initial_value
+    v = satisfaction_probability(m, res.values)
     band = 4.0 * math.sqrt(v * (1 - v) / est.samples)
     assert abs(est.rate - v) < band
     _report(8, f"empirical rate {est.rate:.5f} within the 4-sigma band of "

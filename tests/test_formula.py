@@ -445,9 +445,10 @@ def test_truncation_vector_bus_example():
     u = EventSet.from_formula(f)
     assert len(u) == 2
     tv = truncation_vector(f, u, 0.35)
-    assert tv["b1"] == 1        # 0.2^1 = 0.2 < 0.35
-    assert tv["b2"] == 3        # 0.7^3 = 0.343 < 0.35
-    assert tv["win1"] == 3 and tv["win2"] == 3
+    events = dict(tv.events)
+    assert events["b1"] == 1    # 0.2^1 = 0.2 < 0.35
+    assert events["b2"] == 3    # 0.7^3 = 0.343 < 0.35
+    assert dict(tv.windows) == {"win1": 3, "win2": 3}
     assert tv.eps_achieved == (1 - 0.3) ** 3
 
 
@@ -462,7 +463,7 @@ def test_uniform_truncation_case2():
     f = parse("D{geom:0.4} b1 & F b1 | D{geom:0.7} b2 & F b2")
     u = EventSet.from_formula(f)
     tv = uniform_truncation_vector(f, u, 5)
-    assert tv["b1"] == 5 and tv["b2"] == 5
+    assert dict(tv.events) == {"b1": 5, "b2": 5}
     assert tv.eps_achieved == max(0.6 ** 5, 0.3 ** 5)
     assert abs(tv.eps_achieved - 0.07776) < 1e-15
 
@@ -476,7 +477,7 @@ def test_truncation_monotone_in_eps():
         assert tv.eps_achieved < eps
         if prev is not None:
             for name in u.names:
-                assert tv[name] >= prev[name]
+                assert dict(tv.events)[name] >= dict(prev.events)[name]
         prev = tv
 
 

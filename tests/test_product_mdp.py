@@ -22,7 +22,8 @@ from mitlplan.product_mdp import (
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import ProgressionDta, build_dta
 
-from _oracles import ReferenceGrid, TableKernel, reference_product
+from _oracles import (ReferenceGrid, TableKernel, product_state,
+                      reference_product)
 from conftest import (
     DATA,
     BUS_CASE1,
@@ -36,10 +37,10 @@ from test_game_model import config_with_events, random_grid_config
 
 def test_initial_state(case1_T3):
     m, _ = case1_T3
-    z0 = m.states[m.z0]
-    assert z0.game.robot == (0, 0)
-    assert z0.game.pending == {"b1", "b2"} == z0.spec.pending
-    assert z0.spec.clocks == (0, 0)
+    s, q = product_state(m, m.z0)
+    assert s.robot == (0, 0)
+    assert s.pending == {"b1", "b2"} == q.pending
+    assert q.clocks == (0, 0)
 
 
 def test_rows_normalized(case1_T3):
@@ -54,8 +55,8 @@ def test_motion_times_outcome_factor(case1_T3):
     a = m.actions.index("E")
     want = None
     for z2, p in m.successors(m.z0, a):
-        ps = m.states[z2]
-        if ps.game.robot == (1, 0) and ps.game.occurred == {"b1"}:
+        s, _ = product_state(m, z2)
+        if s.robot == (1, 0) and s.occurred == {"b1"}:
             want = p
     assert want == pytest.approx(0.8 * 0.56, abs=1e-12)
 
@@ -91,16 +92,16 @@ def test_marginalization_recovers_game_kernel(case1_T3):
     for z in range(m.n_states):
         if m.absorbing[z]:
             continue
-        ps = m.states[z]
-        env = sta.env_outcome_dist(ps.spec)
+        s, q = product_state(m, z)
+        env = sta.env_outcome_dist(q)
         for a, action in enumerate(m.actions):
             got: dict = {}
             for z2, p in m.successors(z, a):
-                key = m.states[z2].game
+                key, _ = product_state(m, z2)
                 got[key] = got.get(key, 0.0) + p
             want: dict = {}
-            for e in env_subsets(ps.game.pending):
-                for s2, pg in game.transitions(ps.game, action, e):
+            for e in env_subsets(s.pending):
+                for s2, pg in game.transitions(s, action, e):
                     want[s2] = want.get(s2, 0.0) + pg * env[e]
             assert set(got) == set(want)
             for key in got:
@@ -143,10 +144,11 @@ def test_no_pending_events_reduces_to_game_kernel():
     for z in range(m.n_states):
         if m.absorbing[z]:
             continue
-        ps = m.states[z]
+        s, _ = product_state(m, z)
         for a, action in enumerate(m.actions):
-            got = {m.states[z2].game.robot: p for z2, p in m.successors(z, a)}
-            want = dict(game.motion(ps.game.robot, action))
+            got = {product_state(m, z2)[0].robot: p
+                   for z2, p in m.successors(z, a)}
+            want = dict(game.motion(s.robot, action))
             assert got == want
 
 
@@ -187,7 +189,8 @@ def test_build_deterministic(case1_T3):
     assert m2.n_states == m.n_states
     assert np.array_equal(m2.cols, m.cols)
     assert np.array_equal(m2.probs, m.probs)
-    assert [s.game for s in m2.states] == [s.game for s in m.states]
+    assert [product_state(m2, z)[0] for z in range(m2.n_states)] == \
+        [product_state(m, z)[0] for z in range(m.n_states)]
 
 
 def test_model_hash_sensitivity():
@@ -271,7 +274,8 @@ def test_build_matches_reference(case):
     got = build_product(kernel.game, tsta)
     want = reference_product(kernel, tsta)
     assert got.to_text() == want.to_text()
-    for name in ("row_ptr", "cols", "accepting", "sink"):
+    assert got.outcome_code.dtype == np.int8
+    for name in ("row_ptr", "cols", "outcome_code", "accepting", "sink"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.probs.tobytes() == want.probs.tobytes()
 
@@ -314,8 +318,8 @@ def test_pending_synchronized(case):
     live = np.flatnonzero(~m.sink)
     assert live.size > 1
     for z in live.tolist():
-        ps = m.states[z]
-        assert ps.game.pending == ps.spec.pending, z
+        s, q = product_state(m, z)
+        assert s.pending == q.pending, z
 
 
 def test_validate_rejects_a_row_that_does_not_sum_to_one(case1_T3):
@@ -331,7 +335,7 @@ def test_validate_rejects_a_row_that_does_not_sum_to_one(case1_T3):
 def test_cap_is_the_exact_state_count(case1_T3):
     m, _ = case1_T3
     n = m.n_states
-    assert len(m.states) == n
+    assert len(m.spec_of) == len(m.outcome_code) == n
     assert build_product(m.game, m.sta, cap=n).n_states == n
     with pytest.raises(ProductError, match=f"product exceeded {n - 1} states"):
         build_product(m.game, m.sta, cap=n - 1)

@@ -8,10 +8,11 @@ from mitlplan import simulator
 from mitlplan.simulator import splitmix_init, splitmix_next
 from mitlplan.formula import EventSet, parse, substitute_dist, uniform_truncation_vector
 from mitlplan.game_model import GridWorldConfig, build_gridworld
-from mitlplan.product_mdp import build_product, outcome_codes
+from mitlplan.product_mdp import build_product
 from mitlplan.simulator import (default_max_steps, estimate_success, rollout,
                                 rollout_batch_numpy, threshold_table)
-from mitlplan.solver import Policy, extract_policy, value_iteration
+from mitlplan.solver import (Policy, extract_policy, satisfaction_probability,
+                             value_iteration)
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import build_dta
 
@@ -199,7 +200,7 @@ def test_rollout_memos_hold_what_the_logs_visited(monkeypatch):
 def test_estimate_consistent_with_value(planned_case2):
     m, pol, res = planned_case2
     est = estimate_success(m, pol, 20000, seed=11)
-    v = res.initial_value
+    v = satisfaction_probability(m, res.values)
     sigma = math.sqrt(v * (1 - v) / est.samples)
     assert abs(est.rate - v) < 4 * sigma
     assert est.ci_low <= est.rate <= est.ci_high
@@ -291,7 +292,8 @@ def batch_on_arrays(row_ptr, cols, probs, policy_row, accepting, sink,
     """`rollout_batch_numpy` on the arguments of `rollout_batch_loop`."""
     return rollout_batch_numpy(
         threshold_table(row_ptr, cols, probs, policy_row),
-        outcome_codes(accepting, sink), z0, n_rollouts, seed, max_steps)
+        np.where(accepting, 1, np.where(sink, 2, 0)).astype(np.int8), z0,
+        n_rollouts, seed, max_steps)
 
 
 def random_csr(rng, longest, n_states):

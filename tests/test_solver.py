@@ -23,7 +23,7 @@ from mitlplan.solver import (
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import build_dta
 
-from _oracles import bellman_sweep_loop, brute_force_reach
+from _oracles import bellman_sweep_loop, brute_force_reach, product_state
 from conftest import BUS_CASE2, build_case
 
 
@@ -68,7 +68,7 @@ def test_one_step_value():
     m = one_step_toy(0.3)
     res = value_iteration(m)
     assert res.converged
-    assert res.initial_value == pytest.approx(0.3, abs=1e-12)
+    assert res.values[m.z0] == pytest.approx(0.3, abs=1e-12)
     # one sweep already finds it: reward is earned on entry
     first = value_iteration(m, tol=1e-10, max_iter=1)
     assert first.values[m.z0] == pytest.approx(0.3, abs=1e-12)
@@ -236,10 +236,11 @@ def test_policy_moves_toward_deadline_station():
     res = value_iteration(m)
     pol = extract_policy(m, res.values)
     best = None
-    for z, ps in enumerate(m.states):
-        if m.absorbing[z] or ps.spec.pending:
+    for z in range(m.n_states):
+        s, q = product_state(m, z)
+        if m.absorbing[z] or q.pending:
             continue
-        if ps.game.robot == (1, 0):
+        if s.robot == (1, 0):
             best = pol.action_name(z)
             break
     assert best == "N"  # (1,0) -> (1,1) is the station
@@ -259,7 +260,7 @@ def test_value_monotone_in_truncation_point():
     vals = []
     for T in (3, 4, 5):
         m, _ = build_case(BUS_CASE2, T)
-        vals.append(value_iteration(m).initial_value)
+        vals.append(satisfaction_probability(m, value_iteration(m).values))
     assert vals[0] <= vals[1] + 1e-9 and vals[1] <= vals[2] + 1e-9
 
 
@@ -275,7 +276,8 @@ def test_eps_optimality_gap_finite_table():
     def value_at(T):
         tv = uniform_truncation_vector(f, u, T)
         m = build_product(game, truncate(sta, tv))
-        return value_iteration(m).initial_value, tv.eps_achieved
+        values = value_iteration(m).values
+        return satisfaction_probability(m, values), tv.eps_achieved
 
     v_full, eps_full = value_at(4)   # tail(4) = 0: untruncated
     assert eps_full == 0.0
