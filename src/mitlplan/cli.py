@@ -359,9 +359,8 @@ def cmd_monitor(args):
     dta = progression(f, args)
     sta = StaModel(dta, u)
     word = TimedWord.from_text(_read(args.word))
-    known = set(dta.atoms) | set(u.names)
     for i, sym in enumerate(word):
-        unknown = set(sym) - known
+        unknown = sym - sta.reads
         if unknown:
             _fail(EXIT_VALIDATION,
                   f"word step {i} references unknown propositions "

@@ -64,18 +64,29 @@ def _outcome_prob(haz: dict[str, float], e) -> float:
 class StaModel:
     """Progression automaton of the formula plus one clock per external
     event, each running until its event fires.  Given `trunc`, clocks
-    are truncated at its points as the module docstring says."""
+    are truncated at its points as the module docstring says.  The model
+    numbers the states `run_word` reaches and keeps its monitor memos on
+    those ids; `initial` and `step` keep nothing."""
 
     def __init__(self, dta: ProgressionDta, events: EventSet, trunc=None):
         self.dta = dta
         self.events = events
         self.event_names = tuple(events.names)
+        self._event_set = frozenset(self.event_names)
+        # the propositions a step reads; it ignores every other one
+        self.reads = frozenset(dta.atoms) | self._event_set
         self._dist = {name: d for name, d in events}
         self.trunc = trunc
-        # `run_word`'s memos.  `_succ`: (state, symbol & `_read`) -> what
-        # `step` returns, with state None for `initial`; `_reach`:
-        # (config, pending) -> `_acceptance_reachable`
-        self._read = frozenset(dta.atoms) | frozenset(self.event_names)
+        # `run_word`'s monitor.  `_ids` numbers the states it reaches;
+        # `_states`, `_accepting` and `_end` hold, per id, the state, its
+        # accepting flag and its end verdict (None until first read).
+        # `_succ`: (id, symbol & `reads`) -> (successor id, probability),
+        # with id -1 before the first symbol; `_reach`: (config, pending)
+        # -> `_acceptance_reachable`
+        self._ids: dict[StaState, int] = {}
+        self._states: list[StaState] = []
+        self._accepting: list[bool] = []
+        self._end: list[str | None] = []
         self._succ: dict = {}
         self._reach: dict = {}
         self.points = {}
@@ -91,14 +102,15 @@ class StaModel:
         """Zero-time move consuming the initial symbol.
 
         No clock advances, so no event can occur yet; a symbol claiming an
-        event at time zero gets probability 0.
+        event at time zero gets probability 0, and its events are no
+        longer pending, so a later step cannot see them occur again.
         """
         symbol = frozenset(symbol)
+        e = symbol & self._event_set
         config = self.dta.step_config(self.dta.initial_config(), symbol, 0)
         state = StaState(config, (0,) * len(self.event_names),
-                         frozenset(self.event_names))
-        p = 0.0 if symbol & set(self.event_names) else 1.0
-        return state, p
+                         self._event_set - e)
+        return state, 0.0 if e else 1.0
 
     def hazards(self, q: StaState) -> dict[str, float]:
         """Per-pending-event occurrence probability for the next step,
@@ -132,7 +144,7 @@ class StaModel:
         if q.sink:
             return q, 1.0
         symbol = frozenset(symbol)
-        e = symbol & set(self.event_names)
+        e = symbol & self._event_set
         if not e <= q.pending:
             raise StaError(
                 f"events {sorted(e - q.pending)} already occurred")
@@ -165,41 +177,68 @@ class StaModel:
         states holds one state per symbol; the empty word is judged at the
         initial location, with every event pending.
 
-        Steps and the final reachability check go through the model's
-        memos, which a call that raises leaves as they were.  A long-lived
-        model pays for each (state, symbol) pair once; the memos hold at
-        most the states reachable within the longest word read, times
-        2^|atoms and events|, entries.
+        The model runs words as a precomputed monitor: it numbers the
+        states it reaches, steps ids through the memo `_succ`, keyed by
+        (id, symbol cut down to `reads`), and keeps per id the accepting
+        flag and the verdict of a word that ends there without having
+        accepted.  A call that raises leaves the memos as they were.  A
+        long-lived model pays for each (state, symbol) pair once; the
+        memos hold at most the states reachable within the longest word
+        read, times 2^|atoms and events|, entries.
         """
-        succ, read = self._succ, self._read
-        q, likelihood, states, accepted = None, 1.0, [], False
+        succ, reads, accepting = self._succ, self.reads, self._accepting
+        i, likelihood, ids, accepted = -1, 1.0, [], False
         for symbol in word:
-            key = (q, read.intersection(symbol))
+            key = (i, reads.intersection(symbol))
             hit = succ.get(key)
             if hit is None:
                 try:
-                    hit = (self.initial(symbol) if q is None
-                           else self.step(q, symbol))
+                    q, p = (self.initial(symbol) if i < 0
+                            else self.step(self._states[i], symbol))
                 except (StaError, ZeroSurvivalError) as exc:
-                    # states holds one state per symbol read so far
-                    raise StaError(f"word step {len(states)}: {exc}") from None
-                succ[key] = hit
-            q, p = hit
+                    # ids holds one id per symbol read so far
+                    raise StaError(f"word step {len(ids)}: {exc}") from None
+                hit = succ[key] = (self._number(q), p)
+            i, p = hit
             likelihood *= p
-            states.append(q)
-            accepted = accepted or self.is_accepting(q)
-        if q is None:  # the empty word: the initial location, all pending
-            q = StaState(self.dta.initial_config(),
-                         (0,) * len(self.event_names),
-                         frozenset(self.event_names))
-        if accepted or self.is_accepting(q):
+            ids.append(i)
+            accepted = accepted or accepting[i]
+        states = [self._states[j] for j in ids]
+        if i < 0:  # the empty word: the initial location, all pending
+            i = self._number(StaState(self.dta.initial_config(),
+                                      (0,) * len(self.event_names),
+                                      self._event_set))
+            accepted = accepting[i]
+        if accepted:
             return "accept", likelihood, states
-        key = (q.config, q.pending)
-        if not q.sink and key not in self._reach:
-            self._reach[key] = self._acceptance_reachable(*key)
-        if q.sink or self.is_rejecting(q) or not self._reach[key]:
-            return "reject", likelihood, states
-        return "inconclusive-prefix", likelihood, states
+        return self._end_verdict(i), likelihood, states
+
+    def _number(self, q: StaState) -> int:
+        """The id of `q` in the monitor's table, adding it if new."""
+        i = self._ids.get(q)
+        if i is None:
+            i = self._ids[q] = len(self._states)
+            self._states.append(q)
+            self._accepting.append(self.is_accepting(q))
+            self._end.append(None)
+        return i
+
+    def _end_verdict(self, i: int) -> str:
+        """Verdict of a word that ends at id `i` without having accepted:
+        'reject' or 'inconclusive-prefix', computed on first use."""
+        verdict = self._end[i]
+        if verdict is None:
+            q = self._states[i]
+            if q.sink or self.is_rejecting(q):
+                verdict = "reject"
+            else:
+                key = (q.config, q.pending)
+                if key not in self._reach:
+                    self._reach[key] = self._acceptance_reachable(*key)
+                verdict = ("inconclusive-prefix" if self._reach[key]
+                           else "reject")
+            self._end[i] = verdict
+        return verdict
 
     def _acceptance_reachable(self, config, pending) -> bool:
         """Can any future (events firing at most once) reach acceptance?"""

@@ -818,10 +818,11 @@ def test_monitor_unknown_proposition(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("formula, word, message", [
-    (BUS_CASE1, "-\nb1\nb1 b3\n", "events ['b1'] already occurred"),
+    (BUS_CASE1, "-\nb1\nb1 b3\n", "2: events ['b1'] already occurred"),
+    (BUS_CASE1, "b1\nb1\n", "1: events ['b1'] already occurred"),
     ("D{table:1:1.0} b1 & F (b1 & F[0,2] b3)", "-\n-\n-\n",
-     "no probability mass remains"),
-], ids=["event-twice", "no-mass-left"])
+     "2: no probability mass remains"),
+], ids=["event-twice", "event-at-step-0-twice", "no-mass-left"])
 def test_monitor_word_the_model_cannot_produce_exits_2(tmp_path, capsys,
                                                        formula, word,
                                                        message):
@@ -830,7 +831,7 @@ def test_monitor_word_the_model_cannot_produce_exits_2(tmp_path, capsys,
     code, _, err = run(capsys, "monitor", "--formula", formula,
                        "--word", str(path))
     assert code == 2
-    assert err.startswith(f"error: word step 2: {message}")
+    assert err.startswith(f"error: word step {message}")
 
 
 def test_monitor_likelihood_of_a_word_past_a_hazard_of_one(tmp_path, capsys):

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -133,8 +133,9 @@ def test_step_rejects_reoccurrence(bus1_sta):
 
 
 def test_initial_event_probability_zero(bus1_sta):
-    _q, p = bus1_sta.initial(frozenset({"b1"}))
+    q, p = bus1_sta.initial(frozenset({"b1"}))
     assert p == 0.0
+    assert q.pending == {"b2"}  # b1 has occurred; it cannot occur again
 
 
 def test_paper_style_run_likelihood(bus1_sta):
@@ -229,13 +230,20 @@ def test_run_word_memo_matches_a_fresh_model(mission):
     if mission == "zero-survival":
         assert "word step 2: no probability mass remains at step 2" in errors
     # a replay is served from the memos and adds nothing to them
-    sizes = len(warm._succ), len(warm._reach)
+    sizes = len(warm._states), len(warm._succ), len(warm._reach)
     assert [monitor_outcome(warm, w) for w in words] == got
-    assert (len(warm._succ), len(warm._reach)) == sizes
-    # keys hold only what a step reads: at most 2^|read| per state
-    assert all(sym <= warm._read for _, sym in warm._succ)
-    states = {q for q, _ in warm._succ}
-    assert len(warm._succ) <= len(states) * 2 ** len(warm._read)
+    assert (len(warm._states), len(warm._succ), len(warm._reach)) == sizes
+    # keys hold only what a step reads: at most 2^|reads| per id
+    assert all(sym <= warm.reads for _, sym in warm._succ)
+    per_id = Counter(i for i, _ in warm._succ)
+    assert max(per_id.values()) <= 2 ** len(warm.reads)
+    # the id table holds each state once, with a flag and a verdict slot;
+    # successor ids index it, and it holds every state a word returned
+    assert warm._ids == {q: i for i, q in enumerate(warm._states)}
+    assert len(warm._accepting) == len(warm._end) == len(warm._states)
+    assert {j for j, _ in warm._succ.values()} <= set(range(len(warm._ids)))
+    reached = {q for out in got if out[0] != "error" for q in out[2]}
+    assert reached <= warm._ids.keys()
 
 
 def test_run_word_reraises_the_location_cap_on_every_call(bus1_formula,
@@ -260,6 +268,29 @@ def test_run_word_rejects_a_word_that_ends_in_the_truncation_sink():
         assert states[-2:] == [SINK, SINK]
         # b1 stays away at steps 1-3; the third step overruns the cap
         assert likelihood == 0.5 ** 3
+
+
+@pytest.mark.parametrize("accept_first", [True, False])
+def test_run_word_judges_the_sink_by_each_word_history(accept_first):
+    # the second word reads the end id the first one left: the sink
+    f = parse(BUS_CASE1)
+    u = EventSet.from_formula(f)
+    m = StaModel(build_dta(substitute_dist(f)), u,
+                 uniform_truncation_vector(f, u, 2))
+    # b1 at step 1, b3 at step 2: accepted; b2's clock then overruns
+    accepts = TimedWord.from_sets([set(), {"b1"}, {"b3"}, set(), set()])
+    rejects = TimedWord.from_sets([set()] * 5)
+    words = [(accepts, "accept"), (rejects, "reject")]
+    for word, verdict in words if accept_first else words[::-1]:
+        got, _, states = m.run_word(word)
+        assert states[-1] == SINK
+        assert got == verdict
+
+
+def test_run_word_refuses_a_repeat_of_a_step_0_event(bus1_sta):
+    with pytest.raises(StaError) as exc:
+        bus1_sta.run_word(TimedWord.from_sets([{"b1"}, {"b1"}]))
+    assert str(exc.value) == "word step 1: events ['b1'] already occurred"
 
 
 # ---------------------------------------------------------------------------

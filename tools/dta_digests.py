@@ -65,11 +65,13 @@ MONITOR_MISSIONS = {
         "D{table:1:0.1,2:0.3,3:0.6} b1 & F (b1 & F[0,2] s1)",
 }
 
-# words for `mitlplan monitor`, one string per step, "-" for the empty set
+# words for `mitlplan monitor`, one string per step, "-" for the empty set;
+# the last two-bus word shows b1 at step 0, which it then no longer awaits
 MONITOR_WORDS = {
     "two-bus": [(), ("-",), ("-", "b1", "b3"), ("-", "b1", "-", "-", "-", "-"),
                 ("-", "-", "b2", "-", "b4"), ("b3", "b1 b4", "-", "b2", "b3"),
-                ("-", "b1 b2", "b3 b4"), ("-", "b1 b2", "-", "-", "-", "-")],
+                ("-", "b1 b2", "b3 b4"), ("-", "b1 b2", "-", "-", "-", "-"),
+                ("b1", "-", "b3")],
     "three-bus": [("-", "b1", "s1"), ("-", "b2", "-", "-", "-", "s2"),
                   ("-", "b1 b2 b3", "-", "-", "-", "-"),
                   ("s1 s2 s3", "-", "b3", "s3")],
