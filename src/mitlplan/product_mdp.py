@@ -19,20 +19,23 @@ carrying the sum of its weights in discovery order.
 
 `build_product` keeps that numbering with whole-array steps.  The game
 comes as integer tables (`Game`, what both loaders of `game_model`
-return) and the automaton is stepped once per (state, label) pair
-(`StepTable`, below); a progression automaton computes only the table
-entries those steps read, so its locations, the ``q<n>`` of
-`describe_spec_state`, are numbered in the order the product reaches
-them.  No product index depends on that numbering: `StepTable` ids
-follow first sight.  The search then expands one breadth-first layer at
-a time: every successor of the layer is packed into an int64 key
+return).  The automaton's states are the ids of the `StaModel`, which
+numbers and classifies each state once and memoizes its steps
+(`StaModel.step_id`); `StepTable`, below, is a numpy view of those steps
+over (id, label id) pairs.  A progression automaton computes only the
+table entries the steps read, so its locations, the ``q<n>`` of
+`describe_spec_state`, are numbered in the order steps of the shared
+automaton reach them.  No product index depends on the automaton's ids
+or locations.  The search expands one breadth-first layer at a time:
+every successor of the layer is packed into an int64 key
 ``sta_id * n_game + game_id``, looked up among the sorted keys of the
 known states, and the new keys get indices in order of first
 occurrence.  States are stored as the two id arrays `game_of` and
 `spec_of`, and each state's class as one int8 `outcome_code` (`OUTCOMES`
-names its values).  Product files and trajectory logs print a state as
-the texts of its two ids, which `ProductMdp.game_text` and
-`ProductMdp.spec_text` format once per id.  `ProductMdp.log_state` and `ProductMdp.log_row` keep, per state
+names its values, `StaModel.codes` holds them per automaton id).
+Product files and trajectory logs print a state as the texts of its two
+ids, which `ProductMdp.game_text` and `ProductMdp.spec_text` format once
+per id.  `ProductMdp.log_state` and `ProductMdp.log_row` keep, per state
 and per row a log reaches, what the memo walk `simulator.rollout` reads;
 its test reference is `tests/_oracles.py::walk` on the CSR arrays.
 """
@@ -224,54 +227,33 @@ class ProductMdp:
         return "\n".join(lines) + "\n"
 
 
-def _grown(a: np.ndarray, fill) -> np.ndarray:
-    """`a` with as many rows again, at least 16, appended and set to `fill`."""
-    extra = np.full((max(len(a), 16),) + a.shape[1:], fill, dtype=a.dtype)
+def _grown(a: np.ndarray, fill, n: int) -> np.ndarray:
+    """`a` with rows set to `fill` appended, to max(n, 2 * len(a)) rows."""
+    extra = np.full((max(n, 2 * len(a)) - len(a),) + a.shape[1:], fill,
+                    dtype=a.dtype)
     return np.concatenate([a, extra])
 
 
 class StepTable:
-    """`StaModel.step` as a table over (state id, label id) pairs.
+    """`StaModel.step_id` as a table over (state id, label id) pairs.
 
-    States get ids as they are first seen; `labels` fixes the label ids.
-    Entries are filled on demand, one `sta.step` call per pair; the table
-    is the product's own memo of the steps, so `StaModel.step` itself
-    stores nothing.  Per state id the table also holds the state's
-    outcome code (`OUTCOMES`): 2 for a sink (the truncation sink or a
-    rejecting location), else 1 if accepting, else 0.
+    The ids are the model's own; `labels` fixes the label ids.  Entries
+    are filled on demand from `step_id`, whose memo serves a pair that
+    an earlier product or monitored word already stepped.
     """
 
     def __init__(self, sta: StaModel, labels):
         self.sta = sta
         self.labels = tuple(labels)
-        self.states: list[StaState] = []
-        self._index: dict[StaState, int] = {}
         self._next = np.full((0, len(self.labels)), -1, dtype=np.int64)
         self._prob = np.zeros((0, len(self.labels)))
-        self._code = np.zeros(0, dtype=np.int8)
-
-    @property
-    def code(self) -> np.ndarray:
-        return self._code[:len(self.states)]
-
-    def intern(self, q: StaState) -> int:
-        j = self._index.get(q)
-        if j is not None:
-            return j
-        j = self._index[q] = len(self.states)
-        self.states.append(q)
-        if j == len(self._next):
-            self._next = _grown(self._next, -1)
-            self._prob = _grown(self._prob, 0.0)
-            self._code = _grown(self._code, 0)
-        if q.sink or self.sta.is_rejecting(q):
-            self._code[j] = 2
-        elif self.sta.is_accepting(q):
-            self._code[j] = 1
-        return j
 
     def step(self, q_ids: np.ndarray, label_ids: np.ndarray):
         """Successor ids and step probabilities of the given pairs."""
+        n = len(self.sta.states)
+        if n > len(self._next):
+            self._next = _grown(self._next, -1, n)
+            self._prob = _grown(self._prob, 0.0, n)
         nxt = self._next[q_ids, label_ids]
         missing = np.flatnonzero(nxt < 0)
         if missing.size:
@@ -282,10 +264,8 @@ class StepTable:
             pairs = pairs[np.diff(pairs, prepend=-1) != 0]
             for pair in pairs.tolist():
                 q, lab = divmod(pair, n_labels)
-                q2, p = self.sta.step(self.states[q], self.labels[lab])
-                j = self.intern(q2)
-                self._next[q, lab] = j
-                self._prob[q, lab] = p
+                self._next[q, lab], self._prob[q, lab] = self.sta.step_id(
+                    q, self.labels[lab])
             nxt = self._next[q_ids, label_ids]
         return nxt, self._prob[q_ids, label_ids]
 
@@ -312,14 +292,13 @@ def build_product(game: Game, tsta: StaModel,
             f"event sets differ: game {sorted(game.events)} vs "
             f"automaton {sorted(tsta.event_names)}")
     # the initial label holds no event, so `initial` has probability one
-    q0, _ = tsta.initial(game.labels[game.label_of[0]])
+    q0, _ = tsta.step_id(-1, game.labels[game.label_of[0]])
     table = StepTable(tsta, game.labels)
-    table.intern(q0)
     n_game = len(game.states)
     n_actions = len(game.actions)
-    index = _KeyIndex()
+    index = _KeyIndex(q0 * n_game)
     game_of = [np.zeros(1, dtype=np.int64)]
-    spec_of = [np.zeros(1, dtype=np.int64)]
+    spec_of = [np.full(1, q0, dtype=np.int64)]
     cols: list[np.ndarray] = []
     probs: list[np.ndarray] = []
     row_len: list[np.ndarray] = []
@@ -327,7 +306,7 @@ def build_product(game: Game, tsta: StaModel,
     while lo < hi:
         # expand states lo..hi-1, the last ones numbered
         z = np.arange(lo, hi)
-        live = table.code[spec_of[-1]] == 0
+        live = np.array(tsta.codes, dtype=np.int8)[spec_of[-1]] == 0
         row, s2, q2, p = _live_successors(game, table, n_actions, z[live],
                                           game_of[-1][live],
                                           spec_of[-1][live])
@@ -356,9 +335,9 @@ def build_product(game: Game, tsta: StaModel,
     spec_of = np.concatenate(spec_of)
     row_ptr = np.zeros(len(game_of) * n_actions + 1, dtype=np.int64)
     np.cumsum(np.concatenate(row_len), out=row_ptr[1:])
-    return ProductMdp(game, tsta, table.states, game_of, spec_of, row_ptr,
+    return ProductMdp(game, tsta, tsta.states, game_of, spec_of, row_ptr,
                       np.concatenate(cols), np.concatenate(probs),
-                      table.code[spec_of])
+                      np.array(tsta.codes, dtype=np.int8)[spec_of])
 
 
 def _rows(z: np.ndarray, n_actions: int) -> np.ndarray:
@@ -385,11 +364,10 @@ def _live_successors(g, table: StepTable, n_actions: int, z, gz, qz):
 
 class _KeyIndex:
     """Product state indices by packed key, as sorted keys and the index
-    of each.  It starts with the initial state: key 0 (automaton id 0,
-    game id 0) has index 0."""
+    of each.  It starts with the initial state's key, at index 0."""
 
-    def __init__(self):
-        self.keys = np.zeros(1, dtype=np.int64)
+    def __init__(self, key0: int):
+        self.keys = np.full(1, key0, dtype=np.int64)
         self.z = np.zeros(1, dtype=np.int64)
 
     def number(self, key: np.ndarray, next_z: int):

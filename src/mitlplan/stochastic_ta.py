@@ -18,8 +18,12 @@ outcomes) to an absorbing, non-accepting sink.  That convention makes the
 total sink mass of a single-event model equal the distribution tail at the
 cap, which is the bound the truncation argument promises.
 
-Like `formula` and `timed_automata` beneath it, this module imports no
-numpy; the product's table of steps is `product_mdp.StepTable`.
+A `StaModel` numbers the states it reaches, once, when it first reaches
+them (the on-the-fly construction of Couvreur, FM 1999), and keeps per id
+the state and its outcome code.  The product build and the word monitor
+step the same ids through one memo (`StaModel.step_id`); the product's
+numpy view of those steps is `product_mdp.StepTable`.  Like `formula`
+and `timed_automata` beneath it, this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -65,8 +69,8 @@ class StaModel:
     """Progression automaton of the formula plus one clock per external
     event, each running until its event fires.  Given `trunc`, clocks
     are truncated at its points as the module docstring says.  The model
-    numbers the states `run_word` reaches and keeps its monitor memos on
-    those ids; `initial` and `step` keep nothing."""
+    numbers the states that `step_id` reaches, for the product build and
+    `run_word` alike; `initial` and `step` keep nothing."""
 
     def __init__(self, dta: ProgressionDta, events: EventSet, trunc=None):
         self.dta = dta
@@ -77,15 +81,15 @@ class StaModel:
         self.reads = frozenset(dta.atoms) | self._event_set
         self._dist = {name: d for name, d in events}
         self.trunc = trunc
-        # `run_word`'s monitor.  `_ids` numbers the states it reaches;
-        # `_states`, `_accepting` and `_end` hold, per id, the state, its
-        # accepting flag and its end verdict (None until first read).
-        # `_succ`: (id, symbol & `reads`) -> (successor id, probability),
-        # with id -1 before the first symbol; `_reach`: (config, pending)
-        # -> `_acceptance_reachable`
+        # `_ids` numbers the states reached (`number`); `states`, `codes`
+        # and `_end` hold, per id, the state, its outcome code
+        # (`product_mdp.OUTCOMES`) and its end verdict (None until first
+        # read).  `_succ`: (id, symbol & `reads`) -> (successor id,
+        # probability), with id -1 before the first symbol; `_reach`:
+        # (config, pending) -> `_acceptance_reachable`
         self._ids: dict[StaState, int] = {}
-        self._states: list[StaState] = []
-        self._accepting: list[bool] = []
+        self.states: list[StaState] = []
+        self.codes: list[int] = []
         self._end: list[str | None] = []
         self._succ: dict = {}
         self._reach: dict = {}
@@ -99,18 +103,18 @@ class StaModel:
                 self.points[name] = caps[name]
 
     def initial(self, symbol) -> tuple[StaState, float]:
-        """Zero-time move consuming the initial symbol.
+        """Zero-time move consuming the initial symbol, with probability 1.
 
-        No clock advances, so no event can occur yet; a symbol claiming an
-        event at time zero gets probability 0, and its events are no
-        longer pending, so a later step cannot see them occur again.
+        No clock advances, so no event can occur yet: a symbol holding an
+        event raises StaError.
         """
         symbol = frozenset(symbol)
         e = symbol & self._event_set
+        if e:
+            raise StaError(f"events {sorted(e)} cannot occur at time 0")
         config = self.dta.step_config(self.dta.initial_config(), symbol, 0)
-        state = StaState(config, (0,) * len(self.event_names),
-                         self._event_set - e)
-        return state, 0.0 if e else 1.0
+        return StaState(config, (0,) * len(self.event_names),
+                        self._event_set), 1.0
 
     def hazards(self, q: StaState) -> dict[str, float]:
         """Per-pending-event occurrence probability for the next step,
@@ -163,6 +167,33 @@ class StaModel:
     def is_rejecting(self, q: StaState) -> bool:
         return not q.sink and self.dta.is_rejecting(q.config)
 
+    # -- state ids ----------------------------------------------------------
+
+    def number(self, q: StaState) -> int:
+        """The id of `q`, adding it, with its outcome code, if new: 2 for
+        the sink or a rejecting location, 1 for an accepting one, else 0."""
+        i = self._ids.get(q)
+        if i is None:
+            i = self._ids[q] = len(self.states)
+            self.states.append(q)
+            self.codes.append(
+                2 if q.sink or self.dta.is_rejecting(q.config)
+                else 1 if self.dta.is_accepting(q.config) else 0)
+            self._end.append(None)
+        return i
+
+    def step_id(self, i: int, symbol) -> tuple[int, float]:
+        """`initial` (for id -1) or `step` from id `i` on `symbol`, as the
+        successor's id and the probability, memoized in `_succ`.  A call
+        that raises stores nothing."""
+        key = (i, self.reads.intersection(symbol))
+        hit = self._succ.get(key)
+        if hit is None:
+            q, p = (self.initial(key[1]) if i < 0
+                    else self.step(self.states[i], key[1]))
+            hit = self._succ[key] = (self.number(q), p)
+        return hit
+
     # -- monitoring ---------------------------------------------------------
 
     def run_word(self, word: TimedWord):
@@ -172,64 +203,49 @@ class StaModel:
         when the residual can no longer be satisfied given the events that
         already fired, else 'inconclusive-prefix'.  The likelihood is the
         product of the step probabilities of the observed event pattern.
-        A word the model cannot produce, one in which an event occurs twice
-        or after its law has no mass left, raises StaError naming the step.
-        states holds one state per symbol; the empty word is judged at the
-        initial location, with every event pending.
+        A word the model cannot produce, one in which an event occurs at
+        step 0, twice, or after its law has no mass left, raises StaError
+        naming the step.  states holds one state per symbol; the empty
+        word is judged at the initial location, with every event pending.
 
-        The model runs words as a precomputed monitor: it numbers the
-        states it reaches, steps ids through the memo `_succ`, keyed by
-        (id, symbol cut down to `reads`), and keeps per id the accepting
-        flag and the verdict of a word that ends there without having
-        accepted.  A call that raises leaves the memos as they were.  A
-        long-lived model pays for each (state, symbol) pair once; the
-        memos hold at most the states reachable within the longest word
-        read, times 2^|atoms and events|, entries.
+        The model runs words as a precomputed monitor: it steps ids
+        through `step_id`'s memo and keeps per id the verdict of a word
+        that ends there without having accepted.  A long-lived model pays
+        for each (state, symbol) pair once; the memos hold at most the
+        states reachable within the longest word read, times
+        2^|atoms and events|, entries.
         """
-        succ, reads, accepting = self._succ, self.reads, self._accepting
+        succ, reads, codes = self._succ, self.reads, self.codes
         i, likelihood, ids, accepted = -1, 1.0, [], False
         for symbol in word:
-            key = (i, reads.intersection(symbol))
-            hit = succ.get(key)
+            hit = succ.get((i, reads.intersection(symbol)))
             if hit is None:
                 try:
-                    q, p = (self.initial(symbol) if i < 0
-                            else self.step(self._states[i], symbol))
+                    hit = self.step_id(i, symbol)
                 except (StaError, ZeroSurvivalError) as exc:
                     # ids holds one id per symbol read so far
                     raise StaError(f"word step {len(ids)}: {exc}") from None
-                hit = succ[key] = (self._number(q), p)
             i, p = hit
             likelihood *= p
             ids.append(i)
-            accepted = accepted or accepting[i]
-        states = [self._states[j] for j in ids]
+            accepted = accepted or codes[i] == 1
+        states = [self.states[j] for j in ids]
         if i < 0:  # the empty word: the initial location, all pending
-            i = self._number(StaState(self.dta.initial_config(),
-                                      (0,) * len(self.event_names),
-                                      self._event_set))
-            accepted = accepting[i]
+            i = self.number(StaState(self.dta.initial_config(),
+                                     (0,) * len(self.event_names),
+                                     self._event_set))
+            accepted = codes[i] == 1
         if accepted:
             return "accept", likelihood, states
         return self._end_verdict(i), likelihood, states
-
-    def _number(self, q: StaState) -> int:
-        """The id of `q` in the monitor's table, adding it if new."""
-        i = self._ids.get(q)
-        if i is None:
-            i = self._ids[q] = len(self._states)
-            self._states.append(q)
-            self._accepting.append(self.is_accepting(q))
-            self._end.append(None)
-        return i
 
     def _end_verdict(self, i: int) -> str:
         """Verdict of a word that ends at id `i` without having accepted:
         'reject' or 'inconclusive-prefix', computed on first use."""
         verdict = self._end[i]
         if verdict is None:
-            q = self._states[i]
-            if q.sink or self.is_rejecting(q):
+            q = self.states[i]
+            if self.codes[i] == 2:
                 verdict = "reject"
             else:
                 key = (q.config, q.pending)

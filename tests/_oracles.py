@@ -269,9 +269,7 @@ def reference_product(kernel, tsta, cap: int = 2_000_000) -> ProductMdp:
             f"event sets differ: game {sorted(kernel.events)} vs "
             f"automaton {sorted(tsta.event_names)}")
     s0 = kernel.initial
-    q0, p0 = tsta.initial(kernel.label(s0))
-    if p0 != 1.0:
-        raise ProductError("initial label claims an external event")
+    q0, _ = tsta.initial(kernel.label(s0))
     z0 = (s0, q0)
     index: dict[tuple[GameState, StaState], int] = {z0: 0}
     states: list[tuple[GameState, StaState]] = [z0]

@@ -819,7 +819,7 @@ def test_monitor_unknown_proposition(tmp_path, capsys):
 
 @pytest.mark.parametrize("formula, word, message", [
     (BUS_CASE1, "-\nb1\nb1 b3\n", "2: events ['b1'] already occurred"),
-    (BUS_CASE1, "b1\nb1\n", "1: events ['b1'] already occurred"),
+    (BUS_CASE1, "b1\nb1\n", "0: events ['b1'] cannot occur at time 0"),
     ("D{table:1:1.0} b1 & F (b1 & F[0,2] b3)", "-\n-\n-\n",
      "2: no probability mass remains"),
 ], ids=["event-twice", "event-at-step-0-twice", "no-mass-left"])

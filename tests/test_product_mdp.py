@@ -19,8 +19,9 @@ from mitlplan.product_mdp import (
     build_product,
     model_hash,
 )
+from mitlplan.solver import value_iteration
 from mitlplan.stochastic_ta import StaModel, truncate
-from mitlplan.timed_automata import ProgressionDta, build_dta
+from mitlplan.timed_automata import ProgressionDta, TimedWord, build_dta
 
 from _oracles import (ReferenceGrid, TableKernel, product_state,
                       reference_product)
@@ -330,6 +331,64 @@ def test_validate_rejects_a_row_that_does_not_sum_to_one(case1_T3):
     m2.probs[m2.row_ptr[r]:m2.row_ptr[r + 1]] *= 1.0 + 1e-6
     with pytest.raises(ProductError, match=f"^row {r} sums to "):
         m2.validate()
+
+
+# missions won at once by a start on s2, so that a warm-up can number
+# another initial automaton state first; without an event, the initial
+# product state is reached again
+WARM_MISSIONS = {"bus": "s2 | D{geom:0.5} b1 & F (b1 & F[0,2] s1)",
+                 "no-event": "s2 | F s1"}
+
+
+def count_steps(sta, word):
+    """The `StaModel.step` calls `sta.run_word(word)` makes."""
+    calls = []
+    step = sta.step
+    sta.step = lambda *args: calls.append(args) or step(*args)
+    try:
+        sta.run_word(word)
+    finally:
+        del sta.step
+    return len(calls)
+
+
+@pytest.mark.parametrize("warm_up", ["monitor-words", "another-game"])
+@pytest.mark.parametrize("mission", WARM_MISSIONS)
+def test_product_on_a_warm_model_matches_a_fresh_one(mission, warm_up):
+    f = parse(WARM_MISSIONS[mission])
+    u = EventSet.from_formula(f)
+    dta = ProgressionDta(substitute_dist(f))
+    trunc = uniform_truncation_vector(f, u, 3)
+
+    def grid(width, start):
+        return build_gridworld(GridWorldConfig(
+            width, width, start, (("s1", (width - 1, width - 1)),
+                                  ("s2", (0, width - 1))),
+            tuple(u.entries), (0.8, 0.1, 0.1)))
+
+    game = grid(3, (0, 0))
+    fresh = build_product(game, StaModel(dta, u, trunc))
+    warm = StaModel(dta, u, trunc)
+    if warm_up == "monitor-words":
+        for word in ([{"s2"}, {"b1"}], [set(), {"b1", "s1"}, set()]):
+            warm.run_word(TimedWord.from_sets(word))
+    else:
+        assert build_product(grid(2, (0, 1)), warm).n_states == 1
+    got = build_product(game, warm)
+    assert got.spec_of[0] != 0 == fresh.spec_of[0]
+    if mission == "no-event":
+        assert 0 in got.cols  # the initial state, reached again
+    assert got.to_text() == fresh.to_text()
+    for name in ("row_ptr", "cols", "probs", "outcome_code"):
+        assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes()
+    assert value_iteration(got).values.tobytes() == \
+        value_iteration(fresh).values.tobytes()
+    # a word along the product's first edge is served from the memo
+    z1 = got.cols[got.row_ptr[0]]
+    word = TimedWord.from_sets(
+        [game.labels[game.label_of[g]] for g in (0, got.game_of[z1])])
+    assert count_steps(warm, word) == 0
+    assert count_steps(StaModel(dta, u, trunc), word) == 1
 
 
 def test_cap_is_the_exact_state_count(case1_T3):

@@ -132,10 +132,12 @@ def test_step_rejects_reoccurrence(bus1_sta):
         bus1_sta.step(q1, {"b1"})
 
 
-def test_initial_event_probability_zero(bus1_sta):
-    q, p = bus1_sta.initial(frozenset({"b1"}))
-    assert p == 0.0
-    assert q.pending == {"b2"}  # b1 has occurred; it cannot occur again
+def test_initial_refuses_an_event(bus1_sta):
+    # no clock has advanced at time 0, so no event can have occurred
+    with pytest.raises(StaError, match=r"^events \['b1'\] cannot occur at "
+                                       r"time 0$"):
+        bus1_sta.initial(frozenset({"b1", "b3"}))
+    assert bus1_sta.initial(frozenset({"b3"}))[1] == 1.0
 
 
 def test_paper_style_run_likelihood(bus1_sta):
@@ -175,8 +177,9 @@ def test_monitor_layers_import_without_numpy():
     assert done.stdout == "False\n"
 
 
-# `BUS_CASE1`, the two missions the end-to-end benchmark monitors, and a law
-# that leaves no mass after step 1
+# `BUS_CASE1`, the two missions the end-to-end benchmark monitors, a law
+# that leaves no mass after step 1, and a deadline that reaches a rejecting
+# location
 MEMO_MISSIONS = {
     "case1": BUS_CASE1,
     "bench-two-bus": ("D{geom:0.4} b1 & F (b1 & F[0,3] s1) | "
@@ -185,6 +188,7 @@ MEMO_MISSIONS = {
                         "D{geom:0.7} b2 & F (b2 & F s2) | "
                         "D{geom:0.5} b3 & F (b3 & F[0,2] s3)"),
     "zero-survival": "D{geom:1.0} b1 & F (b1 & F[0,2] s1)",
+    "deadline": "D{geom:0.5} b1 & F (b1 & F[0,2] s1) & F[0,4] s2",
 }
 
 
@@ -229,21 +233,27 @@ def test_run_word_memo_matches_a_fresh_model(mission):
                for e in errors)
     if mission == "zero-survival":
         assert "word step 2: no probability mass remains at step 2" in errors
+    if mission == "deadline":
+        assert 2 in warm.codes
     # a replay is served from the memos and adds nothing to them
-    sizes = len(warm._states), len(warm._succ), len(warm._reach)
+    sizes = len(warm.states), len(warm._succ), len(warm._reach)
     assert [monitor_outcome(warm, w) for w in words] == got
-    assert (len(warm._states), len(warm._succ), len(warm._reach)) == sizes
+    assert (len(warm.states), len(warm._succ), len(warm._reach)) == sizes
     # keys hold only what a step reads: at most 2^|reads| per id
     assert all(sym <= warm.reads for _, sym in warm._succ)
     per_id = Counter(i for i, _ in warm._succ)
     assert max(per_id.values()) <= 2 ** len(warm.reads)
-    # the id table holds each state once, with a flag and a verdict slot;
+    # the id table holds each state once, with a code and a verdict slot;
     # successor ids index it, and it holds every state a word returned
-    assert warm._ids == {q: i for i, q in enumerate(warm._states)}
-    assert len(warm._accepting) == len(warm._end) == len(warm._states)
+    assert warm._ids == {q: i for i, q in enumerate(warm.states)}
+    assert len(warm.codes) == len(warm._end) == len(warm.states)
     assert {j for j, _ in warm._succ.values()} <= set(range(len(warm._ids)))
     reached = {q for out in got if out[0] != "error" for q in out[2]}
     assert reached <= warm._ids.keys()
+    # each code is the class the state's own predicates give
+    assert warm.codes == [
+        2 if q.sink or warm.is_rejecting(q) else int(warm.is_accepting(q))
+        for q in warm.states]
 
 
 def test_run_word_reraises_the_location_cap_on_every_call(bus1_formula,
@@ -288,9 +298,11 @@ def test_run_word_judges_the_sink_by_each_word_history(accept_first):
 
 
 def test_run_word_refuses_a_repeat_of_a_step_0_event(bus1_sta):
+    # the word is refused at its first event, before the repeat
     with pytest.raises(StaError) as exc:
         bus1_sta.run_word(TimedWord.from_sets([{"b1"}, {"b1"}]))
-    assert str(exc.value) == "word step 1: events ['b1'] already occurred"
+    assert str(exc.value) == ("word step 0: events ['b1'] cannot occur at "
+                              "time 0")
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ for ``case1`` under ``--eps 0.05``; of two
 ``dta.txt`` and ``dta.dot`` that ``mitlplan translate`` writes for the two-
 and three-bus missions, and of ``mitlplan monitor``'s stdout on the fixed
 words of ``MONITOR_WORDS`` (the bus missions, and two table laws whose
-hazard reaches 1).  For ``case1``, ``toy.game`` and ``three_bus.grid``
-at ``--uniform-T 4`` it also records ``mitlplan simulate``'s stdout, with
-the `` -> path`` suffixes of its trajectory lines cut, and every
-trajectory log those lines name, at the fixed ``SIMULATE_RUNS``.
+hazard reaches 1), or its exit code and stderr where it refuses a word.
+For ``case1``, ``toy.game`` and ``three_bus.grid`` at ``--uniform-T 4``
+it also records ``mitlplan simulate``'s stdout, with the `` -> path``
+suffixes of its trajectory lines cut, and every trajectory log those
+lines name, at the fixed ``SIMULATE_RUNS``.
 
 A change keeps automata and planner outputs identical when this script
 prints the same file on the change as on its parent::
@@ -66,7 +67,7 @@ MONITOR_MISSIONS = {
 }
 
 # words for `mitlplan monitor`, one string per step, "-" for the empty set;
-# the last two-bus word shows b1 at step 0, which it then no longer awaits
+# the last two-bus word shows b1 at step 0, which monitor refuses
 MONITOR_WORDS = {
     "two-bus": [(), ("-",), ("-", "b1", "b3"), ("-", "b1", "-", "-", "-", "-"),
                 ("-", "-", "b2", "-", "b4"), ("b3", "b1 b4", "-", "b2", "b3"),
@@ -139,16 +140,22 @@ def _sha256(data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
-def _cli(*argv) -> str:
-    """stdout of an in-process `mitlplan` run that must succeed."""
+def _run(*argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of an in-process `mitlplan` run."""
     from mitlplan.cli import main
 
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli(*argv) -> str:
+    """stdout of an in-process `mitlplan` run that must succeed."""
+    code, stdout, _ = _run(*argv)
     if code != 0:
         raise RuntimeError(f"mitlplan {' '.join(argv)} exited with {code}")
-    return out.getvalue()
+    return stdout
 
 
 def plan_digests() -> dict:
@@ -214,10 +221,12 @@ def plan_digests() -> dict:
             for i, word in enumerate(MONITOR_WORDS[mission]):
                 path = Path(tmp, "word.txt")
                 path.write_text("".join(step + "\n" for step in word))
-                stdout = _cli("monitor", "--formula", formula,
-                              "--word", str(path))
-                out[f"monitor-{mission}-{i}"] = {
-                    "stdout_sha256": _sha256(stdout)}
+                # a word the model cannot produce pins its refusal
+                code, stdout, stderr = _run("monitor", "--formula", formula,
+                                            "--word", str(path))
+                out[f"monitor-{mission}-{i}"] = (
+                    {"stdout_sha256": _sha256(stdout)} if code == 0 else
+                    {"exit_code": code, "stderr_sha256": _sha256(stderr)})
     return out
 
 
