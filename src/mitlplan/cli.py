@@ -19,8 +19,8 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,8 +175,7 @@ def validated_product(game, tsta):
     return product
 
 
-@dataclass
-class Built:
+class Built(NamedTuple):
     trunc: object
     product: object
     hash: str

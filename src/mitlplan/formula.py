@@ -19,15 +19,16 @@ progressed and are accepted by the constructors.
 Syntax nodes are interned (hash-consed): constructing a node equal to a
 live one returns that node, so equality is identity and a node's hash is
 its identity.  The intern table holds nodes weakly, and ``pretty`` caches
-each node's text on the node.
+each node's text on the node.  Nodes, laws and event sets are `Record`s,
+slotted classes whose fields their ``__slots__`` list.
 """
 
 from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 
 class FormulaError(ValueError):
@@ -45,12 +46,55 @@ class ZeroSurvivalError(FormulaError):
     """Hazard requested at a step the event cannot reach (no mass left)."""
 
 
+class Record:
+    """Base of the package's immutable records: a subclass lists its fields,
+    in constructor order, as its ``__slots__``, and its constructor sets
+    each once, as `_set` does.  A record equals a record of its class with
+    equal fields, hashes as the tuple of its fields, prints as
+    ``Name(field=value, ...)``, and copies and pickles through its
+    constructor, which checks the fields again."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(type(self).__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, type(self).__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        cls = type(self)
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in cls.__slots__)
+        return f"{cls.__name__}({body})"
+
+
 # ---------------------------------------------------------------------------
 # Distributions
 # ---------------------------------------------------------------------------
 
-class DistributionSpec:
+class DistributionSpec(Record):
     """First-occurrence distribution over steps k >= 1."""
+
+    __slots__ = ()
 
     def pmf(self, k: int) -> float:
         raise NotImplementedError
@@ -74,15 +118,15 @@ class DistributionSpec:
         return min(self.pmf(t) / survival, 1.0)
 
 
-@dataclass(frozen=True)
 class Geometric(DistributionSpec):
     """Geometric on k >= 1 with per-step success probability p."""
 
-    p: float
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not (0.0 < self.p <= 1.0):
-            raise FormulaError(f"geometric parameter must be in (0,1], got {self.p}")
+    def __init__(self, p: float):
+        if not (0.0 < p <= 1.0):
+            raise FormulaError(f"geometric parameter must be in (0,1], got {p}")
+        self._set(p)
 
     def pmf(self, k):
         if k < 1:
@@ -107,20 +151,19 @@ class Geometric(DistributionSpec):
 TABLE_MASS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class FiniteTable(DistributionSpec):
     """Explicit pmf over listed steps; any missing mass never occurs.  A
     table whose masses sum to 1 (within `TABLE_MASS_TOL`) has no mass after
     its last step of positive mass, whatever the rounding of the sum."""
 
-    entries: tuple[tuple[int, float], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[tuple[int, float], ...]):
+        if not entries:
             raise FormulaError("finite table needs at least one entry")
         last = 0
         total = 0.0
-        for k, m in self.entries:
+        for k, m in entries:
             if k <= last:
                 raise FormulaError("table steps must be positive and strictly increasing")
             if not (0.0 <= m <= 1.0):
@@ -129,6 +172,7 @@ class FiniteTable(DistributionSpec):
             total += m
         if total > 1.0 + TABLE_MASS_TOL:
             raise FormulaError(f"table mass sums to {total} > 1")
+        self._set(entries)
 
     def pmf(self, k):
         for step, m in self.entries:
@@ -164,18 +208,23 @@ class FiniteTable(DistributionSpec):
 # Abstract syntax
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
-    """Discrete time window [lo, hi]; hi=None means unbounded."""
-
+class _Window(NamedTuple):
     lo: int
     hi: int | None
 
-    def __post_init__(self):
-        if self.lo < 0:
-            raise FormulaError(f"interval lower bound {self.lo} negative")
-        if self.hi is not None and self.hi < self.lo:
-            raise FormulaError(f"interval [{self.lo},{self.hi}] has hi < lo")
+
+class Interval(_Window):
+    """Discrete time window [lo, hi]; hi=None means unbounded.  A tuple, so
+    that the interning keys of the nodes holding one hash in C."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: int, hi: int | None):
+        if lo < 0:
+            raise FormulaError(f"interval lower bound {lo} negative")
+        if hi is not None and hi < lo:
+            raise FormulaError(f"interval [{lo},{hi}] has hi < lo")
+        return tuple.__new__(cls, (lo, hi))
 
     @property
     def bounded(self) -> bool:
@@ -204,15 +253,13 @@ def _interned(key: tuple) -> "Formula":
         node = ref()
         if node is not None:
             return node
-    cls = key[0]
-    node = object.__new__(cls)
-    for name, value in zip(cls.__slots__, key[1:]):
-        object.__setattr__(node, name, value)
+    node = object.__new__(key[0])
+    node._set(*key[1:])
     _NODES[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
 
-class Formula:
+class Formula(Record):
     """Base class of the immutable syntax nodes.
 
     Nodes are hash-consed: constructing a node whose class and fields equal
@@ -220,31 +267,16 @@ class Formula:
     identity, hashing is by identity, and comparing or hashing a node never
     walks its subtree.  The intern table holds nodes weakly, so a node lives
     exactly as long as something else refers to it.  Each subclass lists its
-    fields, in constructor order, as its ``__slots__``; the fields holding
-    nodes are its children.  `subformulas` (pre-order) and `map_children`
-    (rebuild with each child mapped) read the children from those fields,
-    so a walk that treats most nodes alike names no node's children.
+    fields, in constructor order, as its ``__slots__``, as a `Record` does;
+    copies and unpickled nodes go through the constructor, so they come
+    back as the interned node itself.  The fields holding nodes are its
+    children.  `subformulas` (pre-order) and `map_children` (rebuild with
+    each child mapped) read the children from those fields, so a walk that
+    treats most nodes alike names no node's children.
     """
 
     __slots__ = ("_pretty", "__weakref__")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} nodes are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} nodes are immutable")
-
-    def __reduce__(self):
-        # copies and unpickled nodes go through the constructor, so they
-        # come back as the interned node itself
-        cls = type(self)
-        return cls, tuple(getattr(self, name) for name in cls.__slots__)
-
-    def __repr__(self):
-        cls = type(self)
-        body = ", ".join(f"{name}={getattr(self, name)!r}"
-                         for name in cls.__slots__)
-        return f"{cls.__name__}({body})"
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __str__(self):
         return pretty(self)
@@ -364,11 +396,13 @@ def mask_subsets(names) -> list[frozenset[str]]:
             for m in range(1 << len(names))]
 
 
-@dataclass(frozen=True)
-class EventSet:
+class EventSet(Record):
     """Ordered external-event names with their occurrence distributions."""
 
-    entries: tuple[tuple[str, DistributionSpec], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, DistributionSpec], ...]):
+        self._set(entries)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -721,9 +755,11 @@ def normalize(f: Formula) -> Formula:
     return map_children(f, normalize)
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: list[str] | None = None):
+        self._set([] if violations is None else violations)
 
     @property
     def ok(self) -> bool:
@@ -795,8 +831,7 @@ def substitute_dist(f: Formula) -> Formula:
 # Truncation points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncationVector:
+class TruncationVector(NamedTuple):
     """Truncation points of the event clocks, in event declaration order,
     and of the window clocks ``win1, win2, ...`` of the bounded untils, in
     pre-order, plus the achieved event-tail bound.  The two kinds are kept

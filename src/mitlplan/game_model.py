@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .formula import (
     DistributionSpec,
     FormulaError,
+    Record,
     env_subsets,
     mask_subsets,
     parse_distribution,
@@ -34,8 +35,7 @@ class GameError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     robot: object
     pending: frozenset[str]
     occurred: frozenset[str]
@@ -46,8 +46,7 @@ class GameState:
         return f"({self.robot}, {occ}, {pend})"
 
 
-@dataclass(frozen=True, eq=False)
-class Game:
+class Game(Record):
     """A game as the integer tables of its reachable states.
 
     State ids are internal: the initial state has id 0, and nothing else
@@ -60,16 +59,20 @@ class Game:
     reached with outcome e has pending set ``s.pending - e`` and a label
     that shows exactly e among the events.  The loader or the config of
     each game makes these hold; `load_game` checks only the labels.
+    `label_of` maps state ids to label ids, and `succ` holds state ids.
+    A game equals only itself.
     """
 
-    actions: tuple[str, ...]
-    events: tuple[str, ...]
-    states: Sequence[GameState]          # state id -> state
-    labels: tuple[frozenset[str], ...]   # label id -> label
-    label_of: np.ndarray                 # state id -> label id
-    row_ptr: np.ndarray
-    succ: np.ndarray                     # successor state ids
-    prob: np.ndarray
+    __slots__ = ("actions", "events", "states", "labels", "label_of",
+                 "row_ptr", "succ", "prob")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, actions: tuple[str, ...], events: tuple[str, ...],
+                 states: Sequence[GameState],
+                 labels: tuple[frozenset[str], ...], label_of: np.ndarray,
+                 row_ptr: np.ndarray, succ: np.ndarray, prob: np.ndarray):
+        self._set(actions, events, states, labels, label_of, row_ptr, succ,
+                  prob)
 
     @property
     def initial(self) -> GameState:
@@ -88,6 +91,9 @@ def concat_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 KERNEL_TOL = 1e-12
+# most states a game or a product may have; a grid of 1.44 M states
+# already peaks at 1.57 GB in a `plan` process
+MAX_STATES = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -101,30 +107,28 @@ _LEFT = {"N": "W", "W": "S", "S": "E", "E": "N"}
 _RIGHT = {"N": "E", "E": "S", "S": "W", "W": "N"}
 
 
-@dataclass(frozen=True)
-class GridWorldConfig:
-    width: int
-    height: int
-    start: tuple[int, int]
-    stations: tuple[tuple[str, tuple[int, int]], ...]
-    events: tuple[tuple[str, DistributionSpec], ...]
-    slip: tuple[float, float, float] = (0.8, 0.1, 0.1)
+class GridWorldConfig(Record):
+    __slots__ = ("width", "height", "start", "stations", "events", "slip")
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
+    def __init__(self, width: int, height: int, start: tuple[int, int],
+                 stations: tuple[tuple[str, tuple[int, int]], ...],
+                 events: tuple[tuple[str, DistributionSpec], ...],
+                 slip: tuple[float, float, float] = (0.8, 0.1, 0.1)):
+        if width < 1 or height < 1:
             raise GameError("grid dimensions must be positive")
-        for cell in [self.start] + [c for _, c in self.stations]:
+        for cell in [start] + [c for _, c in stations]:
             x, y = cell
-            if not (0 <= x < self.width and 0 <= y < self.height):
-                raise GameError(f"cell {cell} outside the {self.width}x{self.height} grid")
+            if not (0 <= x < width and 0 <= y < height):
+                raise GameError(f"cell {cell} outside the {width}x{height} grid")
         # written so that a nan or an infinity fails it
-        if not (all(p >= 0 for p in self.slip)
-                and abs(sum(self.slip) - 1.0) <= KERNEL_TOL):
-            raise GameError(f"slip probabilities {self.slip} must be >= 0 and sum to 1")
-        events = {name for name, _ in self.events}
-        for atom, _ in self.stations:
-            if atom in events:
+        if not (all(p >= 0 for p in slip)
+                and abs(sum(slip) - 1.0) <= KERNEL_TOL):
+            raise GameError(f"slip probabilities {slip} must be >= 0 and sum to 1")
+        names = {name for name, _ in events}
+        for atom, _ in stations:
+            if atom in names:
                 raise GameError(f"station {atom!r} is named like an event")
+        self._set(width, height, start, stations, events, slip)
 
     def canonical_text(self) -> str:
         lines = [
@@ -214,22 +218,28 @@ def build_gridworld(cfg: GridWorldConfig) -> Game:
     state id i is ``pair * n_cells + cell`` minus the start's, modulo the
     state count, and the start has id 0.  Each row lists the successors of
     the state-at-a-time kernel in `tests/_oracles.py`, in its order, with
-    the same probabilities.  Nothing is checked, because the config leaves
-    nothing to fail: a row holds the slip parts, folded, zeros dropped, so
-    its entries are positive and sum to 1 up to rounding; with no station
-    named like an event, a label shows exactly the occurred events, which
-    are the outcome; and a successor's pending mask is its pair's by
-    construction.  The pending masks serve only to decode `GameState`s.
+    the same probabilities.  A grid of more than `MAX_STATES` states raises
+    `GameError` before anything is built.  Nothing else is checked, because
+    the config leaves nothing to fail: a row holds the slip parts, folded,
+    zeros dropped, so its entries are positive and sum to 1 up to rounding;
+    with no station named like an event, a label shows exactly the
+    occurred events, which are the outcome; and a successor's pending mask
+    is its pair's by construction.  The pending masks serve only to decode
+    `GameState`s.
     """
     events = tuple(name for name, _ in cfg.events)
     n_cells, n_actions = cfg.width * cfg.height, len(GRID_ACTIONS)
     names = tuple(sorted(set(events)))
+    # 3^k mask pairs: each event is pending, just occurred, or occurred
+    n_states = n_cells * 3 ** len(names)
+    if n_states > MAX_STATES:
+        raise GameError(f"{cfg.width}x{cfg.height} grid with {len(names)} "
+                        f"events has {n_states} states, more than {MAX_STATES}")
     sets = mask_subsets(names)
     move_cell, move_prob, move_len = _motion_table(cfg)
     pair_pending, pair_occurred, out_ptr, out_len, out_pair = (
         _event_mask_table(sets))
 
-    n_states = len(pair_pending) * n_cells
     start = cfg.start[0] * cfg.height + cfg.start[1]    # pair 0
     pair, cell = np.divmod((np.arange(n_states) + start) % n_states,
                            n_cells)

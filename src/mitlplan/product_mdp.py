@@ -47,7 +47,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .game_model import Game, concat_ranges
+from .game_model import MAX_STATES, Game, concat_ranges
 from .stochastic_ta import StaModel, StaState
 
 
@@ -279,7 +279,7 @@ def describe_spec_state(q: StaState) -> str:
 
 
 def build_product(game: Game, tsta: StaModel,
-                  cap: int = 2_000_000) -> ProductMdp:
+                  cap: int = MAX_STATES) -> ProductMdp:
     """Forward-reachable product construction, numbered as the module
     docstring states.
 

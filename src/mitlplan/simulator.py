@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
+from .formula import Record
 from .game_model import concat_ranges
 from .product_mdp import OUTCOMES, ProductMdp
 
@@ -80,12 +81,23 @@ def splitmix_next(state: int) -> tuple[float, int]:
     return (_mix64(state) >> 11) * _INV53, state
 
 
-@dataclass
-class Trajectory:
-    outcome: str                      # an entry of `OUTCOMES`
-    state_indices: list[int]
-    actions: list[str]
-    lines: list[str] = field(default_factory=list)
+class Trajectory(Record):
+    """One rollout; each log builds one, so its fields are plain stores."""
+
+    __slots__ = ("outcome", "state_indices", "actions", "lines")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    # the field records `dataclasses.replace` reads: the benchmark's tests
+    # copy a trajectory with it
+    __dataclass_fields__ = {
+        name: SimpleNamespace(name=name, init=True, _field_type=None)
+        for name in __slots__}
+
+    def __init__(self, outcome: str, state_indices: list[int],
+                 actions: list[str], lines: list[str] | None = None):
+        self.outcome = outcome              # an entry of `OUTCOMES`
+        self.state_indices = state_indices
+        self.actions = actions
+        self.lines = [] if lines is None else lines
 
     def render(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -203,13 +215,14 @@ def rollout(m: ProductMdp, policy, seed: int, max_steps: int | None = None
     z = m.z0
     code, z_text, _ = m.log_state(z)
     visited, actions, lines = [z], [], [z_text]
+    action_index, action_names = policy.action_index, policy.actions
     while not code and len(visited) <= max_steps:
         u, state = splitmix_next(state)
-        a = policy.action_index.item(z)
+        a = action_index.item(z)
         cols, sums = m.log_row(z * m.n_actions + a)
         z = cols[min(bisect_right(sums, u), len(cols) - 1)]
         code, nxt_text, occurred = m.log_state(z)
-        a_name = policy.actions[a]
+        a_name = action_names[a]
         visited.append(z)
         actions.append(a_name)
         lines.append(f"--{a_name}--> ({z_text}, {a_name})")
@@ -220,14 +233,14 @@ def rollout(m: ProductMdp, policy, seed: int, max_steps: int | None = None
     return Trajectory(outcome, visited, actions, lines)
 
 
-@dataclass
-class SuccessEstimate:
-    rate: float
-    ci_low: float
-    ci_high: float
-    successes: int
-    samples: int
-    outcomes: dict = field(default_factory=dict)
+class SuccessEstimate(Record):
+    __slots__ = ("rate", "ci_low", "ci_high", "successes", "samples",
+                 "outcomes")
+
+    def __init__(self, rate: float, ci_low: float, ci_high: float,
+                 successes: int, samples: int, outcomes: dict | None = None):
+        self._set(rate, ci_low, ci_high, successes, samples,
+                  {} if outcomes is None else outcomes)
 
 
 def estimate_success(m: ProductMdp, policy, n: int, seed: int,

@@ -13,7 +13,7 @@ oracle, `tests/_oracles.py::brute_force_reach`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ class SolverError(ValueError):
     pass
 
 
-@dataclass
-class ValueIterationResult:
+class ValueIterationResult(NamedTuple):
     values: np.ndarray
     iterations: int
     residual: float
@@ -63,8 +62,7 @@ def satisfaction_probability(m: ProductMdp, values: np.ndarray) -> float:
     return float(values[m.z0])
 
 
-@dataclass
-class Policy:
+class Policy(NamedTuple):
     """Deterministic stationary policy: one action index per state;
     absorbing states carry the reserved stay action."""
 

@@ -20,7 +20,8 @@ cap, which is the bound the truncation argument promises.
 
 A `StaModel` numbers the states it reaches, once, when it first reaches
 them (the on-the-fly construction of Couvreur, FM 1999), and keeps per id
-the state and its outcome code.  The product build and the word monitor
+the state and its outcome code; a state is a `StaState` named tuple,
+which hashes and compares in C.  The product build and the word monitor
 step the same ids through one memo (`StaModel.step_id`); the product's
 numpy view of those steps is `product_mdp.StepTable`.  Like `formula`
 and `timed_automata` beneath it, this module imports no numpy.
@@ -28,7 +29,7 @@ and `timed_automata` beneath it, this module imports no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import EventSet, ZeroSurvivalError, env_subsets, mask_subsets
 from .timed_automata import ProgressionDta, TimedWord
@@ -38,8 +39,7 @@ class StaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StaState:
+class StaState(NamedTuple):
     """Automaton location plus event clocks and the pending set."""
 
     config: int | None

@@ -15,7 +15,7 @@ and every later one a step after the one before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import (
     FALSE,
@@ -28,6 +28,7 @@ from .formula import (
     Interval,
     Not,
     Or,
+    Record,
     TrueF,
     Until,
     mask_subsets,
@@ -45,11 +46,13 @@ class AutomatonError(ValueError):
 # Timed words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TimedWord:
+class TimedWord(Record):
     """Finite unit-step word: symbol i is read at timestamp i."""
 
-    symbols: tuple[frozenset[str], ...]
+    __slots__ = ("symbols",)
+
+    def __init__(self, symbols: tuple[frozenset[str], ...]):
+        object.__setattr__(self, "symbols", symbols)
 
     def __len__(self):
         return len(self.symbols)
@@ -301,8 +304,7 @@ def formula_atoms(f: Formula) -> set[str]:
 # Automaton interface
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     accepted: bool
     configs: list
 

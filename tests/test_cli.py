@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -425,6 +426,41 @@ def test_plan_grid_error_names_its_line(tmp_path, capsys, text, message):
     assert err == f"error: grid: {message}\n"
 
 
+FOUR_EVENTS = " & ".join(f"D{{geom:0.5}} b{i} & F[0,9] b{i}"
+                         for i in range(1, 5))
+
+
+@pytest.mark.parametrize("size, formula, states", [
+    (100000, "D{geom:0.5} b1 & F b1", 10**10 * 3),
+    # just over the cap: 158 * 158 * 3**4
+    (158, FOUR_EVENTS, 2022084),
+], ids=["huge", "just-over-the-cap"])
+def test_plan_refuses_a_grid_too_large_to_build(tmp_path, size, formula,
+                                                states):
+    # in a child limited to 1 GiB of address space, so that a grid built
+    # by mistake fails fast instead of filling the machine's memory; one
+    # BLAS thread keeps numpy's own buffers well under the limit
+    grid = tmp_path / "big.grid"
+    grid.write_text(f"width = {size}\nheight = {size}\n")
+    src = str(Path(mitlplan.__file__).resolve().parent.parent)
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from mitlplan.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "plan", "--formula", formula,
+         "--grid", str(grid), "--uniform-T", "2", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        f"error: grid: {size}x{size} grid with {formula.count('D{')} events "
+        f"has {states} states, more than 2000000\n")
+    assert not (tmp_path / "policy.txt").exists()
+
+
 def test_plan_does_not_import_numpy_ma(tmp_path):
     # plain `np.unique` imports `numpy.ma` on its first call, which costs
     # every `plan` process 10-15 ms
@@ -480,6 +516,25 @@ def test_only_simulate_imports_the_simulator(tmp_path, capsys, command):
                           env=env, check=True, capture_output=True, text=True,
                           timeout=300)
     assert done.stdout.splitlines()[-1] == str(command == "simulate")
+
+
+def test_startup_probe_reports_each_command():
+    tool = Path(__file__).resolve().parent.parent / "tools" / "startup.py"
+    src = str(Path(mitlplan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, str(tool), "-n", "1"], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=60)
+    report = json.loads(done.stdout)
+    assert report["runs"] == 1
+    assert list(report["commands"]) == ["import", "translate", "plan",
+                                        "monitor"]
+    cli_lines = Path(cli.__file__).read_bytes().count(b"\n")
+    for entry in report["commands"].values():
+        assert entry["q1_ms"] == entry["median_ms"] == entry["q3_ms"] > 0
+        assert entry["lines_compiled"] > cli_lines
+    assert report["import_self_us"]["mitlplan.cli"] > 0
 
 
 def test_cli_names_the_benchmark_reads(capsys):

@@ -3,8 +3,10 @@ import random
 import numpy as np
 import pytest
 
+from mitlplan import game_model
 from mitlplan.formula import EventSet, Geometric, env_subsets, parse
 from mitlplan.game_model import (
+    MAX_STATES,
     GameError,
     GameState,
     GridWorldConfig,
@@ -253,6 +255,32 @@ def test_grid_reaches_every_cell_and_event_pair():
         n = len(grid.game.states)
         assert n == width * height * 3 ** k, cfg
         assert n == len(compile_one_at_a_time(grid).states), cfg
+
+
+def test_grid_size_is_checked_before_anything_is_built(monkeypatch):
+    # a grid of exactly MAX_STATES states gets as far as its first table,
+    # and nothing larger does; none of them is built here
+    class Reached(Exception):
+        pass
+
+    def reached(cfg):
+        raise Reached
+
+    monkeypatch.setattr(game_model, "_motion_table", reached)
+    assert 2000 * 1000 == MAX_STATES
+    with pytest.raises(Reached):
+        build_gridworld(GridWorldConfig(2000, 1000, (0, 0), (), ()))
+    four = tuple((f"b{i}", Geometric(0.5)) for i in range(4))
+    for cfg, message in [
+            (GridWorldConfig(2001, 1000, (0, 0), (), ()),
+             "2001x1000 grid with 0 events has 2001000 states, more than "
+             "2000000"),
+            (GridWorldConfig(158, 158, (0, 0), (), four),
+             "158x158 grid with 4 events has 2022084 states, more than "
+             "2000000")]:
+        with pytest.raises(GameError) as exc:
+            build_gridworld(cfg)
+        assert str(exc.value) == message
 
 
 def test_grid_states_decode_once():
