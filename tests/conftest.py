@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import mitlplan
 from mitlplan.formula import EventSet, parse, substitute_dist, uniform_truncation_vector
 from mitlplan.game_model import GridWorldConfig, build_gridworld
 from mitlplan.product_mdp import build_product
@@ -12,6 +14,15 @@ from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import build_dta
 
 DATA = Path(__file__).parent / "data"
+
+
+def package_env(*paths, **variables):
+    """This process's environment for a child interpreter that imports the
+    `mitlplan` this one imported, then `paths`, with `variables` set."""
+    src = str(Path(mitlplan.__file__).resolve().parent.parent)
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        [src, *paths, os.environ.get("PYTHONPATH", "")]))
+
 
 BUS_CASE1 = ("D{geom:0.8} b1 & F (b1 & F[0,3] b3) | "
              "D{geom:0.3} b2 & F (b2 & F[0,3] b4)")

@@ -1,6 +1,9 @@
+import ast
+import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import mitlplan
 from mitlplan import cli
 from mitlplan.cli import build_model, build_parser, main
 from mitlplan.formula import (
@@ -29,7 +31,14 @@ from mitlplan.timed_automata import (
 from mitlplan.solver import value_iteration
 
 from _explicit_dta import load_dta
-from conftest import DATA, BUS_CASE1, BUS_CASE2, DEEP_FORMULAS, THREE_BUS
+from conftest import (
+    DATA,
+    BUS_CASE1,
+    BUS_CASE2,
+    DEEP_FORMULAS,
+    THREE_BUS,
+    package_env,
+)
 
 
 def run(capsys, *argv):
@@ -228,6 +237,10 @@ def test_simulate_rejects_malformed_policy(tmp_path, capsys,
     ("simulate", "--logs", "-2"),
     ("plan", "--cap", "0"),
     ("plan", "--cap", "-4"),
+    # the rollout streams take seeds modulo 2**64, so these would alias
+    # 2**64 - 1 and 0
+    ("simulate", "--seed", "-1"),
+    ("simulate", "--seed", str(2**64)),
 ])
 def test_out_of_range_option_exits_2(tmp_path, capsys, case2_policy_lines,
                                      command, option, value):
@@ -240,6 +253,14 @@ def test_out_of_range_option_exits_2(tmp_path, capsys, case2_policy_lines,
               option, value, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"error: argument {option}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_simulate_takes_seeds_from_0_to_2_to_the_64_minus_1(seed):
+    args = build_parser().parse_args(
+        ["simulate", "--formula", BUS_CASE2, "--grid", "g", "--policy", "p",
+         "--seed", str(seed)])
+    assert args.seed == seed
 
 
 @pytest.mark.parametrize("option", ["--tol", "--max-iter"])
@@ -442,14 +463,11 @@ def test_plan_refuses_a_grid_too_large_to_build(tmp_path, size, formula,
     # BLAS thread keeps numpy's own buffers well under the limit
     grid = tmp_path / "big.grid"
     grid.write_text(f"width = {size}\nheight = {size}\n")
-    src = str(Path(mitlplan.__file__).resolve().parent.parent)
     script = ("import resource, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
               "from mitlplan.cli import main\n"
               "sys.exit(main(sys.argv[1:]))\n")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [src, os.environ.get("PYTHONPATH", "")]))
+    env = package_env(OPENBLAS_NUM_THREADS="1")
     done = subprocess.run(
         [sys.executable, "-c", script, "plan", "--formula", formula,
          "--grid", str(grid), "--uniform-T", "2", "--out", str(tmp_path)],
@@ -464,14 +482,12 @@ def test_plan_refuses_a_grid_too_large_to_build(tmp_path, size, formula,
 def test_plan_does_not_import_numpy_ma(tmp_path):
     # plain `np.unique` imports `numpy.ma` on its first call, which costs
     # every `plan` process 10-15 ms
-    src = str(Path(mitlplan.__file__).resolve().parent.parent)
     script = ("import sys\n"
               "from mitlplan.cli import main\n"
               "code = main(sys.argv[1:])\n"
               "assert code == 0, code\n"
               "print('numpy.ma' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    env = package_env()
     done = subprocess.run(
         [sys.executable, "-c", script, "plan", "--formula", BUS_CASE1,
          "--grid", str(DATA / "case1.grid"), "--uniform-T", "3",
@@ -504,14 +520,12 @@ def test_only_simulate_imports_the_simulator(tmp_path, capsys, command):
     if command == "simulate":
         assert main(argv("plan")) == 0
         capsys.readouterr()
-    src = str(Path(mitlplan.__file__).resolve().parent.parent)
     script = ("import sys\n"
               "from mitlplan.cli import main\n"
               "code = main(sys.argv[1:])\n"
               "assert code == 0, code\n"
               "print('mitlplan.simulator' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    env = package_env()
     done = subprocess.run([sys.executable, "-c", script, *argv(command)],
                           env=env, check=True, capture_output=True, text=True,
                           timeout=300)
@@ -520,17 +534,22 @@ def test_only_simulate_imports_the_simulator(tmp_path, capsys, command):
 
 def test_startup_probe_reports_each_command():
     tool = Path(__file__).resolve().parent.parent / "tools" / "startup.py"
-    src = str(Path(mitlplan.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    env = package_env()
     done = subprocess.run([sys.executable, str(tool), "-n", "1"], env=env,
                           check=True, capture_output=True, text=True,
                           timeout=60)
     report = json.loads(done.stdout)
     assert report["runs"] == 1
+    assert report["baselines"] == {
+        "python": {**report["baselines"]["python"], "argv": ["-c", "pass"]},
+        "numpy": {**report["baselines"]["numpy"],
+                  "argv": ["-c", "import numpy"]}}
     assert list(report["commands"]) == ["import", "translate", "plan",
-                                        "monitor"]
+                                        "simulate", "monitor", "bench"]
     cli_lines = Path(cli.__file__).read_bytes().count(b"\n")
+    for entry in report["baselines"].values():
+        assert entry["q1_ms"] == entry["median_ms"] == entry["q3_ms"] > 0
+        assert "lines_compiled" not in entry
     for entry in report["commands"].values():
         assert entry["q1_ms"] == entry["median_ms"] == entry["q3_ms"] > 0
         assert entry["lines_compiled"] > cli_lines
@@ -759,9 +778,7 @@ def test_closed_stdout_exits_141(tmp_path, case2_policy_lines, command,
     word.write_text("-\nb1\n")
     names = {"OUT": str(tmp_path), "POLICY": str(policy), "WORD": str(word)}
     argv = [names.get(a, a) for a in PRINTING_RUNS[command]]
-    src = str(Path(mitlplan.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    env = package_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -776,18 +793,124 @@ def test_closed_stdout_exits_141(tmp_path, case2_policy_lines, command,
     assert (done.returncode, done.stderr) == (141, "")
 
 
+CASE1_MISSION = ["--formula-file", str(DATA / "case1.mitl")]
+CASE1_MODEL = [*CASE1_MISSION, "--grid", str(DATA / "case1.grid"),
+               "--uniform-T", "4"]
+
+# one run per subcommand on case1, then one per exit code of a failing
+# stage (141 is `test_closed_stdout_exits_141`)
+EXIT_PATH_RUNS = {
+    "translate": (["translate", *CASE1_MISSION, "--out", "OUT"], 0),
+    "plan": (["plan", *CASE1_MODEL, "--out", "OUT"], 0),
+    "simulate": (["simulate", *CASE1_MODEL, "--policy", "POLICY",
+                  "-n", "500", "--seed", "3", "--out", "OUT"], 0),
+    "monitor": (["monitor", *CASE1_MISSION, "--word",
+                 str(DATA / "case1.word")], 0),
+    "bench": (["bench", *CASE1_MODEL[:-2], "--uniform-T", "2,4"], 0),
+    "exit-2-formula": (["translate", "--formula", "( a", "--out", "OUT"], 2),
+    "exit-3-grid": (["plan", *CASE1_MISSION, "--grid", "MISSING",
+                     "--uniform-T", "4", "--out", "OUT"], 3),
+    "exit-4-cap": (["plan", *CASE1_MODEL, "--cap", "2", "--out", "OUT"], 4),
+    "exit-5-solver": (["plan", *CASE1_MODEL, "--max-iter", "2",
+                       "--tol", "1e-14", "--out", "OUT"], 5),
+    "exit-6-stale": (["simulate", *CASE1_MODEL[:-1], "3", "--policy",
+                      "POLICY", "--out", "OUT"], 6),
+}
+
+
+@pytest.fixture(scope="module")
+def case1_policy(tmp_path_factory):
+    out = tmp_path_factory.mktemp("case1")
+    assert main(["plan", *CASE1_MODEL, "--out", str(out)]) == 0
+    return str(out / "policy.txt")
+
+
+def _timings_masked(command, stdout):
+    stdout = re.sub(r"^solve-time-s: .*$", "solve-time-s: *", stdout,
+                    flags=re.M)
+    if command == "bench":      # the last CSV column is wall_time_s
+        stdout = re.sub(r",[0-9.]+$", ",*", stdout, flags=re.M)
+    return stdout
+
+
+@pytest.mark.parametrize("argv, code", EXIT_PATH_RUNS.values(),
+                         ids=EXIT_PATH_RUNS)
+def test_exit_path_matches_main(tmp_path, capsys, case1_policy, argv, code):
+    # `python -m mitlplan.cli` exits through `run`, which freezes the heap
+    # after `main` returns: nothing a user sees may change
+    def outcome(out, call):
+        out.mkdir()
+        names = {"OUT": str(out), "POLICY": case1_policy,
+                 "MISSING": str(tmp_path / "missing.grid")}
+        got, stdout, stderr = call([names.get(a, a) for a in argv])
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return (got, _timings_masked(argv[0], stdout.replace(str(out), "OUT")),
+                stderr.replace(str(out), "OUT"), files)
+
+    def in_process(args):
+        got = main(args)
+        captured = capsys.readouterr()
+        return got, captured.out, captured.err
+
+    def child(args):
+        done = subprocess.run([sys.executable, "-m", "mitlplan.cli", *args],
+                              capture_output=True, text=True,
+                              env=package_env(), timeout=300)
+        return done.returncode, done.stdout, done.stderr
+
+    expected = outcome(tmp_path / "main", in_process)
+    assert expected[0] == code
+    assert (expected[2] == "") == (code == 0)
+    assert outcome(tmp_path / "exit", child) == expected
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(tmp_path, capsys,
+                                                  case1_policy):
+    for argv in (EXIT_PATH_RUNS["plan"][0], EXIT_PATH_RUNS["simulate"][0]):
+        names = {"OUT": str(tmp_path), "POLICY": case1_policy}
+        assert main([names.get(a, a) for a in argv]) == 0
+        assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("formula, code", [(BUS_CASE1, 0), ("( a", 2)],
+                         ids=["exit-0", "exit-2"])
+def test_run_freezes_the_heap_and_exits_with_mains_code(tmp_path, capsys,
+                                                        formula, code):
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["translate", "--formula", formula,
+                     "--out", str(tmp_path)])
+        assert exc.value.code == code
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+def test_console_script_takes_the_exit_path():
+    # the target of `[project.scripts] mitlplan` is the function that
+    # `python -m mitlplan.cli` calls; read as text, since Python 3.10 has
+    # no tomllib
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = pyproject.read_text().split("[project.scripts]\n")[1]
+    target = re.match(r'mitlplan = "(.*)"\n', scripts).group(1)
+    module = ast.parse(Path(cli.__file__).read_text())
+    entry, = [node.body for node in module.body
+              if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    call, = entry
+    assert target == f"mitlplan.cli:{ast.unparse(call.value.func)}"
+    assert target == "mitlplan.cli:run"
+
+
 def test_plan_outputs_independent_of_hash_seed(tmp_path):
     # outcome probabilities multiply per-event hazards; in the iteration
     # order of a set of event names the last digits of this mission's
     # values changed with the string hash seed
     grid = DATA / "three_bus.grid"
-    src = str(Path(mitlplan.__file__).resolve().parent.parent)
     outs = []
     for seed in ("0", "1"):
         out = tmp_path / f"hashseed{seed}"
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(
-                       [src, os.environ.get("PYTHONPATH", "")]))
+        env = package_env(PYTHONHASHSEED=seed)
         subprocess.run([sys.executable, "-m", "mitlplan.cli", "plan",
                         "--formula", THREE_BUS, "--grid", str(grid),
                         "--eps", "0.2", "--out", str(out)],

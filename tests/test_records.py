@@ -3,7 +3,6 @@ that loading the package generates no class code."""
 
 import copy
 import dataclasses
-import os
 import pickle
 import subprocess
 import sys
@@ -28,6 +27,8 @@ from mitlplan.simulator import SuccessEstimate, Trajectory
 from mitlplan.solver import Policy, ValueIterationResult
 from mitlplan.stochastic_ta import StaState
 from mitlplan.timed_automata import RunResult, TimedWord
+
+from conftest import package_env
 
 EVENTS = (("b1", Geometric(0.5)), ("b2", FiniteTable(((1, 0.5), (3, 0.5)))))
 
@@ -179,8 +180,7 @@ def test_importing_the_package_generates_no_class_code():
               f"for name in {names!r}:\n"
               "    importlib.import_module(name)\n"
               "print('dataclasses' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(pkg.parent), os.environ.get("PYTHONPATH", "")]))
+    env = package_env()
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           check=True, capture_output=True, text=True,
                           timeout=300)

@@ -1,13 +1,9 @@
-import os
 import random
 import subprocess
 import sys
 from collections import Counter, deque
-from pathlib import Path
 
 import pytest
-
-import mitlplan
 
 from mitlplan.formula import (
     EventSet,
@@ -27,7 +23,7 @@ from mitlplan.timed_automata import (
 )
 
 from _oracles import truncation_error_estimate
-from conftest import BUS_CASE1
+from conftest import BUS_CASE1, package_env
 
 
 
@@ -164,13 +160,11 @@ def test_word_monitor_verdicts(bus1_sta):
 
 
 def test_monitor_layers_import_without_numpy():
-    src = str(Path(mitlplan.__file__).resolve().parent.parent)
     script = ("import sys\n"
               "import mitlplan.formula, mitlplan.timed_automata, "
               "mitlplan.stochastic_ta\n"
               "print('numpy' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    env = package_env()
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           check=True, capture_output=True, text=True,
                           timeout=120)

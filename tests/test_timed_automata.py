@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import os
 import random
 import subprocess
 import sys
@@ -39,7 +38,6 @@ from mitlplan.timed_automata import (
     run_dta,
 )
 
-import mitlplan
 from mitlplan import timed_automata
 from _explicit_dta import (
     AndC,
@@ -58,7 +56,7 @@ from _oracles import (
     word_satisfies,
 )
 
-from conftest import BUS_CASE1, DATA, THREE_BUS
+from conftest import BUS_CASE1, DATA, THREE_BUS, package_env
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +528,12 @@ def test_nondeterminism_messages_do_not_depend_on_the_hash_seed():
               "        d.step_config(d.initial_config(), {'r', 'q', 'p'}, 0)\n"
               "    except xd.AutomatonError as exc:\n"
               "        print(exc)\n")
-    src = str(Path(mitlplan.__file__).resolve().parent.parent)
     tests = str(Path(__file__).resolve().parent)
     expected = ("nondeterministic edges from 'C' on {'p', 'q', 'r'} at [x=0]: "
                 "'B' vs 'A'\n"
                 "nondeterministic step from 'C' on {'p', 'q', 'r'} at [x=0]\n")
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(
-                       [src, tests, os.environ.get("PYTHONPATH", "")]))
+        env = package_env(tests, PYTHONHASHSEED=seed)
         done = subprocess.run([sys.executable, "-c", script],
                               input=NONDETERMINISTIC_THREE_ATOMS, env=env,
                               check=True, capture_output=True, text=True,

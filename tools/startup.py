@@ -1,14 +1,18 @@
 """Cold-start cost of the command line, one fresh process per run.
 
-Each round runs, once each, ``python -m mitlplan.cli translate``, ``plan
---uniform-T 4`` and ``monitor`` on the ``case1`` mission of the test data,
-and ``python -c "import mitlplan.cli"``; every other round runs them in
-reverse order, so that drift in the machine's load reaches each command
-alike.  The processes inherit this one's environment and get no
+Each round runs, once each, two baselines, ``python -c pass`` and
+``python -c "import numpy"``, then ``python -c "import mitlplan.cli"`` and
+``python -m mitlplan.cli translate``, ``plan --uniform-T 4``, ``simulate
+-n 1000``, ``monitor`` and ``bench --uniform-T 2,4`` on the ``case1``
+mission of the test data; every other round runs them in reverse order,
+so that drift in the machine's load reaches each command alike.
+``simulate`` reads a policy that one ``plan`` process writes before the
+rounds.  The processes inherit this one's environment and get no
 interpreter flag of their own.  The script prints one JSON object:
 
-- ``commands``: per command, its argv and the median and quartiles of its
-  wall time in ms over the rounds, and ``lines_compiled``, the source
+- ``baselines``: per baseline, its argv and the median and quartiles of
+  its wall time in ms over the rounds;
+- ``commands``: the same per command, and ``lines_compiled``, the source
   lines of the ``mitlplan`` modules it loads (each is compiled from
   source when no bytecode cache is written, as under
   ``PYTHONDONTWRITEBYTECODE=1``);
@@ -44,17 +48,27 @@ print(json.dumps([m.__file__ for name, m in sorted(sys.modules.items())
 """
 
 
-def commands(out: str) -> dict[str, list[str]]:
-    """The argv after ``python`` of each command, writing into `out`."""
+BASELINES = {"python": ["-c", "pass"], "numpy": ["-c", "import numpy"]}
+
+
+def commands(out: str, policy: str) -> dict[str, list[str]]:
+    """The argv after ``python`` of each command, writing into `out`;
+    ``simulate`` reads the policy file `policy`."""
     mission = ["--formula-file", str(DATA / "case1.mitl")]
+    model = [*mission, "--grid", str(DATA / "case1.grid")]
     return {
         "import": ["-c", "import mitlplan.cli"],
         "translate": ["-m", "mitlplan.cli", "translate", *mission,
                       "--out", out],
-        "plan": ["-m", "mitlplan.cli", "plan", *mission, "--grid",
-                 str(DATA / "case1.grid"), "--uniform-T", "4", "--out", out],
+        "plan": ["-m", "mitlplan.cli", "plan", *model, "--uniform-T", "4",
+                 "--out", out],
+        "simulate": ["-m", "mitlplan.cli", "simulate", *model,
+                     "--uniform-T", "4", "--policy", policy, "-n", "1000",
+                     "--out", out],
         "monitor": ["-m", "mitlplan.cli", "monitor", *mission, "--word",
                     str(DATA / "case1.word")],
+        "bench": ["-m", "mitlplan.cli", "bench", *model,
+                  "--uniform-T", "2,4"],
     }
 
 
@@ -103,16 +117,21 @@ def main(argv=None) -> int:
     if n < 1:
         ap.error("-n must be at least 1")
     with tempfile.TemporaryDirectory() as out:
-        cmds = commands(out)
-        wall: dict[str, list[float]] = {name: [] for name in cmds}
+        planned = str(Path(out) / "planned")
+        cmds = commands(out, str(Path(planned) / "policy.txt"))
+        _run([*cmds["plan"][:-1], planned])    # plan's argv ends in its --out
+        runs = {**BASELINES, **cmds}
+        wall: dict[str, list[float]] = {name: [] for name in runs}
         for i in range(n):
-            for name in (list(cmds) if i % 2 == 0 else list(cmds)[::-1]):
+            for name in (list(runs) if i % 2 == 0 else list(runs)[::-1]):
                 t = time.perf_counter()
-                _run(cmds[name])
+                _run(runs[name])
                 wall[name].append((time.perf_counter() - t) * 1e3)
         report = {
             "runs": n,
             "python": sys.version.split()[0],
+            "baselines": {name: {"argv": argv, **_summary(wall[name])}
+                          for name, argv in BASELINES.items()},
             "commands": {
                 name: {"argv": argv, **_summary(wall[name]),
                        "lines_compiled": _lines_compiled(argv)}
