@@ -343,7 +343,7 @@ def cmd_plan(args):
 
 def cmd_simulate(args):
     # the one subcommand that runs the simulator is the one that loads it
-    from .simulator import estimate_success, rollout
+    from .simulator import estimate_success, rollout, stream_seed
 
     built = build_model(args)
     m = built.product
@@ -351,7 +351,8 @@ def cmd_simulate(args):
     out = _out_dir(args.out)
     n_logs = min(args.n, 5) if args.logs is None else args.logs
     for i in range(n_logs):
-        traj = rollout(m, policy, seed=args.seed + i,
+        # log i replays rollout i of the estimate below
+        traj = rollout(m, policy, seed=stream_seed(args.seed, i),
                        max_steps=args.max_steps)
         path = out / f"trajectory_{i:03d}.log"
         _write(path, traj.render())

@@ -22,7 +22,9 @@ table of the last policy `estimate_success` ran, keyed by the contents
 of its rows, and its default step budget (`default_max_steps`).  A
 rollout stops at the first state whose `ProductMdp.outcome_code` is not
 0, or when its step budget runs out, and reports the name `OUTCOMES`
-gives the code of the state it stops at.
+gives the code of the state it stops at.  `simulate` writes log i with
+`rollout` on `stream_seed(seed, i)`, whose stream 0 is stream i of the
+seed, so log i replays rollout i of `estimate_success`.
 """
 
 from __future__ import annotations
@@ -73,6 +75,12 @@ def _mix64_lanes(z: np.ndarray) -> np.ndarray:
 def splitmix_init(seed: int, index: int = 0) -> int:
     """Start state of stream `index` of `seed`."""
     return _mix64((int(seed) + (index + 1) * _GOLDEN) & _U64)
+
+
+def stream_seed(seed: int, index: int) -> int:
+    """The seed whose stream 0 is stream `index` of `seed`: ``rollout``
+    on it replays rollout `index` of ``estimate_success`` on `seed`."""
+    return (int(seed) + index * _GOLDEN) & _U64
 
 
 def splitmix_next(state: int) -> tuple[float, int]:
@@ -249,7 +257,7 @@ def estimate_success(m: ProductMdp, policy, n: int, seed: int,
     Wilson score 95% confidence interval.  Rollout i follows stream
     ``splitmix_init(seed, i)``.  The rollouts run in batches of at most
     `_CHUNK`, so memory does not grow with n: the batch from rollout
-    `first` on starts its streams at ``seed + first * gamma``.  The
+    `first` on starts its streams at ``stream_seed(seed, first)``.  The
     batches share one search table, which the model keeps for the next
     call until a policy with other rows replaces it."""
     if n < 1:
@@ -266,7 +274,7 @@ def estimate_success(m: ProductMdp, policy, n: int, seed: int,
     for first in range(0, n, _CHUNK):
         outcomes = rollout_batch_numpy(
             table, m.outcome_code, m.z0, min(_CHUNK, n - first),
-            (seed + first * _GOLDEN) & _U64, max_steps)
+            stream_seed(seed, first), max_steps)
         counts += np.bincount(outcomes, minlength=3)
     tally = dict(zip(OUTCOMES, counts.tolist()))
     successes = tally["accept"]

@@ -32,7 +32,6 @@ from .formula import (
     TrueF,
     Until,
     mask_subsets,
-    normalize,
     pretty,
     subformulas,
 )
@@ -97,23 +96,27 @@ class _Progression:
     product or union of their clause sets, absorbed and built as a
     canonical node once, with no intermediate node to canonicalize.
     Canonicalizing a conjunction or disjunction is the same step on its
-    canonicalized operands.  Canonical forms, one-step progressions per
-    (subformula, symbol) and combine steps per (connective, left, right)
-    are memoized for as long as the context lives, and so is the clause
-    set of every conjunction and disjunction the step builds, which is
-    what a later step reads instead of walking the node again.  Clauses
-    are interned in a pool, with the conjunction node of each, so a clause
-    shared by many clause sets is stored and built once.  An automaton
-    owns one context and drops it once its table is closed, so nothing at
-    module level outlives a build; sort keys are the ``pretty`` text
-    cached on each node.
+    canonicalized operands.  A symbol is an integer mask over `bits`, the
+    automaton's atom bits.  Each node keeps its support (the bits of its
+    atoms), its residuals keyed by the mask restricted to that support,
+    and, for an until, its window shifted down by one step, so a node
+    over one atom is progressed at most twice.  Canonical forms, combine
+    steps per (connective, left, right) and the clause set of every
+    conjunction and disjunction the step builds, which a later step reads
+    instead of walking the node again, are memoized for as long as the
+    context lives.  Clauses are interned in a pool, with the conjunction
+    node of each, so a clause shared by many clause sets is stored and
+    built once.  An automaton owns one context and drops it once its
+    table is closed, so nothing at module level outlives a build; sort
+    keys are the ``pretty`` text cached on each node.
     """
 
     def __init__(self):
+        self.bits: dict[str, int] = {}
         self.canonical_forms: dict[Formula, Formula] = {}
-        # symbol -> subformula -> progression; one table per symbol
-        # keeps a key tuple from being allocated for every entry
-        self.progressed: dict[frozenset, dict[Formula, Formula]] = {}
+        # node -> (support, {mask & support: residual}, shifted until)
+        self.nodes: dict[Formula, tuple[int, dict[int, Formula],
+                                        Formula | None]] = {}
         self.combined: dict[tuple[bool, Formula, Formula], Formula] = {}
         self.clause_sets: dict[Formula, tuple[frozenset[Formula], ...]] = {}
         # clause -> (the pooled clause, its conjunction node)
@@ -146,8 +149,18 @@ class _Progression:
         if isinstance(f, (TrueF, FalseF, Atom)):
             return f
         if isinstance(f, Not):
-            # `normalize` has folded negated constants and double negations
-            return Not(canonical(f.operand))
+            # negation normal form in the same walk: a negation moves
+            # through a double negation, a constant and, by De Morgan, a
+            # conjunction or disjunction; on anything else it stays
+            g = f.operand
+            if isinstance(g, Not):
+                return canonical(g.operand)
+            if isinstance(g, (TrueF, FalseF)):
+                return FALSE if g is TRUE else TRUE
+            if isinstance(g, (And, Or)):
+                return self._combine(isinstance(g, Or), canonical(Not(g.left)),
+                                     canonical(Not(g.right)))
+            return Not(canonical(g))
         if isinstance(f, Until):
             return _until(canonical(f.left), canonical(f.right), f.interval)
         if isinstance(f, (And, Or)):
@@ -209,44 +222,64 @@ class _Progression:
         self.clause_pool[clause] = entry = (clause, acc)
         return entry
 
-    def progress(self, f: Formula, symbol: frozenset) -> Formula:
-        """One-step progression of a canonical formula; canonical."""
-        memo = self.progressed.get(symbol)
-        if memo is None:
-            memo = self.progressed[symbol] = {}
-        got = memo.get(f)
+    def progress(self, f: Formula, mask: int) -> Formula:
+        """One-step progression of a canonical formula on the symbol of
+        bit mask `mask`; canonical."""
+        support, memo, shifted = self.nodes.get(f) or self._node(f)
+        mask &= support
+        got = memo.get(mask)
         if got is None:
-            got = memo[f] = self._progress_node(f, symbol)
+            got = memo[mask] = self._progress_node(f, mask, shifted)
         return got
 
-    def _progress_node(self, g: Formula, symbol: frozenset) -> Formula:
+    def _node(self, g: Formula) -> tuple:
+        """The memo entry of `g`; an untimed until shifts to itself, and
+        one whose window closes now to None."""
+        nodes, node = self.nodes, self._node
+        shifted = None
+        if isinstance(g, Atom):
+            bits = self.bits[g.name]
+        elif isinstance(g, Not):
+            bits = (nodes.get(g.operand) or node(g.operand))[0]
+        elif isinstance(g, (And, Or, Until)):
+            bits = ((nodes.get(g.left) or node(g.left))[0]
+                    | (nodes.get(g.right) or node(g.right))[0])
+            if isinstance(g, Until):
+                iv = g.interval
+                if iv is None:
+                    shifted = g
+                elif iv.hi != 0:
+                    hi = None if iv.hi is None else iv.hi - 1
+                    shifted = _until(g.left, g.right,
+                                     Interval(max(iv.lo - 1, 0), hi))
+        else:
+            bits = 0
+        entry = nodes[g] = (bits, {}, shifted)
+        return entry
+
+    def _progress_node(self, g: Formula, mask: int, shifted) -> Formula:
         progress, combine = self.progress, self._combine
         # the most frequent node kinds first
         if isinstance(g, (Or, And)):
-            return combine(isinstance(g, And), progress(g.left, symbol),
-                           progress(g.right, symbol))
+            return combine(isinstance(g, And), progress(g.left, mask),
+                           progress(g.right, mask))
         if isinstance(g, Until):
-            iv = g.interval
-            if iv is None:
-                # the right operand now, or the left now and g again
-                return combine(False, progress(g.right, symbol),
-                               combine(True, progress(g.left, symbol), g))
-            if iv.lo > 0:
-                nxt = Interval(iv.lo - 1, None if iv.hi is None else iv.hi - 1)
-                return combine(True, progress(g.left, symbol),
-                               _until(g.left, g.right, nxt))
-            if iv.hi == 0:
-                return progress(g.right, symbol)
-            nxt = _until(g.left, g.right, Interval(0, iv.hi - 1))
-            return combine(False, progress(g.right, symbol),
-                           combine(True, progress(g.left, symbol), nxt))
+            if g.interval is not None and g.interval.lo > 0:
+                # the left operand now, and g with its window shifted
+                return combine(True, progress(g.left, mask), shifted)
+            # the right operand now, or the left now and g shifted
+            now = progress(g.right, mask)
+            if shifted is None:
+                return now
+            return combine(False, now,
+                           combine(True, progress(g.left, mask), shifted))
         if isinstance(g, Atom):
-            return TRUE if g.name in symbol else FALSE
+            return TRUE if mask else FALSE
         if isinstance(g, Not):
             if not isinstance(g.operand, Atom):
                 raise FormulaError(
                     f"cannot progress negation over {type(g.operand).__name__}")
-            return TRUE if g.operand.name not in symbol else FALSE
+            return FALSE if mask else TRUE
         if isinstance(g, (TrueF, FalseF)):
             return g
         raise FormulaError(f"cannot progress {type(g).__name__}")
@@ -269,13 +302,14 @@ def canonical(f: Formula) -> Formula:
     a total structural order and constants absorbed.  Keeping residuals in
     this shape is what makes the progression closure finite.
 
-    The formula is normalized first (`normalize`).  A conjunction or
-    disjunction is canonicalized by the combine step of progression on its
-    canonicalized operands, so residuals and canonical forms have one
-    definition.  Memoized only within this call; a `ProgressionDta` keeps
-    one memo until its table is closed.
+    Negations are pushed down to atoms in the same walk, as `normalize`
+    would push them.  A conjunction or disjunction is canonicalized by
+    the combine step of progression on its canonicalized operands, so
+    residuals and canonical forms have one definition.  Memoized only
+    within this call; a `ProgressionDta` keeps one memo until its table
+    is closed.
     """
-    return _Progression().canonical(normalize(f))
+    return _Progression().canonical(f)
 
 
 def progress(f: Formula, symbol) -> Formula:
@@ -283,17 +317,17 @@ def progress(f: Formula, symbol) -> Formula:
 
     TRUE means the prefix already satisfies the formula, FALSE that it
     already violates it.  The input must be distribution-free; it is
-    normalized and canonicalized first, since progression combines the
-    canonical residuals of canonical operands.  Results are canonical.
-    They are memoized per (subformula, symbol), and combine steps per
-    (connective, left, right), within one automaton, which is what keeps
-    closure construction cheap; this function memoizes only within the
-    call.
+    canonicalized first, since progression combines the canonical
+    residuals of canonical operands.  Results are canonical.  Names in
+    `symbol` that the formula does not mention are ignored.  A
+    `ProgressionDta` keeps its memo (`_Progression`) until its table is
+    closed, which is what keeps closure construction cheap; this
+    function memoizes only within the call.
     """
-    if not isinstance(symbol, frozenset):
-        symbol = frozenset(symbol)
     memo = _Progression()
-    return memo.progress(memo.canonical(normalize(f)), symbol)
+    g = memo.canonical(f)
+    bits = memo.bits = {a: 1 << i for i, a in enumerate(formula_atoms(g))}
+    return memo.progress(g, sum(bits[a] for a in bits.keys() & symbol))
 
 
 def formula_atoms(f: Formula) -> set[str]:
@@ -355,15 +389,14 @@ class ProgressionDta:
 
     def __init__(self, phi_d: Formula, cap: int = LOCATION_CAP):
         self._memo = _Progression()
-        init = self._memo.canonical(normalize(phi_d))
+        init = self._memo.canonical(phi_d)
         self.atoms = tuple(sorted(formula_atoms(init)))
         if len(self.atoms) > MAX_ATOMS:
             raise AutomatonError(
                 f"formula has {len(self.atoms)} propositions, more than "
                 f"the {MAX_ATOMS} a progression automaton tracks")
-        self._atom_bit = {a: 1 << i for i, a in enumerate(self.atoms)}
-        # symbol i holds the atoms of bit mask i
-        self._symbols = mask_subsets(self.atoms)
+        self._atom_bit = self._memo.bits = {
+            a: 1 << i for i, a in enumerate(self.atoms)}
         self.cap = cap
         self.locations: list[Formula] = []
         self.table: list[list[int]] = []
@@ -380,7 +413,7 @@ class ProgressionDta:
                     f"progression closure exceeded {self.cap} locations")
             j = self._index[f] = len(self.locations)
             self.locations.append(f)
-            self.table.append([-1] * len(self._symbols))
+            self.table.append([-1] * (1 << len(self.atoms)))
             if isinstance(f, TrueF):
                 self.accept_index = j
             elif isinstance(f, FalseF):
@@ -389,7 +422,7 @@ class ProgressionDta:
 
     def _fill(self, i: int, mask: int) -> int:
         """Compute table entry (i, mask) by progression."""
-        f = self._memo.progress(self.locations[i], self._symbols[mask])
+        f = self._memo.progress(self.locations[i], mask)
         j = self.table[i][mask] = self._intern(f)
         return j
 
@@ -470,6 +503,7 @@ def dta_to_dot(dta: ProgressionDta) -> str:
     abbreviated on edges."""
     lines = ["digraph dta {", "  rankdir=LR;", '  node [shape=circle];']
     edges = dta.edges()
+    symbols = mask_subsets(dta.atoms)
     for i, f in enumerate(dta.locations):
         shape = "doublecircle" if i == dta.accept_index else "circle"
         label = pretty(f).replace('"', "'")
@@ -479,7 +513,7 @@ def dta_to_dot(dta: ProgressionDta) -> str:
             continue
         shown = []
         for m in sorted(masks)[:DOT_MAX_MASKS]:
-            shown.append("{" + ",".join(sorted(dta._symbols[m])) + "}")
+            shown.append("{" + ",".join(sorted(symbols[m])) + "}")
         extra = ("" if len(masks) <= DOT_MAX_MASKS
                  else f" (+{len(masks) - DOT_MAX_MASKS})")
         lines.append(f'  q{src} -> q{dst} [label="{" ".join(shown)}{extra}"];')

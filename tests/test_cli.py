@@ -19,8 +19,9 @@ from mitlplan.formula import (
     parse,
     substitute_dist,
 )
-from mitlplan.product_mdp import ProductError
-from mitlplan.simulator import default_max_steps
+from mitlplan.product_mdp import OUTCOMES, ProductError
+from mitlplan.simulator import (default_max_steps, estimate_success, rollout,
+                                stream_seed)
 from mitlplan.timed_automata import (
     MAX_ATOMS,
     AutomatonError,
@@ -862,6 +863,39 @@ def test_exit_path_matches_main(tmp_path, capsys, case1_policy, argv, code):
     assert expected[0] == code
     assert (expected[2] == "") == (code == 0)
     assert outcome(tmp_path / "exit", child) == expected
+
+
+def _simulate_logs(policy, seed, n_logs, out):
+    assert main(["simulate", *CASE1_MODEL, "--policy", policy, "-n", "1",
+                 "--seed", str(seed), "--logs", str(n_logs),
+                 "--out", str(out)]) == 0
+    return [(out / f"trajectory_{i:03d}.log").read_text()
+            for i in range(n_logs)]
+
+
+@pytest.mark.parametrize("seed", [3, 2**64 - 1])
+def test_simulate_logs_follow_the_streams_of_the_seed(tmp_path, capsys,
+                                                      case1_policy, seed):
+    # log i is rollout i of the estimate, `rollout` on stream i of the
+    # seed.  The seeds are those where logs on seed + i would alias: log 1
+    # of --seed 3 with log 0 of --seed 4, and log 1 of the largest seed
+    # with log 0 of --seed 0
+    logs = _simulate_logs(case1_policy, seed, 3, tmp_path / "a")
+    assert logs[1] != _simulate_logs(case1_policy, (seed + 1) % 2**64, 1,
+                                     tmp_path / "b")[0]
+    capsys.readouterr()
+    built = build_model(build_parser().parse_args(
+        ["simulate", *CASE1_MODEL, "--policy", case1_policy]))
+    m, policy = built.product, cli.read_policy(case1_policy, built)
+    for i, log in enumerate(logs):
+        traj = rollout(m, policy, seed=stream_seed(seed, i))
+        assert log == traj.render()
+        # the estimate's rollout i ends as the log does
+        after = estimate_success(m, policy, i + 1, seed).outcomes
+        before = (estimate_success(m, policy, i, seed).outcomes if i
+                  else dict.fromkeys(OUTCOMES, 0))
+        assert [name for name in OUTCOMES
+                if after[name] > before[name]] == [traj.outcome]
 
 
 def test_main_in_process_leaves_the_heap_unfrozen(tmp_path, capsys,

@@ -13,6 +13,7 @@ from mitlplan.formula import (
     And,
     Atom,
     DistEventually,
+    EventSet,
     FormulaError,
     Geometric,
     Interval,
@@ -25,6 +26,7 @@ from mitlplan.formula import (
     parse,
     pretty,
     substitute_dist,
+    validate_fragment,
 )
 from mitlplan.timed_automata import (
     MAX_ATOMS,
@@ -268,6 +270,55 @@ def test_progression_matches_node_level_reference():
             for mask, j in enumerate(row):
                 got = ref.progress(d.locations[i], symbols[mask])
                 assert d.locations[j] is got, (pretty(f), i, mask)
+
+
+def test_progress_ignores_atoms_the_formula_does_not_mention():
+    # `progress` reads a symbol through the bits of the formula's atoms,
+    # as the automaton does, so other names change neither residual
+    rng = random.Random(5113)
+    for _ in range(150):
+        f = random_fragment_formula(rng, ["p", "q"])
+        d = ProgressionDta(f)
+        for extra in ({"x"}, {"p", "zz"}, {"q", "r", "x"}):
+            symbol = {a for a in ("p", "q") if rng.random() < 0.5} | extra
+            got = progress(f, symbol)
+            assert got is d.locations[d.step_config(d.init_index, symbol, 0)]
+            assert got is progress(f, sorted(symbol & {"p", "q"})), pretty(f)
+
+
+def _boolean(rng, atoms, depth=0):
+    """A random formula of atoms and constants under `&`, `|` and `!`."""
+    roll = rng.random()
+    if depth > 3 or roll < 0.3:
+        return rng.choice([TRUE, FALSE, *map(Atom, atoms)])
+    if roll < 0.55:
+        return Not(_boolean(rng, atoms, depth + 1))
+    return rng.choice([And, Or])(_boolean(rng, atoms, depth + 1),
+                                 _boolean(rng, atoms, depth + 1))
+
+
+def test_canonical_pushes_negations_down_as_normalize_does():
+    # negations over `&`, `|`, `!` and constants, where the fragment takes
+    # them: the initial location is the reference canonical form of the
+    # negation normal form, and the first step the reference residual
+    rng = random.Random(6271)
+    atoms = ["p", "q", "r"]
+    for _ in range(300):
+        neg = [Not(_boolean(rng, atoms)) for _ in range(3)]
+        f = rng.choice([
+            until(neg[0], neg[1], Interval(0, rng.randint(1, 4))),
+            eventually(And(neg[0], eventually(neg[1], Interval(1, 3)))),
+            Or(And(neg[0], random_fragment_formula(rng, atoms)), neg[2]),
+            Not(Or(neg[0], Not(And(neg[1], neg[2])))),
+        ])
+        assert validate_fragment(f, EventSet(())).ok, pretty(f)
+        ref = ReferenceProgression()
+        init = ref.canonical(normalize(f))
+        d = ProgressionDta(f)
+        assert d.locations[d.init_index] is init is canonical(f), pretty(f)
+        symbol = frozenset(a for a in atoms if rng.random() < 0.5)
+        step = d.step_config(d.init_index, symbol, 0)
+        assert d.locations[step] is ref.progress(init, symbol), pretty(f)
 
 
 # ---------------------------------------------------------------------------

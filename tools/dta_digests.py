@@ -5,8 +5,9 @@ automaton's location list (one ``pretty`` rendering per line, in location
 order) and of its transition table (``json.dumps`` of ``ProgressionDta.table``).
 The corpus is a two-bus mission (the oracle mission of the test suite)
 and a three-bus mission, with their distribution eventualities
-substituted, and every tenth of the 1 000 random formulas that
-``test_criterion_9_progression_soundness`` draws.
+substituted, four formulas whose negations stand over connectives
+(``NEGATION_FORMULAS``), and every tenth of the 1 000 random formulas
+that ``test_criterion_9_progression_soundness`` draws.
 
 Under the key ``plans`` it records the sha256 of the ``policy.txt``,
 ``values.txt`` and ``product.txt`` that ``mitlplan plan --uniform-T 4
@@ -54,6 +55,15 @@ BUS_MISSIONS = {
     "three-bus": ("D{geom:0.6} b1 & F (b1 & F[0,2] s1) | "
                   "D{geom:0.62} b2 & F (b2 & F[0,4] s2) | "
                   "D{geom:0.6} b3 & F (b3 & F[0,3] s3)"),
+}
+
+# formulas whose negations stand over a connective, a negation or a
+# constant, which `canonical` pushes down to the atoms
+NEGATION_FORMULAS = {
+    "negated-or": "!(p | !q) U[0,3] q",
+    "negated-and": "F[1,4] !(p & !(q | false))",
+    "negated-negation": "!!p U[0,2] !(!q & true)",
+    "negated-mixed": "F (!(p | q) & F[0,2] !!r) | !(!(r & !p) | false)",
 }
 
 # missions `mitlplan monitor` runs: the bus missions, and two table laws
@@ -106,7 +116,7 @@ def corpus():
     from _oracles import random_fragment_formula, random_word
 
     out = [(name, substitute_dist(parse(text)))
-           for name, text in BUS_MISSIONS.items()]
+           for name, text in {**BUS_MISSIONS, **NEGATION_FORMULAS}.items()]
     rng = random.Random(CRITERION_9_SEED)
     atoms = ["p", "q", "r"]
     for i in range(CRITERION_9_FORMULAS):
