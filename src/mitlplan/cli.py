@@ -64,6 +64,7 @@ from .timed_automata import (
     LOCATION_CAP,
     AutomatonError,
     ProgressionDta,
+    build_dta,
     dta_to_dot,
     pretty,
 )
@@ -280,7 +281,7 @@ def cmd_translate(args):
     f, u = load_formula(args)
     phid = fm.substitute_dist(f)
     with stepping():
-        dta = ProgressionDta(phid, cap=args.cap).close()
+        dta = build_dta(phid, cap=args.cap)
     out = _out_dir(args.out)
     dump = ["# progression automaton",
             f"# formula: {pretty(f)}",

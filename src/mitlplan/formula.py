@@ -730,30 +730,8 @@ def _render(f: Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Normalization and validation
+# Validation
 # ---------------------------------------------------------------------------
-
-def normalize(f: Formula) -> Formula:
-    """Push negations down to atoms where possible (negation normal form).
-
-    Negations stuck on temporal operators are left in place for the
-    validator to flag.
-    """
-    if isinstance(f, Not):
-        g = f.operand
-        if isinstance(g, Not):
-            return normalize(g.operand)
-        if isinstance(g, TrueF):
-            return FALSE
-        if isinstance(g, FalseF):
-            return TRUE
-        if isinstance(g, And):
-            return Or(normalize(Not(g.left)), normalize(Not(g.right)))
-        if isinstance(g, Or):
-            return And(normalize(Not(g.left)), normalize(Not(g.right)))
-        return Not(normalize(g))
-    return map_children(f, normalize)
-
 
 class ValidationReport(Record):
     __slots__ = ("violations",)
@@ -769,13 +747,16 @@ class ValidationReport(Record):
 def validate_fragment(f: Formula, u: EventSet) -> ValidationReport:
     """Check membership in the supported co-safety fragment.
 
-    Violations reported: negation applied to a temporal operator or a
-    distribution eventuality, a distribution eventuality whose operand is
-    not a declared external event, and duplicated or missing event
-    references.  `parse` has already rejected singular or empty intervals.
+    A negation may stand only on an atom once `timed_automata.canonical`
+    has pushed it through double negations, constants, conjunctions and
+    disjunctions; one walk over `f` tracks where each would stop.
+    Violations reported: a negation that stops at an until or at a
+    distribution eventuality, a distribution eventuality below a negated
+    until or whose operand is not a declared external event, and
+    duplicated or missing event references.  `parse` has already rejected
+    singular or empty intervals.
     """
     report = ValidationReport()
-    nf = normalize(f)
     event_uses: dict[str, int] = {}
 
     def use(d):
@@ -784,33 +765,32 @@ def validate_fragment(f: Formula, u: EventSet) -> ValidationReport:
                 f"distribution eventuality operand {d.event!r} is not a declared event")
         event_uses[d.event] = event_uses.get(d.event, 0) + 1
 
-    def walk(g, negated):
+    def walk(g, flip, negated):
+        # flip: an odd number of negations pushed down to g; negated: g is
+        # below a negation that stopped at an until
         if isinstance(g, Not):
-            inner = g.operand
-            if isinstance(inner, Atom):
-                return
-            if isinstance(inner, DistEventually):
+            walk(g.operand, not flip, negated)
+        elif isinstance(g, (And, Or)):
+            walk(g.left, flip, negated)
+            walk(g.right, flip, negated)
+        elif isinstance(g, Until):
+            if flip:
+                report.violations.append(
+                    "negation over Until leaves the co-safety fragment")
+                negated = True
+            walk(g.left, False, negated)
+            walk(g.right, False, negated)
+        elif isinstance(g, DistEventually):
+            if flip:
                 # one fault, reported once: not again as "under negation"
                 report.violations.append(
-                    f"negated distribution eventuality on {inner.event!r}")
-                use(inner)
-                return
-            report.violations.append(
-                f"negation over {type(inner).__name__} leaves the co-safety fragment")
-            walk(inner, True)
-        elif isinstance(g, (And, Or)):
-            walk(g.left, negated)
-            walk(g.right, negated)
-        elif isinstance(g, Until):
-            walk(g.left, negated)
-            walk(g.right, negated)
-        elif isinstance(g, DistEventually):
-            if negated:
+                    f"negated distribution eventuality on {g.event!r}")
+            elif negated:
                 report.violations.append(
                     f"distribution eventuality on {g.event!r} under negation")
             use(g)
 
-    walk(nf, False)
+    walk(f, False, False)
     for name in u.names:
         n = event_uses.get(name, 0)
         if n == 0:

@@ -302,12 +302,15 @@ def canonical(f: Formula) -> Formula:
     a total structural order and constants absorbed.  Keeping residuals in
     this shape is what makes the progression closure finite.
 
-    Negations are pushed down to atoms in the same walk, as `normalize`
-    would push them.  A conjunction or disjunction is canonicalized by
-    the combine step of progression on its canonicalized operands, so
-    residuals and canonical forms have one definition.  Memoized only
-    within this call; a `ProgressionDta` keeps one memo until its table
-    is closed.
+    Negations are pushed down in the same walk, through double negations,
+    constants and, by De Morgan, conjunctions and disjunctions; this walk
+    is the package's one definition of negation normal form, and
+    `validate_fragment` refuses a formula in which a negation would stop
+    at an until or a distribution eventuality.  A conjunction or
+    disjunction is canonicalized by the combine step of progression on
+    its canonicalized operands, so residuals and canonical forms have one
+    definition.  Memoized only within this call; a `ProgressionDta` keeps
+    one memo until its table is closed.
     """
     return _Progression().canonical(f)
 
@@ -364,9 +367,9 @@ def run_dta(dta, word: TimedWord) -> RunResult:
 # ---------------------------------------------------------------------------
 
 LOCATION_CAP = 20000
-# most propositions a progression automaton tracks: it holds 2**atoms
-# symbols and a table row of 2**atoms entries per location, and at 16
-# atoms `translate` of a disjunction of atoms already peaks at 157 MB
+# most propositions a progression automaton tracks: its table holds a row
+# of 2**atoms entries per location, and at 16 atoms `translate` of a
+# disjunction of atoms already takes about 0.4 s and peaks at 100 MB
 MAX_ATOMS = 16
 
 

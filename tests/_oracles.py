@@ -3,6 +3,10 @@
 - a brute-force discrete-time satisfaction checker (witness enumeration,
   no progression machinery) and random generators for fragment formulas
   and words;
+- negation normal form by its rewrite rules (`normalize`), which the
+  canonical walk of `mitlplan.timed_automata` must agree with, and the
+  fragment check as a walk over it (`nnf_violations`), which the
+  polarity walk of `mitlplan.formula.validate_fragment` must reproduce;
 - node-level progression (`ReferenceProgression`): the residual is built
   as a formula and then put in a canonical form computed from clause sets
   directly, which the progression memo of `ProgressionDta` must
@@ -40,7 +44,9 @@ from mitlplan.formula import (
     TRUE,
     And,
     Atom,
+    DistEventually,
     DistributionSpec,
+    EventSet,
     FalseF,
     FiniteTable,
     Formula,
@@ -52,6 +58,7 @@ from mitlplan.formula import (
     Until,
     Until as until,
     env_subsets,
+    map_children,
     pretty,
 )
 from mitlplan.game_model import (
@@ -130,6 +137,72 @@ def random_word(rng: random.Random, atoms, max_len: int):
     length = rng.randint(0, max_len)
     return [frozenset(a for a in atoms if rng.random() < 0.4)
             for _ in range(length)]
+
+
+def normalize(f: Formula) -> Formula:
+    """Push negations down to atoms where possible (negation normal form):
+    a double negation cancels, a negated constant flips and De Morgan
+    moves a negation through a conjunction or disjunction.  Negations
+    stuck on temporal operators are left in place."""
+    if isinstance(f, Not):
+        g = f.operand
+        if isinstance(g, Not):
+            return normalize(g.operand)
+        if isinstance(g, TrueF):
+            return FALSE
+        if isinstance(g, FalseF):
+            return TRUE
+        if isinstance(g, And):
+            return Or(normalize(Not(g.left)), normalize(Not(g.right)))
+        if isinstance(g, Or):
+            return And(normalize(Not(g.left)), normalize(Not(g.right)))
+        return Not(normalize(g))
+    return map_children(f, normalize)
+
+
+def nnf_violations(f: Formula, u: EventSet) -> list[str]:
+    """The violations of the co-safety fragment found by a walk over
+    `normalize(f)`, where every negation left off an atom is a fault, in
+    the texts and order of `validate_fragment`."""
+    violations = []
+    event_uses: dict[str, int] = {}
+
+    def use(d):
+        if d.event not in u:
+            violations.append(
+                f"distribution eventuality operand {d.event!r} is not a declared event")
+        event_uses[d.event] = event_uses.get(d.event, 0) + 1
+
+    def walk(g, negated):
+        if isinstance(g, Not):
+            inner = g.operand
+            if isinstance(inner, Atom):
+                return
+            if isinstance(inner, DistEventually):
+                violations.append(
+                    f"negated distribution eventuality on {inner.event!r}")
+                use(inner)
+                return
+            violations.append(
+                f"negation over {type(inner).__name__} leaves the co-safety fragment")
+            walk(inner, True)
+        elif isinstance(g, (And, Or, Until)):
+            walk(g.left, negated)
+            walk(g.right, negated)
+        elif isinstance(g, DistEventually):
+            if negated:
+                violations.append(
+                    f"distribution eventuality on {g.event!r} under negation")
+            use(g)
+
+    walk(normalize(f), False)
+    for name in u.names:
+        n = event_uses.get(name, 0)
+        if n == 0:
+            violations.append(f"declared event {name!r} never referenced")
+        elif n > 1:
+            violations.append(f"event {name!r} referenced {n} times")
+    return violations
 
 
 class ReferenceProgression:

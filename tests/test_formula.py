@@ -28,7 +28,6 @@ from mitlplan.formula import (
     Until as until,
     ZeroSurvivalError,
     eventually,
-    normalize,
     parse,
     pretty,
     substitute_dist,
@@ -38,7 +37,7 @@ from mitlplan.formula import (
 )
 from mitlplan.timed_automata import ProgressionDta, build_dta, canonical
 
-from _oracles import random_fragment_formula
+from _oracles import nnf_violations, normalize, random_fragment_formula
 
 from conftest import BUS_CASE1, DEEP_FORMULAS
 
@@ -120,7 +119,7 @@ def test_parse_refuses_a_formula_past_the_depth_limit(shape):
     printed = pretty(f)
     if shape != "negations":    # printed as !(!(...)), two levels a node
         assert parse(printed) is f
-    canonical(normalize(substitute_dist(f)))
+    canonical(substitute_dist(f))
     validate_fragment(f, EventSet.from_formula(f))
     with pytest.raises(FormulaError, match=(
             f"formula nested deeper than {MAX_FORMULA_DEPTH} levels$")):
@@ -281,11 +280,60 @@ def test_validate_negated_until_outside_fragment():
      ["negated distribution eventuality on 'b3'",
       "distribution eventuality operand 'b3' is not a declared event",
       "declared event 'b1' never referenced"]),
-], ids=["negated-D", "D-under-negated-F", "two-negated-D", "negated-undeclared"])
+    # negations that reach an until or a D only through `&`, `|`, `!!` or
+    # a constant
+    ("!(p & F D{geom:0.5} b)", None,
+     ["negation over Until leaves the co-safety fragment",
+      "distribution eventuality on 'b' under negation"]),
+    ("!(!D{geom:0.5} b | false)", None, []),
+    ("!(q | D{geom:0.5} b) & F b", None,
+     ["negated distribution eventuality on 'b'"]),
+    ("!!!(F D{geom:0.5} b)", None,
+     ["negation over Until leaves the co-safety fragment",
+      "distribution eventuality on 'b' under negation"]),
+    ("!(a & !(F !D{geom:0.5} b))", None,
+     ["negated distribution eventuality on 'b'"]),
+], ids=["negated-D", "D-under-negated-F", "two-negated-D", "negated-undeclared",
+        "negated-and-over-F", "negations-cancel-through-or-false",
+        "negated-or-over-D", "triple-negation-over-F",
+        "negated-D-below-negated-and"])
 def test_validate_reports_each_fault_once(text, declared, violations):
     f = parse(text)
     u = EventSet.from_formula(f) if declared is None else declared
     assert validate_fragment(f, u).violations == violations
+
+
+def _negated_formula(rng, depth=0):
+    """A random formula with negations over every kind of node, and
+    distribution eventualities on the events b and c."""
+    roll = rng.random()
+    if depth > 4 or roll < 0.25:
+        return rng.choice([TRUE, FALSE, Atom("p"), Atom("q"),
+                           DistEventually(rng.choice("bc"), Geometric(0.5))])
+    if roll < 0.5:
+        return Not(_negated_formula(rng, depth + 1))
+    left = _negated_formula(rng, depth + 1)
+    right = _negated_formula(rng, depth + 1)
+    if roll < 0.75:
+        return rng.choice([And, Or])(left, right)
+    return until(left, right, rng.choice([None, Interval(0, 2), Interval(1, None)]))
+
+
+def test_validate_reports_what_the_walk_over_negation_normal_form_does():
+    # the polarity walk over the parsed formula finds the faults, in their
+    # texts and order, that the walk over its rewritten negation normal
+    # form finds, under declarations that match the formula or not
+    rng = random.Random(3719)
+    declared = [EventSet(()), EventSet((("b", Geometric(0.5)),))]
+    negations = 0
+    for _ in range(20_000):
+        f = _negated_formula(rng)
+        u = rng.choice([EventSet.from_formula(f), *declared])
+        violations = validate_fragment(f, u).violations
+        assert violations == nnf_violations(f, u), pretty(f)
+        negations += any("negat" in v for v in violations)
+    # the draw reaches the negation faults often
+    assert negations > 5000
 
 
 def test_validate_duplicate_event_reference():

@@ -22,7 +22,6 @@ from mitlplan.formula import (
     Until as until,
     eventually,
     mask_subsets,
-    normalize,
     parse,
     pretty,
     substitute_dist,
@@ -53,6 +52,7 @@ from _explicit_dta import (
 )
 from _oracles import (
     ReferenceProgression,
+    normalize,
     random_fragment_formula,
     random_word,
     word_satisfies,

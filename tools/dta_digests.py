@@ -16,7 +16,9 @@ and ``wrote:`` lines, for the two bus grids ``case1`` and ``case2`` of
 the test suite, for the explicit game ``toy.game``, for the three-bus
 mission on the 5x5 grid ``three_bus.grid`` and for the two-bus mission on
 ``no_slip.grid`` (no slip, a station on the start cell); the same four
-for ``case1`` under ``--eps 0.05``; of two
+for ``case1`` under ``--eps 0.05``; the exit code and stderr of ``plan``
+on ``case1``'s grid for the formulas of ``REJECTED_FORMULAS``, which
+validation refuses; of two
 ``mitlplan bench`` CSVs without their ``wall_time_s`` column, of the
 ``dta.txt`` and ``dta.dot`` that ``mitlplan translate`` writes for the two-
 and three-bus missions, and of ``mitlplan monitor``'s stdout on the fixed
@@ -64,6 +66,16 @@ NEGATION_FORMULAS = {
     "negated-and": "F[1,4] !(p & !(q | false))",
     "negated-negation": "!!p U[0,2] !(!q & true)",
     "negated-mixed": "F (!(p | q) & F[0,2] !!r) | !(!(r & !p) | false)",
+}
+
+# formulas that validation refuses, their negations reaching an until or
+# a distribution eventuality through connectives, negations and constants
+REJECTED_FORMULAS = {
+    "negated-and-over-F": "!(p & F D{geom:0.5} b)",
+    "negated-or-over-D": "!(q | D{geom:0.5} b) & F b",
+    "negations-over-F": "!(p | !!(F[0,2] !D{geom:0.5} b)) | F q",
+    "negated-until-and-repeated-D":
+        "!(true & (D{geom:0.5} b U a)) | D{geom:0.5} b",
 }
 
 # missions `mitlplan monitor` runs: the bus missions, and two table laws
@@ -215,6 +227,11 @@ def plan_digests() -> dict:
                     "".join(line[0] + "\n" for line in lines)),
                 **{f"{Path(log).stem}_sha256": _sha256(Path(log).read_text())
                    for _, log in (line for line in lines if len(line) == 2)}}
+    for name, formula in REJECTED_FORMULAS.items():
+        code, _, stderr = _run("plan", "--formula", formula, "--grid",
+                               str(DATA / "case1.grid"), "--uniform-T", "4")
+        out[f"plan-rejected-{name}"] = {"exit_code": code,
+                                        "stderr_sha256": _sha256(stderr)}
     for name, (case, *setting) in benches.items():
         csv = _cli("bench", "--formula", cases[case],
                    "--grid", str(DATA / f"{case}.grid"), *setting)
