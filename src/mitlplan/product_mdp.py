@@ -4,10 +4,12 @@ States pair a game state with an automaton state.  For a robot action a,
 the successor weight of (s', h') is P(s' | s, a, e) * p where e is the
 event part of s''s label and p the automaton's probability for consuming
 that label.  Accepting product states (automaton accepted) and sink states
-(clock truncation fired or the automaton rejected) are absorbing with a
-unit self-loop per action; reaching an accepting state earns reward one,
-so the optimal expected total reward is the maximal satisfaction
-probability.
+(clock truncation fired, or the automaton state is lost: its location
+cannot hold once the events that fired read false, see
+`StaModel.number`) are absorbing with a unit self-loop per action, so
+the search expands no successor of theirs; reaching an accepting state
+earns reward one, so the optimal expected total reward is the maximal
+satisfaction probability.
 
 Only states reachable from the initial state are materialized.  Their
 numbering is a contract that policy, value and product files rely on:

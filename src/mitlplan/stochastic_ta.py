@@ -14,14 +14,21 @@ assumed mutually independent, which is exactly what the product form says.
 
 Truncation caps every pending event clock at its truncation point: a step
 that would push a pending clock past the cap redirects the whole step (all
-outcomes) to an absorbing, non-accepting sink.  That convention makes the
-total sink mass of a single-event model equal the distribution tail at the
-cap, which is the bound the truncation argument promises.
+outcomes) to an absorbing, non-accepting sink, the one state `SINK` with
+``sink`` set.  That convention makes the total mass of that sink in a
+single-event model equal the distribution tail at the cap, which is the
+bound the truncation argument promises.
 
 A `StaModel` numbers the states it reaches, once, when it first reaches
 them (the on-the-fly construction of Couvreur, FM 1999), and keeps per id
 the state and its outcome code; a state is a `StaState` named tuple,
-which hashes and compares in C.  The product build and the word monitor
+which hashes and compares in C.  Outcome code 2 is wider than the
+truncation sink: it also marks a lost state, whose location cannot hold
+once the events that fired read false (`number`), so the product and
+rollouts stop there (the automaton-level Prob0 states of Baier &
+Katoen, *Principles of Model Checking*, 10.6.1).  Such a state's value
+is 0, as the truncation sink's is, but its mass is not part of the
+truncation tail.  The product build and the word monitor
 step the same ids through one memo (`StaModel.step_id`); the product's
 numpy view of those steps is `product_mdp.StepTable`.  Like `formula`
 and `timed_automata` beneath it, this module imports no numpy.
@@ -31,7 +38,18 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .formula import EventSet, ZeroSurvivalError, env_subsets, mask_subsets
+from .formula import (
+    FALSE,
+    And,
+    Atom,
+    EventSet,
+    Formula,
+    Or,
+    Until,
+    ZeroSurvivalError,
+    env_subsets,
+    mask_subsets,
+)
 from .timed_automata import ProgressionDta, TimedWord
 
 
@@ -49,6 +67,38 @@ class StaState(NamedTuple):
 
 
 SINK = StaState(config=None, clocks=(), pending=frozenset(), sink=True)
+
+
+def _can_hold(f: Formula, fired, holds: dict) -> bool:
+    """Whether the location formula `f` can still hold once every atom in
+    `fired` reads false from now on: `false` cannot; an atom can if it has
+    not fired; `&` needs both operands and `|` either; an until needs its
+    right operand, and its left one too when its window opens later;
+    `true` and a negated atom can.  `holds` keeps the answer per node for
+    this `fired`, and the walk stops at a node it holds.  Found without
+    recursion: in reversed pre-order, children precede parents."""
+    order, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if g not in holds:
+            order.append(g)
+            if isinstance(g, (And, Or, Until)):
+                stack += (g.left, g.right)
+    for g in reversed(order):
+        if isinstance(g, Atom):
+            h = g.name not in fired
+        elif isinstance(g, And):
+            h = holds[g.left] and holds[g.right]
+        elif isinstance(g, Or):
+            h = holds[g.left] or holds[g.right]
+        elif isinstance(g, Until):
+            iv = g.interval
+            h = holds[g.right] and (iv is None or iv.lo == 0
+                                    or holds[g.left])
+        else:  # true, false or a negated atom
+            h = g is not FALSE
+        holds[g] = h
+    return holds[f]
 
 
 def _outcome_prob(haz: dict[str, float], e) -> float:
@@ -86,13 +136,15 @@ class StaModel:
         # (`product_mdp.OUTCOMES`) and its end verdict (None until first
         # read).  `_succ`: (id, symbol & `reads`) -> (successor id,
         # probability), with id -1 before the first symbol; `_reach`:
-        # (config, pending) -> `_acceptance_reachable`
+        # (config, pending) -> `_acceptance_reachable`; `_holds`: fired
+        # events -> {formula node: whether it can hold} (`_lost`)
         self._ids: dict[StaState, int] = {}
         self.states: list[StaState] = []
         self.codes: list[int] = []
         self._end: list[str | None] = []
         self._succ: dict = {}
         self._reach: dict = {}
+        self._holds: dict = {}
         self.points = {}
         if trunc is not None:
             caps = dict(trunc.events)
@@ -171,16 +223,28 @@ class StaModel:
 
     def number(self, q: StaState) -> int:
         """The id of `q`, adding it, with its outcome code, if new: 2 for
-        the sink or a rejecting location, 1 for an accepting one, else 0."""
+        the truncation sink or a lost state, 1 for an accepting location,
+        else 0.  A state is lost when its location cannot hold once the
+        events that fired (``events - pending``) read false, since an
+        event fires at most once (`_can_hold`); the rejecting location
+        `false` is one.  Lost is memoized per (location node, fired
+        events), and so is each node below it."""
         i = self._ids.get(q)
         if i is None:
             i = self._ids[q] = len(self.states)
             self.states.append(q)
-            self.codes.append(
-                2 if q.sink or self.dta.is_rejecting(q.config)
-                else 1 if self.dta.is_accepting(q.config) else 0)
+            self.codes.append(2 if q.sink or self._lost(q.config, q.pending)
+                              else 1 if self.dta.is_accepting(q.config)
+                              else 0)
             self._end.append(None)
         return i
+
+    def _lost(self, config: int, pending: frozenset[str]) -> bool:
+        fired = self._event_set - pending
+        holds = self._holds.get(fired)
+        if holds is None:
+            holds = self._holds[fired] = {}
+        return not _can_hold(self.dta.locations[config], fired, holds)
 
     def step_id(self, i: int, symbol) -> tuple[int, float]:
         """`initial` (for id -1) or `step` from id `i` on `symbol`, as the

@@ -31,7 +31,6 @@ from .formula import (
     Record,
     TrueF,
     Until,
-    mask_subsets,
     pretty,
     subformulas,
 )
@@ -506,7 +505,6 @@ def dta_to_dot(dta: ProgressionDta) -> str:
     abbreviated on edges."""
     lines = ["digraph dta {", "  rankdir=LR;", '  node [shape=circle];']
     edges = dta.edges()
-    symbols = mask_subsets(dta.atoms)
     for i, f in enumerate(dta.locations):
         shape = "doublecircle" if i == dta.accept_index else "circle"
         label = pretty(f).replace('"', "'")
@@ -516,7 +514,8 @@ def dta_to_dot(dta: ProgressionDta) -> str:
             continue
         shown = []
         for m in sorted(masks)[:DOT_MAX_MASKS]:
-            shown.append("{" + ",".join(sorted(symbols[m])) + "}")
+            names = sorted(a for k, a in enumerate(dta.atoms) if m >> k & 1)
+            shown.append("{" + ",".join(names) + "}")
         extra = ("" if len(masks) <= DOT_MAX_MASKS
                  else f" (+{len(masks) - DOT_MAX_MASKS})")
         lines.append(f'  q{src} -> q{dst} [label="{" ".join(shown)}{extra}"];')

@@ -16,7 +16,9 @@
   the array compile `build_gridworld` and the explicit compile of
   `load_game` must reproduce;
 - the state-at-a-time product construction that the array-based one must
-  reproduce, and `product_state`, which decodes a state of a product;
+  reproduce, with the outcome code of an automaton state by rewriting
+  (`reference_code`), which `StaModel.number`'s walk must reproduce, and
+  `product_state`, which decodes a state of a product;
 - scalar loops that the numpy Bellman sweep of `mitlplan.solver`, the
   memo walk `mitlplan.simulator.rollout` and its batch rollouts must
   reproduce (`walk` samples from the plain CSR arrays), and a
@@ -73,6 +75,7 @@ from mitlplan.game_model import (
 )
 from mitlplan.product_mdp import ProductError, ProductMdp, describe_spec_state
 from mitlplan.stochastic_ta import StaError, StaModel, StaState
+from mitlplan.timed_automata import canonical
 
 
 def word_satisfies(f: Formula, word, i: int = 0) -> bool:
@@ -327,6 +330,27 @@ def product_state(m: ProductMdp, z: int) -> tuple[GameState, StaState]:
     return m.game.states[m.game_of[z]], m.spec_states[m.spec_of[z]]
 
 
+def _false_atoms(f: Formula, names) -> Formula:
+    """`f` with every atom named in `names` replaced by `false`."""
+    if isinstance(f, Atom):
+        return FALSE if f.name in names else f
+    return map_children(f, lambda g: _false_atoms(g, names))
+
+
+def reference_code(tsta, q: StaState) -> int:
+    """Outcome code of automaton state `q` by rewriting: 2 for the
+    truncation sink, or when the location with each fired event's atom
+    replaced by `false` canonicalizes to `false`; 1 for an accepting
+    location; else 0."""
+    if q.sink:
+        return 2
+    fired = set(tsta.event_names) - q.pending
+    f = tsta.dta.locations[q.config]
+    if canonical(_false_atoms(f, fired)) is FALSE:
+        return 2
+    return int(tsta.is_accepting(q))
+
+
 def reference_product(kernel, tsta, cap: int = 2_000_000) -> ProductMdp:
     """Forward-reachable product construction, one state at a time: the
     dictionary-keyed search that `build_product` must agree with.  It
@@ -365,7 +389,7 @@ def reference_product(kernel, tsta, cap: int = 2_000_000) -> ProductMdp:
         z = frontier.popleft()
         s, q = states[z]
         expanded += 1
-        if q.sink or tsta.is_accepting(q) or tsta.is_rejecting(q):
+        if reference_code(tsta, q):
             for _ in kernel.actions:
                 rows.append([(z, 1.0)])
             continue
@@ -397,13 +421,8 @@ def reference_product(kernel, tsta, cap: int = 2_000_000) -> ProductMdp:
         for k, (j, p) in enumerate(row):
             cols[base + k] = j
             probs[base + k] = p
-    # outcome codes: 2 for a sink, else 1 if accepting, else 0
-    code = np.zeros(len(states), dtype=np.int8)
-    for z, (_, q) in enumerate(states):
-        if q.sink or tsta.is_rejecting(q):
-            code[z] = 2
-        elif tsta.is_accepting(q):
-            code[z] = 1
+    code = np.array([reference_code(tsta, q) for _, q in states],
+                    dtype=np.int8)
     game_id = {s: i for i, s in enumerate(kernel.game.states)}
     spec_states = list(dict.fromkeys(q for _, q in states))
     spec_id = {q: i for i, q in enumerate(spec_states)}

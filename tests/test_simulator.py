@@ -28,20 +28,27 @@ def planned_case2():
     return m, extract_policy(m, res.values), res
 
 
+def plan_grid(formula, size, start, stations, slip, T):
+    """The product of a square grid and the mission, its greedy policy
+    and its values."""
+    f = parse(formula)
+    u = EventSet.from_formula(f)
+    ts = truncate(StaModel(build_dta(substitute_dist(f)), u),
+                  uniform_truncation_vector(f, u, T))
+    game = build_gridworld(GridWorldConfig(size, size, start, stations,
+                                           tuple(u.entries), slip))
+    m = build_product(game, ts)
+    res = value_iteration(m)
+    return m, extract_policy(m, res.values), res
+
+
 @pytest.fixture(scope="module")
 def planned_8x8():
     # the two-bus 8x8 mission at T=8 that the end-to-end simulate workload
-    # runs: 2 541 states, rows of up to 12 successors
-    f = parse("D{geom:0.4} b1 & F (b1 & F[0,3] s1) | "
-              "D{geom:0.7} b2 & F (b2 & F[0,3] s2)")
-    u = EventSet.from_formula(f)
-    ts = truncate(StaModel(build_dta(substitute_dist(f)), u),
-                  uniform_truncation_vector(f, u, 8))
-    game = build_gridworld(GridWorldConfig(
-        8, 8, (0, 0), (("s1", (0, 7)), ("s2", (7, 0))), tuple(u.entries),
-        (0.8, 0.1, 0.1)))
-    m = build_product(game, ts)
-    return m, extract_policy(m, value_iteration(m).values)
+    # runs: 2 535 states, rows of up to 12 successors
+    return plan_grid("D{geom:0.4} b1 & F (b1 & F[0,3] s1) | "
+                     "D{geom:0.7} b2 & F (b2 & F[0,3] s2)", 8, (0, 0),
+                     (("s1", (0, 7)), ("s2", (7, 0))), (0.8, 0.1, 0.1), 8)
 
 
 def test_rollout_reproducible(planned_case2):
@@ -219,18 +226,42 @@ def loop_estimate(m, pol, n, seed, max_steps=None):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_estimate_backends_identical(planned_case2, planned_8x8):
+def test_estimate_backends_identical(planned_case2):
     # the numpy kernel against its scalar reference kernel
     m, pol, _ = planned_case2
     a = estimate_success(m, pol, 5000, seed=3)
     b = loop_estimate(m, pol, 5000, seed=3)
     assert a.rate == b.rate
     assert a.outcomes == b.outcomes
-    m, pol = planned_8x8
-    a = estimate_success(m, pol, 1500, seed=4)
-    b = loop_estimate(m, pol, 1500, seed=4)
+    # on a mission whose rollouts end in all three ways: F s1 has no
+    # deadline, so a rollout can be live when its budget runs out
+    m, pol, _ = plan_grid("D{geom:0.59} b1 & F (b1 & F s1)", 12, (0, 0),
+                          (("s1", (11, 11)),), (0.8, 0.1, 0.1), 8)
+    a = estimate_success(m, pol, 1500, seed=4, max_steps=30)
+    b = loop_estimate(m, pol, 1500, seed=4, max_steps=30)
     assert a.outcomes == b.outcomes
     assert min(a.outcomes.values()) > 0
+
+
+def test_rollouts_stop_at_a_lost_state(planned_8x8):
+    # once b1 fired and its window closed without s1, the location
+    # F (b1 & F[0,3] s1) cannot hold: such a state is a sink, and no
+    # rollout walks it until its budget runs out
+    m, pol, res = planned_8x8
+    est = estimate_success(m, pol, 20000, seed=1)
+    assert est.outcomes == {"step-limit": 0, "accept": 1537, "sink": 18463}
+    assert float(res.values[m.z0]) == 0.0782427695313247
+    assert not m.sink[m.z0]
+
+
+def test_a_rollout_that_can_still_win_is_not_stopped():
+    # b1 fired, and F b3 has no deadline, so the state stays live: the
+    # first-argmax policy bumps into a wall until the budget runs out
+    m, pol, res = plan_grid("D{geom:0.5} b1 & F b3", 4, (3, 3),
+                            (("b3", (0, 3)),), (1.0, 0.0, 0.0), 6)
+    est = estimate_success(m, pol, 20000, seed=1)
+    assert est.outcomes == {"step-limit": 19678, "accept": 0, "sink": 322}
+    assert float(res.values[m.z0]) == 0.984375
 
 
 def test_estimate_builds_one_table_per_policy(monkeypatch):

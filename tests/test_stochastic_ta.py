@@ -6,15 +6,21 @@ from collections import Counter, deque
 import pytest
 
 from mitlplan.formula import (
+    And,
+    DistEventually,
     EventSet,
     FiniteTable,
     Geometric,
+    env_subsets,
+    mask_subsets,
     parse,
+    pretty,
     substitute_dist,
     uniform_truncation_vector,
 )
 from mitlplan.simulator import wilson_interval
-from mitlplan.stochastic_ta import SINK, StaError, StaModel, truncate
+from mitlplan.stochastic_ta import (SINK, StaError, StaModel, StaState,
+                                    truncate)
 from mitlplan.timed_automata import (
     AutomatonError,
     ProgressionDta,
@@ -22,7 +28,8 @@ from mitlplan.timed_automata import (
     build_dta,
 )
 
-from _oracles import truncation_error_estimate
+from _oracles import (random_fragment_formula, reference_code,
+                      truncation_error_estimate)
 from conftest import BUS_CASE1, package_env
 
 
@@ -244,10 +251,57 @@ def test_run_word_memo_matches_a_fresh_model(mission):
     assert {j for j, _ in warm._succ.values()} <= set(range(len(warm._ids)))
     reached = {q for out in got if out[0] != "error" for q in out[2]}
     assert reached <= warm._ids.keys()
-    # each code is the class the state's own predicates give
-    assert warm.codes == [
-        2 if q.sink or warm.is_rejecting(q) else int(warm.is_accepting(q))
-        for q in warm.states]
+    # each code is the class the rewriting of the reference gives
+    assert warm.codes == [reference_code(warm, q) for q in warm.states]
+
+
+def reachable_pairs(m):
+    """Every (location, pending set) that a word of the closed automaton
+    `m.dta` reaches, each event firing at most once and none at time 0;
+    accepting and rejecting locations are not left."""
+    atoms = [a for a in m.dta.atoms if a not in m.event_names]
+    pending = frozenset(m.event_names)
+    init = m.dta.initial_config()
+    todo = deque((m.dta.step_config(init, base, 0), pending)
+                 for base in mask_subsets(atoms))
+    seen = set()
+    while todo:
+        pair = todo.popleft()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        config, pending = pair
+        if m.dta.is_accepting(config) or m.dta.is_rejecting(config):
+            continue
+        for extra in env_subsets(pending):
+            for base in mask_subsets(atoms):
+                todo.append((m.dta.step_config(config, base | extra, 1),
+                             pending - extra))
+    return seen
+
+
+@pytest.mark.parametrize("n_events", [1, 2])
+def test_a_lost_state_cannot_reach_acceptance(n_events):
+    # soundness of the lost rule: no future in which each event fires at
+    # most once reaches acceptance from a state `number` calls lost
+    rng = random.Random(20261020 + n_events)
+    events = ["p", "q"][:n_events]
+    lost = 0
+    for _ in range(60):
+        f = random_fragment_formula(rng, ["p", "q", "r"], max_temporal=3,
+                                    max_bound=5)
+        for e in events:
+            f = And(DistEventually(e, Geometric(0.5)), f)
+        m = StaModel(build_dta(substitute_dist(f)), EventSet.from_formula(f))
+        clocks = (0,) * n_events
+        for config, pending in reachable_pairs(m):
+            i = m.number(StaState(config, clocks, pending))
+            if m.codes[i] == 2 and not m.dta.is_rejecting(config):
+                lost += 1
+                assert not m._acceptance_reachable(config, pending), \
+                    (pretty(f), pretty(m.dta.locations[config]), pending)
+    # the draw holds lost states other than the rejecting location
+    assert lost > 0
 
 
 def test_run_word_reraises_the_location_cap_on_every_call(bus1_formula,

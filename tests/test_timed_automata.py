@@ -39,7 +39,6 @@ from mitlplan.timed_automata import (
     run_dta,
 )
 
-from mitlplan import timed_automata
 from _explicit_dta import (
     AndC,
     Compare,
@@ -440,12 +439,12 @@ def test_on_demand_cap_counts_reached_locations():
 
 def test_atom_limit_refuses_before_building_symbols(monkeypatch):
     # at the limit the automaton steps; one past it, the error comes
-    # before the 2**atoms symbols are built
+    # before a table row of 2**atoms entries is built
     atoms = [f"a{i}" for i in range(MAX_ATOMS + 1)]
     d = ProgressionDta(parse(" | ".join(atoms[:MAX_ATOMS])))
     assert len(d.atoms) == MAX_ATOMS
     assert d.is_accepting(d.step_config(d.initial_config(), {"a3"}, 0))
-    monkeypatch.setattr(timed_automata, "mask_subsets", None)
+    monkeypatch.setattr(ProgressionDta, "_intern", None)
     with pytest.raises(AutomatonError, match=(
             f"formula has {MAX_ATOMS + 1} propositions, more than the "
             f"{MAX_ATOMS} a progression automaton tracks")):

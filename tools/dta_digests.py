@@ -24,10 +24,12 @@ validation refuses; of two
 and three-bus missions, and of ``mitlplan monitor``'s stdout on the fixed
 words of ``MONITOR_WORDS`` (the bus missions, and two table laws whose
 hazard reaches 1), or its exit code and stderr where it refuses a word.
-For ``case1``, ``toy.game`` and ``three_bus.grid`` at ``--uniform-T 4``
-it also records ``mitlplan simulate``'s stdout, with the `` -> path``
-suffixes of its trajectory lines cut, and every trajectory log those
-lines name, at the fixed ``SIMULATE_RUNS``.
+For ``case1``, ``toy.game`` and ``three_bus.grid`` at ``--uniform-T 4``,
+and for the mission of e2ebench's ``simulate`` workload on
+``two_bus_8x8.grid`` at ``--uniform-T 8``, it also records ``mitlplan
+simulate``'s stdout, with the `` -> path`` suffixes of its trajectory
+lines cut, and every trajectory log those lines name, at the fixed
+``SIMULATE_RUNS``.
 
 A change keeps automata and planner outputs identical when this script
 prints the same file on the change as on its parent::
@@ -102,14 +104,22 @@ MONITOR_WORDS = {
     "table-hazard-below-one": [("-", "-", "-", "-")],
 }
 
-# rollouts of the `mitlplan simulate` digests
+# the mission of e2ebench's simulate workload, on ``two_bus_8x8.grid``
+SIMULATE_MISSION = ("D{geom:0.4} b1 & F (b1 & F[0,3] s1) | "
+                    "D{geom:0.7} b2 & F (b2 & F[0,3] s2)")
+
+# rollouts of the `mitlplan simulate` digests: the model's truncation
+# point, and the arguments
 SIMULATE_ARGS = ("-n", "1000", "--seed", "7", "--logs", "5")
 SIMULATE_RUNS = {
-    "case1": SIMULATE_ARGS,
-    "toy": SIMULATE_ARGS,
+    "case1": (4, SIMULATE_ARGS),
+    "toy": (4, SIMULATE_ARGS),
     # the bundled model with the longest rows (24 successors), so that the
     # batch samples from a wide threshold table
-    "three-bus": ("-n", "20000", "--seed", "7", "--logs", "1"),
+    "three-bus": (4, ("-n", "20000", "--seed", "7", "--logs", "1")),
+    # the simulate workload's model, where most rollouts reach a state
+    # that can no longer hold and stop there
+    "bench-two-bus": (8, ("-n", "20000", "--seed", "1", "--logs", "2")),
 }
 
 # the draw of test_criterion_9_progression_soundness, words included, so
@@ -212,17 +222,19 @@ def plan_digests() -> dict:
             kept = [line for line in stdout.splitlines(keepends=True)
                     if not line.startswith(("solve-time-s:", "wrote:"))]
             out[run]["stdout_sha256"] = _sha256("".join(kept))
+    models = {**plans, "bench-two-bus": (
+        SIMULATE_MISSION, "--grid", DATA / "two_bus_8x8.grid")}
     with tempfile.TemporaryDirectory() as tmp:
-        for case, simulate_args in SIMULATE_RUNS.items():
-            formula, env_flag, env_path = plans[case]
+        for case, (T, simulate_args) in SIMULATE_RUNS.items():
+            formula, env_flag, env_path = models[case]
             model = ("--formula", formula, env_flag, str(env_path),
-                     "--uniform-T", "4")
+                     "--uniform-T", str(T))
             _cli("plan", *model, "--out", tmp)
             stdout = _cli("simulate", *model, "--policy",
                           str(Path(tmp, "policy.txt")), *simulate_args,
                           "--out", tmp)
             lines = [line.split(" -> ", 1) for line in stdout.splitlines()]
-            out[f"simulate-{case}-T4"] = {
+            out[f"simulate-{case}-T{T}"] = {
                 "stdout_sha256": _sha256(
                     "".join(line[0] + "\n" for line in lines)),
                 **{f"{Path(log).stem}_sha256": _sha256(Path(log).read_text())
