@@ -170,9 +170,9 @@ def truncation(f, u, uniform_T, eps):
 
 def stepping():
     """A progression automaton's errors exit with code 4: a formula over
-    more than `MAX_ATOMS` propositions when it is built, and more than
-    `--cap` locations as its steps, which compute its table entries as
-    they read them, reach new ones."""
+    more than `MAX_ATOMS` propositions when it is built, and, as its
+    steps compute the table entries they read, more than `--cap`
+    locations or `MAX_TABLE_ENTRIES` entries."""
     return failing(EXIT_PRODUCT, "automaton: ", AutomatonError)
 
 
@@ -292,7 +292,7 @@ def cmd_translate(args):
             f"accepting q{dta.accept_index}",
             f"reject q{dta.reject_index}"]
     for src, masks, dst in dta.edges():
-        dump.append(f"edge q{src} masks={sorted(masks)} -> q{dst}")
+        dump.append(f"edge q{src} masks={masks} -> q{dst}")
     _write(out / "dta.txt", "\n".join(dump) + "\n")
     _write(out / "dta.dot", dta_to_dot(dta))
     sta_lines = ["# stochastic automaton skeleton",

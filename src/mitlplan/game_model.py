@@ -57,7 +57,9 @@ class Game(Record):
     `env_subsets` order, the kernel's successors for (s, a, e) in their
     order.  Its entries are positive and each row sums to one; a successor
     reached with outcome e has pending set ``s.pending - e`` and a label
-    that shows exactly e among the events.  The loader or the config of
+    that shows exactly e among the events, so distinct outcomes reach
+    distinct states.  A row lists each successor once; `load_game` folds
+    a destination repeated for one outcome.  The loader or the config of
     each game makes these hold; `load_game` checks only the labels.
     `label_of` maps state ids to label ids, and `succ` holds state ids.
     A game equals only itself.
@@ -400,7 +402,8 @@ def _derive_pending(kernel, events, init_name) -> dict[str, frozenset[str]]:
 def _compile_explicit(actions, events, init_name, labels, kernel) -> Game:
     """The states the kernel reaches from `init_name` as tables, numbered
     breadth first: a state's successors are found action by action, outcome
-    by outcome (`env_subsets`), then in the order of the kernel's rows."""
+    by outcome (`env_subsets`), then in the order of the kernel's rows,
+    where a repeated destination adds its weight to its first entry."""
     pending = _derive_pending(kernel, events, init_name)
     event_set = set(events)
     if labels[init_name] & event_set:
@@ -422,7 +425,10 @@ def _compile_explicit(actions, events, init_name, labels, kernel) -> Game:
                 if rows is None:
                     raise GameError(
                         f"no transitions for ({name!r}, {a!r}, {sorted(e)})")
+                folded: dict[str, float] = {}
                 for dst, p in rows:
+                    folded[dst] = folded.get(dst, 0.0) + p
+                for dst, p in folded.items():
                     j = index.setdefault(dst, len(names))
                     if j == len(names):
                         names.append(dst)

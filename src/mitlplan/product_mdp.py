@@ -16,8 +16,8 @@ numbering is a contract that policy, value and product files rely on:
 breadth-first discovery from the initial state (index 0), a state's
 successors discovered in action order, then outcome order (`env_subsets`),
 then the order of the game's transition rows; each CSR row lists its
-successors by increasing index, a successor reached more than once
-carrying the sum of its weights in discovery order.
+successors by increasing index.  A row reaches each successor once, as
+the game lists each of its successors once per row (`Game`).
 
 `build_product` keeps that numbering with whole-array steps.  The game
 comes as integer tables (`Game`, what both loaders of `game_model`
@@ -322,14 +322,13 @@ def build_product(game: Game, tsta: StaModel,
         row = np.concatenate([row, _rows(dead, n_actions)])
         succ = np.concatenate([succ, np.repeat(dead, n_actions)])
         p = np.concatenate([p, np.ones(len(dead) * n_actions)])
-        order = np.lexsort((succ, row))
-        row, succ, p = _sum_repeats(row[order], succ[order], p[order])
         # no row is empty: a live row holds a non-empty game row of positive
         # weights per outcome, and the likeliest outcome keeps its weight
         counts = np.bincount(row - lo * n_actions,
                              minlength=(hi - lo) * n_actions)
-        cols.append(succ)
-        probs.append(p)
+        order = np.lexsort((succ, row))
+        cols.append(succ[order])
+        probs.append(p[order])
         row_len.append(counts)
         lo, hi = hi, hi + len(new_keys)
 
@@ -388,23 +387,6 @@ class _KeyIndex:
         self.keys = np.insert(self.keys, at, new)
         self.z = np.insert(self.z, at, next_z + rank)
         return z, new[np.argsort(first)]
-
-
-def _sum_repeats(row, col, p):
-    """Merge runs of equal (row, col) entries of the sorted arrays into one
-    entry, adding their weights left to right as a loop would."""
-    first = np.ones(len(row), dtype=bool)
-    first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
-    if first.all():
-        return row, col, p
-    head = np.flatnonzero(first)
-    run = np.cumsum(first) - 1
-    pos = np.arange(len(row)) - head[run]
-    total = p[head]
-    for k in range(1, int(pos.max()) + 1):
-        at = pos == k
-        total[run[at]] += p[at]
-    return row[head], col[head], total
 
 
 def model_hash(formula_text: str, env_text: str, trunc) -> str:

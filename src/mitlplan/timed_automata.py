@@ -367,9 +367,11 @@ def run_dta(dta, word: TimedWord) -> RunResult:
 
 LOCATION_CAP = 20000
 # most propositions a progression automaton tracks: its table holds a row
-# of 2**atoms entries per location, and at 16 atoms `translate` of a
-# disjunction of atoms already takes about 0.4 s and peaks at 100 MB
+# of 2**atoms entries per location
 MAX_ATOMS = 16
+# most table entries (locations times 2**atoms) a progression automaton
+# holds, 256 MB of list slots: 512 locations at 16 atoms, 4 096 at 13
+MAX_TABLE_ENTRIES = 1 << 25
 
 
 class ProgressionDta:
@@ -386,7 +388,8 @@ class ProgressionDta:
     entry is not computed yet.  `close` computes every entry.  Raises
     AutomatonError when the formula has more than `MAX_ATOMS`
     propositions, before anything of their size is allocated, and when
-    more than `cap` locations are reached.
+    more than `cap` locations are reached or their rows would hold more
+    than `MAX_TABLE_ENTRIES` entries.
     """
 
     def __init__(self, phi_d: Formula, cap: int = LOCATION_CAP):
@@ -413,9 +416,14 @@ class ProgressionDta:
             if len(self.locations) >= self.cap:
                 raise AutomatonError(
                     f"progression closure exceeded {self.cap} locations")
+            row = 1 << len(self.atoms)
+            if (len(self.locations) + 1) * row > MAX_TABLE_ENTRIES:
+                raise AutomatonError(
+                    f"progression table exceeded {MAX_TABLE_ENTRIES} entries "
+                    f"({row} per location)")
             j = self._index[f] = len(self.locations)
             self.locations.append(f)
-            self.table.append([-1] * (1 << len(self.atoms)))
+            self.table.append([-1] * row)
             if isinstance(f, TrueF):
                 self.accept_index = j
             elif isinstance(f, FalseF):
@@ -472,15 +480,15 @@ class ProgressionDta:
         return config == self.reject_index
 
     def edges(self):
-        """Symbol-predicate edges of the closed automaton: (src, frozenset
-        of masks, dst) grouped by destination."""
+        """Symbol-predicate edges of the closed automaton: (src, ascending
+        list of masks, dst) grouped by destination."""
         out = []
         for i, row in enumerate(self.close().table):
             groups: dict[int, list[int]] = {}
             for mask, dst in enumerate(row):
                 groups.setdefault(dst, []).append(mask)
             for dst, masks in sorted(groups.items()):
-                out.append((i, frozenset(masks), dst))
+                out.append((i, masks, dst))
         return out
 
 
@@ -513,7 +521,7 @@ def dta_to_dot(dta: ProgressionDta) -> str:
         if dst == dta.reject_index:
             continue
         shown = []
-        for m in sorted(masks)[:DOT_MAX_MASKS]:
+        for m in masks[:DOT_MAX_MASKS]:
             names = sorted(a for k, a in enumerate(dta.atoms) if m >> k & 1)
             shown.append("{" + ",".join(names) + "}")
         extra = ("" if len(masks) <= DOT_MAX_MASKS

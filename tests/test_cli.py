@@ -25,6 +25,7 @@ from mitlplan.simulator import (default_max_steps, estimate_success, rollout,
                                 stream_seed)
 from mitlplan.timed_automata import (
     MAX_ATOMS,
+    MAX_TABLE_ENTRIES,
     AutomatonError,
     TimedWord,
     build_dta,
@@ -356,6 +357,25 @@ def test_translate_at_the_atom_limit_names_shown_symbols_by_their_bits(
     assert peak < 20 * 2**20
 
 
+@pytest.mark.parametrize("command", ["monitor", "translate"])
+def test_a_table_past_the_entry_bound_exits_4(tmp_path, command):
+    # MAX_ATOMS eventualities reach a location per subset of them, each
+    # with a row of 2**MAX_ATOMS entries: `translate` closes the table and
+    # `monitor`'s end verdict steps the initial location on every symbol;
+    # without the bound the child fails by MemoryError
+    formula = " & ".join(f"F a{i}" for i in range(MAX_ATOMS))
+    word = tmp_path / "w.txt"
+    word.write_text("-\n")
+    rest = {"monitor": ["--word", str(word)],
+            "translate": ["--out", str(tmp_path)]}[command]
+    done = run_limited(command, "--formula", formula, *rest)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr == (
+        f"error: automaton: progression table exceeded {MAX_TABLE_ENTRIES} "
+        f"entries ({1 << MAX_ATOMS} per location)\n")
+    assert not (tmp_path / "dta.txt").exists()
+
+
 def test_plan_eps_zero_with_uniform_T_exits_2(tmp_path, capsys):
     # --eps 0 is given, so it conflicts with --uniform-T like any other value
     err = usage_error(capsys, "plan", "--formula", BUS_CASE2,
@@ -482,6 +502,20 @@ def test_plan_grid_error_names_its_line(tmp_path, capsys, text, message):
     assert err == f"error: grid: {message}\n"
 
 
+def run_limited(*argv):
+    """`mitlplan` in a child limited to 1 GiB of address space, so that
+    what should be refused before it is built fails fast if it is built,
+    instead of filling the machine's memory; one BLAS thread keeps numpy's
+    own buffers well under the limit."""
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from mitlplan.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          env=package_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=300)
+
+
 FOUR_EVENTS = " & ".join(f"D{{geom:0.5}} b{i} & F[0,9] b{i}"
                          for i in range(1, 5))
 
@@ -493,20 +527,10 @@ FOUR_EVENTS = " & ".join(f"D{{geom:0.5}} b{i} & F[0,9] b{i}"
 ], ids=["huge", "just-over-the-cap"])
 def test_plan_refuses_a_grid_too_large_to_build(tmp_path, size, formula,
                                                 states):
-    # in a child limited to 1 GiB of address space, so that a grid built
-    # by mistake fails fast instead of filling the machine's memory; one
-    # BLAS thread keeps numpy's own buffers well under the limit
     grid = tmp_path / "big.grid"
     grid.write_text(f"width = {size}\nheight = {size}\n")
-    script = ("import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-              "from mitlplan.cli import main\n"
-              "sys.exit(main(sys.argv[1:]))\n")
-    env = package_env(OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run(
-        [sys.executable, "-c", script, "plan", "--formula", formula,
-         "--grid", str(grid), "--uniform-T", "2", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300)
+    done = run_limited("plan", "--formula", formula, "--grid", str(grid),
+                       "--uniform-T", "2", "--out", str(tmp_path))
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == (
         f"error: grid: {size}x{size} grid with {formula.count('D{')} events "

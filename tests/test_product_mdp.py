@@ -253,7 +253,7 @@ PRODUCT_CASES = {
         BUS_CASE2, T, 4, 4, (0, 0), (("b3", (0, 3)), ("b4", (3, 0))),
         (0.8, 0.1, 0.1))) for T in range(3, 9)},
     "toy-T4": lambda: toy_inputs(4),
-    # a destination listed twice in one kernel row: its weights are summed
+    # a destination listed twice in one kernel row: the loader folds it
     "toy-repeated-destination-T3": lambda: toy_inputs(3, (
         DATA / "toy.game").read_text().replace(
             "trans h0 go {} -> t0 : 0.7",
@@ -279,6 +279,27 @@ def test_build_matches_reference(case):
     for name in ("row_ptr", "cols", "outcome_code", "accepting", "sink"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.probs.tobytes() == want.probs.tobytes()
+
+
+@pytest.mark.parametrize("T", [3, 4])
+def test_a_split_row_plans_like_the_row_it_splits(T):
+    # `trans h0 go {} -> t0 : 0.7` as two lines whose weights sum to 0.7:
+    # the loader lists t0 once with their sum, so the product weighs it
+    # (0.1 + 0.6) * q, not 0.1 * q + 0.6 * q
+    text = (DATA / "toy.game").read_text()
+    split = load_game(text.replace(
+        "trans h0 go {} -> t0 : 0.7",
+        "trans h0 go {} -> t0 : 0.1\ntrans h0 go {} -> t0 : 0.6"))
+    go = split.actions.index("go")
+    names = [split.states[j].robot
+             for j in split.succ[split.row_ptr[go]:split.row_ptr[go + 1]]]
+    assert sorted(names) == ["h0", "hb", "t0", "tb"]
+    _, tsta = truncated("D{geom:0.3} b & F (b & F[0,1] goal)", T)
+    got = build_product(split, tsta)
+    want = build_product(load_game(text), tsta)
+    assert got.to_text() == want.to_text()
+    assert (value_iteration(got).values.tobytes()
+            == value_iteration(want).values.tobytes())
 
 
 def grid_file_inputs(name, formula_text, T=3):

@@ -22,8 +22,10 @@ validation refuses; of two
 ``mitlplan bench`` CSVs without their ``wall_time_s`` column, of the
 ``dta.txt`` and ``dta.dot`` that ``mitlplan translate`` writes for the two-
 and three-bus missions, and of ``mitlplan monitor``'s stdout on the fixed
-words of ``MONITOR_WORDS`` (the bus missions, and two table laws whose
-hazard reaches 1), or its exit code and stderr where it refuses a word.
+words of ``MONITOR_WORDS`` (the bus missions, two table laws whose
+hazard reaches 1, and 16 eventualities, whose automaton table passes its
+entry bound), or its exit code and stderr where it refuses a word or the
+mission.
 For ``case1``, ``toy.game`` and ``three_bus.grid`` at ``--uniform-T 4``,
 and for the mission of e2ebench's ``simulate`` workload on
 ``two_bus_8x8.grid`` at ``--uniform-T 8``, it also records ``mitlplan
@@ -80,14 +82,17 @@ REJECTED_FORMULAS = {
         "!(true & (D{geom:0.5} b U a)) | D{geom:0.5} b",
 }
 
-# missions `mitlplan monitor` runs: the bus missions, and two table laws
+# missions `mitlplan monitor` runs: the bus missions, two table laws
 # whose hazard at step 3 is 1 but whose pmf/survival quotient rounds above
-# 1 (it printed a negative likelihood) and below 1 (a likelihood of 1e-16)
+# 1 (it printed a negative likelihood) and below 1 (a likelihood of 1e-16),
+# and 16 eventualities, whose automaton has a location per subset of its
+# 16 atoms, so that the end verdict's search passes the table's entry bound
 MONITOR_MISSIONS = {
     **BUS_MISSIONS,
     "table-hazard-one": "D{table:1:0.05,2:0.05,3:0.9} b1 & F (b1 & F[0,2] s1)",
     "table-hazard-below-one":
         "D{table:1:0.1,2:0.3,3:0.6} b1 & F (b1 & F[0,2] s1)",
+    "sixteen-eventualities": " & ".join(f"F a{i}" for i in range(16)),
 }
 
 # words for `mitlplan monitor`, one string per step, "-" for the empty set;
@@ -102,6 +107,7 @@ MONITOR_WORDS = {
                   ("s1 s2 s3", "-", "b3", "s3")],
     "table-hazard-one": [("-", "-", "-", "-")],
     "table-hazard-below-one": [("-", "-", "-", "-")],
+    "sixteen-eventualities": [("-",)],
 }
 
 # the mission of e2ebench's simulate workload, on ``two_bus_8x8.grid``
