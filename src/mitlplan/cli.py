@@ -230,18 +230,24 @@ def read_policy(path, built):
     """The policy of a file written by `write_policy` for this model.
 
     Every non-absorbing state needs one line naming a model action;
-    absorbing states may be left out or carry the stay action.  A
-    malformed line, an index out of range, a repeated state, or a missing
-    or unknown action fails with exit code 2.
+    absorbing states may be left out or carry the stay action.  A missing
+    or repeated `# model-hash:` line, a malformed line, an index out of
+    range, a repeated state, or a missing or unknown action fails with
+    exit code 2; a hash other than the model's fails with exit code 6.
     """
     m = built.product
     file_hash = None
     rows = []
     for lineno, line in enumerate(_read(path).splitlines(), start=1):
         if line.startswith("# model-hash:"):
+            if file_hash is not None:
+                _fail(EXIT_VALIDATION, f"{path} line {lineno}: a second "
+                                       f"'# model-hash:' line")
             file_hash = line.split(":", 1)[1].strip()
         elif line.strip() and not line.startswith("#"):
             rows.append((lineno, line.split()))
+    if file_hash is None:
+        _fail(EXIT_VALIDATION, f"{path}: no '# model-hash:' line")
     if file_hash != built.hash:
         _fail(EXIT_STALE,
               f"policy was built for model {file_hash}, current model is "
@@ -283,14 +289,17 @@ def cmd_translate(args):
     with stepping():
         dta = build_dta(phid, cap=args.cap)
     out = _out_dir(args.out)
+    # `none` where no residual is `true` (accepting) or `false` (reject)
+    accept, reject = (f"q{j}" if j >= 0 else "none"
+                      for j in (dta.accept_index, dta.reject_index))
     dump = ["# progression automaton",
             f"# formula: {pretty(f)}",
             f"# substituted: {pretty(phid)}",
             f"locations {dta.location_count}",
             f"atoms {' '.join(dta.atoms)}",
             f"init q{dta.init_index}",
-            f"accepting q{dta.accept_index}",
-            f"reject q{dta.reject_index}"]
+            f"accepting {accept}",
+            f"reject {reject}"]
     for src, masks, dst in dta.edges():
         dump.append(f"edge q{src} masks={masks} -> q{dst}")
     _write(out / "dta.txt", "\n".join(dump) + "\n")

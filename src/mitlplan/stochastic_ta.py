@@ -131,17 +131,16 @@ class StaModel:
         self.reads = frozenset(dta.atoms) | self._event_set
         self._dist = {name: d for name, d in events}
         self.trunc = trunc
-        # `_ids` numbers the states reached (`number`); `states`, `codes`
-        # and `_end` hold, per id, the state, its outcome code
-        # (`product_mdp.OUTCOMES`) and its end verdict (None until first
-        # read).  `_succ`: (id, symbol & `reads`) -> (successor id,
-        # probability), with id -1 before the first symbol; `_reach`:
-        # (config, pending) -> `_acceptance_reachable`; `_holds`: fired
-        # events -> {formula node: whether it can hold} (`_lost`)
+        # `_ids` numbers the states reached (`number`); `states` and
+        # `codes` hold, per id, the state and its outcome code
+        # (`product_mdp.OUTCOMES`).  `_succ`: (id, symbol & `reads`) ->
+        # (successor id, probability), with id -1 before the first symbol;
+        # `_reach`: (config, pending) -> `_acceptance_reachable`, which
+        # end verdicts read; `_holds`: fired events -> {formula node:
+        # whether it can hold} (`_lost`)
         self._ids: dict[StaState, int] = {}
         self.states: list[StaState] = []
         self.codes: list[int] = []
-        self._end: list[str | None] = []
         self._succ: dict = {}
         self._reach: dict = {}
         self._holds: dict = {}
@@ -213,12 +212,6 @@ class StaModel:
         config = self.dta.step_config(q.config, symbol, 1)
         return StaState(config, clocks, q.pending - e), p
 
-    def is_accepting(self, q: StaState) -> bool:
-        return not q.sink and self.dta.is_accepting(q.config)
-
-    def is_rejecting(self, q: StaState) -> bool:
-        return not q.sink and self.dta.is_rejecting(q.config)
-
     # -- state ids ----------------------------------------------------------
 
     def number(self, q: StaState) -> int:
@@ -236,7 +229,6 @@ class StaModel:
             self.codes.append(2 if q.sink or self._lost(q.config, q.pending)
                               else 1 if self.dta.is_accepting(q.config)
                               else 0)
-            self._end.append(None)
         return i
 
     def _lost(self, config: int, pending: frozenset[str]) -> bool:
@@ -273,11 +265,11 @@ class StaModel:
         word is judged at the initial location, with every event pending.
 
         The model runs words as a precomputed monitor: it steps ids
-        through `step_id`'s memo and keeps per id the verdict of a word
-        that ends there without having accepted.  A long-lived model pays
-        for each (state, symbol) pair once; the memos hold at most the
-        states reachable within the longest word read, times
-        2^|atoms and events|, entries.
+        through `step_id`'s memo and judges a word that ends without
+        having accepted by `_end_verdict`.  A long-lived model pays for
+        each (state, symbol) pair once; the memos hold at most the states
+        reachable within the longest word read, times 2^|atoms and
+        events|, entries.
         """
         succ, reads, codes = self._succ, self.reads, self.codes
         i, likelihood, ids, accepted = -1, 1.0, [], False
@@ -305,20 +297,16 @@ class StaModel:
 
     def _end_verdict(self, i: int) -> str:
         """Verdict of a word that ends at id `i` without having accepted:
-        'reject' or 'inconclusive-prefix', computed on first use."""
-        verdict = self._end[i]
-        if verdict is None:
-            q = self.states[i]
-            if self.codes[i] == 2:
-                verdict = "reject"
-            else:
-                key = (q.config, q.pending)
-                if key not in self._reach:
-                    self._reach[key] = self._acceptance_reachable(*key)
-                verdict = ("inconclusive-prefix" if self._reach[key]
-                           else "reject")
-            self._end[i] = verdict
-        return verdict
+        'reject' at outcome code 2, else as `_reach` says, which searches
+        once per (location, pending) pair whether acceptance is reachable."""
+        if self.codes[i] == 2:
+            return "reject"
+        config, _, pending, _ = self.states[i]
+        reach = self._reach.get((config, pending))
+        if reach is None:
+            reach = self._reach[config, pending] = \
+                self._acceptance_reachable(config, pending)
+        return "inconclusive-prefix" if reach else "reject"
 
     def _acceptance_reachable(self, config, pending) -> bool:
         """Can any future (events firing at most once) reach acceptance?"""

@@ -76,12 +76,6 @@ class TimedWord(Record):
                 symbols.append(frozenset(line.split()))
         return cls(tuple(symbols))
 
-    def to_text(self) -> str:
-        lines = []
-        for sym in self.symbols:
-            lines.append(" ".join(sorted(sym)) if sym else "-")
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # Formula progression

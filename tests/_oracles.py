@@ -348,7 +348,7 @@ def reference_code(tsta, q: StaState) -> int:
     f = tsta.dta.locations[q.config]
     if canonical(_false_atoms(f, fired)) is FALSE:
         return 2
-    return int(tsta.is_accepting(q))
+    return int(tsta.dta.is_accepting(q.config))
 
 
 def reference_product(kernel, tsta, cap: int = 2_000_000) -> ProductMdp:

@@ -189,7 +189,7 @@ def test_criterion_6_probability_normalization():
             checked_rows += len(sums)
             for z in range(m.n_states):
                 _, q = product_state(m, z)
-                if q.sink or m.sta.is_rejecting(q):
+                if q.sink or m.sta.dta.is_rejecting(q.config):
                     continue
                 total = sum(m.sta.env_outcome_dist(q).values())
                 assert abs(total - 1.0) <= 1e-12

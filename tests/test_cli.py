@@ -70,6 +70,21 @@ def test_translate_writes_outputs(tmp_path, capsys):
     assert "digraph" in (tmp_path / "dta.dot").read_text()
 
 
+@pytest.mark.parametrize("formula, lines", [
+    # `F a` can always still hold, and `false` can never accept
+    ("F a", "init q0\naccepting q1\nreject none\n"),
+    ("false", "init q0\naccepting none\nreject q0\n"),
+], ids=["eventually", "false"])
+def test_translate_marks_a_missing_location_none(tmp_path, capsys, formula,
+                                                 lines):
+    code, _, _ = run(capsys, "translate", "--formula", formula,
+                     "--out", str(tmp_path))
+    assert code == 0
+    text = (tmp_path / "dta.txt").read_text()
+    assert lines in text
+    assert "q-1" not in text
+
+
 # ---------------------------------------------------------------------------
 # explicit-clock oracles (tests/_explicit_dta.py) against the automaton
 # `translate` builds
@@ -213,9 +228,16 @@ def case2_policy_lines(tmp_path_factory):
     (lambda ls: ls + ["99999 N 0.5"], 2, "state 99999 is not in"),
     (lambda ls: ls + [ls[3]], 2, "state 0 appears twice"),
     (lambda ls: [l for l in ls if " stay " not in l], 0, ""),
+    # a file without its hash line is malformed, not stale
+    (lambda ls: [l for l in ls if not l.startswith("# model-hash:")], 2,
+     "policy.txt: no '# model-hash:' line"),
+    (lambda ls: [], 2, "policy.txt: no '# model-hash:' line"),
+    (lambda ls: ls[:3] + [ls[1]] + ls[3:], 2,
+     "policy.txt line 4: a second '# model-hash:' line"),
 ], ids=["unknown-action", "stay-at-live-state", "no-rows",
         "non-integer-index", "one-token", "index-out-of-range",
-        "repeated-state", "absorbing-states-omitted"])
+        "repeated-state", "absorbing-states-omitted", "no-hash-line",
+        "empty-file", "second-hash-line"])
 def test_simulate_rejects_malformed_policy(tmp_path, capsys,
                                            case2_policy_lines, edit, code,
                                            message):

@@ -244,10 +244,10 @@ def test_run_word_memo_matches_a_fresh_model(mission):
     assert all(sym <= warm.reads for _, sym in warm._succ)
     per_id = Counter(i for i, _ in warm._succ)
     assert max(per_id.values()) <= 2 ** len(warm.reads)
-    # the id table holds each state once, with a code and a verdict slot;
-    # successor ids index it, and it holds every state a word returned
+    # the id table holds each state once, with a code; successor ids
+    # index it, and it holds every state a word returned
     assert warm._ids == {q: i for i, q in enumerate(warm.states)}
-    assert len(warm.codes) == len(warm._end) == len(warm.states)
+    assert len(warm.codes) == len(warm.states)
     assert {j for j, _ in warm._succ.values()} <= set(range(len(warm._ids)))
     reached = {q for out in got if out[0] != "error" for q in out[2]}
     assert reached <= warm._ids.keys()
@@ -343,6 +343,31 @@ def test_run_word_judges_the_sink_by_each_word_history(accept_first):
         got, _, states = m.run_word(word)
         assert states[-1] == SINK
         assert got == verdict
+
+
+def test_end_verdicts_share_one_search_per_location_and_pending_set():
+    # words of 1-4 empty steps end at four ids that differ only by their
+    # clocks, and the search behind their verdict runs once
+    f = parse(BUS_CASE1)
+    m = StaModel(build_dta(substitute_dist(f)), EventSet.from_formula(f))
+    ends = set()
+    for n in range(1, 5):
+        verdict, _, states = m.run_word(TimedWord.from_sets([set()] * n))
+        assert verdict == "inconclusive-prefix"
+        ends.add(states[-1])
+    assert len(ends) == 4
+    assert m._reach == {(0, frozenset({"b1", "b2"})): True}
+
+
+def test_run_word_rejects_the_empty_word_of_false_by_its_code():
+    # the initial location of `false` is the rejecting one, whose outcome
+    # code 2 decides the verdict without a search
+    f = parse("false")
+    m = StaModel(build_dta(f), EventSet.from_formula(f))
+    for _ in range(2):
+        assert m.run_word(TimedWord.from_sets([])) == ("reject", 1.0, [])
+    assert m.codes == [2]
+    assert m._reach == {}
 
 
 def test_run_word_refuses_a_repeat_of_a_step_0_event(bus1_sta):

@@ -20,8 +20,9 @@ for ``case1`` under ``--eps 0.05``; the exit code and stderr of ``plan``
 on ``case1``'s grid for the formulas of ``REJECTED_FORMULAS``, which
 validation refuses; of two
 ``mitlplan bench`` CSVs without their ``wall_time_s`` column, of the
-``dta.txt`` and ``dta.dot`` that ``mitlplan translate`` writes for the two-
-and three-bus missions, and of ``mitlplan monitor``'s stdout on the fixed
+``dta.txt`` and ``dta.dot`` that ``mitlplan translate`` writes for the
+formulas of ``TRANSLATE_FORMULAS`` (the two- and three-bus missions,
+``F a`` and ``false``), and of ``mitlplan monitor``'s stdout on the fixed
 words of ``MONITOR_WORDS`` (the bus missions, two table laws whose
 hazard reaches 1, and 16 eventualities, whose automaton table passes its
 entry bound), or its exit code and stderr where it refuses a word or the
@@ -31,7 +32,8 @@ and for the mission of e2ebench's ``simulate`` workload on
 ``two_bus_8x8.grid`` at ``--uniform-T 8``, it also records ``mitlplan
 simulate``'s stdout, with the `` -> path`` suffixes of its trajectory
 lines cut, and every trajectory log those lines name, at the fixed
-``SIMULATE_RUNS``.
+``SIMULATE_RUNS``; and the exit code and stderr of ``simulate`` on
+``case1`` with a policy file whose ``# model-hash:`` line is deleted.
 
 A change keeps automata and planner outputs identical when this script
 prints the same file on the change as on its parent::
@@ -81,6 +83,11 @@ REJECTED_FORMULAS = {
     "negated-until-and-repeated-D":
         "!(true & (D{geom:0.5} b U a)) | D{geom:0.5} b",
 }
+
+# formulas `mitlplan translate` runs: the bus missions, whose automata
+# have no rejecting location, and `false`, whose automaton has no
+# accepting one; `dta.txt` marks a missing location `none`
+TRANSLATE_FORMULAS = {**BUS_MISSIONS, "eventually": "F a", "false": "false"}
 
 # missions `mitlplan monitor` runs: the bus missions, two table laws
 # whose hazard at step 3 is 1 but whose pmf/survival quotient rounds above
@@ -245,6 +252,21 @@ def plan_digests() -> dict:
                     "".join(line[0] + "\n" for line in lines)),
                 **{f"{Path(log).stem}_sha256": _sha256(Path(log).read_text())
                    for _, log in (line for line in lines if len(line) == 2)}}
+        # case1's policy without its hash line, which `simulate` refuses
+        # as malformed; stderr names the file, so the directory is cut
+        formula, env_flag, env_path = plans["case1"]
+        model = ("--formula", formula, env_flag, str(env_path),
+                 "--uniform-T", "4")
+        _cli("plan", *model, "--out", tmp)
+        policy = Path(tmp, "policy.txt")
+        policy.write_text("".join(
+            line for line in policy.read_text().splitlines(keepends=True)
+            if not line.startswith("# model-hash:")))
+        code, _, stderr = _run("simulate", *model, "--policy", str(policy),
+                               "--out", tmp)
+        out["simulate-case1-T4-hashless-policy"] = {
+            "exit_code": code,
+            "stderr_sha256": _sha256(stderr.replace(tmp, "TMP"))}
     for name, formula in REJECTED_FORMULAS.items():
         code, _, stderr = _run("plan", "--formula", formula, "--grid",
                                str(DATA / "case1.grid"), "--uniform-T", "4")
@@ -256,7 +278,7 @@ def plan_digests() -> dict:
         rows = [line.rsplit(",", 1)[0] for line in csv.splitlines()]
         out[name] = {"csv_sha256": _sha256("\n".join(rows) + "\n")}
     with tempfile.TemporaryDirectory() as tmp:
-        for mission, formula in BUS_MISSIONS.items():
+        for mission, formula in TRANSLATE_FORMULAS.items():
             _cli("translate", "--formula", formula, "--out", tmp)
             out[f"translate-{mission}"] = {
                 f"{name.replace('.', '_')}_sha256":
