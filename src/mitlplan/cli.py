@@ -2,7 +2,15 @@
 
 Subcommands: translate (formula to automaton), plan (synthesize a policy),
 simulate (roll out a stored policy), monitor (verdict and likelihood of an
-observed word), bench (truncation sweep as CSV).  Data goes to stdout,
+observed word), bench (truncation sweep as CSV).  This module holds the
+parser, the exit codes, formula loading, `translate`, `monitor` and `run`,
+on the layers that import no numpy (`formula`, `timed_automata`,
+`stochastic_ta`).  `plan`, `simulate` and `bench`, the model they build
+and the policy and value files live in `mitlplan.pipeline`, which
+`COMMANDS` names and which is imported only when one of those three runs
+or one of `PIPELINE_NAMES` is read from this module.  So `translate` and
+`monitor` load no numpy, and no subcommand loads OpenSSL: `model_hash`
+takes the interpreter's builtin sha256.  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 2 parse/validation, 3 environment
 load, 4 automaton or product build, 5 solver non-convergence, 6 stale
 policy, 141 stdout closed by its reader (128 + SIGPIPE).  Exit 2 also
@@ -29,36 +37,11 @@ import argparse
 import gc
 import os
 import sys
-import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple
-
-import numpy as np
 
 from . import formula as fm
-from .game_model import (
-    GameError,
-    GridWorldConfig,
-    build_gridworld,
-    load_game,
-    parse_gridworld_config,
-)
-from .product_mdp import (
-    DOT_MAX_STATES,
-    STAY_ACTION,
-    ProductError,
-    build_product,
-    model_hash,
-)
-from .solver import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    Policy,
-    extract_policy,
-    satisfaction_probability,
-    value_iteration,
-)
+from .formula import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .stochastic_ta import StaError, StaModel, TimedWord
 from .timed_automata import (
     LOCATION_CAP,
@@ -100,7 +83,7 @@ def failing(code, prefix, *errors):
 
 
 # ---------------------------------------------------------------------------
-# Shared pipeline
+# Shared by every subcommand
 # ---------------------------------------------------------------------------
 
 def _read(path, code=EXIT_VALIDATION):
@@ -133,41 +116,6 @@ def load_formula(args):
     return f, u
 
 
-def load_environment(args, u):
-    """Returns (game, canonical environment text)."""
-    if args.grid is not None:
-        with failing(EXIT_GAME, "grid: ", GameError):
-            cfg = parse_gridworld_config(_read(args.grid, EXIT_GAME))
-            if cfg.events:
-                declared = {n: str(d) for n, d in cfg.events}
-                expected = {n: str(d) for n, d in u}
-                if declared != expected:
-                    raise GameError(
-                        f"grid events {declared} disagree with the formula's "
-                        f"{expected}")
-            else:
-                cfg = GridWorldConfig(cfg.width, cfg.height, cfg.start,
-                                      cfg.stations, tuple(u.entries), cfg.slip)
-            return build_gridworld(cfg), cfg.canonical_text()
-    text = _read(args.game, EXIT_GAME)
-    with failing(EXIT_GAME, "game: ", GameError):
-        game = load_game(text)
-        if set(game.events) != set(u.names):
-            raise GameError(
-                f"game events {sorted(game.events)} disagree with the "
-                f"formula's {sorted(u.names)}")
-        return game, text
-
-
-def truncation(f, u, uniform_T, eps):
-    """A common truncation point if `uniform_T` is not None, else
-    per-event points with tails below `eps`."""
-    with failing(EXIT_VALIDATION, "truncation: ", ValueError):
-        if uniform_T is not None:
-            return fm.uniform_truncation_vector(f, u, uniform_T)
-        return fm.truncation_vector(f, u, eps)
-
-
 def stepping():
     """A progression automaton's errors exit with code 4: a formula over
     more than `MAX_ATOMS` propositions when it is built, and, as its
@@ -181,102 +129,6 @@ def progression(f, args):
     eventualities substituted, capped at `--cap` locations."""
     with stepping():
         return ProgressionDta(fm.substitute_dist(f), cap=args.cap)
-
-
-def validated_product(game, tsta):
-    with failing(EXIT_PRODUCT, "product: ", ProductError), stepping():
-        product = build_product(game, tsta)
-        product.validate()
-    return product
-
-
-class Built(NamedTuple):
-    trunc: object
-    product: object
-    hash: str
-
-
-def build_model(args):
-    f, u = load_formula(args)
-    game, env_text = load_environment(args, u)
-    trunc = truncation(f, u, args.uniform_T, args.eps)
-    dta = progression(f, args)
-    product = validated_product(game, StaModel(dta, u, trunc))
-    return Built(trunc, product, model_hash(pretty(f), env_text, trunc))
-
-
-# ---------------------------------------------------------------------------
-# Policy and value files
-# ---------------------------------------------------------------------------
-
-def write_policy(path, built, policy, values):
-    m = built.product
-    lines = ["# mitlplan-policy",
-             f"# model-hash: {built.hash}",
-             f"# actions: {' '.join(m.actions)}"]
-    for z, v in enumerate(values.tolist()):
-        lines.append(f"{z} {policy.action_name(z)} {v!r}")
-    _write(path, "\n".join(lines) + "\n")
-
-
-def write_values(path, built, values):
-    lines = ["# mitlplan-values", f"# model-hash: {built.hash}"]
-    for z, v in enumerate(values.tolist()):
-        lines.append(f"{z} {v!r}")
-    _write(path, "\n".join(lines) + "\n")
-
-
-def read_policy(path, built):
-    """The policy of a file written by `write_policy` for this model.
-
-    Every non-absorbing state needs one line naming a model action;
-    absorbing states may be left out or carry the stay action.  A missing
-    or repeated `# model-hash:` line, a malformed line, an index out of
-    range, a repeated state, or a missing or unknown action fails with
-    exit code 2; a hash other than the model's fails with exit code 6.
-    """
-    m = built.product
-    file_hash = None
-    rows = []
-    for lineno, line in enumerate(_read(path).splitlines(), start=1):
-        if line.startswith("# model-hash:"):
-            if file_hash is not None:
-                _fail(EXIT_VALIDATION, f"{path} line {lineno}: a second "
-                                       f"'# model-hash:' line")
-            file_hash = line.split(":", 1)[1].strip()
-        elif line.strip() and not line.startswith("#"):
-            rows.append((lineno, line.split()))
-    if file_hash is None:
-        _fail(EXIT_VALIDATION, f"{path}: no '# model-hash:' line")
-    if file_hash != built.hash:
-        _fail(EXIT_STALE,
-              f"policy was built for model {file_hash}, current model is "
-              f"{built.hash}")
-    idx = np.full(m.n_states, -1, dtype=np.int64)
-    for lineno, parts in rows:
-        where = f"{path} line {lineno}"
-        if len(parts) not in (2, 3) or not parts[0].isdecimal():
-            _fail(EXIT_VALIDATION, f"{where}: expected 'state action value'")
-        z = int(parts[0])
-        if z >= m.n_states:
-            _fail(EXIT_VALIDATION, f"{where}: state {z} is not in "
-                                   f"0..{m.n_states - 1}")
-        if idx[z] >= 0:
-            _fail(EXIT_VALIDATION, f"{where}: state {z} appears twice")
-        name = parts[1]
-        if name in m.actions:
-            idx[z] = m.actions.index(name)
-        elif name == STAY_ACTION and m.absorbing[z]:
-            idx[z] = 0
-        else:
-            _fail(EXIT_VALIDATION,
-                  f"{where}: unknown action {name!r} at state {z}")
-    missing = np.flatnonzero((idx < 0) & ~m.absorbing)
-    if missing.size:
-        _fail(EXIT_VALIDATION, f"{path}: no action for {missing.size} "
-                               f"state(s), first {int(missing[0])}")
-    idx[idx < 0] = 0
-    return Policy(idx, m.actions, m.absorbing.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -316,68 +168,6 @@ def cmd_translate(args):
     return 0
 
 
-def cmd_plan(args):
-    built = build_model(args)
-    m = built.product
-    t0 = time.perf_counter()
-    res = value_iteration(m, tol=args.tol, max_iter=args.max_iter)
-    elapsed = time.perf_counter() - t0
-    if not res.converged:
-        _fail(EXIT_SOLVER,
-              f"value iteration hit {res.iterations} iterations with "
-              f"residual {res.residual!r} >= {args.tol!r}")
-    policy = extract_policy(m, res.values)
-    out = _out_dir(args.out)
-    write_policy(out / "policy.txt", built, policy, res.values)
-    write_values(out / "values.txt", built, res.values)
-    print(f"satisfaction-probability: {satisfaction_probability(m, res.values)!r}")
-    print(f"eps-achieved: {built.trunc.eps_achieved!r}")
-    print(f"truncation: {' '.join(f'{k}={v}' for k, v in built.trunc.points)}")
-    print(f"states: {m.n_states}")
-    print(f"edges: {m.n_edges}")
-    print(f"accepting-states: {int(m.accepting.sum())}")
-    print(f"sink-states: {int(m.sink.sum())}")
-    print(f"iterations: {res.iterations}")
-    print(f"residual: {res.residual!r}")
-    print(f"solve-time-s: {elapsed:.3f}")
-    print(f"model-hash: {built.hash}")
-    print(f"wrote: {out / 'policy.txt'} {out / 'values.txt'}")
-    if args.dump_product:
-        _write(out / "product.txt", m.to_text(header=built.hash))
-        print(f"wrote: {out / 'product.txt'}")
-        if m.n_states <= DOT_MAX_STATES:
-            _write(out / "product.dot", m.to_dot())
-            print(f"wrote: {out / 'product.dot'}")
-    return 0
-
-
-def cmd_simulate(args):
-    # the one subcommand that runs the simulator is the one that loads it
-    from .simulator import estimate_success, rollout, stream_seed
-
-    built = build_model(args)
-    m = built.product
-    policy = read_policy(args.policy, built)
-    out = _out_dir(args.out)
-    n_logs = min(args.n, 5) if args.logs is None else args.logs
-    for i in range(n_logs):
-        # log i replays rollout i of the estimate below
-        traj = rollout(m, policy, seed=stream_seed(args.seed, i),
-                       max_steps=args.max_steps)
-        path = out / f"trajectory_{i:03d}.log"
-        _write(path, traj.render())
-        print(f"trajectory {i}: {traj.outcome} ({traj.steps} steps) -> {path}")
-    est = estimate_success(m, policy, args.n, seed=args.seed,
-                           max_steps=args.max_steps)
-    print(f"rollouts: {est.samples}")
-    print(f"success-rate: {est.rate!r}")
-    print(f"ci95: [{est.ci_low!r}, {est.ci_high!r}]")
-    print(f"outcomes: accept={est.outcomes['accept']} "
-          f"sink={est.outcomes['sink']} "
-          f"step-limit={est.outcomes['step-limit']}")
-    return 0
-
-
 def cmd_monitor(args):
     f, u = load_formula(args)
     dta = progression(f, args)
@@ -393,32 +183,6 @@ def cmd_monitor(args):
         verdict, likelihood, _states = sta.run_word(word)
     print(f"verdict: {verdict}")
     print(f"likelihood: {likelihood!r}")
-    return 0
-
-
-def cmd_bench(args):
-    f, u = load_formula(args)
-    game, _ = load_environment(args, u)
-    dta = progression(f, args)
-    settings = ([("T", T, (T, None)) for T in args.uniform_T] if args.uniform_T
-                else [("eps", e, (None, e)) for e in args.eps_list])
-    rows = []
-    for kind, value, setting in settings:
-        trunc = truncation(f, u, *setting)
-        t0 = time.perf_counter()
-        m = validated_product(game, StaModel(dta, u, trunc))
-        res = value_iteration(m, tol=args.tol, max_iter=args.max_iter)
-        if not res.converged:
-            _fail(EXIT_SOLVER, f"no convergence at {kind}={value}")
-        elapsed = time.perf_counter() - t0
-        T_shown = value if kind == "T" else max(
-            (T for _, T in trunc.events), default=0)
-        rows.append((T_shown, trunc.eps_achieved, m.n_states,
-                     satisfaction_probability(m, res.values),
-                     res.iterations, elapsed))
-    print("T,eps_achieved,states,value,iterations,wall_time_s")
-    for T, eps, n, v, it, dt in rows:
-        print(f"{T},{eps!r},{n},{v!r},{it},{dt:.3f}")
     return 0
 
 
@@ -506,7 +270,6 @@ def build_parser():
     p = sub.add_parser("translate", help="compile a formula to an automaton")
     _add_formula_args(p)
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("plan", help="synthesize the optimal policy")
     _add_formula_args(p)
@@ -515,7 +278,6 @@ def build_parser():
     _add_solver_args(p)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--dump-product", action="store_true")
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="roll out a stored policy")
     _add_formula_args(p)
@@ -532,12 +294,10 @@ def build_parser():
     p.add_argument("--logs", type=_at_least(0), default=None,
                    help="trajectory logs to write (default min(n, 5))")
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("monitor", help="verdict and likelihood of a word")
     _add_formula_args(p)
     p.add_argument("--word", required=True, help="timed word file")
-    p.set_defaults(func=cmd_monitor)
 
     p = sub.add_parser("bench", help="truncation sweep, CSV on stdout")
     _add_formula_args(p)
@@ -550,15 +310,53 @@ def build_parser():
     sweep.add_argument("--eps-list", dest="eps_list",
                        type=_comma_list(float, "numbers"),
                        help="comma-separated error bounds")
-    p.set_defaults(func=cmd_bench)
     return ap
+
+
+# ---------------------------------------------------------------------------
+# Subcommand table
+# ---------------------------------------------------------------------------
+
+# The function of each subcommand.  A string names a function of
+# `mitlplan.pipeline`, the one module of the command line on numpy, which
+# is imported when that subcommand runs.
+COMMANDS = {
+    "translate": cmd_translate,
+    "plan": "cmd_plan",
+    "simulate": "cmd_simulate",
+    "monitor": cmd_monitor,
+    "bench": "cmd_bench",
+}
+# the pipeline's names that read through this module as its own:
+# `e2ebench` builds and checks plans through the model and file functions
+PIPELINE_NAMES = frozenset({
+    "Built", "build_model", "read_policy", "write_policy", "write_values"})
+
+
+def _pipeline():
+    """`mitlplan.pipeline`, imported on first call.  It imports this module
+    by name; under ``python -m mitlplan.cli`` this module runs as
+    ``__main__``, so it is entered under its own name first, and the
+    pipeline shares its `CliError` instead of loading a second copy."""
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
+    from . import pipeline
+    return pipeline
+
+
+def __getattr__(name):
+    if name in PIPELINE_NAMES:
+        return getattr(_pipeline(), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
+    if isinstance(command, str):
+        command = getattr(_pipeline(), command)
     try:
         try:
-            code = args.func(args)
+            code = command(args)
         except CliError as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = exc.code

@@ -46,6 +46,13 @@ class ZeroSurvivalError(FormulaError):
     """Hazard requested at a step the event cannot reach (no mass left)."""
 
 
+# value iteration's defaults (`solver.value_iteration`, and `--tol` and
+# `--max-iter` of the command line), here so that the parser, which
+# imports no numpy, reads the one definition
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 100_000
+
+
 class Record:
     """Base of the package's immutable records: a subclass lists its fields,
     in constructor order, as its ``__slots__``, and its constructor sets

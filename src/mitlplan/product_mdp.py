@@ -44,10 +44,20 @@ its test reference is `tests/_oracles.py::walk` on the CSR arrays.
 
 from __future__ import annotations
 
-import hashlib
 from itertools import accumulate
 
 import numpy as np
+
+# `model_hash` takes the interpreter's builtin sha256, as `random` takes its
+# sha512: `hashlib` would map OpenSSL's libcrypto into every process that
+# builds a model, 3.6 MB of peak RSS.  The digests are the same.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .game_model import MAX_STATES, Game, concat_ranges
 from .stochastic_ta import StaModel, StaState
@@ -326,7 +336,13 @@ def build_product(game: Game, tsta: StaModel,
         # weights per outcome, and the likeliest outcome keeps its weight
         counts = np.bincount(row - lo * n_actions,
                              minlength=(hi - lo) * n_actions)
-        order = np.lexsort((succ, row))
+        # rows in order, each by increasing successor, on one int64 key:
+        # succ < n_known <= cap, which is MAX_STATES < 2**21 unless a
+        # caller raises it, and row < n_known * n_actions, the length of
+        # the row_ptr this build allocates, so the key stays below 2**63
+        # for any row count under 2**42 (32 TiB of row_ptr)
+        n_known = hi + len(new_keys)
+        order = np.argsort(row * n_known + succ, kind="stable")
         cols.append(succ[order])
         probs.append(p[order])
         row_len.append(counts)
@@ -391,7 +407,7 @@ class _KeyIndex:
 
 def model_hash(formula_text: str, env_text: str, trunc) -> str:
     """Stable content hash binding a formula, environment, and truncation."""
-    h = hashlib.sha256()
+    h = sha256()
     h.update(formula_text.encode())
     h.update(b"\x00")
     h.update(env_text.encode())

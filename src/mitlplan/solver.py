@@ -17,11 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .formula import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .game_model import concat_ranges
 from .product_mdp import STAY_ACTION, ProductMdp
-
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 100_000
 
 
 class SolverError(ValueError):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mitlplan import cli
+from mitlplan import cli, pipeline
 from mitlplan.cli import build_model, build_parser, main
 from mitlplan.formula import (
     MAX_FORMULA_DEPTH,
@@ -234,10 +234,13 @@ def case2_policy_lines(tmp_path_factory):
     (lambda ls: [], 2, "policy.txt: no '# model-hash:' line"),
     (lambda ls: ls[:3] + [ls[1]] + ls[3:], 2,
      "policy.txt line 4: a second '# model-hash:' line"),
+    # an empty hash is malformed too, not a stale hash ""
+    (lambda ls: [ls[0], "# model-hash: "] + ls[2:], 2,
+     "policy.txt line 2: no hash after '# model-hash:'"),
 ], ids=["unknown-action", "stay-at-live-state", "no-rows",
         "non-integer-index", "one-token", "index-out-of-range",
         "repeated-state", "absorbing-states-omitted", "no-hash-line",
-        "empty-file", "second-hash-line"])
+        "empty-file", "second-hash-line", "empty-hash"])
 def test_simulate_rejects_malformed_policy(tmp_path, capsys,
                                            case2_policy_lines, edit, code,
                                            message):
@@ -613,6 +616,63 @@ def test_only_simulate_imports_the_simulator(tmp_path, capsys, command):
     assert done.stdout.splitlines()[-1] == str(command == "simulate")
 
 
+@pytest.mark.parametrize("command", IMPORT_RUNS)
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, capsys, command):
+    # `translate` and `monitor` run on the numpy-free layers, and `plan`
+    # hashes its model without OpenSSL wherever the interpreter has a
+    # builtin sha256 (`_sha2` from Python 3.12, `_sha256` before)
+    def argv(command):
+        return [a.replace("OUT", str(tmp_path)) for a in IMPORT_RUNS[command]]
+
+    if command == "simulate":
+        assert main(argv("plan")) == 0
+        capsys.readouterr()
+    script = ("import importlib.util, json, sys\n"
+              "from mitlplan.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "assert code == 0, code\n"
+              "print(json.dumps({\n"
+              "    'builtin_sha256': any(importlib.util.find_spec(name)\n"
+              "                          for name in ('_sha2', '_sha256')),\n"
+              "    'loaded': sorted(name for name in (\n"
+              "        'numpy', 'mitlplan.pipeline', 'mitlplan.simulator',\n"
+              "        '_hashlib') if name in sys.modules)}))\n")
+    done = subprocess.run([sys.executable, "-c", script, *argv(command)],
+                          env=package_env(), check=True, capture_output=True,
+                          text=True, timeout=300)
+    report = json.loads(done.stdout.splitlines()[-1])
+    loaded = report["loaded"]
+    if not report["builtin_sha256"]:
+        # an interpreter built without them hashes through OpenSSL
+        loaded = [name for name in loaded if name != "_hashlib"]
+    expected = {"translate": [], "monitor": [],
+                "plan": ["mitlplan.pipeline", "numpy"],
+                "bench": ["mitlplan.pipeline", "numpy"],
+                "simulate": ["mitlplan.pipeline", "mitlplan.simulator",
+                             "numpy"]}
+    assert loaded == expected[command]
+
+
+def test_python_m_shares_the_front_with_the_pipeline(tmp_path):
+    # under `python -m mitlplan.cli` the front runs as `__main__`; an error
+    # the pipeline raises must still be the front's `CliError`
+    done = subprocess.run(
+        [sys.executable, "-m", "mitlplan.cli", "plan", "--formula", BUS_CASE2,
+         "--grid", str(DATA / "case2.grid"), "--uniform-T", "3",
+         "--max-iter", "2", "--tol", "1e-14", "--out", str(tmp_path)],
+        env=package_env(), capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        5, "", "error: value iteration hit 2 iterations with residual "
+               "0.7200000000000002 >= 1e-14\n")
+
+
+def test_the_front_reads_only_pipeline_names_through():
+    assert cli.build_model is pipeline.build_model
+    assert cli.Built is pipeline.Built
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        cli.nope
+
+
 def test_startup_probe_reports_each_command():
     tool = Path(__file__).resolve().parent.parent / "tools" / "startup.py"
     env = package_env()
@@ -630,9 +690,11 @@ def test_startup_probe_reports_each_command():
     cli_lines = Path(cli.__file__).read_bytes().count(b"\n")
     for entry in report["baselines"].values():
         assert entry["q1_ms"] == entry["median_ms"] == entry["q3_ms"] > 0
+        assert entry["peak_rss_mb"] > 0
         assert "lines_compiled" not in entry
     for entry in report["commands"].values():
         assert entry["q1_ms"] == entry["median_ms"] == entry["q3_ms"] > 0
+        assert entry["peak_rss_mb"] > 0
         assert entry["lines_compiled"] > cli_lines
     assert report["import_self_us"]["mitlplan.cli"] > 0
 
@@ -831,7 +893,7 @@ CASE2_UNCONVERGED = [*CASE2_MODEL, "--max-iter", "2", "--tol", "1e-14"]
 def test_error_line_and_exit_code(tmp_path, capsys, monkeypatch, argv, code,
                                   message):
     if code == 4:
-        monkeypatch.setattr(cli, "build_product", _product_over_cap)
+        monkeypatch.setattr(pipeline, "build_product", _product_over_cap)
     argv = [str(tmp_path) if a == "OUT" else a for a in argv]
     got, _, err = run(capsys, *argv)
     assert (got, err) == (code, f"error: {message}\n")

@@ -1,8 +1,12 @@
+import hashlib
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mitlplan import product_mdp
 from mitlplan.formula import (
     EventSet,
     Geometric,
@@ -200,6 +204,29 @@ def test_model_hash_sensitivity():
     assert h1 != model_hash("f2", "env", "t")
     assert h1 != model_hash("f", "env2", "t")
     assert h1 != model_hash("f", "env", "t2")
+
+
+@pytest.mark.parametrize("formula", ["F[0,3] b1", "D{geom:0.5} bé & F bé",
+                                     "F 停"])
+def test_model_hash_is_sha256_of_its_parts(formula):
+    # the builtin sha256 it takes gives OpenSSL's digests, so policy files
+    # of either stay valid
+    data = f"{formula}\0width = 3\n\0T=4".encode()
+    assert model_hash(formula, "width = 3\n", "T=4") == \
+        hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_model_hash_falls_back_to_hashlib(monkeypatch):
+    # an interpreter without the builtin sha256 modules: the module, run
+    # afresh in its own namespace, takes `hashlib`'s, with the same digests
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    path = Path(product_mdp.__file__)
+    fresh = {"__name__": "mitlplan.product_mdp", "__package__": "mitlplan"}
+    exec(compile(path.read_text(), str(path), "exec"), fresh)
+    assert fresh["sha256"] is hashlib.sha256
+    assert fresh["model_hash"]("F 停", "width = 3\n", "T=4") == \
+        model_hash("F 停", "width = 3\n", "T=4")
 
 
 # ---------------------------------------------------------------------------
