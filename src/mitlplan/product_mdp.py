@@ -4,12 +4,17 @@ States pair a game state with an automaton state.  For a robot action a,
 the successor weight of (s', h') is P(s' | s, a, e) * p where e is the
 event part of s''s label and p the automaton's probability for consuming
 that label.  Accepting product states (automaton accepted) and sink states
-(clock truncation fired, or the automaton state is lost: its location
-cannot hold once the events that fired read false, see
-`StaModel.number`) are absorbing with a unit self-loop per action, so
-the search expands no successor of theirs; reaching an accepting state
-earns reward one, so the optimal expected total reward is the maximal
-satisfaction probability.
+are absorbing with a unit self-loop per action; reaching an accepting
+state earns reward one, so the optimal expected total reward is the
+maximal satisfaction probability.  A sink (outcome code 2) is exactly a
+state from which no sequence of actions reaches acceptance: the
+automaton's sinks (clock truncation fired, or the automaton state is
+lost: its location cannot hold once the events that fired read false,
+see `StaModel.number`), whose successors the search does not expand,
+and then every state that the graph search after the build
+(`_cannot_accept`, Prob0) finds unable to reach an accepting state.
+Those last keep their numbers and their place in the search, but their
+rows become unit self-loops too; their values are 0 either way.
 
 Only states reachable from the initial state are materialized.  Their
 numbering is a contract that policy, value and product files rely on:
@@ -34,7 +39,8 @@ every successor of the layer is packed into an int64 key
 known states, and the new keys get indices in order of first
 occurrence.  States are stored as the two id arrays `game_of` and
 `spec_of`, and each state's class as one int8 `outcome_code` (`OUTCOMES`
-names its values, `StaModel.codes` holds them per automaton id).
+names its values; `StaModel.codes` holds them per automaton id, and
+the Prob0 search raises the live ones it finds to 2).
 Product files and trajectory logs print a state as the texts of its two
 ids, which `ProductMdp.game_text` and `ProductMdp.spec_text` format once
 per id.  `ProductMdp.log_state` and `ProductMdp.log_row` keep, per state
@@ -84,10 +90,10 @@ class ProductMdp:
     state ``spec_states[spec_of[z]]``.  Row r = z * n_actions + a holds the
     successor distribution of state z under action a.  `outcome_code`
     (int8) is the one record of each state's class: 0 live, 1 accepting,
-    2 sink, named by `OUTCOMES`; `accepting`, `sink` and `absorbing` (not
-    live) are read off it once.  An absorbing state's rows are unit
-    self-loops with reward 0 (reward is earned on entry), so values stay
-    zero there.  The initial state is state 0.
+    2 sink (acceptance unreachable), named by `OUTCOMES`; `accepting`,
+    `sink` and `absorbing` (not live) are read off it once.  An absorbing
+    state's rows are unit self-loops with reward 0 (reward is earned on
+    entry), so values stay zero there.  The initial state is state 0.
     """
 
     def __init__(self, game: Game, sta: StaModel, spec_states, game_of,
@@ -270,10 +276,7 @@ class StepTable:
         missing = np.flatnonzero(nxt < 0)
         if missing.size:
             n_labels = len(self.labels)
-            # the distinct pairs in increasing order; plain `np.unique`
-            # would import `numpy.ma` on its first call
-            pairs = np.sort(q_ids[missing] * n_labels + label_ids[missing])
-            pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+            pairs = _distinct(q_ids[missing] * n_labels + label_ids[missing])
             for pair in pairs.tolist():
                 q, lab = divmod(pair, n_labels)
                 self._next[q, lab], self._prob[q, lab] = self.sta.step_id(
@@ -297,7 +300,9 @@ def build_product(game: Game, tsta: StaModel,
 
     The automaton consumes the label of the successor game state with a
     unit advance; the initial automaton state consumes the initial label
-    with zero elapsed time and probability one.
+    with zero elapsed time and probability one.  Once every layer is
+    expanded, the states that cannot reach acceptance become sinks
+    (`_absorb_lost`).
     """
     if set(game.events) != set(tsta.event_names):
         raise ProductError(
@@ -314,6 +319,7 @@ def build_product(game: Game, tsta: StaModel,
     cols: list[np.ndarray] = []
     probs: list[np.ndarray] = []
     row_len: list[np.ndarray] = []
+    bounds = [0]        # layer k holds states bounds[k]..bounds[k+1]-1
     lo, hi = 0, 1
     while lo < hi:
         # expand states lo..hi-1, the last ones numbered
@@ -346,15 +352,96 @@ def build_product(game: Game, tsta: StaModel,
         cols.append(succ[order])
         probs.append(p[order])
         row_len.append(counts)
+        bounds.append(hi)
         lo, hi = hi, hi + len(new_keys)
 
     game_of = np.concatenate(game_of)
     spec_of = np.concatenate(spec_of)
+    code = np.array(tsta.codes, dtype=np.int8)[spec_of]
+    _absorb_lost(code, bounds, cols, probs, row_len, n_actions)
     row_ptr = np.zeros(len(game_of) * n_actions + 1, dtype=np.int64)
     np.cumsum(np.concatenate(row_len), out=row_ptr[1:])
     return ProductMdp(game, tsta, tsta.states, game_of, spec_of, row_ptr,
-                      np.concatenate(cols), np.concatenate(probs),
-                      np.array(tsta.codes, dtype=np.int8)[spec_of])
+                      np.concatenate(cols), np.concatenate(probs), code)
+
+
+# layered sweeps of `_cannot_accept` before it turns to a backward search
+PROB0_SWEEPS = 3
+
+
+def _cannot_accept(code, bounds, cols, row_len, n_actions) -> np.ndarray:
+    """The live states from which no path of positive-weight edges, under
+    any actions, reaches an accepting state: Prob0, found by graph search
+    (Baier & Katoen, *Principles of Model Checking*, 10.6.1), never from
+    float values.
+
+    `cols` and `row_len` hold the CSR edges and row lengths of each
+    breadth-first layer.  A sweep backs up "can reach" over the layers,
+    last layer first, so a state reads the sweep's own result for every
+    successor in a later layer; a truncated model, whose clocks only
+    grow, settles in a few sweeps.  If `PROB0_SWEEPS` sweeps still
+    change something (an untimed eventuality needs one sweep per step),
+    a backward breadth-first search over the edges of the states still
+    unreached finishes the set."""
+    reach = code == 1
+    degree = [counts.reshape(-1, n_actions).sum(axis=1) for counts in row_len]
+    first = [np.cumsum(d) - d for d in degree]
+    for _ in range(PROB0_SWEEPS):
+        changed = False
+        for k in reversed(range(len(cols))):
+            lo, hi = bounds[k], bounds[k + 1]
+            got = np.logical_or.reduceat(reach[cols[k]], first[k])
+            if (got > reach[lo:hi]).any():
+                reach[lo:hi] |= got
+                changed = True
+        if not changed:
+            return ~reach & (code == 0)
+    open_ = ~reach & (code == 0)
+    src, dst = [], []
+    for k, d in enumerate(degree):
+        z = np.flatnonzero(open_[bounds[k]:bounds[k + 1]])
+        src.append(np.repeat(z + bounds[k], d[z]))
+        dst.append(cols[k][concat_ranges(first[k][z], d[z])])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    front = _distinct(src[reach[dst]])
+    order = np.argsort(dst)
+    src, dst = src[order], dst[order]
+    while front.size:
+        reach[front] = True
+        at = np.searchsorted(dst, front)
+        count = np.searchsorted(dst, front, side="right") - at
+        front = _distinct(src[concat_ranges(at, count)])
+        front = front[~reach[front]]
+    return ~reach & (code == 0)
+
+
+def _absorb_lost(code, bounds, cols, probs, row_len, n_actions):
+    """Give each live state that cannot reach acceptance
+    (`_cannot_accept`) outcome code 2, and replace each of its rows,
+    layer by layer in place, by the unit self-loop every absorbing state
+    has.  Every value stays as it was, 0 at those states either way."""
+    lost = _cannot_accept(code, bounds, cols, row_len, n_actions)
+    code[lost] = 2
+    for k, counts in enumerate(row_len):
+        lo = bounds[k]
+        gone = np.repeat(lost[lo:bounds[k + 1]], n_actions)
+        if not gone.any():
+            continue
+        # each row of a lost state keeps its first entry, as the self-loop
+        start = (np.cumsum(counts) - counts)[gone]
+        cols[k][start] = lo + np.flatnonzero(gone) // n_actions
+        probs[k][start] = 1.0
+        keep = ~np.repeat(gone, counts)
+        keep[start] = True
+        cols[k], probs[k] = cols[k][keep], probs[k][keep]
+        counts[gone] = 1
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of `a` in increasing order; plain `np.unique`
+    would import `numpy.ma` on its first call."""
+    a = np.sort(a)
+    return a[np.diff(a, prepend=-1) != 0]
 
 
 def _rows(z: np.ndarray, n_actions: int) -> np.ndarray:

@@ -22,9 +22,11 @@ table of the last policy `estimate_success` ran, keyed by the contents
 of its rows, and its default step budget (`default_max_steps`).  A
 rollout stops at the first state whose `ProductMdp.outcome_code` is not
 0, or when its step budget runs out, and reports the name `OUTCOMES`
-gives the code of the state it stops at.  `simulate` writes log i with
-`rollout` on `stream_seed(seed, i)`, whose stream 0 is stream i of the
-seed, so log i replays rollout i of `estimate_success`.
+gives the code of the state it stops at.  Code 2 marks exactly the
+states from which acceptance is unreachable, so a rollout that has lost
+stops as `sink` at the first such state it enters.  `simulate` writes
+log i with `rollout` on `stream_seed(seed, i)`, whose stream 0 is stream
+i of the seed, so log i replays rollout i of `estimate_success`.
 """
 
 from __future__ import annotations

@@ -28,7 +28,9 @@ once the events that fired read false (`number`), so the product and
 rollouts stop there (the automaton-level Prob0 states of Baier &
 Katoen, *Principles of Model Checking*, 10.6.1).  Such a state's value
 is 0, as the truncation sink's is, but its mass is not part of the
-truncation tail.  The product build and the word monitor
+truncation tail.  The product build widens code 2 once more, to every
+product state from which no path reaches acceptance
+(`product_mdp.build_product`).  The product build and the word monitor
 step the same ids through one memo (`StaModel.step_id`); the product's
 numpy view of those steps is `product_mdp.StepTable`.  Like `formula`
 and `timed_automata` beneath it, this module imports no numpy.

@@ -351,7 +351,8 @@ def reference_code(tsta, q: StaState) -> int:
     return int(tsta.dta.is_accepting(q.config))
 
 
-def reference_product(kernel, tsta, cap: int = 2_000_000) -> ProductMdp:
+def reference_product(kernel, tsta, cap: int = 2_000_000,
+                      mark_lost: bool = True) -> ProductMdp:
     """Forward-reachable product construction, one state at a time: the
     dictionary-keyed search that `build_product` must agree with.  It
     walks a state-at-a-time `kernel` (`ReferenceGrid` or `TableKernel`)
@@ -359,7 +360,9 @@ def reference_product(kernel, tsta, cap: int = 2_000_000) -> ProductMdp:
 
     The automaton consumes the label of the successor game state with a
     unit advance; the initial automaton state consumes the initial label
-    with zero elapsed time and probability one.
+    with zero elapsed time and probability one.  Then, unless `mark_lost`
+    is false, a live state from which no path reaches an accepting state
+    (`cannot_accept`) gets code 2 and unit self-loops.
     """
     if set(kernel.events) != set(tsta.event_names):
         raise ProductError(
@@ -411,6 +414,11 @@ def reference_product(kernel, tsta, cap: int = 2_000_000) -> ProductMdp:
     n_actions = len(kernel.actions)
     n_rows = len(states) * n_actions
     assert len(rows) == n_rows
+    code = [reference_code(tsta, q) for _, q in states]
+    if mark_lost:
+        for z in cannot_accept(rows, code, n_actions):
+            code[z] = 2
+            rows[z * n_actions:(z + 1) * n_actions] = [[(z, 1.0)]] * n_actions
     row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
     for r, row in enumerate(rows):
         row_ptr[r + 1] = row_ptr[r] + len(row)
@@ -421,8 +429,7 @@ def reference_product(kernel, tsta, cap: int = 2_000_000) -> ProductMdp:
         for k, (j, p) in enumerate(row):
             cols[base + k] = j
             probs[base + k] = p
-    code = np.array([reference_code(tsta, q) for _, q in states],
-                    dtype=np.int8)
+    code = np.array(code, dtype=np.int8)
     game_id = {s: i for i, s in enumerate(kernel.game.states)}
     spec_states = list(dict.fromkeys(q for _, q in states))
     spec_id = {q: i for i, q in enumerate(spec_states)}
@@ -430,6 +437,27 @@ def reference_product(kernel, tsta, cap: int = 2_000_000) -> ProductMdp:
     spec_of = np.array([spec_id[q] for _, q in states], dtype=np.int64)
     return ProductMdp(kernel.game, tsta, spec_states, game_of, spec_of,
                       row_ptr, cols, probs, code)
+
+
+def cannot_accept(rows, code, n_actions) -> list[int]:
+    """The live states (code 0) from which no path of positive-weight
+    edges reaches an accepting state (code 1), in increasing order: a
+    breadth-first search backwards from the accepting states over the
+    predecessor lists of `rows`, state z's rows being
+    ``rows[z * n_actions:(z + 1) * n_actions]``."""
+    preds: list[list[int]] = [[] for _ in code]
+    for r, row in enumerate(rows):
+        for j, p in row:
+            if p > 0.0:
+                preds[j].append(r // n_actions)
+    seen = [c == 1 for c in code]
+    queue = deque(z for z, c in enumerate(code) if c == 1)
+    while queue:
+        for z in preds[queue.popleft()]:
+            if not seen[z]:
+                seen[z] = True
+                queue.append(z)
+    return [z for z, c in enumerate(code) if c == 0 and not seen[z]]
 
 
 # ---------------------------------------------------------------------------

@@ -620,7 +620,8 @@ def test_only_simulate_imports_the_simulator(tmp_path, capsys, command):
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, capsys, command):
     # `translate` and `monitor` run on the numpy-free layers, and `plan`
     # hashes its model without OpenSSL wherever the interpreter has a
-    # builtin sha256 (`_sha2` from Python 3.12, `_sha256` before)
+    # builtin sha256 (`_sha2` from Python 3.12, `_sha256` before); no
+    # subcommand calls plain `np.unique`, which imports `numpy.ma`
     def argv(command):
         return [a.replace("OUT", str(tmp_path)) for a in IMPORT_RUNS[command]]
 
@@ -635,8 +636,9 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, capsys, command):
               "    'builtin_sha256': any(importlib.util.find_spec(name)\n"
               "                          for name in ('_sha2', '_sha256')),\n"
               "    'loaded': sorted(name for name in (\n"
-              "        'numpy', 'mitlplan.pipeline', 'mitlplan.simulator',\n"
-              "        '_hashlib') if name in sys.modules)}))\n")
+              "        'numpy', 'numpy.ma', 'mitlplan.pipeline',\n"
+              "        'mitlplan.simulator', '_hashlib')\n"
+              "        if name in sys.modules)}))\n")
     done = subprocess.run([sys.executable, "-c", script, *argv(command)],
                           env=package_env(), check=True, capture_output=True,
                           text=True, timeout=300)
@@ -697,6 +699,47 @@ def test_startup_probe_reports_each_command():
         assert entry["peak_rss_mb"] > 0
         assert entry["lines_compiled"] > cli_lines
     assert report["import_self_us"]["mitlplan.cli"] > 0
+
+
+STAGE_NAMES = {"game", "automaton", "product", "prob0", "value_iteration",
+               "extract_policy"}
+
+
+def check_stage_report(report, rungs):
+    assert set(report) == {"rev", "python", "numpy", "nproc", "runs",
+                           "rungs"}
+    assert report["rev"] is None or len(report["rev"].split("-")[0]) == 40
+    assert report["nproc"] >= 1 and report["runs"] >= 1
+    assert list(report["rungs"]) == rungs
+    for rung in report["rungs"].values():
+        assert set(rung) == {"mission", "formula", "grid", "T", "stages_s",
+                             "sizes", "v0", "peak_rss_mb"}
+        assert set(rung["stages_s"]) == STAGE_NAMES
+        assert all(t > 0 for t in rung["stages_s"].values())
+        assert set(rung["sizes"]) == {"states", "edges", "sinks", "sweeps"}
+        assert float(rung["v0"]) >= 0.0 and rung["peak_rss_mb"] > 0
+
+
+def test_stage_ladder_reports_each_stage(tmp_path):
+    # one 8x8 rung in a fresh process; the committed file holds the ladder
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "stages.json"
+    subprocess.run([sys.executable, str(root / "tools" / "stages.py"),
+                    "--rung", "two-bus:8", "-k", "1", "--out", str(out)],
+                   env=package_env(), check=True, capture_output=True,
+                   text=True, timeout=120)
+    report = json.loads(out.read_text())
+    check_stage_report(report, ["two-bus-8x8-T8"])
+    assert (report["python"], report["numpy"], report["runs"]) == (
+        sys.version.split()[0], np.__version__, 1)
+    rung = report["rungs"]["two-bus-8x8-T8"]
+    assert rung["sizes"] == {"states": 2535, "edges": 22888, "sinks": 1914,
+                             "sweeps": 12}
+    assert rung["v0"] == "0.12250575853075968"
+    check_stage_report(
+        json.loads((root / "BENCH_stages.json").read_text()),
+        ["two-bus-16x16-T16", "two-bus-32x32-T32", "two-bus-64x64-T64",
+         "unbounded-16x16-T16", "unbounded-32x32-T32"])
 
 
 def test_cli_names_the_benchmark_reads(capsys):

@@ -27,8 +27,8 @@ from mitlplan.solver import value_iteration
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import ProgressionDta, TimedWord, build_dta
 
-from _oracles import (ReferenceGrid, TableKernel, product_state,
-                      reference_product)
+from _oracles import (ReferenceGrid, TableKernel, brute_force_reach,
+                      product_state, reference_product)
 from conftest import (
     DATA,
     BUS_CASE1,
@@ -256,15 +256,19 @@ def toy_inputs(T, game_text=None):
     return TableKernel(game), tsta
 
 
-def random_grid_inputs(seed, max_bus=2):
+def random_grid_inputs(seed, max_bus=2, untimed=False):
+    # `untimed` drops each bus's window, leaving `F (b & F s)`
     rng = random.Random(seed)
     width, height = rng.randint(2, 5), rng.randint(2, 5)
     cells = [(x, y) for x in range(width) for y in range(height)]
     rng.shuffle(cells)
     n_bus = rng.randint(1, min(max_bus, len(cells) - 1))
-    buses = " | ".join(
-        f"D{{geom:{rng.choice((0.3, 0.5, 0.8))}}} b{i} & "
-        f"F (b{i} & F[0,{rng.randint(1, 3)}] s{i})" for i in range(n_bus))
+    buses = []
+    for i in range(n_bus):
+        p, window = rng.choice((0.3, 0.5, 0.8)), f"[0,{rng.randint(1, 3)}]"
+        buses.append(f"D{{geom:{p}}} b{i} & "
+                     f"F (b{i} & F{'' if untimed else window} s{i})")
+    buses = " | ".join(buses)
     forward = rng.choice((0.6, 0.8, 1.0))
     slip = (forward, round(1.0 - forward, 2), 0.0)
     stations = tuple((f"s{i}", cells[1 + i]) for i in range(n_bus))
@@ -306,6 +310,25 @@ def test_build_matches_reference(case):
     for name in ("row_ptr", "cols", "outcome_code", "accepting", "sink"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.probs.tobytes() == want.probs.tobytes()
+
+
+@pytest.mark.parametrize("untimed", [False, True])
+@pytest.mark.parametrize("seed", range(100, 110))
+def test_sinks_are_the_states_that_cannot_reach_acceptance(
+        monkeypatch, seed, untimed):
+    # the code-2 states are exactly the non-accepting states that the
+    # finite-horizon oracle leaves at 0 on the reference graph before its
+    # lost states are marked, at a horizon of n_states, which every
+    # shortest path fits; the layered sweeps alone and the backward search
+    # alone find the same set
+    kernel, tsta = random_grid_inputs(seed, untimed=untimed)
+    got = build_product(kernel.game, tsta)
+    unmarked = reference_product(kernel, tsta, mark_lost=False)
+    w = brute_force_reach(unmarked, unmarked.n_states)
+    assert np.array_equal(got.sink, ~unmarked.accepting & (w == 0.0))
+    for sweeps in (0, got.n_states + 1):
+        monkeypatch.setattr(product_mdp, "PROB0_SWEEPS", sweeps)
+        assert build_product(kernel.game, tsta).to_text() == got.to_text()
 
 
 @pytest.mark.parametrize("T", [3, 4])
@@ -364,11 +387,14 @@ def test_pending_synchronized(case):
     # no row is empty, which `reduceat` cannot see: it reads an empty
     # row's sum off the next row's first entry
     assert (np.diff(m.row_ptr) > 0).all()
-    live = np.flatnonzero(~m.sink)
-    assert live.size > 1
-    for z in live.tolist():
+    # every state but the truncation sink's, lost states included
+    checked = 0
+    for z in range(m.n_states):
         s, q = product_state(m, z)
-        assert s.pending == q.pending, z
+        if not q.sink:
+            assert s.pending == q.pending, z
+            checked += 1
+    assert checked > 1
 
 
 def test_validate_rejects_a_row_that_does_not_sum_to_one(case1_T3):

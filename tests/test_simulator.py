@@ -137,9 +137,11 @@ def test_logs_match_reference_renderer(case):
                 assert text.count("\n") == 2
             logs.append(text)
     if case in ("case1", "toy", "random-1"):
-        # logs that pass through or end in the truncation sink
-        assert any("(sink)" in log for log in logs)
-        assert any(log.endswith("(sink))\nterminal: sink\n") for log in logs)
+        # logs that stop at a state that cannot reach acceptance, short of
+        # the truncation sink `(sink)` it would lead to
+        assert any(log.endswith("\nterminal: sink\n")
+                   and not log.endswith("(sink))\nterminal: sink\n")
+                   for log in logs)
 
 
 @pytest.mark.parametrize("case", SYNC_CASES)
@@ -245,13 +247,19 @@ def test_estimate_backends_identical(planned_case2):
 
 def test_rollouts_stop_at_a_lost_state(planned_8x8):
     # once b1 fired and its window closed without s1, the location
-    # F (b1 & F[0,3] s1) cannot hold: such a state is a sink, and no
-    # rollout walks it until its budget runs out
+    # F (b1 & F[0,3] s1) cannot hold, and a state from which no path
+    # reaches a station in time cannot win either: both are sinks, and a
+    # rollout stops at the first of them it enters
     m, pol, res = planned_8x8
+    assert (int(m.sink.sum()), m.n_edges) == (1914, 22888)
+    assert res.iterations == 12
+    assert float(res.values[m.z0]) == 0.0782427695313247
     est = estimate_success(m, pol, 20000, seed=1)
     assert est.outcomes == {"step-limit": 0, "accept": 1537, "sink": 18463}
-    assert float(res.values[m.z0]) == 0.0782427695313247
     assert not m.sink[m.z0]
+    # 5.57095 steps per log before the product-level sinks
+    steps = sum(rollout(m, pol, seed).steps for seed in range(20000))
+    assert steps / 20000 == 2.89645
 
 
 def test_a_rollout_that_can_still_win_is_not_stopped():
