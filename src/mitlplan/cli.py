@@ -20,15 +20,24 @@ file that cannot be written.  `failing` maps a stage's error types to its
 code.
 
 `main` runs one command line and returns its exit code; tests and
-benchmarks call it in process, so it leaves the garbage collector as it
-found it.  `run`, the entry of ``python -m mitlplan.cli`` and of the
-``mitlplan`` console script, freezes the heap once `main` has returned:
-`gc.freeze` moves every tracked object into a generation no collection
-visits, so the interpreter's shutdown collection skips the module objects
-of numpy and the package, memory the operating system reclaims at exit
-anyway.  Stdout and stderr are still flushed and `atexit` handlers still
-run.  A freeze inside `main` would keep every later object of a
-long-lived caller out of collection.
+benchmarks call it in process, so it leaves the garbage collector and
+the environment as it found them.  `run` is the entry of ``python -m
+mitlplan.cli`` and of the ``mitlplan`` console script, and owns its
+process:
+
+- Before `main`, it sets ``OPENBLAS_NUM_THREADS`` to 1 unless the caller
+  set it.  numpy's OpenBLAS otherwise starts a pool of worker threads
+  when numpy is imported, and they spin for tens of ms of CPU although
+  the package calls no BLAS routine (no ``dot``, ``@``, ``matmul``,
+  ``einsum`` or ``linalg``).  `plan`, `simulate` and `bench` import
+  numpy after this, inside `main`.
+- Once `main` has returned, it freezes the heap: `gc.freeze` moves every
+  tracked object into a generation no collection visits, so the
+  interpreter's shutdown collection skips the module objects of numpy
+  and the package, memory the operating system reclaims at exit anyway.
+  Stdout and stderr are still flushed and `atexit` handlers still run.
+  A freeze inside `main` would keep every later object of a long-lived
+  caller out of collection.
 """
 
 from __future__ import annotations
@@ -370,7 +379,10 @@ def main(argv=None) -> int:
 
 
 def run(argv=None):
-    """Exit the process with `main`'s code, its heap frozen first."""
+    """Exit the process with `main`'s code, its heap frozen first.  Before
+    `main`, numpy's OpenBLAS gets one thread unless the caller chose a
+    count: no module calls a BLAS routine, and a pool would spin idle."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main(argv)
     gc.freeze()
     sys.exit(code)

@@ -19,6 +19,9 @@
   reproduce, with the outcome code of an automaton state by rewriting
   (`reference_code`), which `StaModel.number`'s walk must reproduce, and
   `product_state`, which decodes a state of a product;
+- the all-row sweep (`full_value_iteration`, `full_extract_policy`,
+  `full_policy_evaluation` on `q_values`), which the live-row sweeps of
+  `mitlplan.solver` must reproduce bit for bit;
 - scalar loops that the numpy Bellman sweep of `mitlplan.solver`, the
   memo walk `mitlplan.simulator.rollout` and its batch rollouts must
   reproduce (`walk` samples from the plain CSR arrays), and a
@@ -42,6 +45,8 @@ import numpy as np
 from mitlplan.simulator import (default_max_steps, splitmix_init,
                                 splitmix_next, wilson_interval)
 from mitlplan.formula import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     FALSE,
     TRUE,
     And,
@@ -74,6 +79,7 @@ from mitlplan.game_model import (
     build_gridworld,
 )
 from mitlplan.product_mdp import ProductError, ProductMdp, describe_spec_state
+from mitlplan.solver import Policy, SolverError, ValueIterationResult
 from mitlplan.stochastic_ta import StaError, StaModel, StaState
 from mitlplan.timed_automata import canonical
 
@@ -609,6 +615,49 @@ def bellman_sweep_loop(row_ptr, cols, probs, reward_row, absorbing, values,
         if diff > residual:
             residual = diff
     return new_values, float(residual)
+
+
+def q_values(m: ProductMdp, values: np.ndarray) -> np.ndarray:
+    """Q(z, a) = R(z, a) + sum_z' P(z' | z, a) V(z') over every CSR row,
+    absorbing states' unit self-loops included, one row per state."""
+    q = m.reward_row + np.add.reduceat(m.probs * values[m.cols],
+                                       m.row_ptr[:-1])
+    return q.reshape(m.n_states, m.n_actions)
+
+
+def full_value_iteration(m: ProductMdp, tol: float = DEFAULT_TOL,
+                         max_iter: int = DEFAULT_MAX_ITER
+                         ) -> ValueIterationResult:
+    """Reference for `solver.value_iteration`: each sweep backs up every
+    row of every state."""
+    values = np.zeros(m.n_states)
+    for it in range(1, max_iter + 1):
+        new_values = q_values(m, values).max(axis=1)
+        residual = float(np.abs(new_values - values).max())
+        values = new_values
+        if residual < tol:
+            return ValueIterationResult(values, it, residual, True)
+    return ValueIterationResult(values, max_iter, residual, False)
+
+
+def full_extract_policy(m: ProductMdp, values: np.ndarray) -> Policy:
+    """Reference for `solver.extract_policy`: the argmax of every row."""
+    return Policy(np.argmax(q_values(m, values), axis=1).astype(np.int64),
+                  m.actions, m.absorbing.copy())
+
+
+def full_policy_evaluation(m: ProductMdp, policy: Policy, tol: float = 1e-12,
+                           max_iter: int = 200_000) -> np.ndarray:
+    """Reference for `solver.policy_evaluation`: each sweep backs up every
+    row and keeps the one the policy follows at each state."""
+    rows = policy.rows()
+    values = np.zeros(m.n_states)
+    for _ in range(max_iter):
+        new_values = q_values(m, values).ravel()[rows]
+        if np.abs(new_values - values).max() < tol:
+            return new_values
+        values = new_values
+    raise SolverError("policy evaluation did not converge")
 
 
 def sample_successor(cols, probs, u: float) -> int:

@@ -692,11 +692,11 @@ def test_startup_probe_reports_each_command():
     cli_lines = Path(cli.__file__).read_bytes().count(b"\n")
     for entry in report["baselines"].values():
         assert entry["q1_ms"] == entry["median_ms"] == entry["q3_ms"] > 0
-        assert entry["peak_rss_mb"] > 0
+        assert entry["cpu_ms"] > 0 and entry["peak_rss_mb"] > 0
         assert "lines_compiled" not in entry
     for entry in report["commands"].values():
         assert entry["q1_ms"] == entry["median_ms"] == entry["q3_ms"] > 0
-        assert entry["peak_rss_mb"] > 0
+        assert entry["cpu_ms"] > 0 and entry["peak_rss_mb"] > 0
         assert entry["lines_compiled"] > cli_lines
     assert report["import_self_us"]["mitlplan.cli"] > 0
 
@@ -716,7 +716,8 @@ def check_stage_report(report, rungs):
                              "sizes", "v0", "peak_rss_mb"}
         assert set(rung["stages_s"]) == STAGE_NAMES
         assert all(t > 0 for t in rung["stages_s"].values())
-        assert set(rung["sizes"]) == {"states", "edges", "sinks", "sweeps"}
+        assert set(rung["sizes"]) == {"states", "edges", "sinks",
+                                      "live_rows", "sweeps"}
         assert float(rung["v0"]) >= 0.0 and rung["peak_rss_mb"] > 0
 
 
@@ -734,7 +735,7 @@ def test_stage_ladder_reports_each_stage(tmp_path):
         sys.version.split()[0], np.__version__, 1)
     rung = report["rungs"]["two-bus-8x8-T8"]
     assert rung["sizes"] == {"states": 2535, "edges": 22888, "sinks": 1914,
-                             "sweeps": 12}
+                             "live_rows": 2420, "sweeps": 12}
     assert rung["v0"] == "0.12250575853075968"
     check_stage_report(
         json.loads((root / "BENCH_stages.json").read_text()),
@@ -1092,18 +1093,78 @@ def test_main_in_process_leaves_the_heap_unfrozen(tmp_path, capsys,
         assert gc.get_freeze_count() == 0
 
 
+def test_main_in_process_leaves_the_environment_as_it_found_it(
+        tmp_path, capsys, monkeypatch, case1_policy):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    for argv, _ in EXIT_PATH_RUNS.values():
+        names = {"OUT": str(tmp_path), "POLICY": case1_policy,
+                 "MISSING": str(tmp_path / "missing.grid")}
+        main([names.get(a, a) for a in argv])
+        assert dict(os.environ) == before
+
+
 @pytest.mark.parametrize("formula, code", [(BUS_CASE1, 0), ("( a", 2)],
                          ids=["exit-0", "exit-2"])
 def test_run_freezes_the_heap_and_exits_with_mains_code(tmp_path, capsys,
+                                                        monkeypatch,
                                                         formula, code):
+    # `run` owns its process's environment: here it gets a copy
+    monkeypatch.setattr(os, "environ", {
+        k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"})
     try:
         with pytest.raises(SystemExit) as exc:
             cli.run(["translate", "--formula", formula,
                      "--out", str(tmp_path)])
         assert exc.value.code == code
         assert gc.get_freeze_count() > 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
     finally:
         gc.unfreeze()
+
+
+# prints, from an `atexit` hook, the process's thread count, its
+# OPENBLAS_NUM_THREADS and whether numpy was loaded, after `run` ran the
+# command line given as its arguments
+_THREADS_AT_EXIT = """import atexit, os, sys
+atexit.register(lambda: print(
+    len(os.listdir("/proc/self/task")),
+    os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules,
+    file=sys.stderr))
+from mitlplan.cli import run
+run(sys.argv[1:])
+"""
+
+
+def _numpy_blas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):    # numpy before 1.26 returns no dicts
+        return None
+    return blas["name"]
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="threads are counted in /proc/self/task")
+@pytest.mark.skipif("openblas" not in str(_numpy_blas()),
+                    reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.parametrize("caller", [None, "2"], ids=["unset", "caller-2"])
+def test_run_plans_without_a_blas_pool_unless_the_caller_asks(tmp_path,
+                                                              caller):
+    env = package_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    done = subprocess.run(
+        [sys.executable, "-c", _THREADS_AT_EXIT, "plan", *CASE1_MODEL,
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    threads, setting, numpy_loaded = done.stderr.split()
+    assert (setting, numpy_loaded) == (caller or "1", "True")
+    # OpenBLAS runs at most one thread per core it may use
+    cores = len(os.sched_getaffinity(0))
+    assert int(threads) == min(int(caller or 1), cores)
 
 
 def test_console_script_takes_the_exit_path():

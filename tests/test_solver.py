@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mitlplan import cli
 from mitlplan.formula import (
     EventSet,
     parse,
@@ -16,15 +17,22 @@ from mitlplan.solver import (
     ValueIterationResult,
     extract_policy,
     policy_evaluation,
-    q_values,
     satisfaction_probability,
     value_iteration,
 )
 from mitlplan.stochastic_ta import StaModel, truncate
 from mitlplan.timed_automata import build_dta
 
-from _oracles import bellman_sweep_loop, brute_force_reach, product_state
-from conftest import BUS_CASE2, build_case
+from _oracles import (
+    bellman_sweep_loop,
+    brute_force_reach,
+    full_extract_policy,
+    full_policy_evaluation,
+    full_value_iteration,
+    product_state,
+    q_values,
+)
+from conftest import BUS_CASE1, BUS_CASE2, DATA, THREE_BUS, build_case
 
 
 def small_instance(p=0.5, eps=0.05):
@@ -140,6 +148,97 @@ def test_backends_agree(case2_T3):
 
 
 # ---------------------------------------------------------------------------
+# live rows against the all-row sweep
+# ---------------------------------------------------------------------------
+
+UNTIMED_BUS = ("D{geom:0.8} b1 & F (b1 & F b3) | "
+               "D{geom:0.3} b2 & F (b2 & F b4)")
+
+# the models of the golden plan digests (`tools/dta_digests.py`)
+GOLDEN_PLANS = {
+    "case1": (BUS_CASE1, "--grid", DATA / "case1.grid", "--uniform-T", "4"),
+    "case1-eps0.05": (BUS_CASE1, "--grid", DATA / "case1.grid",
+                      "--eps", "0.05"),
+    "case2": (BUS_CASE2, "--grid", DATA / "case2.grid", "--uniform-T", "4"),
+    "toy": ("D{geom:0.5} b & F (b & F[0,1] goal)", "--game",
+            DATA / "toy.game", "--uniform-T", "4"),
+    "three-bus": (THREE_BUS, "--grid", DATA / "three_bus.grid",
+                  "--uniform-T", "4"),
+    "no-slip": (BUS_CASE1, "--grid", DATA / "no_slip.grid",
+                "--uniform-T", "4"),
+}
+
+
+def golden_model(name):
+    formula, *env = GOLDEN_PLANS[name]
+    args = cli.build_parser().parse_args(
+        ["plan", "--formula", formula, *map(str, env)])
+    return cli.build_model(args).product
+
+
+def ladder_model(formula, n):
+    """A rung of `tools/stages.py`: an n x n grid at T = n with stations
+    b3 at (0, n - 1) and b4 at (n - 1, 0)."""
+    f = parse(formula)
+    u = EventSet.from_formula(f)
+    tsta = truncate(StaModel(build_dta(substitute_dist(f)), u),
+                    uniform_truncation_vector(f, u, n))
+    game = build_gridworld(GridWorldConfig(
+        n, n, (0, 0), (("b3", (0, n - 1)), ("b4", (n - 1, 0))),
+        tuple(u.entries), (0.8, 0.1, 0.1)))
+    return build_product(game, tsta)
+
+
+def accepting_at_start():
+    """A model whose initial state accepts: its one state is absorbing,
+    so no row is live."""
+    f = parse("F goal")
+    u = EventSet.from_formula(f)
+    tsta = truncate(StaModel(build_dta(substitute_dist(f)), u),
+                    uniform_truncation_vector(f, u, 0))
+    m = build_product(build_gridworld(GridWorldConfig(
+        2, 2, (0, 0), (("goal", (0, 0)),), ())), tsta)
+    assert m.n_states == 1 and m.accepting[m.z0]
+    return m
+
+
+# name: (model, value iteration's limits)
+LIVE_ROW_CASES = {
+    **{f"golden-{name}": (lambda name=name: golden_model(name), {})
+       for name in GOLDEN_PLANS},
+    # mostly sinks
+    "two-bus-16": (lambda: ladder_model(BUS_CASE1, 16), {}),
+    "untimed-8": (lambda: ladder_model(UNTIMED_BUS, 8), {}),
+    "cut-by-max-iter": (lambda: ladder_model(BUS_CASE1, 16),
+                        {"max_iter": 5}),
+    "accepting-start": (accepting_at_start, {}),
+}
+
+
+@pytest.mark.parametrize("case", LIVE_ROW_CASES)
+def test_live_rows_reproduce_the_all_row_sweep(case):
+    # an absorbing state's rows are unit self-loops without reward, so
+    # skipping them leaves every value, sweep, residual and policy as the
+    # sweep over every row computes them, bit for bit
+    build, limits = LIVE_ROW_CASES[case]
+    m = build()
+    got, ref = value_iteration(m, **limits), full_value_iteration(m, **limits)
+    assert got.values.tobytes() == ref.values.tobytes()
+    assert (got.iterations, got.residual, got.converged) == (
+        ref.iterations, ref.residual, ref.converged)
+    assert got.converged == ("max_iter" not in limits)
+    greedy = extract_policy(m, got.values)
+    expected = full_extract_policy(m, ref.values)
+    assert greedy.action_index.dtype == expected.action_index.dtype
+    assert greedy.action_index.tobytes() == expected.action_index.tobytes()
+    assert greedy.absorbing.tobytes() == expected.absorbing.tobytes()
+    drawn = np.random.default_rng(5).integers(m.n_actions, size=m.n_states)
+    for pol in (greedy, Policy(drawn, m.actions, m.absorbing.copy())):
+        assert (policy_evaluation(m, pol).tobytes()
+                == full_policy_evaluation(m, pol).tobytes())
+
+
+# ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
@@ -193,20 +292,14 @@ def test_policy_evaluation_that_does_not_converge_raises(case2_T3):
 
 
 def test_policy_evaluation_matches_the_full_backup_bit_for_bit(case2_T3):
-    # backing up only the policy's rows adds the same terms in the same
-    # order as backing up every row and keeping the policy's
+    # backing up only the policy's rows at live states adds the same terms
+    # in the same order as backing up every row and keeping the policy's
     m, _ = case2_T3
     greedy = extract_policy(m, value_iteration(m).values)
     drawn = np.random.default_rng(3).integers(m.n_actions, size=m.n_states)
     for pol in (greedy, Policy(drawn, m.actions, m.absorbing.copy())):
-        values = np.zeros(m.n_states)
-        for _ in range(10_000):
-            new_values = q_values(m, values).ravel()[pol.rows()]
-            new_values[m.absorbing] = 0.0
-            if np.abs(new_values - values).max() < 1e-12:
-                break
-            values = new_values
-        assert policy_evaluation(m, pol).tobytes() == new_values.tobytes()
+        assert (policy_evaluation(m, pol).tobytes()
+                == full_policy_evaluation(m, pol).tobytes())
 
 
 def test_policy_tie_break_first_action():

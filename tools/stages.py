@@ -17,7 +17,9 @@ the public API and times, in seconds, the stages ``game``
 reach acceptance and makes them absorbing, `product_mdp._absorb_lost`;
 null where the module has no such step), ``value_iteration`` and
 ``extract_policy``.  It records the sizes ``states``, ``edges``,
-``sinks`` (outcome code 2) and ``sweeps`` of value iteration, ``v0``,
+``sinks`` (outcome code 2), ``live_rows`` (the CSR rows of the states
+with outcome code 0, which are all that value iteration and policy
+extraction back up) and ``sweeps`` of value iteration, ``v0``,
 the `repr` of V(z0), and ``peak_rss_mb``, the process's peak resident
 set from the rusage that ``os.wait4`` returns for that one child.  Sizes
 and ``v0`` must agree between the runs of a rung.
@@ -114,6 +116,8 @@ def run_rung(mission: str, n: int) -> dict:
     return {"stages_s": times,
             "sizes": {"states": m.n_states, "edges": m.n_edges,
                       "sinks": int(np.count_nonzero(m.sink)),
+                      "live_rows": int(np.count_nonzero(m.outcome_code == 0))
+                      * m.n_actions,
                       "sweeps": res.iterations},
             "v0": repr(float(res.values[m.z0]))}
 

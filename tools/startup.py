@@ -11,9 +11,12 @@ rounds.  The processes inherit this one's environment and get no
 interpreter flag of their own.  The script prints one JSON object:
 
 - ``baselines``: per baseline, its argv, the median and quartiles of
-  its wall time in ms over the rounds, and ``peak_rss_mb``, the median
-  over the rounds of the process's peak resident set, read from the
-  rusage that ``os.wait4`` returns for that one child;
+  its wall time in ms over the rounds, and the medians over the rounds
+  of ``cpu_ms``, the process's user plus system CPU time, and
+  ``peak_rss_mb``, its peak resident set, both read from the rusage
+  that ``os.wait4`` returns for that one child.  CPU time shows work
+  that wall time hides while a core is idle, such as a thread pool
+  spinning beside the main thread;
 - ``commands``: the same per command, and ``lines_compiled``, the source
   lines of the ``mitlplan`` modules it loads (each is compiled from
   source when no bytecode cache is written, as under
@@ -75,8 +78,9 @@ def commands(out: str, policy: str) -> dict[str, list[str]]:
     }
 
 
-def _run(argv: list[str]) -> tuple[str, float]:
-    """The stdout of ``python *argv`` and its peak RSS in MB."""
+def _run(argv: list[str]) -> tuple[str, float, float]:
+    """The stdout of ``python *argv``, its user plus system CPU time in
+    ms and its peak RSS in MB."""
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen([sys.executable, *argv], stdout=out,
                                 stderr=err)
@@ -88,12 +92,14 @@ def _run(argv: list[str]) -> tuple[str, float]:
         if proc.returncode != 0:
             raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}:\n"
                              f"{err.read().decode()}")
-        return out.read().decode(), usage.ru_maxrss / 1024
+        return (out.read().decode(),
+                (usage.ru_utime + usage.ru_stime) * 1e3,
+                usage.ru_maxrss / 1024)
 
 
 def _lines_compiled(argv: list[str]) -> int:
     cli_args = argv[2:] if argv[0] == "-m" else []
-    stdout, _ = _run(["-c", _LOADED, *cli_args])
+    stdout, _, _ = _run(["-c", _LOADED, *cli_args])
     files = json.loads(stdout.splitlines()[-1])
     return sum(Path(f).read_bytes().count(b"\n") for f in files)
 
@@ -111,13 +117,15 @@ def _import_self_us() -> dict[str, int]:
     return times
 
 
-def _summary(ms: list[float], rss_mb: list[float]) -> dict[str, float]:
+def _summary(ms: list[float], cpu_ms: list[float],
+             rss_mb: list[float]) -> dict[str, float]:
     if len(ms) == 1:
         q1 = median = q3 = ms[0]
     else:
         q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
     return {"median_ms": round(median, 2), "q1_ms": round(q1, 2),
             "q3_ms": round(q3, 2),
+            "cpu_ms": round(statistics.median(cpu_ms), 2),
             "peak_rss_mb": round(statistics.median(rss_mb), 2)}
 
 
@@ -134,21 +142,25 @@ def main(argv=None) -> int:
         _run([*cmds["plan"][:-1], planned])    # plan's argv ends in its --out
         runs = {**BASELINES, **cmds}
         wall: dict[str, list[float]] = {name: [] for name in runs}
+        cpu: dict[str, list[float]] = {name: [] for name in runs}
         rss: dict[str, list[float]] = {name: [] for name in runs}
         for i in range(n):
             for name in (list(runs) if i % 2 == 0 else list(runs)[::-1]):
                 t = time.perf_counter()
-                _, peak_mb = _run(runs[name])
+                _, cpu_ms, peak_mb = _run(runs[name])
                 wall[name].append((time.perf_counter() - t) * 1e3)
+                cpu[name].append(cpu_ms)
                 rss[name].append(peak_mb)
         report = {
             "runs": n,
             "python": sys.version.split()[0],
             "baselines": {
-                name: {"argv": argv, **_summary(wall[name], rss[name])}
+                name: {"argv": argv,
+                       **_summary(wall[name], cpu[name], rss[name])}
                 for name, argv in BASELINES.items()},
             "commands": {
-                name: {"argv": argv, **_summary(wall[name], rss[name]),
+                name: {"argv": argv,
+                       **_summary(wall[name], cpu[name], rss[name]),
                        "lines_compiled": _lines_compiled(argv)}
                 for name, argv in cmds.items()},
             "import_self_us": _import_self_us(),
